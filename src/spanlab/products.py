@@ -58,12 +58,6 @@ class ProductGraph:
         self.adj = adj              # code -> ascending neighbour codes
         self.dist = dist            # base-graph distance matrix
 
-    def left(self, code: int) -> int:
-        return code // self.base.n
-
-    def right(self, code: int) -> int:
-        return code % self.base.n
-
     def __repr__(self) -> str:
         return (f"ProductGraph(rule={self.rule.value}, threshold={self.threshold}, "
                 f"pairs={len(self.codes)})")

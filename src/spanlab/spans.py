@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, is_connected, metrics
+from .graphs import Graph, distance_matrix, is_connected
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
 
 
@@ -95,7 +95,7 @@ def _span(h: Graph, rule: Rule, kind: str) -> tuple[int, Certificate]:
         raise ValueError("span needs at least one vertex")
     finder = good_components if kind == VERTEX else edge_good_components
     base = build_product(h, rule)
-    rad = int(metrics(h).radius)
+    rad = int(min(max(row) for row in distance_matrix(h)))
     for k in range(rad, -1, -1):
         comps = finder(safety_subgraph(base, k))
         if comps:

@@ -1,11 +1,12 @@
 """Shortest covering walks in thresholded products, plus walk-pair validation.
 
 A cover state packs (pair code, visited set of player A, visited set of
-player B) into one integer: ``code << 2n | maskA << n | maskB``.  Forward
-BFS over these states from every vertex of every good component gives the
-minimum number of moves; a backward pass over the reachable states then
-yields goal distances, from which the lexicographically least optimal walk
-is rebuilt greedily (smallest pair code first at every choice).
+player B) into one integer: ``code << 2n | maskA << n | maskB``.  One
+breadth-first search over these states, started from every vertex of every
+good component, gives the minimum number of moves.  Seeds and neighbours
+are taken in ascending pair code, so the first goal state reached ends the
+lexicographically least optimal walk, which is read back through parent
+links.
 """
 
 from __future__ import annotations
@@ -74,90 +75,36 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
     shift = 2 * n
     mask_all = (1 << shift) - 1
     adj = p.adj
+    # arriving at pair code b: the code plus the bits both players now cover
+    enter = {b: (b << shift) | (1 << (n + b // n)) | (1 << (b % n)) for b in p.codes}
 
-    dist_f: dict[int, int] = {}
-    seeds = []
-    for comp in comps:
-        for code in comp:
-            u, v = divmod(code, n)
-            s = (code << shift) | (1 << (n + u)) | (1 << v)
-            if s not in dist_f:
-                dist_f[s] = 0
-                seeds.append(s)
-
-    # forward BFS, stopping once the first layer containing a goal is complete
-    moves = None
-    if any((s & mask_all) == mask_all for s in seeds):
-        moves = 0
-    frontier = seeds
-    depth = 0
-    while moves is None and frontier:
-        depth += 1
-        nxt = []
-        hit = False
-        for s in frontier:
-            code = s >> shift
-            rest = s & mask_all
-            for b in adj[code]:
-                u2, v2 = divmod(b, n)
-                t = (b << shift) | rest | (1 << (n + u2)) | (1 << v2)
-                if t not in dist_f:
-                    dist_f[t] = depth
-                    nxt.append(t)
-                    if t & mask_all == mask_all:
-                        hit = True
-        if hit:
-            moves = depth
-        frontier = nxt
-    if moves is None:
-        raise AssertionError("a good component always admits a covering walk")
-
-    # backward BFS over forward-reachable states only: goal distance g
-    goal_dist: dict[int, int] = {}
-    frontier = [s for s, d in dist_f.items() if d == moves and s & mask_all == mask_all]
+    frontier = sorted(enter[code] for comp in comps for code in comp)
     for s in frontier:
-        goal_dist[s] = 0
-    depth = 0
-    low_n = (1 << n) - 1
+        if s & mask_all == mask_all:
+            return 0, (s >> shift,)
+    parent: dict[int, int | None] = dict.fromkeys(frontier)
+    # Each layer is ordered by the least walk reaching each state and p.adj
+    # lists neighbours in ascending code, so every state is first reached
+    # along its least walk and the first goal reached ends the least one.
     while frontier:
-        depth += 1
         nxt = []
         for s in frontier:
-            code = s >> shift
-            m_a = (s >> n) & low_n
-            m_b = s & low_n
-            u, v = divmod(code, n)
-            bit_a, bit_b = 1 << u, 1 << v
-            for a in adj[code]:
-                u2, v2 = divmod(a, n)
-                for pa in (m_a, m_a ^ bit_a):
-                    if not pa & (1 << u2):
-                        continue
-                    for pb in (m_b, m_b ^ bit_b):
-                        if not pb & (1 << v2):
-                            continue
-                        t = (a << shift) | (pa << n) | pb
-                        if t not in goal_dist and t in dist_f:
-                            goal_dist[t] = depth
-                            nxt.append(t)
+            rest = s & mask_all
+            for b in adj[s >> shift]:
+                t = enter[b] | rest
+                if t in parent:
+                    continue
+                parent[t] = s
+                if t & mask_all == mask_all:
+                    walk = [b]
+                    back: int | None = s
+                    while back is not None:
+                        walk.append(back >> shift)
+                        back = parent[back]
+                    return len(walk) - 1, tuple(reversed(walk))
+                nxt.append(t)
         frontier = nxt
-
-    # greedy lexicographic reconstruction; seeds are ordered by pair code
-    state = min(s for s in seeds if goal_dist.get(s) == moves)
-    walk = [state >> shift]
-    for remaining in range(moves, 0, -1):
-        code = state >> shift
-        rest = state & mask_all
-        for b in adj[code]:
-            u2, v2 = divmod(b, n)
-            t = (b << shift) | rest | (1 << (n + u2)) | (1 << v2)
-            if goal_dist.get(t) == remaining - 1:
-                walk.append(b)
-                state = t
-                break
-        else:
-            raise AssertionError("goal distance chain broke during reconstruction")
-    return moves, tuple(walk)
+    raise AssertionError("a good component always admits a covering walk")
 
 
 def walk_pair_from_codes(h: Graph, rule: Rule | str, codes: tuple[int, ...]) -> WalkPair:

@@ -57,3 +57,51 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return d
+
+
+def pair_moves(g: Graph, rule: str, dist, k: int, a: int, b: int) -> list[tuple[int, int]]:
+    """Position pairs one step from (a, b) under the rule that keep distance
+    >= k, built from the base graph alone, in ascending (a, b) order."""
+    if rule == "traditional":
+        outs = [(a2, b2) for a2 in (*g.adj[a], a) for b2 in (*g.adj[b], b)
+                if (a2, b2) != (a, b)]
+    elif rule == "active":
+        outs = [(a2, b2) for a2 in g.adj[a] for b2 in g.adj[b]]
+    else:
+        outs = [(a2, b) for a2 in g.adj[a]] + [(a, b2) for b2 in g.adj[b]]
+    return sorted((a2, b2) for a2, b2 in outs if dist[a2][b2] >= k)
+
+
+def least_covering_walk(g: Graph, rule: str, k: int, moves: int) -> tuple[int, ...] | None:
+    """Independent lexicographically least covering walk, as pair codes
+    ``a * n + b``, with exactly ``moves`` moves at distance >= k.
+
+    Depth-first search that tries seeds and moves in ascending code order,
+    so the first walk found is the least; a memo of failed
+    (code, maskA, maskB, moves_left) states keeps it small.
+    """
+    n = g.n
+    dist = floyd_warshall(g)
+    full = (1 << n) - 1
+    failed = set()
+
+    def extend(a, b, ma, mb, left):
+        if left == 0:
+            return () if ma == full and mb == full else None
+        key = (a * n + b, ma, mb, left)
+        if key in failed:
+            return None
+        for a2, b2 in pair_moves(g, rule, dist, k, a, b):
+            rest = extend(a2, b2, ma | (1 << a2), mb | (1 << b2), left - 1)
+            if rest is not None:
+                return (a2 * n + b2, *rest)
+        failed.add(key)
+        return None
+
+    for code in range(n * n):
+        a, b = divmod(code, n)
+        if dist[a][b] >= k:
+            rest = extend(a, b, 1 << a, 1 << b, moves)
+            if rest is not None:
+                return (code, *rest)
+    return None

@@ -10,7 +10,8 @@ import time
 from collections import deque
 from contextlib import contextmanager
 
-from helpers import all_trees, connected_atlas, floyd_warshall, random_graphs
+from helpers import (all_trees, connected_atlas, floyd_warshall, least_covering_walk,
+                     pair_moves, random_graphs)
 from spanlab import (Graph, Rule, WalkPair, augment, brute_force_span,
                      check_span1_structure, check_span_inequalities,
                      complete_graph, cycle_graph, edge_span, end_cliques,
@@ -163,16 +164,6 @@ def naive_min_moves(g: Graph, rule: str, k: int) -> int | None:
     dist = floyd_warshall(g)
     full = (1 << n) - 1
 
-    def successors(a, b):
-        if rule == "traditional":
-            outs = [(a2, b2) for a2 in (*g.adj[a], a) for b2 in (*g.adj[b], b)
-                    if (a2, b2) != (a, b)]
-        elif rule == "active":
-            outs = [(a2, b2) for a2 in g.adj[a] for b2 in g.adj[b]]
-        else:
-            outs = [(a2, b) for a2 in g.adj[a]] + [(a, b2) for b2 in g.adj[b]]
-        return [(a2, b2) for a2, b2 in outs if dist[a2][b2] >= k]
-
     best = None
     for a0 in range(n):
         for b0 in range(n):
@@ -187,7 +178,7 @@ def naive_min_moves(g: Graph, rule: str, k: int) -> int | None:
                 (a, b, ma, mb), d = queue.popleft()
                 if best is not None and d >= best:
                     break
-                for a2, b2 in successors(a, b):
+                for a2, b2 in pair_moves(g, rule, dist, k, a, b):
                     state = (a2, b2, ma | (1 << a2), mb | (1 << b2))
                     if state in seen:
                         continue
@@ -212,6 +203,8 @@ def test_criterion_8_minimum_moves():
                 expected = naive_min_moves(g, rule, k)
                 assert expected is not None
                 assert result.moves == expected, (g.adj, rule, k)
+                assert result.product_walk == least_covering_walk(g, rule, k, expected), (
+                    g.adj, rule, k)
                 v = validate_walk_pair(result.pair, g, k)
                 assert v.valid
 

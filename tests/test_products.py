@@ -5,8 +5,8 @@ import random
 import pytest
 
 from helpers import random_graphs
-from spanlab import (Graph, Rule, as_rule, build_product, complete_graph,
-                     cycle_graph, safety_subgraph)
+from spanlab import (Rule, as_rule, build_product, complete_graph, cycle_graph,
+                     safety_subgraph)
 
 
 def edge_set(p):
@@ -46,14 +46,6 @@ def test_no_product_self_loops():
         for rule in ("traditional", "active", "lazy"):
             p = build_product(g, rule)
             assert all(a not in p.adj[a] for a in p.codes)
-
-
-def test_code_projections():
-    g = Graph(3, [(0, 1), (1, 2)])
-    p = build_product(g, "traditional")
-    code = 1 * 3 + 2
-    assert p.left(code) == 1
-    assert p.right(code) == 2
 
 
 def test_safety_subgraph_of_c4_at_two():
