@@ -4,16 +4,20 @@ This is the independent cross-check for the component-based solver, so it
 never touches the product machinery: legal moves come straight from the
 base adjacency and coverage is tracked with bitmasks.
 
-Vertex kind: joint BFS over (position pair, visited set of A, visited set
-of B); the span at threshold k is feasible iff some fully-covered state is
-reachable from some start pair at distance >= k.
+Vertex kind: depth-first search over (position pair, visited set of A,
+visited set of B); the span at threshold k is feasible iff some
+fully-covered state is reachable from some start pair at distance >= k.
 
-Edge kind: the joint edge-mask space is hopeless for dense graphs, but
-coverage phases compose because any two configurations in one component are
-joined by legal moves: a component admits a pair of edge-surjective walks
-iff player A can traverse every base edge inside it and player B can too
-(cover with A, walk over, cover with B).  Each side is a plain (position
-pair, traversed-edge mask) reachability search.
+Edge kind: coverage phases compose because any two configurations in one
+component are joined by legal moves, so a component admits a pair of
+edge-surjective walks iff player A can traverse every base edge inside it
+and player B can too (cover with A, walk over, cover with B).  Each side is
+a depth-first search over (position pair, traversed-edge mask) states, kept
+in a set: few of the 2**m masks are reached, and a table is 100 MiB for K7.
+
+Depth first reaches a full mask without visiting every smaller mask first,
+and changes no answer: each state is marked when first pushed and each
+popped state has all its successors tested, so "infeasible" is exhaustive.
 """
 
 from __future__ import annotations
@@ -66,16 +70,16 @@ def _vertex_feasible(h: Graph, rule: Rule, k: int) -> bool:
     shift = 2 * n
     goal = (1 << shift) - 1
     visited = bytearray((n * n) << shift)
-    queue = deque()
+    stack = []
     for code in succ:
         u, v = divmod(code, n)
         s = (code << shift) | (1 << (n + u)) | (1 << v)
         if s & goal == goal:
             return True
         visited[s] = 1
-        queue.append(s)
-    while queue:
-        s = queue.popleft()
+        stack.append(s)
+    while stack:
+        s = stack.pop()
         code = s >> shift
         rest = s & goal
         for b in succ[code]:
@@ -85,7 +89,7 @@ def _vertex_feasible(h: Graph, rule: Rule, k: int) -> bool:
                 if t & goal == goal:
                     return True
                 visited[t] = 1
-                queue.append(t)
+                stack.append(t)
     return False
 
 
@@ -118,15 +122,11 @@ def _one_player_covers(h: Graph, succ: dict[int, tuple[int, ...]],
     full = (1 << m) - 1
     if full == 0:
         return True
-    local = {code: i for i, code in enumerate(comp)}
-    visited = bytearray(len(comp) << m)
-    queue = deque()
-    for code in comp:
-        s = local[code] << m
-        visited[s] = 1
-        queue.append((code, 0))
-    while queue:
-        code, mask = queue.popleft()
+    stack = [code << m for code in comp]
+    visited = set(stack)
+    while stack:
+        s = stack.pop()
+        code, mask = s >> m, s & full
         u, v = divmod(code, n)
         pos = u if coord == 0 else v
         for b in succ[code]:
@@ -135,10 +135,10 @@ def _one_player_covers(h: Graph, succ: dict[int, tuple[int, ...]],
             mask2 = mask | ebit[(pos, pos2)] if pos2 != pos else mask
             if mask2 == full:
                 return True
-            t = (local[b] << m) | mask2
-            if not visited[t]:
-                visited[t] = 1
-                queue.append((b, mask2))
+            t = (b << m) | mask2
+            if t not in visited:
+                visited.add(t)
+                stack.append(t)
     return False
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, distance_matrix, is_connected
+from .graphs import Graph, is_connected
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
 
 
@@ -88,19 +88,23 @@ def edge_good_components(p: ProductGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def _span(h: Graph, rule: Rule, kind: str) -> tuple[int, Certificate]:
-    if not is_connected(h):
-        raise ValueError("span is defined for connected graphs only")
-    if h.n == 0:
+def product_span(base: ProductGraph, kind: str) -> tuple[int, Certificate]:
+    """Span of a connected graph read off its threshold-0 product ``base``."""
+    if base.base.n == 0:
         raise ValueError("span needs at least one vertex")
     finder = good_components if kind == VERTEX else edge_good_components
-    base = build_product(h, rule)
-    rad = int(min(max(row) for row in distance_matrix(h)))
+    rad = int(min(max(row) for row in base.dist))
     for k in range(rad, -1, -1):
         comps = finder(safety_subgraph(base, k))
         if comps:
-            return k, Certificate(rule=rule, kind=kind, threshold=k, component=comps[0])
+            return k, Certificate(rule=base.rule, kind=kind, threshold=k, component=comps[0])
     raise AssertionError("threshold 0 always admits a good component for a connected graph")
+
+
+def _span(h: Graph, rule: Rule, kind: str) -> tuple[int, Certificate]:
+    if not is_connected(h):
+        raise ValueError("span is defined for connected graphs only")
+    return product_span(build_product(h, rule), kind)
 
 
 def vertex_span(h: Graph, rule: Rule | str) -> tuple[int, Certificate]:

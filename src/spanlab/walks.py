@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import CapacityError
 from .graphs import Graph, distance_matrix, is_connected
-from .products import ProductGraph, Rule, as_rule, build_product, safety_subgraph
-from .spans import good_components, vertex_span
+from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
+from .spans import good_components, product_span
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,9 @@ def min_steps(h: Graph, rule: Rule | str, cap: int = 10) -> MinWalkResult:
             f"covering-walk search tracks {h.n * h.n} pair positions x 4**{h.n} "
             f"cover masks = {h.n * h.n * 4**h.n} states; n={h.n} exceeds cap {cap}"
         )
-    k, _ = vertex_span(h, rule)
-    p = safety_subgraph(build_product(h, rule), k)
+    base = build_product(h, rule)
+    k, _ = product_span(base, VERTEX)
+    p = safety_subgraph(base, k)
     found = shortest_covering_walk(p)
     if found is None:
         raise AssertionError("the span threshold always admits a covering walk")

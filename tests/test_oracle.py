@@ -2,12 +2,13 @@
 
 The oracle never touches the product-graph machinery; it searches joint
 configuration states directly, so agreement here is meaningful evidence.
-The exhaustive small-graph sweep lives in the acceptance suite.
+The exhaustive sweep over n <= 6 lives in the acceptance suite; the one over
+all connected 7-vertex graphs lives here.
 """
 
 import pytest
 
-from helpers import random_graphs
+from helpers import connected_atlas, random_graphs
 from spanlab import (CapacityError, brute_force_span, complete_graph,
                      cycle_graph, edge_span, path_graph, star_graph,
                      vertex_span)
@@ -36,6 +37,18 @@ def test_agreement_with_solver_on_random_graphs():
                 solve = vertex_span if kind == "vertex" else edge_span
                 assert brute_force_span(g, rule, kind) == solve(g, rule)[0], (
                     g.adj, rule, kind)
+
+
+def test_agreement_with_solver_on_all_7_vertex_graphs():
+    catalog = [g for g in connected_atlas(7) if g.n == 7]
+    assert len(catalog) == 853
+    mismatches = []
+    for g in catalog:
+        for rule in ("traditional", "active", "lazy"):
+            for kind, solve in (("vertex", vertex_span), ("edge", edge_span)):
+                if brute_force_span(g, rule, kind, cap=7) != solve(g, rule)[0]:
+                    mismatches.append((g.adj, rule, kind))
+    assert not mismatches, mismatches[:5]
 
 
 def test_capacity_cap():

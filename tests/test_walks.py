@@ -57,6 +57,23 @@ def test_min_steps_result_validates():
             assert v.safety >= r.span
 
 
+def test_min_steps_builds_the_product_once(monkeypatch):
+    import spanlab.spans
+    import spanlab.walks
+    built = []
+
+    def counting_build(h, rule):
+        built.append(rule)
+        return build_product(h, rule)
+
+    monkeypatch.setattr(spanlab.spans, "build_product", counting_build)
+    monkeypatch.setattr(spanlab.walks, "build_product", counting_build)
+    for rule in ("traditional", "active", "lazy"):
+        built.clear()
+        min_steps(cycle_graph(5), rule)
+        assert len(built) == 1, rule
+
+
 def test_shortest_covering_walk_none_without_good_component():
     # K2 lazy at threshold 1 has no good component
     p = safety_subgraph(build_product(complete_graph(2), "lazy"), 1)
