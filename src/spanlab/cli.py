@@ -19,7 +19,7 @@ from .families import FIXTURES, fixture, generate_family
 from .graphs import (INFINITY, Graph, distance_matrix, metrics,
                      parse_edgelist, parse_graph6, to_graph6)
 from .products import KINDS, RULES, as_rule
-from .spans import edge_span, vertex_span
+from .spans import rule_spans
 from .structure import interval_certificate, minimal_cut_sets
 from .theorems import (NOT_APPLICABLE, VIOLATED, check_interval_theorems,
                        check_span1_structure, check_span_inequalities)
@@ -144,10 +144,7 @@ def cmd_span(args: argparse.Namespace) -> int:
     kinds = KINDS if args.kind == "both" else (args.kind,)
     values: dict[str, dict[str, int]] = {}
     for rule in rules:
-        values[rule.value] = {}
-        for kind in kinds:
-            solve = vertex_span if kind == "vertex" else edge_span
-            values[rule.value][kind] = solve(g, rule)[0]
+        values[rule.value] = {kind: k for kind, (k, _) in rule_spans(g, rule, kinds).items()}
     doc = {"tool": "spanlab", "version": __version__,
            "graph": describe(name, g), "results": {"spans": values}}
     lines = [f"graph: {name}  n={g.n} m={g.m}"]

@@ -101,20 +101,26 @@ def product_span(base: ProductGraph, kind: str) -> tuple[int, Certificate]:
     raise AssertionError("threshold 0 always admits a good component for a connected graph")
 
 
-def _span(h: Graph, rule: Rule, kind: str) -> tuple[int, Certificate]:
+def rule_spans(h: Graph, rule: Rule | str,
+               kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
+    """Spans of each of ``kinds`` under one rule, from one product build.
+
+    The product is freed on return, so a loop over rules holds one at a time.
+    """
     if not is_connected(h):
         raise ValueError("span is defined for connected graphs only")
-    return product_span(build_product(h, rule), kind)
+    base = build_product(h, as_rule(rule))
+    return {kind: product_span(base, kind) for kind in kinds}
 
 
 def vertex_span(h: Graph, rule: Rule | str) -> tuple[int, Certificate]:
     """Largest safety distance two vertex-covering players can keep."""
-    return _span(h, as_rule(rule), VERTEX)
+    return rule_spans(h, rule, (VERTEX,))[VERTEX]
 
 
 def edge_span(h: Graph, rule: Rule | str) -> tuple[int, Certificate]:
     """Largest safety distance two edge-covering players can keep."""
-    return _span(h, as_rule(rule), EDGE)
+    return rule_spans(h, rule, (EDGE,))[EDGE]
 
 
 @dataclass(frozen=True)
@@ -132,10 +138,7 @@ def span_report(h: Graph) -> SpanReport:
     values: dict[Rule, dict[str, int]] = {}
     certs: dict[Rule, dict[str, Certificate]] = {}
     for rule in RULES:
-        values[rule] = {}
-        certs[rule] = {}
-        for kind in KINDS:
-            k, cert = _span(h, rule, kind)
-            values[rule][kind] = k
-            certs[rule][kind] = cert
+        spans = rule_spans(h, rule)
+        values[rule] = {kind: k for kind, (k, _) in spans.items()}
+        certs[rule] = {kind: cert for kind, (_, cert) in spans.items()}
     return SpanReport(values=values, certificates=certs)

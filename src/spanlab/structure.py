@@ -3,8 +3,9 @@ end-cliques, minimal cut sets, lobes, and clique-coupled augmentation.
 
 Everything here is exact and desk-scale: lexicographic BFS plus a direct
 perfect-elimination check for chordality, brute force over independent
-triples for asteroidal triples, and a pruned backtracking search over
-maximal-clique orderings for interval representations.
+triples for asteroidal triples, a pruned backtracking search over
+maximal-clique orderings for interval representations, and a full-component
+test on neighbour bitmasks for each candidate minimal cut set.
 """
 
 from __future__ import annotations
@@ -292,42 +293,53 @@ class CutSetCatalog:
     size_cap: int
 
 
-def _clique_in(g: Graph, vs: tuple[int, ...]) -> bool:
-    return all(g.has_edge(a, b) for a, b in combinations(vs, 2))
-
-
 def minimal_cut_sets(g: Graph, cap: int = 4) -> CutSetCatalog:
-    """All minimal cut sets of size <= cap, by exhaustive enumeration.
+    """All inclusion-minimal cut sets of size <= cap, in the order of
+    ``combinations`` by size, each with the components of g - S ordered by
+    least vertex.
 
-    Minimality is the definition itself: no proper subset disconnects.  The
-    one-smaller shortcut would be wrong, since removing extra vertices can
-    reconnect a graph.
+    S is a minimal cut set iff g - S has at least two components and every
+    vertex of S has a neighbour in every one of them (each component is
+    "full").  If some s in S misses a component C, then S - {s} still cuts
+    C off; for |S| = 1 this cannot happen, since g is connected.  If every
+    component is full, any vertex left in S - T joins all components, so no
+    proper subset T disconnects g.  Each candidate therefore costs one
+    flood fill of the complement on neighbour bitmasks.
     """
     if not is_connected(g):
         raise ValueError("cut sets are catalogued for connected graphs only")
+    n = g.n
+    nbr = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+    everything = (1 << n) - 1
 
-    cut_cache: dict[tuple[int, ...], bool] = {}
+    def members(mask: int) -> tuple[int, ...]:
+        return tuple(v for v in range(n) if mask >> v & 1)
 
-    def disconnects(vs: tuple[int, ...]) -> bool:
-        if vs not in cut_cache:
-            rest = [v for v in range(g.n) if v not in set(vs)]
-            cut_cache[vs] = len(components(induced_subgraph(g, rest))) > 1 if rest else False
-        return cut_cache[vs]
-
+    size_cap = min(cap, n - 2)
     found = []
-    for size in range(1, min(cap, g.n - 2) + 1):
-        for vs in combinations(range(g.n), size):
-            if not disconnects(vs):
+    for size in range(1, size_cap + 1):
+        for vs in combinations(range(n), size):
+            s_mask = sum(1 << v for v in vs)
+            left = everything & ~s_mask
+            comps = []
+            while left:
+                comp = frontier = left & -left
+                while frontier:
+                    reach = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        reach |= nbr[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = reach & left & ~comp
+                    comp |= frontier
+                left &= ~comp
+                comps.append(comp)
+            if len(comps) < 2 or not all(nbr[v] & c for v in vs for c in comps):
                 continue
-            if any(disconnects(sub)
-                   for r in range(1, size)
-                   for sub in combinations(vs, r)):
-                continue
-            rest = [v for v in range(g.n) if v not in set(vs)]
-            sub = induced_subgraph(g, rest)
-            comps = tuple(tuple(rest[i] for i in comp) for comp in components(sub))
-            found.append(CutSet(vertices=vs, components=comps, is_clique=_clique_in(g, vs)))
-    return CutSetCatalog(graph=g, sets=tuple(found), size_cap=min(cap, g.n - 2))
+            clique = all((nbr[v] | 1 << v) & s_mask == s_mask for v in vs)
+            found.append(CutSet(vertices=vs, components=tuple(map(members, comps)),
+                                is_clique=clique))
+    return CutSetCatalog(graph=g, sets=tuple(found), size_cap=size_cap)
 
 
 def s_lobes(g: Graph, s: list[int] | tuple[int, ...]) -> list[Graph]:

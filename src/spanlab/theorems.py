@@ -11,8 +11,8 @@ from itertools import combinations
 
 from .families import complete_graph, path_graph
 from .graphs import Graph, induced_subgraph, is_connected, metrics, to_graph6
-from .products import RULES, Rule
-from .spans import edge_span, vertex_span
+from .products import EDGE, RULES, VERTEX, Rule
+from .spans import rule_spans, vertex_span
 from .structure import augment, end_cliques, is_interval, minimal_cut_sets
 
 HOLDS = "holds"
@@ -57,8 +57,8 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
     checks = []
     spans = {}
     for rule in RULES:
-        v = vertex_span(h, rule)[0]
-        e = edge_span(h, rule)[0]
+        both = rule_spans(h, rule)
+        v, e = both[VERTEX][0], both[EDGE][0]
         spans[rule] = (v, e)
         checks.append(_check(
             f"chain[{rule.value}]",

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import networkx as nx
 
-from spanlab import Graph, random_connected_graph
+from spanlab import (CutSet, Graph, components, induced_subgraph, is_connected,
+                     random_connected_graph)
 
 
 def nx_to_graph(gx) -> Graph:
@@ -105,3 +108,30 @@ def least_covering_walk(g: Graph, rule: str, k: int, moves: int) -> tuple[int, .
             if rest is not None:
                 return (code, *rest)
     return None
+
+
+def naive_minimal_cut_sets(g: Graph, cap: int) -> tuple[CutSet, ...]:
+    """Independent minimal cut sets of size <= cap, from the definition:
+    S disconnects g and no proper non-empty subset of S does.  Builds an
+    induced subgraph for every subset tried; same order and fields as
+    ``minimal_cut_sets(g, cap).sets``."""
+    def rest_of(vs):
+        return [v for v in range(g.n) if v not in vs]
+
+    @lru_cache(maxsize=None)
+    def disconnects(vs):
+        rest = rest_of(vs)
+        return bool(rest) and not is_connected(induced_subgraph(g, rest))
+
+    found = []
+    for size in range(1, min(cap, g.n - 2) + 1):
+        for vs in combinations(range(g.n), size):
+            if not disconnects(vs) or any(disconnects(sub) for r in range(1, size)
+                                          for sub in combinations(vs, r)):
+                continue
+            rest = rest_of(vs)
+            comps = tuple(tuple(rest[i] for i in comp)
+                          for comp in components(induced_subgraph(g, rest)))
+            clique = all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+            found.append(CutSet(vertices=vs, components=comps, is_clique=clique))
+    return tuple(found)

@@ -3,10 +3,10 @@
 import pytest
 
 from helpers import random_graphs
-from spanlab import (Graph, Rule, build_product, complete_graph, cycle_graph,
-                     edge_good_components, edge_span, fixture, good_components,
-                     metrics, path_graph, product_components, safety_subgraph,
-                     span_report, vertex_span)
+from spanlab import (RULES, Graph, Rule, build_product, complete_graph,
+                     cycle_graph, edge_good_components, edge_span, fixture,
+                     good_components, metrics, path_graph, product_components,
+                     safety_subgraph, span_report, vertex_span)
 
 # (rule, kind) -> value tables confirmed by the reachability oracle;
 # see test_oracle.py and the acceptance suite for the live cross-checks.
@@ -114,6 +114,27 @@ def test_span_report_matches_individual_calls():
     for rule in ("traditional", "active", "lazy"):
         assert rep.value(rule, "vertex") == vertex_span(g, rule)[0]
         assert rep.value(rule, "edge") == edge_span(g, rule)[0]
+
+
+def test_each_rule_product_is_built_once(monkeypatch):
+    import spanlab.spans
+    from spanlab.cli import main
+    from spanlab.theorems import check_span_inequalities
+    built = []
+
+    def counting_build(h, rule):
+        built.append(rule)
+        return build_product(h, rule)
+
+    monkeypatch.setattr(spanlab.spans, "build_product", counting_build)
+    g = cycle_graph(5)
+    for run in (lambda: span_report(g),
+                lambda: check_span_inequalities(g),
+                lambda: main(["span", "--family", "cycle:5", "--rule", "all",
+                              "--kind", "both", "--format", "json"])):
+        built.clear()
+        run()
+        assert built == list(RULES)
 
 
 def test_disconnected_graph_rejected():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import random_graphs
+from helpers import connected_atlas, naive_minimal_cut_sets, random_graphs
 from spanlab import (CapacityError, Graph, augment, complete_graph,
                      cycle_graph, end_cliques, find_asteroidal_triple, fixture,
                      induced_subgraph, interval_certificate, is_chordal,
@@ -182,6 +182,13 @@ def test_minimal_cut_sets_are_minimal_and_cut():
                 keep = [v for v in range(g.n)
                         if v not in cut.vertices or v == drop]
                 assert is_connected(induced_subgraph(g, keep)) or len(keep) == 0
+
+
+def test_minimal_cut_sets_match_the_definition():
+    graphs = (connected_atlas(7) + random_graphs(60, 3, 12, seed=59)
+              + [random_interval_graph(n, seed=n) for n in range(4, 13)])
+    for g in graphs:
+        assert minimal_cut_sets(g).sets == naive_minimal_cut_sets(g, 4), g.adj
 
 
 def test_minimal_cut_sets_rejects_disconnected():
