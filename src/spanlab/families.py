@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from .errors import CapacityError
 from .graphs import Graph, is_connected
 
 
@@ -50,6 +51,17 @@ def subdivided_star(n: int) -> Graph:
     return Graph(2 * n + 1, edges)
 
 
+# Resampling until connected stops after SAMPLE_BUDGET random numbers
+# (rng.random() calls or sampled interval endpoints) or MAX_DRAWS samples,
+# whichever comes first, and raises CapacityError: about a second of work.
+SAMPLE_BUDGET = 1_000_000
+MAX_DRAWS = 50_000
+
+
+def _draws(per_draw: int) -> int:
+    return max(1, min(MAX_DRAWS, SAMPLE_BUDGET // max(per_draw, 1)))
+
+
 def random_connected_graph(n: int, p: float = 0.5, seed: int = 0) -> Graph:
     """G(n, p) resampled until connected (deterministic for a seed)."""
     if n < 1:
@@ -57,12 +69,14 @@ def random_connected_graph(n: int, p: float = 0.5, seed: int = 0) -> Graph:
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
-    for _ in range(100000):
+    draws = _draws(n * (n - 1) // 2)
+    for _ in range(draws):
         edges = [e for e in combinations(range(n), 2) if rng.random() < p]
         g = Graph(n, edges)
         if is_connected(g):
             return g
-    raise ValueError(f"no connected sample for n={n}, p={p} in 100000 draws")
+    raise CapacityError(f"no connected sample for n={n}, p={p} in {draws} draws "
+                        f"(budget {SAMPLE_BUDGET} random numbers)")
 
 
 def random_interval_graph(n: int, seed: int = 0) -> Graph:
@@ -71,7 +85,8 @@ def random_interval_graph(n: int, seed: int = 0) -> Graph:
     if n < 1:
         raise ValueError("need at least one vertex")
     rng = random.Random(seed)
-    for _ in range(100000):
+    draws = _draws(2 * n)
+    for _ in range(draws):
         points = rng.sample(range(8 * n), 2 * n)
         ivs = [tuple(sorted(points[2 * i:2 * i + 2])) for i in range(n)]
         edges = [(a, b) for a, b in combinations(range(n), 2)
@@ -79,7 +94,8 @@ def random_interval_graph(n: int, seed: int = 0) -> Graph:
         g = Graph(n, edges)
         if is_connected(g):
             return g
-    raise ValueError(f"no connected interval sample for n={n} in 100000 draws")
+    raise CapacityError(f"no connected interval sample for n={n} in {draws} draws "
+                        f"(budget {SAMPLE_BUDGET} sampled endpoints)")
 
 
 def _figure1() -> Graph:

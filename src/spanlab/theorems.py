@@ -164,14 +164,15 @@ def check_interval_theorems(h: Graph, name: str = "graph", cap: int = 12) -> The
     iv = is_interval(h)
     checks = []
 
+    tree = h.m == h.n - 1
+    # one traditional vertex span serves both of the next two checks
+    sv = vertex_span(h, Rule.TRADITIONAL)[0] if h.n >= 2 and (iv or tree) else None
     if iv and h.n >= 2:
-        sv = vertex_span(h, Rule.TRADITIONAL)[0]
         checks.append(_check("interval-implies-span-1", sv == 1, {"vertex": sv}))
     else:
         checks.append(Check("interval-implies-span-1", NOT_APPLICABLE))
 
-    if h.n >= 2 and h.m == h.n - 1:
-        sv = vertex_span(h, Rule.TRADITIONAL)[0]
+    if h.n >= 2 and tree:
         checks.append(_check("tree-characterization", (sv == 1) == iv,
                              {"vertex": sv, "is_interval": iv}))
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import CapacityError
 from .graphs import Graph, distance_matrix, is_connected
 from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
-from .spans import good_components, product_span
+from .spans import good_components, product_spans
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def min_steps(h: Graph, rule: Rule | str, cap: int = 10) -> MinWalkResult:
             f"cover masks = {h.n * h.n * 4**h.n} states; n={h.n} exceeds cap {cap}"
         )
     base = build_product(h, rule)
-    k, _ = product_span(base, VERTEX)
+    k, _ = product_spans(base, (VERTEX,))[VERTEX]
     p = safety_subgraph(base, k)
     found = shortest_covering_walk(p)
     if found is None:

@@ -8,8 +8,9 @@ from itertools import combinations
 
 import networkx as nx
 
-from spanlab import (CutSet, Graph, components, induced_subgraph, is_connected,
-                     random_connected_graph)
+from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, components,
+                     edge_good_components, good_components, induced_subgraph,
+                     is_connected, random_connected_graph, safety_subgraph)
 
 
 def nx_to_graph(gx) -> Graph:
@@ -108,6 +109,20 @@ def least_covering_walk(g: Graph, rule: str, k: int, moves: int) -> tuple[int, .
             if rest is not None:
                 return (code, *rest)
     return None
+
+
+def descending_span(base: ProductGraph, kind: str) -> tuple[int, Certificate]:
+    """Independent span of ``kind`` from the threshold-0 product ``base``:
+    rebuild the safety subgraph at each threshold from the radius down and
+    return the first good (or edge-good) component found, with its
+    threshold, in the same form as ``spans.rule_spans``."""
+    finder = good_components if kind == VERTEX else edge_good_components
+    rad = int(min(max(row) for row in base.dist))
+    for k in range(rad, -1, -1):
+        comps = finder(safety_subgraph(base, k))
+        if comps:
+            return k, Certificate(rule=base.rule, kind=kind, threshold=k, component=comps[0])
+    raise AssertionError("threshold 0 always admits a good component for a connected graph")
 
 
 def naive_minimal_cut_sets(g: Graph, cap: int) -> tuple[CutSet, ...]:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -188,6 +189,16 @@ def test_exit_3_on_capacity(capsys):
     code, _, err = run(capsys, "minwalk", "--family", "path:6", "--cap", "5")
     assert code == 3
     assert "capacity" in err
+
+
+def test_hopeless_random_family_fails_fast_with_exit_3(capsys):
+    # G(60, 0.01) is almost never connected; the sampler's work budget ends
+    # the search after about a second
+    start = time.perf_counter()
+    code, _, err = run(capsys, "generate", "--family", "random:60:0.01")
+    assert code == 3
+    assert "no connected sample" in err
+    assert time.perf_counter() - start < 20
 
 
 def test_env_cap_and_flag_precedence(capsys, monkeypatch):

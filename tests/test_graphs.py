@@ -1,7 +1,9 @@
-"""Graph construction, graph6 and edge-list parsing, metrics, surgery."""
+"""Graph construction, graph6 and edge-list parsing, metrics, surgery,
+seeded random generators."""
 
 import math
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import floyd_warshall, nx_to_graph
-from spanlab import (INFINITY, Graph, GraphParseError, components,
-                     distance_matrix, fresh_labels, induced_subgraph,
-                     is_connected, join, metrics, parse_edgelist, parse_graph,
-                     parse_graph6, to_graph6)
+import spanlab.families
+from spanlab import (INFINITY, CapacityError, Graph, GraphParseError,
+                     components, distance_matrix, fresh_labels,
+                     induced_subgraph, is_connected, join, metrics,
+                     parse_edgelist, parse_graph, parse_graph6,
+                     random_connected_graph, random_interval_graph, to_graph6)
 
 
 def test_basic_construction():
@@ -165,6 +169,54 @@ def test_components_and_connectivity():
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3], [4]]
     assert not is_connected(g)
     assert is_connected(Graph(1))
+
+
+def _first_connected(draw, seed):
+    """Independent resampler: the first connected draw and its index."""
+    rng = random.Random(seed)
+    for i in range(1, 10**6):
+        gx = nx.Graph()
+        n, edges = draw(rng)
+        gx.add_nodes_from(range(n))
+        gx.add_edges_from(edges)
+        if nx.is_connected(gx):
+            return sorted(gx.edges()), i
+    raise AssertionError("no connected draw")
+
+
+def _gnp(n, p):
+    return lambda rng: (n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def _intervals(n):
+    def draw(rng):
+        points = rng.sample(range(8 * n), 2 * n)
+        ivs = [sorted(points[2 * i:2 * i + 2]) for i in range(n)]
+        return n, [(a, b) for a, b in combinations(range(n), 2)
+                   if ivs[a][0] <= ivs[b][1] and ivs[b][0] <= ivs[a][1]]
+    return draw
+
+
+def test_random_generators_fail_fast_and_keep_their_samples(monkeypatch):
+    cases = ([(lambda s: random_connected_graph(12, 0.15, s), _gnp(12, 0.15), s)
+              for s in range(12)]
+             + [(lambda s: random_interval_graph(4, s), _intervals(4), s)
+                for s in range(12)])
+    found = [_first_connected(draw, seed) for _, draw, seed in cases]
+    for (make, _, seed), (edges, _) in zip(cases, found):
+        assert make(seed).edges() == edges
+    # each generator has seeds that need one draw and seeds that need more
+    for half in (found[:12], found[12:]):
+        assert {draws > 1 for _, draws in half} == {False, True}
+    # a budget that allows only one draw keeps first-draw samples and
+    # raises CapacityError on the rest
+    monkeypatch.setattr(spanlab.families, "SAMPLE_BUDGET", 0)
+    for (make, _, seed), (edges, draws) in zip(cases, found):
+        if draws == 1:
+            assert make(seed).edges() == edges
+        else:
+            with pytest.raises(CapacityError):
+                make(seed)
 
 
 def test_join_forms_all_cross_edges():

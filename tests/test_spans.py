@@ -2,11 +2,13 @@
 
 import pytest
 
-from helpers import random_graphs
-from spanlab import (RULES, Graph, Rule, build_product, complete_graph,
+from helpers import connected_atlas, descending_span, random_graphs
+from spanlab import (KINDS, RULES, Graph, Rule, build_product, complete_graph,
                      cycle_graph, edge_good_components, edge_span, fixture,
                      good_components, metrics, path_graph, product_components,
-                     safety_subgraph, span_report, vertex_span)
+                     random_interval_graph, safety_subgraph, span_report,
+                     vertex_span)
+from spanlab.spans import rule_spans
 
 # (rule, kind) -> value tables confirmed by the reachability oracle;
 # see test_oracle.py and the acceptance suite for the live cross-checks.
@@ -117,6 +119,7 @@ def test_span_report_matches_individual_calls():
 
 
 def test_each_rule_product_is_built_once(monkeypatch):
+    import spanlab.products
     import spanlab.spans
     from spanlab.cli import main
     from spanlab.theorems import check_span_inequalities
@@ -126,7 +129,15 @@ def test_each_rule_product_is_built_once(monkeypatch):
         built.append(rule)
         return build_product(h, rule)
 
+    def counting_filter(p, k):
+        filtered.append(k)
+        return safety_subgraph(p, k)
+
     monkeypatch.setattr(spanlab.spans, "build_product", counting_build)
+    # one sweep per product: no thresholded product is built on the span path
+    filtered = []
+    monkeypatch.setattr(spanlab.products, "safety_subgraph", counting_filter)
+    monkeypatch.setattr(spanlab.spans, "safety_subgraph", counting_filter, raising=False)
     g = cycle_graph(5)
     for run in (lambda: span_report(g),
                 lambda: check_span_inequalities(g),
@@ -135,6 +146,35 @@ def test_each_rule_product_is_built_once(monkeypatch):
         built.clear()
         run()
         assert built == list(RULES)
+        assert filtered == []
+
+
+def _spine_tree(spine: int, legs: int, length: int) -> Graph:
+    """A path of ``spine`` vertices with a path of ``length`` edges hung at
+    every other inner vertex, ``legs`` of them: a caterpillar for length 1,
+    a lobster for length 2."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for at in range(2, 2 + 2 * legs, 2):
+        prev = at
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph(nxt, edges)
+
+
+def test_rule_spans_match_the_descending_reference():
+    # the one-pass sweep against a fresh safety subgraph and component scan
+    # per threshold, certificate included
+    graphs = (connected_atlas(7)
+              + [path_graph(30), _spine_tree(14, 6, 1), _spine_tree(14, 4, 2)]
+              + random_graphs(24, 8, 30, seed=5)
+              + [random_interval_graph(n, seed=n) for n in range(8, 31, 2)])
+    for g in graphs:
+        for rule in RULES:
+            base = build_product(g, rule)
+            expected = {kind: descending_span(base, kind) for kind in KINDS}
+            assert rule_spans(g, rule) == expected, (g.edges(), rule)
 
 
 def test_disconnected_graph_rejected():
