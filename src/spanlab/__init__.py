@@ -30,7 +30,8 @@ from .structure import (ChordalityResult, CutSet, CutSetCatalog,
                         is_chordal, is_interval, maximal_cliques,
                         minimal_cut_sets, s_lobes)
 from .theorems import (Check, TheoremReport, check_interval_theorems,
-                       check_span1_structure, check_span_inequalities)
+                       check_span1_structure, check_span_inequalities,
+                       check_span_theorems)
 from .walks import (MinWalkResult, WalkPair, WalkValidation, min_steps,
                     reroot_walk_pair, shortest_covering_walk,
                     validate_walk_pair, walk_pair_from_codes)
@@ -44,7 +45,8 @@ __all__ = [
     "ProductGraph", "RULES", "Rule", "SpanReport", "SpanlabError",
     "TheoremReport", "VERTEX", "WalkPair", "WalkValidation", "as_rule",
     "augment", "brute_force_span", "build_product", "check_interval_theorems",
-    "check_span1_structure", "check_span_inequalities", "complete_graph",
+    "check_span1_structure", "check_span_inequalities", "check_span_theorems",
+    "complete_graph",
     "components", "cycle_graph", "distance_matrix", "edge_good_components",
     "edge_span", "end_cliques", "find_asteroidal_triple", "fixture",
     "fresh_labels", "generate_family", "good_components", "induced_subgraph",

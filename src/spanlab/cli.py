@@ -21,8 +21,7 @@ from .graphs import (INFINITY, Graph, distance_matrix, metrics,
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
 from .structure import interval_certificate, minimal_cut_sets
-from .theorems import (NOT_APPLICABLE, VIOLATED, check_interval_theorems,
-                       check_span1_structure, check_span_inequalities)
+from .theorems import NOT_APPLICABLE, VIOLATED, check_span_inequalities, check_span_theorems
 from .walks import min_steps
 
 _FAMILY_HELP = ("generated graph, e.g. path:5, cycle:6, complete:4, star:3, "
@@ -237,10 +236,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _verify_one(name: str, g: Graph) -> list:
-    reports = [check_span_inequalities(g, name)]
-    reports.append(check_span1_structure(g, name))
-    reports.append(check_interval_theorems(g, name))
-    return reports
+    inequalities = check_span_inequalities(g, name)
+    return [inequalities, *check_span_theorems(g, name, inequalities.traditional_span)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -19,6 +19,10 @@ HOLDS = "holds"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not-applicable"
 
+# default size caps: cut sets enumerated, and vertices for interval certificates
+CUT_CAP = 4
+INTERVAL_CAP = 12
+
 
 @dataclass(frozen=True)
 class Check:
@@ -32,6 +36,8 @@ class TheoremReport:
     graph_name: str
     graph6: str
     checks: tuple[Check, ...]
+    # the traditional vertex span, where the checker computed it
+    traditional_span: int | None = None
 
     @property
     def violations(self) -> tuple[Check, ...]:
@@ -89,22 +95,41 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
             spans[Rule.TRADITIONAL][0] >= 1,
             {"vertex": spans[Rule.TRADITIONAL][0]},
         ))
-    return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks))
+    return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks),
+                         traditional_span=spans[Rule.TRADITIONAL][0])
+
+
+def check_span_theorems(h: Graph, name: str, traditional_span: int | None) -> list[TheoremReport]:
+    """The reports of ``check_span1_structure`` and ``check_interval_theorems``
+    on ``h``, given its traditional vertex span when known (None: compute
+    it), as ``check_span_inequalities`` records it in its report."""
+    if not is_connected(h):
+        raise ValueError("span theorems apply to connected graphs only")
+    return [_span1_structure(h, name, CUT_CAP, traditional_span),
+            _interval_theorems(h, name, INTERVAL_CAP, traditional_span)]
+
+
+def _traditional_span(h: Graph, known: int | None) -> int:
+    return known if known is not None else vertex_span(h, Rule.TRADITIONAL)[0]
 
 
 _SPAN1_CHECKS = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
 
 
-def check_span1_structure(h: Graph, name: str = "graph", cut_cap: int = 4) -> TheoremReport:
+def check_span1_structure(h: Graph, name: str = "graph", cut_cap: int = CUT_CAP) -> TheoremReport:
     """Structure forced on graphs with traditional vertex span 1 and no
     universal vertex: minimal cut sets are cliques, every union of S-lobes
     keeps span 1, and all but at most two lobes are full joins onto S."""
     if not is_connected(h):
         raise ValueError("span-1 structure applies to connected graphs only")
+    return _span1_structure(h, name, cut_cap, None)
+
+
+def _span1_structure(h: Graph, name: str, cut_cap: int, known: int | None) -> TheoremReport:
     g6 = to_graph6(h)
     applicable = (h.n >= 2
                   and max(h.degree(v) for v in range(h.n)) < h.n - 1
-                  and vertex_span(h, Rule.TRADITIONAL)[0] == 1)
+                  and _traditional_span(h, known) == 1)
     if not applicable:
         checks = tuple(Check(c, NOT_APPLICABLE) for c in _SPAN1_CHECKS)
         return TheoremReport(graph_name=name, graph6=g6, checks=checks)
@@ -119,7 +144,8 @@ def check_span1_structure(h: Graph, name: str = "graph", cut_cap: int = 4) -> Th
             clique_ok = False
             witness.setdefault("non_clique_cut", list(cut.vertices))
         parts = cut.components
-        for r in range(1, len(parts) + 1):
+        # the union of all lobes is h itself, whose span is 1
+        for r in range(1, len(parts)):
             for chosen in combinations(range(len(parts)), r):
                 vs = set(cut.vertices)
                 for i in chosen:
@@ -154,19 +180,23 @@ def _aug_test_graphs() -> list[tuple[str, Graph]]:
     ]
 
 
-def check_interval_theorems(h: Graph, name: str = "graph", cap: int = 12) -> TheoremReport:
+def check_interval_theorems(h: Graph, name: str = "graph", cap: int = INTERVAL_CAP) -> TheoremReport:
     """Interval graphs have traditional vertex span 1; trees have span 1 iff
     interval; augmenting an interval graph at an end-clique or at a clique
     minimal cut set keeps span 1."""
     if not is_connected(h):
         raise ValueError("interval theorems apply to connected graphs only")
+    return _interval_theorems(h, name, cap, None)
+
+
+def _interval_theorems(h: Graph, name: str, cap: int, known: int | None) -> TheoremReport:
     g6 = to_graph6(h)
     iv = is_interval(h)
     checks = []
 
     tree = h.m == h.n - 1
     # one traditional vertex span serves both of the next two checks
-    sv = vertex_span(h, Rule.TRADITIONAL)[0] if h.n >= 2 and (iv or tree) else None
+    sv = _traditional_span(h, known) if h.n >= 2 and (iv or tree) else None
     if iv and h.n >= 2:
         checks.append(_check("interval-implies-span-1", sv == 1, {"vertex": sv}))
     else:

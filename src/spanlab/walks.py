@@ -1,22 +1,72 @@
 """Shortest covering walks in thresholded products, plus walk-pair validation.
 
-A cover state packs (pair code, visited set of player A, visited set of
-player B) into one integer: ``code << 2n | maskA << n | maskB``.  One
-breadth-first search over these states, started from every vertex of every
-good component, gives the minimum number of moves.  Seeds and neighbours
-are taken in ascending pair code, so the first goal state reached ends the
-lexicographically least optimal walk, which is read back through parent
-links.
+A cover state is (pair code, visited set of player A, visited set of
+player B); the sets are vertex bitmasks.  The minimum number of moves comes
+from iterative-deepening depth-first search (IDA*, Korf 1985): for depth
+bounds D = D0, D0 + 1, ... it walks from every vertex of every good
+component, one product move at a time, and drops a branch once a lower
+bound on the moves still needed exceeds the moves left.
+
+The per-player bound.  A player at ``pos`` who has still to visit the set U
+(pos not in U) needs at least
+
+    |U| + dist(pos, U) - 1 + max(c(G[U]) - 1, P)
+
+moves, and 0 when U is empty.  Count the player's landings: |U| of them
+are first visits, and the rest are "extra".
+
+- ``dist(pos, U) - 1`` extra landings come before the first first visit,
+  on the inner vertices of a path to U.
+- Components term: order U by first visit.  When two consecutive first
+  visits lie in different components of G[U], every path between them
+  leaves U, and so lands on a vertex visited earlier.  That happens at
+  least c(G[U]) - 1 times, each in its own gap between first visits.
+- Pendant term: the pendant path of a leaf l is the chain l = x0, x1, ...,
+  xr in which x1 .. x(r-1) have degree 2 and xr has not.  Unless l is the
+  last first visit, the walk comes back from l: if pos is not one of
+  x1 .. x(r-1), it came down the whole chain, so all r landings x1 .. xr on
+  the way back are extra; if pos is on the chain, at least the landing on
+  x1 is.  Call that count r(l) (r, or 1).  These walks back lie in distinct
+  gaps after the first visits, and at most one uncovered leaf comes last,
+  so P = sum of r(l) - max r(l) over the uncovered leaves.
+
+The two terms count landings in the same gaps, so only their max is sure.
+Stays only lengthen a walk, so the bound holds for every rule.  One product
+move moves each player at most once (traditional, active), so the pair
+needs the max of the two players' bounds; under the lazy rule exactly one
+player moves, so it needs their sum.  The bound is memoised per
+(position, visited set): at most n * 2^n entries per player.
+
+Least walk.  A memo keeps, per cover state, the largest number of moves
+left with which it is known to fail.  Both prunings drop only branches that
+hold no covering walk within the moves left, and every bound below the
+optimum fails completely, so the first bound that succeeds is the optimum.
+Seeds and neighbours are tried in ascending pair code, so the search meets
+walks in lexicographic order and the first covering walk it finds is the
+lexicographically least optimal walk: a smaller one would differ first at
+some move tried earlier, whose branch was not pruned and so would have
+returned a walk first.
+
+The search counts its work, states pushed plus memoised bounds, and raises
+``CapacityError`` once that passes ``WALK_BUDGET``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from operator import add
 
 from .errors import CapacityError
 from .graphs import Graph, distance_matrix, is_connected
 from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
 from .spans import good_components, product_spans
+
+# Work limit of one covering-walk search: cover states pushed plus per-player
+# bounds memoised.  On a 2-vCPU Xeon VM, searches stopped at this limit
+# (random graphs, n = 16-18) peaked at 37-67 MiB RSS after 3-6 s; twice the
+# limit reached 108 MiB.
+WALK_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -62,49 +112,129 @@ class MinWalkResult:
     product_walk: tuple[int, ...]
 
 
+def player_bound(g: Graph) -> Callable[[int, int], int]:
+    """Lower bound on the moves one player at ``pos`` needs to visit every
+    vertex of the bitmask ``left``; the module docstring proves it.
+
+    Returns ``bound(pos, left)`` for connected ``g`` and ``pos`` not in
+    ``left``.
+    """
+    n = g.n
+    adj = g.adj
+    nbr = [sum(1 << w for w in adj[v]) for v in range(n)]
+    dist = distance_matrix(g)
+    # rings[v][d]: the vertices at distance d from v
+    rings = []
+    for v in range(n):
+        ring = [0] * (int(max(dist[v])) + 1)
+        for w in range(n):
+            ring[int(dist[v][w])] |= 1 << w
+        rings.append(ring)
+    # per leaf: its bit, its chain's degree-2 vertices, the chain's edge count
+    pendants = []
+    for leaf in range(n):
+        if len(adj[leaf]) != 1:
+            continue
+        prev, cur, inner = leaf, adj[leaf][0], 0
+        while len(adj[cur]) == 2:
+            inner |= 1 << cur
+            prev, cur = cur, adj[cur][adj[cur][0] == prev]
+        pendants.append((1 << leaf, inner, inner.bit_count() + 1))
+
+    def bound(pos: int, left: int) -> int:
+        if not left:
+            return 0
+        ring = rings[pos]
+        d = 1
+        while not ring[d] & left:
+            d += 1
+        comps, rest = 0, left
+        while rest:
+            comps += 1
+            comp = grow = rest & -rest
+            while grow:
+                reach = 0
+                while grow:
+                    low = grow & -grow
+                    reach |= nbr[low.bit_length() - 1]
+                    grow ^= low
+                grow = reach & rest & ~comp
+                comp |= grow
+            rest &= ~comp
+        back = [1 if inner >> pos & 1 else r for bit, inner, r in pendants if left & bit]
+        extra = max(comps - 1, sum(back) - max(back) if back else 0)
+        return left.bit_count() + d - 1 + extra
+
+    return bound
+
+
 def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | None:
     """Minimum moves and the lexicographically least optimal product walk.
 
     Returns None when the product has no good component, i.e. no single
-    walk can cover all base vertices in both projections.
+    walk can cover all base vertices in both projections.  Iterative
+    deepening under an admissible bound, as the module docstring explains;
+    raises ``CapacityError`` once the work passes ``WALK_BUDGET``.
     """
     comps = good_components(p)
     if not comps:
         return None
     n = p.base.n
+    full = (1 << n) - 1
     shift = 2 * n
-    mask_all = (1 << shift) - 1
     adj = p.adj
-    # arriving at pair code b: the code plus the bits both players now cover
-    enter = {b: (b << shift) | (1 << (n + b // n)) | (1 << (b % n)) for b in p.codes}
+    bound = player_bound(p.base)
+    combine = add if p.rule is Rule.LAZY else max
+    memo: dict[int, int] = {}       # pos << n | visited -> player bound
+    failed: dict[int, int] = {}     # cover state -> largest failing moves left
+    work = 0
 
-    frontier = sorted(enter[code] for comp in comps for code in comp)
-    for s in frontier:
-        if s & mask_all == mask_all:
-            return 0, (s >> shift,)
-    parent: dict[int, int | None] = dict.fromkeys(frontier)
-    # Each layer is ordered by the least walk reaching each state and p.adj
-    # lists neighbours in ascending code, so every state is first reached
-    # along its least walk and the first goal reached ends the least one.
-    while frontier:
-        nxt = []
-        for s in frontier:
-            rest = s & mask_all
-            for b in adj[s >> shift]:
-                t = enter[b] | rest
-                if t in parent:
-                    continue
-                parent[t] = s
-                if t & mask_all == mask_all:
-                    walk = [b]
-                    back: int | None = s
-                    while back is not None:
-                        walk.append(back >> shift)
-                        back = parent[back]
-                    return len(walk) - 1, tuple(reversed(walk))
-                nxt.append(t)
-        frontier = nxt
-    raise AssertionError("a good component always admits a covering walk")
+    def pair_bound(code: int, ma: int, mb: int) -> int:
+        nonlocal work
+        a, b = divmod(code, n)
+        ka, kb = a << n | ma, b << n | mb
+        ha = memo.get(ka)
+        if ha is None:
+            ha = memo[ka] = bound(a, full ^ ma)
+            work += 1
+        hb = memo.get(kb)
+        if hb is None:
+            hb = memo[kb] = bound(b, full ^ mb)
+            work += 1
+        return combine(ha, hb)
+
+    roots = [(c, 1 << c // n, 1 << c % n) for c in sorted(c for comp in comps for c in comp)]
+    for code, ma, mb in roots:
+        if ma & mb == full:
+            return 0, (code,)
+    depth = min(pair_bound(*root) for root in roots)
+    while True:
+        for root in roots:
+            if pair_bound(*root) > depth:
+                continue
+            path = [(*root, iter(adj[root[0]]))]
+            while path:
+                code, ma, mb, nbrs = path[-1]
+                left = depth - len(path)        # moves left after the next one
+                for b in nbrs:
+                    na, nb = ma | 1 << b // n, mb | 1 << b % n
+                    if na & nb == full:
+                        return len(path), (*(s[0] for s in path), b)
+                    if (pair_bound(b, na, nb) > left
+                            or failed.get(b << shift | na << n | nb, -1) >= left):
+                        continue
+                    work += 1
+                    if work > WALK_BUDGET:
+                        raise CapacityError(
+                            f"covering-walk search passed {WALK_BUDGET} states "
+                            f"(cover states pushed plus memoised bounds) on n={n} "
+                            f"at depth {depth}")
+                    path.append((b, na, nb, iter(adj[b])))
+                    break
+                else:
+                    path.pop()
+                    failed[code << shift | ma << n | mb] = left + 1
+        depth += 1
 
 
 def walk_pair_from_codes(h: Graph, rule: Rule | str, codes: tuple[int, ...]) -> WalkPair:
@@ -117,12 +247,17 @@ def walk_pair_from_codes(h: Graph, rule: Rule | str, codes: tuple[int, ...]) -> 
     return WalkPair(alice=alice, bob=bob, rule=rule, safety=safety, moves=len(codes) - 1)
 
 
-def min_steps(h: Graph, rule: Rule | str, cap: int = 10) -> MinWalkResult:
-    """Span plus the shortest covering walk pair that attains it."""
+def min_steps(h: Graph, rule: Rule | str, cap: int | None = None) -> MinWalkResult:
+    """Span plus the shortest covering walk pair that attains it.
+
+    The search stops with ``CapacityError`` once its work passes
+    ``WALK_BUDGET``; an explicit ``cap`` also refuses graphs with more than
+    ``cap`` vertices before any work.
+    """
     rule = as_rule(rule)
     if not is_connected(h):
         raise ValueError("minimum-step search is defined for connected graphs only")
-    if h.n > cap:
+    if cap is not None and h.n > cap:
         raise CapacityError(
             f"covering-walk search tracks {h.n * h.n} pair positions x 4**{h.n} "
             f"cover masks = {h.n * h.n * 4**h.n} states; n={h.n} exceeds cap {cap}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
@@ -76,26 +77,79 @@ def pair_moves(g: Graph, rule: str, dist, k: int, a: int, b: int) -> list[tuple[
     return sorted((a2, b2) for a2, b2 in outs if dist[a2][b2] >= k)
 
 
+def single_cover_moves(g: Graph) -> dict[tuple[int, int], int]:
+    """Exact moves one player needs to visit every vertex of connected g, per
+    state (position, visited bitmask): breadth-first search backwards from
+    the fully visited states.  A state (p, S) steps to (q, S | {q}) for q
+    adjacent to p."""
+    full = (1 << g.n) - 1
+    moves = {(v, full): 0 for v in range(g.n)}
+    queue = deque(moves)
+    while queue:
+        pos, seen = queue.popleft()
+        for prev in g.adj[pos]:
+            for before in (seen, seen & ~(1 << pos)):
+                state = (prev, before)
+                if before >> prev & 1 and state not in moves:
+                    moves[state] = moves[pos, seen] + 1
+                    queue.append(state)
+    return moves
+
+
+def naive_min_moves(g: Graph, rule: str, k: int) -> int | None:
+    """Independent minimum move count: plain BFS over (positions, coverage)
+    states, seeded with every admissible start pair at once, no product
+    machinery."""
+    n = g.n
+    dist = floyd_warshall(g)
+    full = (1 << n) - 1
+    moves_from = [[pair_moves(g, rule, dist, k, a, b) for b in range(n)] for a in range(n)]
+    frontier = [(a, b, 1 << a, 1 << b) for a in range(n) for b in range(n)
+                if dist[a][b] >= k]
+    seen = set(frontier)
+    moves = 0
+    while frontier:
+        if any(ma == full and mb == full for _, _, ma, mb in frontier):
+            return moves
+        nxt = []
+        for a, b, ma, mb in frontier:
+            for a2, b2 in moves_from[a][b]:
+                state = (a2, b2, ma | (1 << a2), mb | (1 << b2))
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+        frontier = nxt
+        moves += 1
+    return None
+
+
 def least_covering_walk(g: Graph, rule: str, k: int, moves: int) -> tuple[int, ...] | None:
     """Independent lexicographically least covering walk, as pair codes
     ``a * n + b``, with exactly ``moves`` moves at distance >= k.
 
     Depth-first search that tries seeds and moves in ascending code order,
     so the first walk found is the least; a memo of failed
-    (code, maskA, maskB, moves_left) states keeps it small.
+    (code, maskA, maskB, moves_left) states keeps it small.  A branch is cut
+    when a player has more vertices left to visit than moves remain (lazy:
+    the two players together), since a move visits at most one new vertex
+    per player that moves.
     """
     n = g.n
     dist = floyd_warshall(g)
     full = (1 << n) - 1
+    moves_from = [[pair_moves(g, rule, dist, k, a, b) for b in range(n)] for a in range(n)]
     failed = set()
 
     def extend(a, b, ma, mb, left):
+        ua, ub = (full ^ ma).bit_count(), (full ^ mb).bit_count()
+        if (ua + ub if rule == "lazy" else max(ua, ub)) > left:
+            return None
         if left == 0:
-            return () if ma == full and mb == full else None
+            return ()
         key = (a * n + b, ma, mb, left)
         if key in failed:
             return None
-        for a2, b2 in pair_moves(g, rule, dist, k, a, b):
+        for a2, b2 in moves_from[a][b]:
             rest = extend(a2, b2, ma | (1 << a2), mb | (1 << b2), left - 1)
             if rest is not None:
                 return (a2 * n + b2, *rest)

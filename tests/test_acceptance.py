@@ -7,11 +7,10 @@ Run with -s to see the lines as they happen.
 
 import random
 import time
-from collections import deque
 from contextlib import contextmanager
 
-from helpers import (all_trees, connected_atlas, floyd_warshall, least_covering_walk,
-                     pair_moves, random_graphs)
+from helpers import (all_trees, connected_atlas, least_covering_walk, naive_min_moves,
+                     random_graphs)
 from spanlab import (Graph, Rule, WalkPair, augment, brute_force_span,
                      check_span1_structure, check_span_inequalities,
                      complete_graph, cycle_graph, edge_span, end_cliques,
@@ -155,40 +154,6 @@ def test_criterion_7_augmentation_theorems():
         rebuilt = augment(base, S, complete_graph(1))
         assert rebuilt.adj == g3.adj
         assert vertex_span(rebuilt, "traditional")[0] == 2
-
-
-def naive_min_moves(g: Graph, rule: str, k: int) -> int | None:
-    """Independent minimum move count: plain BFS over (positions, coverage)
-    states from each admissible start pair, no product machinery."""
-    n = g.n
-    dist = floyd_warshall(g)
-    full = (1 << n) - 1
-
-    best = None
-    for a0 in range(n):
-        for b0 in range(n):
-            if dist[a0][b0] < k:
-                continue
-            start = (a0, b0, 1 << a0, 1 << b0)
-            if start[2] == full and start[3] == full:
-                return 0
-            seen = {start}
-            queue = deque([(start, 0)])
-            while queue:
-                (a, b, ma, mb), d = queue.popleft()
-                if best is not None and d >= best:
-                    break
-                for a2, b2 in pair_moves(g, rule, dist, k, a, b):
-                    state = (a2, b2, ma | (1 << a2), mb | (1 << b2))
-                    if state in seen:
-                        continue
-                    if state[2] == full and state[3] == full:
-                        best = d + 1 if best is None else min(best, d + 1)
-                        queue.clear()
-                        break
-                    seen.add(state)
-                    queue.append((state, d + 1))
-    return best
 
 
 def test_criterion_8_minimum_moves():

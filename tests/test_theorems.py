@@ -3,9 +3,9 @@
 import pytest
 
 from helpers import random_graphs
-from spanlab import (Graph, check_interval_theorems, check_span1_structure,
-                     check_span_inequalities, complete_graph, cycle_graph,
-                     fixture, parse_graph6, path_graph, subdivided_star,
+from spanlab import (Graph, Rule, build_product, check_interval_theorems,
+                     check_span1_structure, check_span_inequalities, complete_graph,
+                     cycle_graph, fixture, parse_graph6, path_graph, subdivided_star,
                      vertex_span)
 from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check, TheoremReport
 
@@ -109,3 +109,19 @@ def test_report_shape():
     assert not report.ok
     assert [c.name for c in report.violations] == ["b"]
     assert report.violations[0].witness == {"why": 1}
+
+
+def test_verify_computes_the_traditional_span_once(monkeypatch):
+    # path:6 is an interval tree with span 1, so every checker needs its span
+    import spanlab.spans
+    from spanlab.cli import main
+    g = path_graph(6)
+    built = []
+
+    def counting_build(h, rule):
+        built.append((h.adj, rule))
+        return build_product(h, rule)
+
+    monkeypatch.setattr(spanlab.spans, "build_product", counting_build)
+    assert main(["verify", "--family", "path:6", "--format", "json"]) == 0
+    assert built.count((g.adj, Rule.TRADITIONAL)) == 1

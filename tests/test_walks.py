@@ -2,12 +2,15 @@
 
 import pytest
 
-from helpers import random_graphs
-from spanlab import (CapacityError, Rule, WalkPair, build_product,
-                     complete_graph, cycle_graph, fixture, min_steps,
-                     path_graph, reroot_walk_pair, safety_subgraph,
-                     shortest_covering_walk, validate_walk_pair, vertex_span,
-                     walk_pair_from_codes)
+import spanlab.walks
+from helpers import (connected_atlas, least_covering_walk, naive_min_moves, random_graphs,
+                     single_cover_moves)
+from spanlab import (RULES, CapacityError, Rule, WalkPair, build_product,
+                     complete_graph, cycle_graph, fixture, generate_family, min_steps,
+                     path_graph, random_connected_graph, reroot_walk_pair,
+                     safety_subgraph, shortest_covering_walk, star_graph,
+                     validate_walk_pair, vertex_span, walk_pair_from_codes)
+from spanlab.walks import player_bound
 
 # the published example pair on the figure3 graph: swap walks that keep the
 # players at distance exactly 2 the whole time
@@ -92,6 +95,45 @@ def test_capacity_error_mentions_state_count():
     with pytest.raises(CapacityError) as exc:
         min_steps(path_graph(6), "traditional", cap=5)
     assert "states" in str(exc.value)
+
+
+def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
+    # more than 10 vertices, solved well inside the budget
+    assert min_steps(star_graph(10), "traditional").moves == 19
+    assert min_steps(generate_family("subdivided-star:5"), "lazy").moves == 32
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 50)
+    with pytest.raises(CapacityError) as exc:
+        min_steps(star_graph(10), "traditional")
+    assert "50 states" in str(exc.value)
+
+
+def test_player_bound_is_admissible():
+    # the bound never exceeds the exact single-player covering-walk length
+    for g in connected_atlas(6):
+        bound = player_bound(g)
+        full = (1 << g.n) - 1
+        for (pos, seen), moves in single_cover_moves(g).items():
+            assert bound(pos, full ^ seen) <= moves, (g.adj, pos, seen)
+    star = star_graph(7)
+    exact = single_cover_moves(star)
+    # from a leaf: 7 first visits plus a return to the centre after 5 leaves
+    assert player_bound(star)(1, 0b11111101) == exact[1, 0b10] == 12
+
+
+def test_least_optimal_walks_beyond_five_vertices():
+    graphs = [generate_family(spec)
+              for spec in ("star:6", "star:7", "subdivided-star:4", "path:8")]
+    graphs += [random_connected_graph(n, p=0.3, seed=s) for s in range(6) for n in (7, 8)]
+    span_one = 0
+    for g in graphs:
+        for rule in RULES:
+            r = min_steps(g, rule)
+            span_one += r.span == 1
+            moves = naive_min_moves(g, rule.value, r.span)
+            assert r.moves == moves, (g.adj, rule)
+            assert r.product_walk == least_covering_walk(g, rule.value, r.span, moves), (
+                g.adj, rule)
+    assert span_one >= 10
 
 
 def test_published_walks_on_figure3():
