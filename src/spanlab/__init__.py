@@ -15,9 +15,8 @@ from .families import (FIXTURES, complete_graph, cycle_graph, fixture,
                        generate_family, path_graph, random_connected_graph,
                        random_interval_graph, star_graph, subdivided_star)
 from .graphs import (INFINITY, Graph, Metrics, components, distance_matrix,
-                     fresh_labels, induced_subgraph, is_connected, join,
-                     metrics, parse_edgelist, parse_graph, parse_graph6,
-                     to_graph6)
+                     fresh_labels, induced_subgraph, is_connected, metrics,
+                     parse_edgelist, parse_graph, parse_graph6, to_graph6)
 from .oracle import brute_force_span
 from .products import (EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule,
                        as_rule, build_product, safety_subgraph)
@@ -30,8 +29,7 @@ from .structure import (ChordalityResult, CutSet, CutSetCatalog,
                         is_chordal, is_interval, maximal_cliques,
                         minimal_cut_sets, s_lobes)
 from .theorems import (Check, TheoremReport, check_interval_theorems,
-                       check_span1_structure, check_span_inequalities,
-                       check_span_theorems)
+                       check_span1_structure, check_span_inequalities)
 from .walks import (MinWalkResult, WalkPair, WalkValidation, min_steps,
                     reroot_walk_pair, shortest_covering_walk,
                     validate_walk_pair, walk_pair_from_codes)
@@ -45,13 +43,12 @@ __all__ = [
     "ProductGraph", "RULES", "Rule", "SpanReport", "SpanlabError",
     "TheoremReport", "VERTEX", "WalkPair", "WalkValidation", "as_rule",
     "augment", "brute_force_span", "build_product", "check_interval_theorems",
-    "check_span1_structure", "check_span_inequalities", "check_span_theorems",
-    "complete_graph",
+    "check_span1_structure", "check_span_inequalities", "complete_graph",
     "components", "cycle_graph", "distance_matrix", "edge_good_components",
     "edge_span", "end_cliques", "find_asteroidal_triple", "fixture",
     "fresh_labels", "generate_family", "good_components", "induced_subgraph",
     "interval_certificate", "is_chordal", "is_connected", "is_interval",
-    "join", "maximal_cliques", "metrics", "min_steps", "minimal_cut_sets",
+    "maximal_cliques", "metrics", "min_steps", "minimal_cut_sets",
     "parse_edgelist", "parse_graph", "parse_graph6", "path_graph",
     "product_components", "random_connected_graph", "random_interval_graph",
     "reroot_walk_pair", "s_lobes", "safety_subgraph",

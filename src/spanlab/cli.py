@@ -16,12 +16,12 @@ import sys
 from . import __version__
 from .errors import CapacityError, GraphParseError
 from .families import FIXTURES, fixture, generate_family
-from .graphs import (INFINITY, Graph, distance_matrix, metrics,
-                     parse_edgelist, parse_graph6, to_graph6)
+from .graphs import INFINITY, Graph, distance_matrix, metrics, parse_graph, to_graph6
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
 from .structure import interval_certificate, minimal_cut_sets
-from .theorems import NOT_APPLICABLE, VIOLATED, check_span_inequalities, check_span_theorems
+from .theorems import (NOT_APPLICABLE, VIOLATED, check_interval_theorems,
+                       check_span1_structure, check_span_inequalities)
 from .walks import min_steps
 
 _FAMILY_HELP = ("generated graph, e.g. path:5, cycle:6, complete:4, star:3, "
@@ -41,6 +41,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output format (default text)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for seeded families (default 0)")
+
+
+def _add_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=None,
                    help="override size caps (default from SPANLAB_CAP or built-in)")
 
@@ -63,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minwalk", help="shortest optimal walk pair")
     _add_source(p)
     _add_common(p)
+    _add_cap(p)
     p.add_argument("--rule", choices=("traditional", "active", "lazy"),
                    default="traditional", help="movement rule (default traditional)")
 
@@ -70,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metrics, interval certificate, minimal cut sets")
     _add_source(p)
     _add_common(p)
+    _add_cap(p)
 
     p = sub.add_parser("verify", help="run theorem checks against a graph")
     _add_source(p)
@@ -90,9 +95,7 @@ def _load_file(path: str) -> Graph:
     if not stripped:
         raise GraphParseError(f"empty graph file {path!r}")
     # edge-list lines contain whitespace between endpoints; graph6 never does
-    if len(stripped[0].split()) > 1:
-        return parse_edgelist(text)
-    return parse_graph6(text)
+    return parse_graph(text, "edgelist" if len(stripped[0].split()) > 1 else "graph6")
 
 
 def load_graph(args: argparse.Namespace) -> tuple[str, Graph]:
@@ -237,7 +240,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _verify_one(name: str, g: Graph) -> list:
     inequalities = check_span_inequalities(g, name)
-    return [inequalities, *check_span_theorems(g, name, inequalities.traditional_span)]
+    span = inequalities.traditional_span
+    return [inequalities, check_span1_structure(g, name, span),
+            check_interval_theorems(g, name, span)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -305,16 +305,6 @@ def fresh_labels(taken: Iterable[str], wanted: Sequence[str]) -> list[str]:
     return out
 
 
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union of g and h plus every edge between the two sides."""
-    labels = list(g.labels) + fresh_labels(g.labels, h.labels)
-    edges = list(g.edges())
-    off = g.n
-    edges.extend((u + off, v + off) for u, v in h.edges())
-    edges.extend((u, v + off) for u in range(g.n) for v in range(h.n))
-    return Graph(g.n + h.n, edges, labels)
-
-
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced on the given indices, keeping g's order and labels."""
     vs = sorted(set(vertices))

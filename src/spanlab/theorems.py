@@ -99,16 +99,6 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
                          traditional_span=spans[Rule.TRADITIONAL][0])
 
 
-def check_span_theorems(h: Graph, name: str, traditional_span: int | None) -> list[TheoremReport]:
-    """The reports of ``check_span1_structure`` and ``check_interval_theorems``
-    on ``h``, given its traditional vertex span when known (None: compute
-    it), as ``check_span_inequalities`` records it in its report."""
-    if not is_connected(h):
-        raise ValueError("span theorems apply to connected graphs only")
-    return [_span1_structure(h, name, CUT_CAP, traditional_span),
-            _interval_theorems(h, name, INTERVAL_CAP, traditional_span)]
-
-
 def _traditional_span(h: Graph, known: int | None) -> int:
     return known if known is not None else vertex_span(h, Rule.TRADITIONAL)[0]
 
@@ -116,25 +106,26 @@ def _traditional_span(h: Graph, known: int | None) -> int:
 _SPAN1_CHECKS = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
 
 
-def check_span1_structure(h: Graph, name: str = "graph", cut_cap: int = CUT_CAP) -> TheoremReport:
+def check_span1_structure(h: Graph, name: str = "graph",
+                          traditional_span: int | None = None) -> TheoremReport:
     """Structure forced on graphs with traditional vertex span 1 and no
     universal vertex: minimal cut sets are cliques, every union of S-lobes
-    keeps span 1, and all but at most two lobes are full joins onto S."""
+    keeps span 1, and all but at most two lobes are full joins onto S.
+
+    ``traditional_span`` is h's traditional vertex span when the caller
+    already knows it, as ``check_span_inequalities`` reports it; None
+    computes it here."""
     if not is_connected(h):
         raise ValueError("span-1 structure applies to connected graphs only")
-    return _span1_structure(h, name, cut_cap, None)
-
-
-def _span1_structure(h: Graph, name: str, cut_cap: int, known: int | None) -> TheoremReport:
     g6 = to_graph6(h)
     applicable = (h.n >= 2
                   and max(h.degree(v) for v in range(h.n)) < h.n - 1
-                  and _traditional_span(h, known) == 1)
+                  and _traditional_span(h, traditional_span) == 1)
     if not applicable:
         checks = tuple(Check(c, NOT_APPLICABLE) for c in _SPAN1_CHECKS)
         return TheoremReport(graph_name=name, graph6=g6, checks=checks)
 
-    catalog = minimal_cut_sets(h, cap=cut_cap)
+    catalog = minimal_cut_sets(h, cap=CUT_CAP)
     clique_ok = True
     lobes_ok = True
     join_ok = True
@@ -180,23 +171,32 @@ def _aug_test_graphs() -> list[tuple[str, Graph]]:
     ]
 
 
-def check_interval_theorems(h: Graph, name: str = "graph", cap: int = INTERVAL_CAP) -> TheoremReport:
+def _augmentation_check(name: str, h: Graph, cliques: list[tuple[int, ...]]) -> Check:
+    """Augmenting h at each clique by each test graph keeps traditional
+    vertex span 1; the witness is the first case that does not."""
+    witness: dict = {}
+    for K in cliques:
+        for hname, extra in _aug_test_graphs():
+            sv = vertex_span(augment(h, K, extra), Rule.TRADITIONAL)[0]
+            if sv != 1:
+                witness.setdefault("case", {"clique": list(K), "added": hname, "vertex": sv})
+    return _check(name, not witness, witness)
+
+
+def check_interval_theorems(h: Graph, name: str = "graph",
+                            traditional_span: int | None = None) -> TheoremReport:
     """Interval graphs have traditional vertex span 1; trees have span 1 iff
     interval; augmenting an interval graph at an end-clique or at a clique
-    minimal cut set keeps span 1."""
+    minimal cut set keeps span 1.
+
+    ``traditional_span`` is as for ``check_span1_structure``."""
     if not is_connected(h):
         raise ValueError("interval theorems apply to connected graphs only")
-    return _interval_theorems(h, name, cap, None)
-
-
-def _interval_theorems(h: Graph, name: str, cap: int, known: int | None) -> TheoremReport:
-    g6 = to_graph6(h)
     iv = is_interval(h)
-    checks = []
-
     tree = h.m == h.n - 1
     # one traditional vertex span serves both of the next two checks
-    sv = _traditional_span(h, known) if h.n >= 2 and (iv or tree) else None
+    sv = _traditional_span(h, traditional_span) if h.n >= 2 and (iv or tree) else None
+    checks = []
     if iv and h.n >= 2:
         checks.append(_check("interval-implies-span-1", sv == 1, {"vertex": sv}))
     else:
@@ -208,31 +208,13 @@ def _interval_theorems(h: Graph, name: str, cap: int, known: int | None) -> Theo
     else:
         checks.append(Check("tree-characterization", NOT_APPLICABLE))
 
-    if iv and 2 <= h.n <= cap:
-        ok = True
-        witness: dict = {}
-        for K in end_cliques(h, cap=cap):
-            for hname, extra in _aug_test_graphs():
-                sv = vertex_span(augment(h, K, extra), Rule.TRADITIONAL)[0]
-                if sv != 1:
-                    ok = False
-                    witness.setdefault("case", {"clique": list(K), "added": hname, "vertex": sv})
-        checks.append(_check("end-clique-augmentation", ok, witness))
-
-        ok = True
-        witness = {}
-        for cut in minimal_cut_sets(h).sets:
-            if not cut.is_clique:
-                continue
-            for hname, extra in _aug_test_graphs():
-                sv = vertex_span(augment(h, cut.vertices, extra), Rule.TRADITIONAL)[0]
-                if sv != 1:
-                    ok = False
-                    witness.setdefault("case", {"clique": list(cut.vertices),
-                                                "added": hname, "vertex": sv})
-        checks.append(_check("cut-clique-augmentation", ok, witness))
+    if iv and 2 <= h.n <= INTERVAL_CAP:
+        checks.append(_augmentation_check("end-clique-augmentation", h,
+                                          end_cliques(h, cap=INTERVAL_CAP)))
+        checks.append(_augmentation_check(
+            "cut-clique-augmentation", h,
+            [cut.vertices for cut in minimal_cut_sets(h).sets if cut.is_clique]))
     else:
         checks.append(Check("end-clique-augmentation", NOT_APPLICABLE))
         checks.append(Check("cut-clique-augmentation", NOT_APPLICABLE))
-
-    return TheoremReport(graph_name=name, graph6=g6, checks=tuple(checks))
+    return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks))

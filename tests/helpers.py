@@ -128,17 +128,19 @@ def least_covering_walk(g: Graph, rule: str, k: int, moves: int) -> tuple[int, .
     ``a * n + b``, with exactly ``moves`` moves at distance >= k.
 
     Depth-first search that tries seeds and moves in ascending code order,
-    so the first walk found is the least; a memo of failed
-    (code, maskA, maskB, moves_left) states keeps it small.  A branch is cut
-    when a player has more vertices left to visit than moves remain (lazy:
-    the two players together), since a move visits at most one new vertex
-    per player that moves.
+    so the first walk found is the least.  A memo keeps, per (code, maskA,
+    maskB) state, the largest number of moves left known to fail: for
+    n >= 2 a state that fails with L moves left fails with fewer, because
+    a walk that covers in fewer moves can bounce along its last move until
+    it has used L.  A branch is cut when a player has more vertices left to
+    visit than moves remain (lazy: the two players together), since a move
+    visits at most one new vertex per player that moves.
     """
     n = g.n
     dist = floyd_warshall(g)
     full = (1 << n) - 1
     moves_from = [[pair_moves(g, rule, dist, k, a, b) for b in range(n)] for a in range(n)]
-    failed = set()
+    failed: dict[tuple[int, int, int], int] = {}
 
     def extend(a, b, ma, mb, left):
         ua, ub = (full ^ ma).bit_count(), (full ^ mb).bit_count()
@@ -146,14 +148,14 @@ def least_covering_walk(g: Graph, rule: str, k: int, moves: int) -> tuple[int, .
             return None
         if left == 0:
             return ()
-        key = (a * n + b, ma, mb, left)
-        if key in failed:
+        key = (a * n + b, ma, mb)
+        if failed.get(key, -1) >= left:
             return None
         for a2, b2 in moves_from[a][b]:
             rest = extend(a2, b2, ma | (1 << a2), mb | (1 << b2), left - 1)
             if rest is not None:
                 return (a2 * n + b2, *rest)
-        failed.add(key)
+        failed[key] = left
         return None
 
     for code in range(n * n):

@@ -185,6 +185,17 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_cap_only_on_commands_that_read_it(capsys):
+    # span, verify and generate have no size cap to override
+    for command in ("span", "verify", "generate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fixture", "figure1", "--cap", "3"])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+    assert run(capsys, "analyze", "--fixture", "figure1", "--cap", "6")[0] == 0
+    assert run(capsys, "minwalk", "--fixture", "figure1", "--cap", "6")[0] == 0
+
+
 def test_exit_3_on_capacity(capsys):
     code, _, err = run(capsys, "minwalk", "--family", "path:6", "--cap", "5")
     assert code == 3

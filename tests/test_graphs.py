@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from helpers import floyd_warshall, nx_to_graph
 import spanlab.families
-from spanlab import (INFINITY, CapacityError, Graph, GraphParseError,
+from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
                      components, distance_matrix, fresh_labels,
-                     induced_subgraph, is_connected, join, metrics,
+                     induced_subgraph, is_connected, metrics,
                      parse_edgelist, parse_graph, parse_graph6,
                      random_connected_graph, random_interval_graph, to_graph6)
 
@@ -220,14 +220,16 @@ def test_random_generators_fail_fast_and_keep_their_samples(monkeypatch):
 
 
 def test_join_forms_all_cross_edges():
-    g = join(Graph(2, [(0, 1)], labels=["a", "b"]), Graph(1, [], labels=["c"]))
+    # the join of g and h is h attached to every vertex of g
+    a = Graph(2, [(0, 1)], labels=["a", "b"])
+    g = augment(a, range(a.n), Graph(1, [], labels=["c"]))
     assert g.n == 3
     assert g.m == 3
     assert g.labels == ("a", "b", "c")
 
 
 def test_join_renames_colliding_labels():
-    g = join(Graph(1, labels=["0"]), Graph(2, [(0, 1)]))
+    g = augment(Graph(1, labels=["0"]), [0], Graph(2, [(0, 1)]))
     assert len(set(g.labels)) == 3
     assert g.labels[0] == "0"
 

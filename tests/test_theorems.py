@@ -100,6 +100,10 @@ def test_fuzz_random_graphs_have_no_violations():
             report = checker(g, name)
             assert report.ok, (name, report.violations)
             assert report.graph_name == name
+        # a traditional span handed in, as verify does, changes no report
+        known = check_span_inequalities(g, name).traditional_span
+        for checker in (check_span1_structure, check_interval_theorems):
+            assert checker(g, name, known) == checker(g, name)
 
 
 def test_report_shape():
@@ -125,3 +129,20 @@ def test_verify_computes_the_traditional_span_once(monkeypatch):
     monkeypatch.setattr(spanlab.spans, "build_product", counting_build)
     assert main(["verify", "--family", "path:6", "--format", "json"]) == 0
     assert built.count((g.adj, Rule.TRADITIONAL)) == 1
+
+
+def test_verify_calls_the_public_checkers(monkeypatch):
+    import spanlab.cli
+    calls = []
+
+    def counting(checker):
+        def wrapper(h, name="graph", traditional_span=None):
+            calls.append((checker.__name__, traditional_span))
+            return checker(h, name, traditional_span)
+        return wrapper
+
+    for checker in (check_span1_structure, check_interval_theorems):
+        monkeypatch.setattr(spanlab.cli, checker.__name__, counting(checker))
+    assert spanlab.cli.main(["verify", "--family", "path:6", "--format", "json"]) == 0
+    # path:6 has traditional vertex span 1, handed on from the inequalities
+    assert sorted(calls) == [("check_interval_theorems", 1), ("check_span1_structure", 1)]
