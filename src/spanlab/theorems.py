@@ -7,8 +7,10 @@ Each checker returns a TheoremReport whose violations carry enough data
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import prod
 
+from .errors import CapacityError
 from .families import complete_graph, path_graph
 from .graphs import Graph, induced_subgraph, is_connected, metrics, to_graph6
 from .products import EDGE, RULES, VERTEX, Rule
@@ -22,6 +24,11 @@ NOT_APPLICABLE = "not-applicable"
 # default size caps: cut sets enumerated, and vertices for interval certificates
 CUT_CAP = 4
 INTERVAL_CAP = 12
+# lobe unions the span-1 structure check may compute spans for, over all
+# cuts: about 3 s of span calls on unions of 40 vertices
+LOBE_UNION_BUDGET = 1_000
+# lobes of at most this many vertices get a key; it tries every ordering
+_KEYED_LOBE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -106,11 +113,42 @@ def _traditional_span(h: Graph, known: int | None) -> int:
 _SPAN1_CHECKS = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
 
 
+def _lobe_classes(h: Graph, cut: tuple[int, ...],
+                  parts: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Indices of ``parts``, the lobes of ``cut``, in classes of
+    interchangeable lobes, keyed as ``check_span1_structure`` says: each
+    class ascending, classes ordered by least index.  Equal keys hold
+    exactly when an S-fixing isomorphism exists: it maps an ordering of L1
+    to one of L2 with the same data, and equal data define one."""
+    classes: dict = {}
+    for i, lobe in enumerate(parts):
+        if len(lobe) > _KEYED_LOBE_SIZE:
+            key = i
+        else:
+            into_cut = {v: tuple(s for s in cut if h.has_edge(v, s)) for v in lobe}
+            key = min((tuple(into_cut[v] for v in order),
+                       tuple(h.has_edge(a, b) for a, b in combinations(order, 2)))
+                      for order in permutations(lobe))
+        classes.setdefault(key, []).append(i)
+    return list(classes.values())
+
+
 def check_span1_structure(h: Graph, name: str = "graph",
                           traditional_span: int | None = None) -> TheoremReport:
     """Structure forced on graphs with traditional vertex span 1 and no
     universal vertex: minimal cut sets are cliques, every union of S-lobes
     keeps span 1, and all but at most two lobes are full joins onto S.
+
+    Lobes L1, L2 of S are interchangeable when an isomorphism of G[S + L1]
+    onto G[S + L2] fixes S pointwise.  Lobes touch only S, so swapping them
+    maps a union onto an isomorphic one, with the same span: one span per
+    vector of per-class counts serves, prod(c_i + 1) - 2 per cut instead of
+    2^c - 2 (no empty union, and not h itself), each union taking the first
+    lobes of each class.  A lobe of at most ``_KEYED_LOBE_SIZE`` vertices is
+    keyed by the least, over orderings of its vertices, of their neighbours
+    in S and its inner edges by position; a larger lobe is its own class.
+    Past ``LOBE_UNION_BUDGET`` unions over all cuts the check raises
+    ``CapacityError`` before any span.
 
     ``traditional_span`` is h's traditional vertex span when the caller
     already knows it, as ``check_span_inequalities`` reports it; None
@@ -126,26 +164,34 @@ def check_span1_structure(h: Graph, name: str = "graph",
         return TheoremReport(graph_name=name, graph6=g6, checks=checks)
 
     catalog = minimal_cut_sets(h, cap=CUT_CAP)
+    classes = [_lobe_classes(h, cut.vertices, cut.components) for cut in catalog.sets]
+    unions = sum(prod(len(c) + 1 for c in cls) - 2 for cls in classes)
+    if unions > LOBE_UNION_BUDGET:
+        raise CapacityError(f"span-1 structure check needs {unions} lobe unions, "
+                            f"over the budget of {LOBE_UNION_BUDGET}")
     clique_ok = True
     lobes_ok = True
     join_ok = True
     witness: dict = {}
-    for cut in catalog.sets:
+    for cut, cls in zip(catalog.sets, classes):
         if not cut.is_clique:
             clique_ok = False
             witness.setdefault("non_clique_cut", list(cut.vertices))
         parts = cut.components
-        # the union of all lobes is h itself, whose span is 1
-        for r in range(1, len(parts)):
-            for chosen in combinations(range(len(parts)), r):
-                vs = set(cut.vertices)
-                for i in chosen:
-                    vs.update(parts[i])
-                union = induced_subgraph(h, sorted(vs))
-                if vertex_span(union, Rule.TRADITIONAL)[0] != 1:
-                    lobes_ok = False
-                    witness.setdefault("bad_lobe_union",
-                                       {"cut": list(cut.vertices), "lobes": list(chosen)})
+        full = tuple(len(c) for c in cls)
+        for counts in product(*(range(t + 1) for t in full)):
+            # the union of all lobes is h itself, whose span is 1
+            if not any(counts) or counts == full:
+                continue
+            chosen = sorted(i for c, t in zip(cls, counts) for i in c[:t])
+            vs = set(cut.vertices)
+            for i in chosen:
+                vs.update(parts[i])
+            union = induced_subgraph(h, sorted(vs))
+            if vertex_span(union, Rule.TRADITIONAL)[0] != 1:
+                lobes_ok = False
+                witness.setdefault("bad_lobe_union",
+                                   {"cut": list(cut.vertices), "lobes": chosen})
         bad = 0
         for comp in cut.components:
             if any(not h.has_edge(s, v) for s in cut.vertices for v in comp):
@@ -213,7 +259,7 @@ def check_interval_theorems(h: Graph, name: str = "graph",
                                           end_cliques(h, cap=INTERVAL_CAP)))
         checks.append(_augmentation_check(
             "cut-clique-augmentation", h,
-            [cut.vertices for cut in minimal_cut_sets(h).sets if cut.is_clique]))
+            [cut.vertices for cut in minimal_cut_sets(h, cap=CUT_CAP).sets if cut.is_clique]))
     else:
         checks.append(Check("end-clique-augmentation", NOT_APPLICABLE))
         checks.append(Check("cut-clique-augmentation", NOT_APPLICABLE))

@@ -9,9 +9,12 @@ from itertools import combinations
 
 import networkx as nx
 
-from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, components,
+from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, Rule, components,
                      edge_good_components, good_components, induced_subgraph,
-                     is_connected, random_connected_graph, safety_subgraph)
+                     is_connected, minimal_cut_sets, random_connected_graph,
+                     safety_subgraph, to_graph6, vertex_span)
+from spanlab.theorems import (CUT_CAP, HOLDS, NOT_APPLICABLE, VIOLATED, Check,
+                              TheoremReport)
 
 
 def nx_to_graph(gx) -> Graph:
@@ -206,3 +209,37 @@ def naive_minimal_cut_sets(g: Graph, cap: int) -> tuple[CutSet, ...]:
             clique = all(g.has_edge(a, b) for a, b in combinations(vs, 2))
             found.append(CutSet(vertices=vs, components=comps, is_clique=clique))
     return tuple(found)
+
+
+def naive_span1_structure(h: Graph) -> TheoremReport:
+    """Independent span-1 structure report: the same three checks as
+    ``check_span1_structure``, computing one traditional vertex span for
+    every proper non-empty union of S-lobes (2^c - 2 per cut) instead of one
+    per count vector of interchangeable lobes."""
+    names = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
+    g6 = to_graph6(h)
+    if (h.n < 2 or max(h.degree(v) for v in range(h.n)) == h.n - 1
+            or vertex_span(h, Rule.TRADITIONAL)[0] != 1):
+        return TheoremReport("graph", g6, tuple(Check(c, NOT_APPLICABLE) for c in names))
+    clique_ok = lobes_ok = join_ok = True
+    witness: dict = {}
+    for cut in minimal_cut_sets(h, cap=CUT_CAP).sets:
+        if not cut.is_clique:
+            clique_ok = False
+            witness.setdefault("non_clique_cut", list(cut.vertices))
+        parts = cut.components
+        for r in range(1, len(parts)):
+            for chosen in combinations(range(len(parts)), r):
+                vs = set(cut.vertices).union(*(parts[i] for i in chosen))
+                if vertex_span(induced_subgraph(h, sorted(vs)), Rule.TRADITIONAL)[0] != 1:
+                    lobes_ok = False
+                    witness.setdefault("bad_lobe_union",
+                                       {"cut": list(cut.vertices), "lobes": list(chosen)})
+        bad = sum(any(not h.has_edge(s, v) for s in cut.vertices for v in comp)
+                  for comp in parts)
+        if bad > 2:
+            join_ok = False
+            witness.setdefault("non_join_lobes", {"cut": list(cut.vertices), "count": bad})
+    checks = tuple(Check(c, HOLDS) if ok else Check(c, VIOLATED, {"graph6": g6} | witness)
+                   for c, ok in zip(names, (clique_ok, lobes_ok, join_ok)))
+    return TheoremReport("graph", g6, checks)

@@ -1,13 +1,17 @@
 """Theorem harness: applicability gating, check outcomes, report shape."""
 
+from functools import lru_cache
+
+import networkx as nx
 import pytest
 
-from helpers import random_graphs
-from spanlab import (Graph, Rule, build_product, check_interval_theorems,
+from helpers import connected_atlas, naive_span1_structure, random_graphs
+from spanlab import (CapacityError, Graph, Rule, build_product, check_interval_theorems,
                      check_span1_structure, check_span_inequalities, complete_graph,
-                     cycle_graph, fixture, parse_graph6, path_graph, subdivided_star,
-                     vertex_span)
-from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check, TheoremReport
+                     cycle_graph, fixture, minimal_cut_sets, parse_graph6, path_graph,
+                     subdivided_star, to_graph6, vertex_span)
+from spanlab.theorems import (_KEYED_LOBE_SIZE, CUT_CAP, HOLDS, NOT_APPLICABLE,
+                              VIOLATED, Check, TheoremReport, _lobe_classes)
 
 
 def status_map(report):
@@ -146,3 +150,125 @@ def test_verify_calls_the_public_checkers(monkeypatch):
     assert spanlab.cli.main(["verify", "--family", "path:6", "--format", "json"]) == 0
     # path:6 has traditional vertex span 1, handed on from the inequalities
     assert sorted(calls) == [("check_interval_theorems", 1), ("check_span1_structure", 1)]
+
+
+def caterpillar(k):
+    """Two adjacent hubs with k leaves each."""
+    return Graph(2 * k + 2, [(0, 1)] + [(0, 2 + i) for i in range(k)]
+                 + [(1, 2 + k + i) for i in range(k)])
+
+
+def fan():
+    """Hub 0 with two blades that are 3-vertex paths (1-2-3, 4-5-6) and two
+    that are triangles (7-8-9, 10-11-12), every blade vertex adjacent to the
+    hub, and a tail 0-13-14 so that no vertex is universal."""
+    edges = [(0, v) for v in range(1, 14)] + [(13, 14)]
+    edges += [(1, 2), (2, 3), (4, 5), (5, 6)]
+    edges += [(a, b) for t in (7, 10) for a, b in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]
+    return Graph(15, edges)
+
+
+@lru_cache(maxsize=None)
+def structure_graphs():
+    return (tuple(connected_atlas(7)) + tuple(caterpillar(k) for k in range(1, 9))
+            + tuple(random_graphs(80, 6, 14, seed=47)) + (fan(),))
+
+
+def test_span1_structure_matches_the_subset_reference():
+    applicable = 0
+    for g in structure_graphs():
+        report = check_span1_structure(g)
+        assert status_map(report) == status_map(naive_span1_structure(g)), to_graph6(g)
+        applicable += set(status_map(report).values()) != {NOT_APPLICABLE}
+    assert applicable >= 200
+
+
+def test_lobe_classes_match_s_fixing_isomorphisms():
+    def rooted(g, cut, lobe):
+        gx = nx.Graph()
+        vs = (*cut, *lobe)
+        gx.add_nodes_from((v, {"s": v if v in cut else None}) for v in vs)
+        gx.add_edges_from((u, v) for u in vs for v in g.adj[u] if v in vs)
+        return gx
+
+    def same_s(a, b):
+        return a["s"] == b["s"]
+
+    pairs = 0
+    for g in structure_graphs():
+        for cut in minimal_cut_sets(g, cap=CUT_CAP).sets:
+            parts = cut.components
+            classes = _lobe_classes(g, cut.vertices, parts)
+            assert sorted(i for c in classes for i in c) == list(range(len(parts)))
+            assert all(c == sorted(c) for c in classes)
+            assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+            class_of = {i: ci for ci, c in enumerate(classes) for i in c}
+            for i in range(len(parts)):
+                if len(parts[i]) > _KEYED_LOBE_SIZE:
+                    assert [i] in classes
+                    continue
+                for j in range(i + 1, len(parts)):
+                    if len(parts[j]) > _KEYED_LOBE_SIZE:
+                        continue
+                    iso = nx.is_isomorphic(rooted(g, cut.vertices, parts[i]),
+                                           rooted(g, cut.vertices, parts[j]),
+                                           node_match=same_s)
+                    assert (class_of[i] == class_of[j]) == iso, (to_graph6(g), cut, i, j)
+                    pairs += 1
+    assert pairs > 1000
+    # paths {1, 2, 3} and {4, 5, 6}, triangles {7, 8, 9} and {10, 11, 12}, tail {13, 14}
+    g = fan()
+    (cut,) = [c for c in minimal_cut_sets(g, cap=CUT_CAP).sets if c.vertices == (0,)]
+    assert _lobe_classes(g, cut.vertices, cut.components) == [[0, 1], [2, 3], [4]]
+
+
+def test_lobe_union_budget(monkeypatch, tmp_path):
+    import spanlab.theorems
+    from spanlab.cli import main
+    monkeypatch.setattr(spanlab.theorems, "LOBE_UNION_BUDGET", 10)
+    g = caterpillar(8)
+    # 2 cuts x (9 x 2 - 2) = 32 unions
+    with pytest.raises(CapacityError, match="32 lobe unions"):
+        check_span1_structure(g)
+    path = tmp_path / "caterpillar.g6"
+    path.write_text(to_graph6(g) + "\n")
+    assert main(["verify", "--file", str(path)]) == 3
+
+
+def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
+    # caterpillar k = 10 (n = 22): at each hub, k interchangeable leaves and one
+    # larger lobe, so (k + 1) x 2 - 2 = 2k unions per cut; 2^(k+1) - 2 by subsets
+    import spanlab.theorems
+    from spanlab.cli import main
+    calls = []
+
+    def counting_span(h, rule):
+        calls.append(h.n)
+        return vertex_span(h, rule)
+
+    monkeypatch.setattr(spanlab.theorems, "vertex_span", counting_span)
+    path = tmp_path / "caterpillar.g6"
+    path.write_text(to_graph6(caterpillar(10)) + "\n")
+    assert main(["verify", "--file", str(path), "--format", "json"]) == 0
+    assert len(calls) == 40
+
+
+def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):
+    import spanlab.theorems
+    g = fan()
+
+    def broken_span(h, rule):
+        return (2, None) if h.n < g.n else vertex_span(h, rule)
+
+    monkeypatch.setattr(spanlab.theorems, "vertex_span", broken_span)
+    check = {c.name: c for c in check_span1_structure(g).checks}
+    assert check["cut-sets-are-cliques"].status == HOLDS
+    assert check["join-all-but-two"].status == HOLDS
+    bad = check["lobe-unions-span-1"]
+    assert bad.status == VIOLATED
+    cuts = {c.vertices: c for c in minimal_cut_sets(g, cap=CUT_CAP).sets}
+    union = bad.witness["bad_lobe_union"]
+    parts = cuts[tuple(union["cut"])].components
+    assert union["lobes"] == sorted(set(union["lobes"]))
+    assert 0 < len(union["lobes"]) < len(parts)
+    assert all(0 <= i < len(parts) for i in union["lobes"])
