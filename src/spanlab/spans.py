@@ -6,10 +6,33 @@ component whose two projections both cover every vertex.  Edge spans ask in
 addition that, for every base edge and each coordinate, some component edge
 moves that coordinate along it.  The radius bounds every variant.
 
-``product_spans`` finds every span of one rule in a single sweep: it adds
-pairs in order of decreasing distance to a union-find, so the components of
-all thresholds come from one pass instead of one scan per threshold.  The
-component functions below rescan one thresholded product; the covering-walk
+``rule_spans`` finds the spans of one rule without building a product.  At
+level L the thresholded product is held as n row bitsets: row u is the set
+of v with dist(u, v) >= L, and pair code u * n + v stands for player A at
+u and player B at v.  A component is flooded a frontier of rows at a time.
+Under the traditional and active rules a frontier row of u is dilated by
+B's step masks, the closed neighbourhoods N[v] or the open ones N(v), and
+ORed into the rows A moves to from u: N[u] or N(u).  Under the lazy rule
+one coordinate moves per step, so the dilated frontier goes into row u and
+the frontier itself into the rows of u's neighbours.  Each row update is a
+few big-integer operations (a dilation costs one table lookup per byte of
+the row), so a level's work follows the row updates, not the product's
+arcs: about (deg u + 1)(deg v + 1) per pair under the traditional rule.
+
+Lowering the threshold only adds pairs, so a good component at level L lies
+inside a good component at level L - 1, and an edge-good one inside an
+edge-good one.  The levels with a good component are therefore 0 .. the
+vertex span, and a binary search over 0 .. radius finds it.  A good
+component covers vertex 0 in coordinate A, so its least pair code lies in
+row 0: floods started from the least unvisited code of row 0 meet the good
+components in ascending order of least code, which is the order of
+``good_components``, and the certificate is the first one.  Edge-good
+components are good, so the edge span descends from the vertex span,
+testing the good components of each level in that order.  A component with
+rows R passes when, for every base edge u u2, dilate(R[u]) & R[u2] != 0
+(lazy: R[u] & R[u2]), on its rows and again on their transpose.
+
+The component functions below rescan one built product; the covering-walk
 search uses ``good_components``, and the tests use all three as the
 per-threshold reference.
 """
@@ -17,10 +40,14 @@ per-threshold reference.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, compress
+from operator import or_
 
-from .graphs import Graph, is_connected
-from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule, build_product
+from .graphs import Graph, distance_matrix, is_connected
+from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
 
 
 @dataclass(frozen=True)
@@ -94,136 +121,175 @@ def edge_good_components(p: ProductGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def product_spans(base: ProductGraph,
-                  kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
-    """Spans of each of ``kinds`` read off the threshold-0 product ``base``
-    of a connected graph, in one sweep over the thresholds.
+def _dilation(masks: list[int]) -> Callable[[int], int]:
+    """The map from a bitset to the union of ``masks[v]`` over its members
+    v, at one table lookup per byte: table k holds the union for every
+    subset of bits 8k .. 8k + 7."""
+    tables = []
+    for k in range(0, len(masks), 8):
+        table = [0]
+        for mask in masks[k:k + 8]:
+            table += [t | mask for t in table]
+        tables.append(table)
+    nbytes = len(tables)
 
-    Lowering the threshold only adds pairs, so components only merge.  Pair
-    codes are added in buckets of ``min(distance, radius)`` from the radius
-    down and joined to their present neighbours in a union-find whose root
-    is the least code of its component; each root ORs together the base
-    vertices its component covers in each coordinate.  The vertex span is
-    the first level at which some root covers both coordinates, and its
-    certificate is the component of the least such root: the first entry of
-    ``good_components`` at that threshold.  Edge-good components are good,
-    so the edge span is at most the vertex span.  From there the sweep
-    tests the good components in ascending order for edge cover, and adds
-    the next bucket while none passes.
+    def dilate(bits: int) -> int:
+        return reduce(or_, map(list.__getitem__, tables, bits.to_bytes(nbytes, "little")))
+
+    return dilate
+
+
+# bytes.translate table: ASCII "0"/"1" to the selector bytes 0/1
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_strings(rows: list[int], n: int) -> list[str]:
+    """Each row as n characters "0"/"1", bit 0 first."""
+    return [format(row, f"0{n}b")[::-1] for row in rows]
+
+
+def flood_spans(h: Graph, rule: Rule,
+                kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
+    """Spans of each of ``kinds`` of a connected graph with at least one
+    vertex, by row floods over its thresholded products (module docstring).
     """
-    h = base.base
     n = h.n
-    if n == 0:
-        raise ValueError("span needs at least one vertex")
-    dist, adj = base.dist, base.adj
-    rad = int(min(max(row) for row in dist))
-    buckets: list[list[int]] = [[] for _ in range(rad + 1)]
-    for c in base.codes:
-        d = dist[c // n][c % n]
-        buckets[rad if d >= rad else int(d)].append(c)
-    size = n * n
     full = (1 << n) - 1
-    # bit_a[c], bit_b[c]: the base-vertex bits of pair code c's coordinates
-    bit_b = [1 << v for v in range(n)]
-    bit_a = [bit for bit in bit_b for _ in range(n)]
-    bit_b *= n
-    closed = [sum(1 << w for w in (u, *h.adj[u])) for u in range(n)]
-    parent = list(range(size))
-    present = bytearray(size)
-    cover_a = [0] * size
-    cover_b = [0] * size
+    opened = [sum(1 << w for w in h.adj[v]) for v in range(n)]
+    closed = [mask | 1 << v for v, mask in enumerate(opened)]
+    dist = distance_matrix(h)
+    rad = int(min(max(row) for row in dist))
+    # at_least[level][u]: the v with min(dist(u, v), radius) >= level
+    at_least = [[0] * n for _ in range(rad + 1)]
+    for u, row in enumerate(dist):
+        for v, d in enumerate(row):
+            at_least[rad if d >= rad else int(d)][u] |= 1 << v
+    for level in range(rad - 1, -1, -1):
+        at_least[level] = [a | b for a, b in zip(at_least[level], at_least[level + 1])]
+    # One product move from pair (u, v): B steps into ``step(v)`` while A
+    # goes to a row in ``both[u]``, or B stays while A goes to a row in
+    # ``a_only[u]``.  An arc that moves A from u to a neighbour has B's end
+    # in ``edge_step(v)`` (None: at v itself).
+    if rule is Rule.TRADITIONAL:
+        step = edge_step = _dilation(closed)
+        both = [(u, *h.adj[u]) for u in range(n)]
+        a_only = [()] * n
+    elif rule is Rule.ACTIVE:
+        step = edge_step = _dilation(opened)
+        both, a_only = h.adj, [()] * n
+    else:
+        step, edge_step = _dilation(opened), None
+        both, a_only = [(u,) for u in range(n)], h.adj
+    edges = h.edges()
 
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
+    def flood(avail: list[int], start: int) -> list[int]:
+        """Rows of the component of pair (0, start), taken out of ``avail``."""
+        comp = [0] * n
+        pending = [0] * n
+        comp[0] = pending[0] = 1 << start
+        avail[0] ^= 1 << start
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            front = pending[u]
+            pending[u] = 0
+            for reach, rows in ((step(front), both[u]), (front, a_only[u])):
+                for w in rows:
+                    new = reach & avail[w]
+                    if new:
+                        avail[w] ^= new
+                        comp[w] |= new
+                        if not pending[w]:
+                            stack.append(w)
+                        pending[w] |= new
+        return comp
 
-    def add(level: int) -> None:
-        for c in buckets[level]:
-            present[c] = 1
-            root = c
-            cover_a[c] = bit_a[c]
-            cover_b[c] = bit_b[c]
-            for b in adj[c]:
-                if present[b]:
-                    other = parent[b]
-                    if other == root:
-                        continue
-                    other = find(other)
-                    if other != root:
-                        if other < root:
-                            root, other = other, root
-                        parent[other] = root
-                        cover_a[root] |= cover_a[other]
-                        cover_b[root] |= cover_b[other]
+    def good_floods(level: int) -> Iterator[list[int]]:
+        """Good components at ``level`` in ascending order of least pair code.
 
-    def is_good(r: int) -> bool:
-        return cover_a[r] == full and cover_b[r] == full
+        A good component covers base vertex 0 in coordinate A, so its least
+        code lies in row 0; flooding from the least unvisited code of row 0
+        meets them in order and skips every component that misses row 0.
+        """
+        avail = at_least[level][:]
+        while avail[0]:
+            comp = flood(avail, (avail[0] & -avail[0]).bit_length() - 1)
+            if all(comp) and reduce(or_, comp) == full:
+                yield comp
 
     def covers_edges(comp: list[int]) -> bool:
-        # moved[u]: u's own bit plus every vertex some present arc of comp
-        # moves that coordinate to from u; it must be u's closed neighbourhood
-        moved_a = [1 << u for u in range(n)]
-        moved_b = moved_a[:]
-        for a in comp:
-            to_a = to_b = 0
-            for b in adj[a]:
-                if present[b]:
-                    to_a |= bit_a[b]
-                    to_b |= bit_b[b]
-            moved_a[a // n] |= to_a
-            moved_b[a % n] |= to_b
-        return moved_a == closed and moved_b == closed
+        # cols[v]: the u with (u, v) in comp; zip transposes the bit matrix
+        cols = [int("".join(col)[::-1], 2) for col in zip(*_bit_strings(comp, n))]
+        for rows in (comp, cols):
+            moved = rows if edge_step is None else list(map(edge_step, rows))
+            if not all(moved[u] & rows[w] for u, w in edges):
+                return False
+        return True
 
-    def first_edge_good() -> tuple[int, ...] | None:
-        comps: dict[int, list[int]] = {}
-        for c in range(size):
-            if present[c]:
-                r = find(c)
-                if is_good(r):
-                    comps.setdefault(r, []).append(c)
-        for r in sorted(comps):
-            if covers_edges(comps[r]):
-                return tuple(comps[r])
-        return None
+    def certificate(kind: str, level: int, comp: list[int]) -> tuple[int, Certificate]:
+        bits = "".join(_bit_strings(comp, n)).encode().translate(_SELECT)
+        codes = tuple(compress(range(n * n), bits))
+        return level, Certificate(rule=rule, kind=kind, threshold=level, component=codes)
 
-    level = rad + 1
-    good: list[int] = []
-    while not good:
-        if level == 0:
-            raise AssertionError("threshold 0 always admits a good component "
-                                 "for a connected graph")
-        level -= 1
-        add(level)
-        good = [r for r in map(find, buckets[level]) if is_good(r)]
+    # level -> (its first good component, an iterator over the later ones)
+    found: dict[int, tuple[list[int], Iterator[list[int]]]] = {}
+
+    def is_good(level: int) -> bool:
+        comps = good_floods(level)
+        first = next(comps, None)
+        if first is not None:
+            found[level] = first, comps
+        return first is not None
+
+    lo, hi = 0, rad
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if is_good(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo not in found and not is_good(lo):
+        raise AssertionError("threshold 0 always admits a good component "
+                             "for a connected graph")
     out = {}
     if VERTEX in kinds:
-        r = min(good)
-        comp = tuple(c for c in range(r, size) if present[c] and find(c) == r)
-        out[VERTEX] = level, Certificate(rule=base.rule, kind=VERTEX, threshold=level,
-                                         component=comp)
+        out[VERTEX] = certificate(VERTEX, lo, found[lo][0])
     if EDGE in kinds:
-        while (comp := first_edge_good()) is None:
+        level = lo
+        while True:
+            if level in found:
+                first, later = found[level]
+                comps = chain((first,), later)
+            else:
+                comps = good_floods(level)
+            comp = next(filter(covers_edges, comps), None)
+            if comp is not None:
+                break
             if level == 0:
                 raise AssertionError("threshold 0 always admits an edge-good component "
                                      "for a connected graph")
             level -= 1
-            add(level)
-        out[EDGE] = level, Certificate(rule=base.rule, kind=EDGE, threshold=level,
-                                       component=comp)
+        out[EDGE] = certificate(EDGE, level, comp)
     return {kind: out[kind] for kind in kinds}
 
 
 def rule_spans(h: Graph, rule: Rule | str,
                kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
-    """Spans of each of ``kinds`` under one rule, from one product build.
+    """Spans of each of ``kinds`` under one rule, each with its certificate.
 
-    The product is freed on return, so a loop over rules holds one at a time.
+    No product is built: ``flood_spans`` floods the thresholded products
+    row by row (module docstring).  The vertex span is the last level of
+    0 .. radius with a good component, found by binary search, since the
+    levels that have one are exactly 0 .. the span; its certificate is the
+    good component with the least pair code at that level.  The edge span
+    descends from the vertex span; its certificate is the first edge-good
+    component, in the same order, at the first level that has one.
     """
     if not is_connected(h):
         raise ValueError("span is defined for connected graphs only")
-    base = build_product(h, as_rule(rule))
-    return product_spans(base, kinds)
+    if h.n == 0:
+        raise ValueError("span needs at least one vertex")
+    return flood_spans(h, as_rule(rule), kinds)
 
 
 def vertex_span(h: Graph, rule: Rule | str) -> tuple[int, Certificate]:

@@ -60,7 +60,7 @@ from operator import add
 from .errors import CapacityError
 from .graphs import Graph, distance_matrix, is_connected
 from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
-from .spans import good_components, product_spans
+from .spans import good_components, rule_spans
 
 # Work limit of one covering-walk search: cover states pushed plus per-player
 # bounds memoised.  On a 2-vCPU Xeon VM, searches stopped at this limit
@@ -262,9 +262,8 @@ def min_steps(h: Graph, rule: Rule | str, cap: int | None = None) -> MinWalkResu
             f"covering-walk search tracks {h.n * h.n} pair positions x 4**{h.n} "
             f"cover masks = {h.n * h.n * 4**h.n} states; n={h.n} exceeds cap {cap}"
         )
-    base = build_product(h, rule)
-    k, _ = product_spans(base, (VERTEX,))[VERTEX]
-    p = safety_subgraph(base, k)
+    k, _ = rule_spans(h, rule, (VERTEX,))[VERTEX]
+    p = safety_subgraph(build_product(h, rule), k)
     found = shortest_covering_walk(p)
     if found is None:
         raise AssertionError("the span threshold always admits a covering walk")

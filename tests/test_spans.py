@@ -1,10 +1,12 @@
 """Span solver: component goodness, threshold descent, certificates."""
 
+import sys
+
 import pytest
 
 from helpers import connected_atlas, descending_span, random_graphs
 from spanlab import (KINDS, RULES, Graph, Rule, build_product, complete_graph,
-                     cycle_graph, edge_good_components, edge_span, fixture,
+                     cycle_graph, edge_good_components, edge_span, fixture, generate_family,
                      good_components, metrics, path_graph, product_components,
                      random_interval_graph, safety_subgraph, span_report,
                      vertex_span)
@@ -118,35 +120,32 @@ def test_span_report_matches_individual_calls():
         assert rep.value(rule, "edge") == edge_span(g, rule)[0]
 
 
-def test_each_rule_product_is_built_once(monkeypatch):
-    import spanlab.products
-    import spanlab.spans
+def test_span_path_builds_no_product(monkeypatch):
+    # the spans come from row floods: no product and no safety subgraph is
+    # built by span_report, the inequality checker or the span command
+    import spanlab
     from spanlab.cli import main
     from spanlab.theorems import check_span_inequalities
     built = []
 
-    def counting_build(h, rule):
-        built.append(rule)
-        return build_product(h, rule)
+    def counting(fn):
+        def wrapper(*args):
+            built.append(fn.__name__)
+            return fn(*args)
+        return wrapper
 
-    def counting_filter(p, k):
-        filtered.append(k)
-        return safety_subgraph(p, k)
-
-    monkeypatch.setattr(spanlab.spans, "build_product", counting_build)
-    # one sweep per product: no thresholded product is built on the span path
-    filtered = []
-    monkeypatch.setattr(spanlab.products, "safety_subgraph", counting_filter)
-    monkeypatch.setattr(spanlab.spans, "safety_subgraph", counting_filter, raising=False)
+    assert not hasattr(spanlab.spans, "build_product")
+    assert not hasattr(spanlab.spans, "safety_subgraph")
+    for fn in (build_product, safety_subgraph):
+        for mod in [m for name, m in sys.modules.items() if name.startswith("spanlab")]:
+            if getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, counting(fn))
     g = cycle_graph(5)
-    for run in (lambda: span_report(g),
-                lambda: check_span_inequalities(g),
-                lambda: main(["span", "--family", "cycle:5", "--rule", "all",
-                              "--kind", "both", "--format", "json"])):
-        built.clear()
-        run()
-        assert built == list(RULES)
-        assert filtered == []
+    span_report(g)
+    check_span_inequalities(g)
+    assert main(["span", "--family", "cycle:5", "--rule", "all",
+                 "--kind", "both", "--format", "json"]) == 0
+    assert built == []
 
 
 def _spine_tree(spine: int, legs: int, length: int) -> Graph:
@@ -164,7 +163,7 @@ def _spine_tree(spine: int, legs: int, length: int) -> Graph:
 
 
 def test_rule_spans_match_the_descending_reference():
-    # the one-pass sweep against a fresh safety subgraph and component scan
+    # the row floods against a fresh safety subgraph and component scan
     # per threshold, certificate included
     graphs = (connected_atlas(7)
               + [path_graph(30), _spine_tree(14, 6, 1), _spine_tree(14, 4, 2)]
@@ -175,6 +174,40 @@ def test_rule_spans_match_the_descending_reference():
             base = build_product(g, rule)
             expected = {kind: descending_span(base, kind) for kind in KINDS}
             assert rule_spans(g, rule) == expected, (g.edges(), rule)
+
+
+def test_rule_spans_match_the_reference_at_the_search_limits():
+    # the binary search over levels 0 .. radius ends at the radius on
+    # cycles, at 0 on K2 and P3 under the lazy rule, at 1 of 1 on complete
+    # graphs and at 1 of 2 on K(3,5) under the lazy rule; interval graphs
+    # with 30-40 vertices and random:60:0.1 flood dense rows
+    cycles = [cycle_graph(n) for n in range(8, 17)]
+    bottom = [complete_graph(2), path_graph(3)]
+    complete = [complete_graph(n) for n in (8, 9, 10)]
+    k35 = Graph(8, [(a, b) for a in range(3) for b in range(3, 8)])
+    dense = [random_interval_graph(n, seed=n) for n in (30, 35, 40)]
+    dense.append(generate_family("random:60:0.1"))
+    for g in cycles + bottom + complete + [k35] + dense:
+        for rule in RULES:
+            base = build_product(g, rule)
+            expected = {kind: descending_span(base, kind) for kind in KINDS}
+            assert rule_spans(g, rule) == expected, (g.edges(), rule)
+            k = expected["vertex"][0]
+            if g in cycles and rule is not Rule.LAZY:
+                assert k == metrics(g).radius
+            if g in bottom and rule is Rule.LAZY:
+                assert k == 0
+            if g in complete:
+                assert k == 1
+            if g is k35:
+                assert k == (1 if rule is Rule.LAZY else 2)
+
+
+def test_empty_graph_rejected():
+    with pytest.raises(ValueError, match="^span needs at least one vertex$"):
+        rule_spans(Graph(0), "traditional")
+    with pytest.raises(ValueError, match="^span needs at least one vertex$"):
+        edge_span(Graph(0), "lazy")
 
 
 def test_disconnected_graph_rejected():

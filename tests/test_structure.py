@@ -2,6 +2,7 @@
 lobes, and the augmentation construction."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -194,6 +195,23 @@ def test_minimal_cut_sets_match_the_definition():
 def test_minimal_cut_sets_rejects_disconnected():
     with pytest.raises(ValueError):
         minimal_cut_sets(Graph(3, [(0, 1)]))
+
+
+def test_minimal_cut_sets_subset_budget(monkeypatch, capsys):
+    import spanlab.structure
+    from spanlab.cli import main
+    # the n = 30 caterpillar run in CI tests 31,930 subsets
+    assert sum(comb(30, s) for s in range(1, 5)) <= spanlab.structure.CUT_SUBSET_BUDGET
+    monkeypatch.setattr(spanlab.structure, "CUT_SUBSET_BUDGET", 98)
+    # P7: 7 + 21 + 35 + 35 = 98 subsets, at the budget; P8: 162, over it
+    assert len(minimal_cut_sets(path_graph(7)).sets) == 5
+    with pytest.raises(CapacityError, match="162 subsets"):
+        minimal_cut_sets(path_graph(8))
+    # 8 + 28 + 56 = 92 with cuts of at most 3 vertices
+    assert len(minimal_cut_sets(path_graph(8), cap=3).sets) == 6
+    for command in ("analyze", "verify"):
+        assert main([command, "--family", "path:8"]) == 3
+        assert "162 subsets" in capsys.readouterr().err
 
 
 def test_s_lobes_on_figure3_base():

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from helpers import connected_atlas, naive_span1_structure, random_graphs
-from spanlab import (CapacityError, Graph, Rule, build_product, check_interval_theorems,
+from spanlab import (CapacityError, Graph, Rule, check_interval_theorems,
                      check_span1_structure, check_span_inequalities, complete_graph,
                      cycle_graph, fixture, minimal_cut_sets, parse_graph6, path_graph,
                      subdivided_star, to_graph6, vertex_span)
@@ -124,15 +124,16 @@ def test_verify_computes_the_traditional_span_once(monkeypatch):
     import spanlab.spans
     from spanlab.cli import main
     g = path_graph(6)
-    built = []
+    runs = []
+    flood_spans = spanlab.spans.flood_spans
 
-    def counting_build(h, rule):
-        built.append((h.adj, rule))
-        return build_product(h, rule)
+    def counting_floods(h, rule, kinds):
+        runs.append((h.adj, rule))
+        return flood_spans(h, rule, kinds)
 
-    monkeypatch.setattr(spanlab.spans, "build_product", counting_build)
+    monkeypatch.setattr(spanlab.spans, "flood_spans", counting_floods)
     assert main(["verify", "--family", "path:6", "--format", "json"]) == 0
-    assert built.count((g.adj, Rule.TRADITIONAL)) == 1
+    assert runs.count((g.adj, Rule.TRADITIONAL)) == 1
 
 
 def test_verify_calls_the_public_checkers(monkeypatch):

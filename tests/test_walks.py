@@ -61,7 +61,6 @@ def test_min_steps_result_validates():
 
 
 def test_min_steps_builds_the_product_once(monkeypatch):
-    import spanlab.spans
     import spanlab.walks
     built = []
 
@@ -69,7 +68,6 @@ def test_min_steps_builds_the_product_once(monkeypatch):
         built.append(rule)
         return build_product(h, rule)
 
-    monkeypatch.setattr(spanlab.spans, "build_product", counting_build)
     monkeypatch.setattr(spanlab.walks, "build_product", counting_build)
     for rule in ("traditional", "active", "lazy"):
         built.clear()
