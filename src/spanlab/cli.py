@@ -20,7 +20,7 @@ from .graphs import INFINITY, Graph, distance_matrix, metrics, parse_graph, to_g
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
 from .structure import interval_certificate, minimal_cut_sets
-from .theorems import (NOT_APPLICABLE, VIOLATED, check_interval_theorems,
+from .theorems import (NOT_APPLICABLE, SKIPPED_BY_CAP, VIOLATED, check_interval_theorems,
                        check_span1_structure, check_span_inequalities)
 from .walks import min_steps
 
@@ -256,13 +256,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         runs.append(load_graph(args))
     checks_run = 0
+    # checks that did not run; capped counts those a size cap skipped
     skipped = 0
+    capped = 0
     violations = []
     for name, g in runs:
         for report in _verify_one(name, g):
             for check in report.checks:
-                if check.status == NOT_APPLICABLE:
+                if check.status in (NOT_APPLICABLE, SKIPPED_BY_CAP):
                     skipped += 1
+                    capped += check.status == SKIPPED_BY_CAP
                     continue
                 checks_run += 1
                 if check.status == VIOLATED:
@@ -276,9 +279,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                        "seeds": args.seeds})
     doc = {"tool": "spanlab", "version": __version__, "graph": graph_doc,
            "results": {"graphs": len(runs), "checks": checks_run,
-                       "not_applicable": skipped, "violations": violations}}
+                       "not_applicable": skipped, "skipped_by_cap": capped,
+                       "violations": violations}}
     lines = [f"graphs checked: {len(runs)}",
-             f"checks run: {checks_run} (not applicable: {skipped})",
+             f"checks run: {checks_run} (not applicable: {skipped}, "
+             f"skipped by a cap: {capped})",
              f"violations: {len(violations)}"]
     for v in violations:
         lines.append(f"  VIOLATED {v['check']} on {v['graph']} "

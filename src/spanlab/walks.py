@@ -47,8 +47,11 @@ lexicographically least optimal walk: a smaller one would differ first at
 some move tried earlier, whose branch was not pruned and so would have
 returned a walk first.
 
-The search counts its work, states pushed plus memoised bounds, and raises
-``CapacityError`` once that passes ``WALK_BUDGET``.
+The search counts its work and raises ``CapacityError`` once that passes
+``WALK_BUDGET``.  Entering a cover state (a root, or a push) charges its
+arcs, since each is then tried against the bound and the memo whether or
+not it is followed; memoising a per-player bound charges n, since it scans
+up to n vertices.  So the count bounds the time, and not only the states.
 """
 
 from __future__ import annotations
@@ -62,11 +65,11 @@ from .graphs import Graph, distance_matrix, is_connected
 from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
 from .spans import good_components, rule_spans
 
-# Work limit of one covering-walk search: cover states pushed plus per-player
-# bounds memoised.  On a 2-vCPU Xeon VM, searches stopped at this limit
-# (random graphs, n = 16-18) peaked at 37-67 MiB RSS after 3-6 s; twice the
-# limit reached 108 MiB.
-WALK_BUDGET = 500_000
+# Work limit of one covering-walk search: the arcs of each cover state
+# entered plus n per per-player bound memoised.  On a 2-vCPU Xeon VM,
+# searches stopped at this limit (n = 14-120) took 0.9-6.1 s and peaked at
+# 98 MiB RSS or less.
+WALK_BUDGET = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -196,11 +199,11 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
         ha = memo.get(ka)
         if ha is None:
             ha = memo[ka] = bound(a, full ^ ma)
-            work += 1
+            work += n
         hb = memo.get(kb)
         if hb is None:
             hb = memo[kb] = bound(b, full ^ mb)
-            work += 1
+            work += n
         return combine(ha, hb)
 
     roots = [(c, 1 << c // n, 1 << c % n) for c in sorted(c for comp in comps for c in comp)]
@@ -212,6 +215,7 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
         for root in roots:
             if pair_bound(*root) > depth:
                 continue
+            work += len(adj[root[0]])
             path = [(*root, iter(adj[root[0]]))]
             while path:
                 code, ma, mb, nbrs = path[-1]
@@ -223,12 +227,12 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
                     if (pair_bound(b, na, nb) > left
                             or failed.get(b << shift | na << n | nb, -1) >= left):
                         continue
-                    work += 1
+                    work += len(adj[b])
                     if work > WALK_BUDGET:
                         raise CapacityError(
-                            f"covering-walk search passed {WALK_BUDGET} states "
-                            f"(cover states pushed plus memoised bounds) on n={n} "
-                            f"at depth {depth}")
+                            f"covering-walk search passed its budget of {WALK_BUDGET} "
+                            f"(arcs of the cover states entered, n per memoised bound) "
+                            f"on n={n} at depth {depth}")
                     path.append((b, na, nb, iter(adj[b])))
                     break
                 else:

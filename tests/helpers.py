@@ -41,6 +41,26 @@ def all_trees(max_n: int) -> list[Graph]:
     return out
 
 
+def caterpillar(k: int) -> Graph:
+    """Two adjacent hubs with k leaves each."""
+    return Graph(2 * k + 2, [(0, 1)] + [(0, 2 + i) for i in range(k)]
+                 + [(1, 2 + k + i) for i in range(k)])
+
+
+def spine_tree(spine: int, legs: int, length: int) -> Graph:
+    """A path of ``spine`` vertices with a path of ``length`` edges hung at
+    every other inner vertex, ``legs`` of them: a caterpillar for length 1,
+    a lobster for length 2."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    nxt = spine
+    for at in range(2, 2 + 2 * legs, 2):
+        prev = at
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph(nxt, edges)
+
+
 def random_graphs(count: int, min_n: int, max_n: int, seed: int) -> list[Graph]:
     """Seeded batch of random connected graphs with n drawn uniformly."""
     rng = random.Random(seed)

@@ -100,6 +100,19 @@ def test_verify_seeded_family_json(capsys):
     assert res["checks"] > 0
 
 
+def test_verify_counts_checks_skipped_by_a_size_cap(capsys):
+    # interval:14 is over the interval cap of 12 vertices: both augmentation
+    # checks are skipped, and still counted as not applicable
+    code, out, _ = run(capsys, "verify", "--family", "interval:14", "--format", "json")
+    res = json.loads(out)["results"]
+    assert (code, res["checks"], res["not_applicable"], res["skipped_by_cap"]) == (0, 11, 6, 2)
+    code, out, _ = run(capsys, "verify", "--family", "interval:14")
+    assert "checks run: 11 (not applicable: 6, skipped by a cap: 2)" in out
+    code, out, _ = run(capsys, "verify", "--family", "interval:12", "--format", "json")
+    res = json.loads(out)["results"]
+    assert (code, res["checks"], res["not_applicable"], res["skipped_by_cap"]) == (0, 13, 4, 0)
+
+
 def test_verify_reports_violations_with_exit_1(capsys, monkeypatch):
     # the published theorems hold on real graphs, so a violation has to be
     # injected to exercise the failure path

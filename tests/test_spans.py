@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from helpers import connected_atlas, descending_span, random_graphs
+from helpers import connected_atlas, descending_span, random_graphs, spine_tree
 from spanlab import (KINDS, RULES, Graph, Rule, build_product, complete_graph,
                      cycle_graph, edge_good_components, edge_span, fixture, generate_family,
                      good_components, metrics, path_graph, product_components,
@@ -148,25 +148,11 @@ def test_span_path_builds_no_product(monkeypatch):
     assert built == []
 
 
-def _spine_tree(spine: int, legs: int, length: int) -> Graph:
-    """A path of ``spine`` vertices with a path of ``length`` edges hung at
-    every other inner vertex, ``legs`` of them: a caterpillar for length 1,
-    a lobster for length 2."""
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
-    for at in range(2, 2 + 2 * legs, 2):
-        prev = at
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev, nxt = nxt, nxt + 1
-    return Graph(nxt, edges)
-
-
 def test_rule_spans_match_the_descending_reference():
     # the row floods against a fresh safety subgraph and component scan
     # per threshold, certificate included
     graphs = (connected_atlas(7)
-              + [path_graph(30), _spine_tree(14, 6, 1), _spine_tree(14, 4, 2)]
+              + [path_graph(30), spine_tree(14, 6, 1), spine_tree(14, 4, 2)]
               + random_graphs(24, 8, 30, seed=5)
               + [random_interval_graph(n, seed=n) for n in range(8, 31, 2)])
     for g in graphs:

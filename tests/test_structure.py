@@ -2,11 +2,11 @@
 lobes, and the augmentation construction."""
 
 import random
-from math import comb
 
 import pytest
 
-from helpers import connected_atlas, naive_minimal_cut_sets, random_graphs
+from helpers import (caterpillar, connected_atlas, naive_minimal_cut_sets, random_graphs,
+                     spine_tree)
 from spanlab import (CapacityError, Graph, augment, complete_graph,
                      cycle_graph, end_cliques, find_asteroidal_triple, fixture,
                      induced_subgraph, interval_certificate, is_chordal,
@@ -197,21 +197,59 @@ def test_minimal_cut_sets_rejects_disconnected():
         minimal_cut_sets(Graph(3, [(0, 1)]))
 
 
-def test_minimal_cut_sets_subset_budget(monkeypatch, capsys):
+def grid_graph(rows: int, cols: int) -> Graph:
+    n = rows * cols
+    return Graph(n, [(v, v + 1) for v in range(n) if (v + 1) % cols]
+                 + [(v, v + cols) for v in range(n - cols)])
+
+
+def test_minimal_cut_sets_match_the_definition_beyond_twelve_vertices():
+    # the separator closure on larger graphs: long cycles (every cut has
+    # size 2), grids (cuts of size 3 and 4 next to larger separators), trees
+    # and random graphs
+    graphs = ([cycle_graph(n) for n in range(8, 21)]
+              + [grid_graph(rows, cols) for rows in (3, 4) for cols in range(3, 6)]
+              + [grid_graph(3, 6), caterpillar(8), spine_tree(10, 3, 2)]
+              + random_graphs(8, 13, 20, seed=61))
+    for g in graphs:
+        assert minimal_cut_sets(g).sets == naive_minimal_cut_sets(g, 4), g.adj
+
+
+def test_minimal_cut_sets_size_filter():
+    # caps below 4 and up to n - 2: the closure visits separators of every
+    # size, and the filter keeps those within the cap
+    for g in connected_atlas(7):
+        every = naive_minimal_cut_sets(g, g.n - 2)
+        for cap in {1, 2, 3, max(g.n - 2, 1)}:
+            cat = minimal_cut_sets(g, cap)
+            assert cat.sets == tuple(c for c in every if len(c.vertices) <= cap), (g.adj, cap)
+            assert cat.size_cap == min(cap, g.n - 2)
+
+
+def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
     import spanlab.structure
     from spanlab.cli import main
-    # the n = 30 caterpillar run in CI tests 31,930 subsets
-    assert sum(comb(30, s) for s in range(1, 5)) <= spanlab.structure.CUT_SUBSET_BUDGET
-    monkeypatch.setattr(spanlab.structure, "CUT_SUBSET_BUDGET", 98)
-    # P7: 7 + 21 + 35 + 35 = 98 subsets, at the budget; P8: 162, over it
-    assert len(minimal_cut_sets(path_graph(7)).sets) == 5
-    with pytest.raises(CapacityError, match="162 subsets"):
+    # the n = 30 caterpillar run in CI has two minimal separators, its hubs
+    assert spanlab.structure.SEPARATOR_BUDGET >= 2
+    monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 2)
+    assert [c.vertices for c in minimal_cut_sets(caterpillar(14)).sets] == [(0,), (1,)]
+    # P8 has 6 minimal separators, its inner vertices: at a budget of 6 the
+    # call passes, at 5 it stops at the sixth
+    monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 6)
+    assert len(minimal_cut_sets(path_graph(8)).sets) == 6
+    monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 5)
+    with pytest.raises(CapacityError, match="generated 6 minimal separators"):
         minimal_cut_sets(path_graph(8))
-    # 8 + 28 + 56 = 92 with cuts of at most 3 vertices
-    assert len(minimal_cut_sets(path_graph(8), cap=3).sets) == 6
     for command in ("analyze", "verify"):
         assert main([command, "--family", "path:8"]) == 3
-        assert "162 subsets" in capsys.readouterr().err
+        assert "generated 6 minimal separators" in capsys.readouterr().err
+    # the budget counts separators of every size, not only cuts within the
+    # cap: C8 has 20 (its non-adjacent pairs) and no cut of size 1
+    monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 20)
+    assert minimal_cut_sets(cycle_graph(8), cap=1).sets == ()
+    monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 19)
+    with pytest.raises(CapacityError, match="generated 20 minimal separators"):
+        minimal_cut_sets(cycle_graph(8), cap=1)
 
 
 def test_s_lobes_on_figure3_base():

@@ -5,13 +5,13 @@ from functools import lru_cache
 import networkx as nx
 import pytest
 
-from helpers import connected_atlas, naive_span1_structure, random_graphs
+from helpers import caterpillar, connected_atlas, naive_span1_structure, random_graphs
 from spanlab import (CapacityError, Graph, Rule, check_interval_theorems,
                      check_span1_structure, check_span_inequalities, complete_graph,
-                     cycle_graph, fixture, minimal_cut_sets, parse_graph6, path_graph,
-                     subdivided_star, to_graph6, vertex_span)
+                     cycle_graph, fixture, generate_family, minimal_cut_sets, parse_graph6,
+                     path_graph, subdivided_star, to_graph6, vertex_span)
 from spanlab.theorems import (_KEYED_LOBE_SIZE, CUT_CAP, HOLDS, NOT_APPLICABLE,
-                              VIOLATED, Check, TheoremReport, _lobe_classes)
+                              SKIPPED_BY_CAP, VIOLATED, Check, TheoremReport, _lobe_classes)
 
 
 def status_map(report):
@@ -83,6 +83,15 @@ def test_interval_theorems_on_non_interval_tree():
     assert st["end-clique-augmentation"] == NOT_APPLICABLE
 
 
+def test_interval_theorems_skipped_by_the_size_cap():
+    # an interval graph over INTERVAL_CAP meets the hypothesis of both
+    # augmentation checks, which the cap skips
+    st = status_map(check_interval_theorems(generate_family("interval:14")))
+    assert st["interval-implies-span-1"] == HOLDS
+    assert st["end-clique-augmentation"] == SKIPPED_BY_CAP
+    assert st["cut-clique-augmentation"] == SKIPPED_BY_CAP
+
+
 def test_interval_theorems_on_figure3():
     report = check_interval_theorems(fixture("figure3"))
     assert report.ok
@@ -151,12 +160,6 @@ def test_verify_calls_the_public_checkers(monkeypatch):
     assert spanlab.cli.main(["verify", "--family", "path:6", "--format", "json"]) == 0
     # path:6 has traditional vertex span 1, handed on from the inequalities
     assert sorted(calls) == [("check_interval_theorems", 1), ("check_span1_structure", 1)]
-
-
-def caterpillar(k):
-    """Two adjacent hubs with k leaves each."""
-    return Graph(2 * k + 2, [(0, 1)] + [(0, 2 + i) for i in range(k)]
-                 + [(1, 2 + k + i) for i in range(k)])
 
 
 def fan():

@@ -102,7 +102,14 @@ def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
     monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 50)
     with pytest.raises(CapacityError) as exc:
         min_steps(star_graph(10), "traditional")
-    assert "50 states" in str(exc.value)
+    assert "budget of 50" in str(exc.value)
+    # the arcs of each cover state entered plus n per memoised bound: this
+    # search needs exactly 1,366 units
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 1366)
+    assert min_steps(star_graph(10), "traditional").moves == 19
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 1365)
+    with pytest.raises(CapacityError):
+        min_steps(star_graph(10), "traditional")
 
 
 def test_player_bound_is_admissible():
