@@ -248,8 +248,10 @@ def _verify_one(name: str, g: Graph) -> list:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
+    if args.seeds > 1 and args.family is None:
+        raise ValueError("--seeds needs --family")
     runs: list[tuple[str, Graph]] = []
-    if args.family is not None and args.seeds > 1:
+    if args.seeds > 1:
         for s in range(args.seed, args.seed + args.seeds):
             runs.append((f"{args.family} seed={s}",
                          generate_family(args.family, seed=s)))

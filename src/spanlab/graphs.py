@@ -23,7 +23,7 @@ _GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Undirected simple graph with ordered vertices and distinct labels."""
 
-    __slots__ = ("n", "labels", "adj", "_label_index", "_dist")
+    __slots__ = ("n", "labels", "adj", "_label_index", "_dist", "_nbr")
 
     def __init__(
         self,
@@ -54,6 +54,14 @@ class Graph:
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self._label_index = {lab: i for i, lab in enumerate(labels)}
         self._dist: tuple[tuple[float, ...], ...] | None = None
+        self._nbr: tuple[int, ...] | None = None
+
+    @property
+    def nbr(self) -> tuple[int, ...]:
+        """Neighbour bitmasks, built on first use: w in ``nbr[v]`` iff v ~ w."""
+        if self._nbr is None:
+            self._nbr = tuple(sum(1 << w for w in a) for a in self.adj)
+        return self._nbr
 
     @property
     def m(self) -> int:
@@ -102,8 +110,8 @@ class Metrics:
     girth: float
 
 
-def _bfs_row(adj: Sequence[Sequence[int]], src: int, skip: tuple[int, int] | None = None) -> list[float]:
-    """Hop distances from src; ``skip`` suppresses one undirected edge."""
+def _bfs_row(adj: Sequence[Sequence[int]], src: int) -> list[float]:
+    """Hop distances from src."""
     row: list[float] = [INFINITY] * len(adj)
     row[src] = 0
     queue = deque([src])
@@ -111,8 +119,6 @@ def _bfs_row(adj: Sequence[Sequence[int]], src: int, skip: tuple[int, int] | Non
         u = queue.popleft()
         du = row[u]
         for v in adj[u]:
-            if skip is not None and {u, v} == {skip[0], skip[1]}:
-                continue
             if row[v] == INFINITY:
                 row[v] = du + 1
                 queue.append(v)
@@ -126,44 +132,88 @@ def distance_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
     return g._dist
 
 
+def distance_rings(g: Graph) -> list[list[int]]:
+    """``rings[s][d]``: the vertices at distance d from s as a bitmask, d <= n."""
+    rings = [[0] * (g.n + 1) for _ in range(g.n)]
+    for s, row in enumerate(distance_matrix(g)):
+        for v, d in enumerate(row):
+            if d != INFINITY:
+                rings[s][int(d)] |= 1 << v
+    return rings
+
+
 def metrics(g: Graph) -> Metrics:
+    """Distances, eccentricities, radius, diameter and girth.
+
+    Girth from distance rings (Itai & Rodeh 1978, "Finding a minimum
+    circuit in a graph"): from a source s, an edge inside ring d, or a
+    vertex of ring d with two neighbours in ring d - 1, closes a walk of
+    length 2d + 1, or 2d, that holds a cycle.  A shortest cycle C is
+    isometric (a shorter chord path would close a shorter cycle), so from
+    any s on C the edge or vertex opposite s is such a witness of |C|.
+    A source stops at the first ring d with 2d at least the best so far.
+    """
     dist = distance_matrix(g)
     ecc = tuple(max(row) if row else 0 for row in dist)
     radius = min(ecc) if ecc else 0
     diameter = max(ecc) if ecc else 0
-    # shortest cycle through each edge: 1 + shortest path between its ends
-    # that avoids the edge itself
+    nbr = g.nbr
     girth: float = INFINITY
-    for u, v in g.edges():
-        detour = _bfs_row(g.adj, u, skip=(u, v))[v]
-        if detour + 1 < girth:
-            girth = detour + 1
+    # a forest (m = n - #components) has no cycle: skip its n^2 ring scan
+    cyclic = g.m + len(flood(nbr, (1 << g.n) - 1)) > g.n
+    for rings in distance_rings(g) if cyclic else ():
+        d = 1
+        while 2 * d < girth and rings[d]:
+            for v in members(rings[d]):
+                if (nbr[v] & rings[d - 1]).bit_count() > 1:
+                    girth = 2 * d
+                    break
+                if nbr[v] & rings[d]:
+                    girth = min(girth, 2 * d + 1)
+            d += 1
     return Metrics(dist=dist, ecc=ecc, radius=radius, diameter=diameter, girth=girth)
+
+
+def flood(nbr: Sequence[int], left: int) -> list[tuple[int, int]]:
+    """Components of the vertex bitmask ``left`` under the neighbour
+    bitmasks ``nbr``, by least vertex, each with its neighbourhood: pairs
+    (C, N(C)) with N(C) the vertices outside ``left`` adjacent to C."""
+    out = []
+    while left:
+        comp = frontier = left & -left
+        left ^= frontier
+        touched = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= nbr[low.bit_length() - 1]
+                frontier ^= low
+            touched |= reach
+            frontier = reach & left
+            left ^= frontier
+            comp |= frontier
+        out.append((comp, touched & ~comp))
+    return out
+
+
+def members(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted index tuples, ordered by least vertex."""
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        out.append(tuple(sorted(comp)))
-    return out
+    return [members(comp) for comp, _ in flood(g.nbr, (1 << g.n) - 1)]
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    return len(flood(g.nbr, (1 << g.n) - 1)) <= 1
 
 
 # --- text formats -----------------------------------------------------------

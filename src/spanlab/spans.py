@@ -40,7 +40,7 @@ per-threshold reference.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
@@ -121,7 +121,7 @@ def edge_good_components(p: ProductGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def _dilation(masks: list[int]) -> Callable[[int], int]:
+def _dilation(masks: Sequence[int]) -> Callable[[int], int]:
     """The map from a bitset to the union of ``masks[v]`` over its members
     v, at one table lookup per byte: table k holds the union for every
     subset of bits 8k .. 8k + 7."""
@@ -155,7 +155,7 @@ def flood_spans(h: Graph, rule: Rule,
     """
     n = h.n
     full = (1 << n) - 1
-    opened = [sum(1 << w for w in h.adj[v]) for v in range(n)]
+    opened = h.nbr
     closed = [mask | 1 << v for v, mask in enumerate(opened)]
     dist = distance_matrix(h)
     rad = int(min(max(row) for row in dist))

@@ -1,13 +1,13 @@
 """Structure toolkit: chordality, asteroidal triples, interval certificates,
 end-cliques, minimal cut sets, lobes, and clique-coupled augmentation.
 
-Everything here is exact and desk-scale: lexicographic BFS plus a direct
-perfect-elimination check for chordality, brute force over independent
-triples for asteroidal triples, a pruned backtracking search over
-maximal-clique orderings for interval representations, and minimal cut sets
-picked by a full-component test out of the minimal separators, which a
-closure (Berry, Bordat & Cogis 1999) generates by flood fills on neighbour
-bitmasks.
+Everything here is exact and desk-scale, and works on the neighbour bitmasks
+of ``graphs``: maximum cardinality search plus the Tarjan-Yannakakis
+follower test for chordality, component masks of G - N[z] for asteroidal
+triples, a pruned backtracking search over maximal-clique orderings for
+interval representations, and minimal cut sets picked by a full-component
+test out of the minimal separators, which a closure (Berry, Bordat & Cogis
+1999) generates by component floods.
 """
 
 from __future__ import annotations
@@ -17,46 +17,27 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapacityError
-from .graphs import Graph, components, fresh_labels, induced_subgraph, is_connected
+from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, members
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques (Bron-Kerbosch with pivoting), sorted."""
-    adj = [set(a) for a in g.adj]
+    nbr = g.nbr
     out: list[tuple[int, ...]] = []
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
+    def expand(r: int, p: int, x: int) -> None:
+        if not p | x:
+            out.append(members(r))
             return
-        pivot = max(p | x, key=lambda w: len(p & adj[w]))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+        pivot = max(members(p | x), key=lambda w: (p & nbr[w]).bit_count())
+        for v in members(p & ~nbr[pivot]):
+            expand(r | 1 << v, p & nbr[v], x & nbr[v])
+            p ^= 1 << v
+            x |= 1 << v
 
     if g.n:
-        expand(set(), set(range(g.n)), set())
+        expand(0, (1 << g.n) - 1, 0)
     return sorted(out)
-
-
-def _lex_bfs_order(g: Graph) -> list[int]:
-    """Lexicographic BFS order; ties broken by least index."""
-    label: list[list[int]] = [[] for _ in range(g.n)]
-    placed = [False] * g.n
-    order = []
-    for step in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if not placed[v] and (best < 0 or label[v] > label[best]):
-                best = v
-        placed[best] = True
-        order.append(best)
-        for w in g.adj[best]:
-            if not placed[w]:
-                # appended values decrease with time, keeping lists comparable
-                label[w].append(g.n - step)
-    return order
 
 
 @dataclass(frozen=True)
@@ -101,47 +82,53 @@ def _find_chordless_cycle(g: Graph) -> tuple[int, ...]:
 def is_chordal(g: Graph) -> ChordalityResult:
     """Chordality with a certificate either way.
 
-    A graph is chordal iff the reverse of a lexicographic BFS order is a
-    perfect elimination ordering; on failure a chordless cycle is extracted.
+    A chordal graph's maximum cardinality search order (ties to the least
+    index) is the reverse of a perfect elimination ordering; an ordering is
+    one iff each vertex's follower, the first of its later neighbours, is
+    adjacent to all the others (Tarjan & Yannakakis 1984).  In visit order
+    the follower is the neighbour visited last before the vertex.  On
+    failure a chordless cycle is extracted.
     """
-    order = _lex_bfs_order(g)[::-1]
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in g.adj[v] if pos[u] > pos[v]]
-        for a, b in combinations(later, 2):
-            if not g.has_edge(a, b):
-                return ChordalityResult(False, None, _find_chordless_cycle(g))
-    return ChordalityResult(True, tuple(order), None)
+    nbr = g.nbr
+    # visited neighbours per vertex; -n once visited, below every unvisited one
+    weight = [0] * g.n
+    follower = [-1] * g.n
+    visited = 0
+    order = []
+    for _ in range(g.n):
+        v = weight.index(max(weight))
+        later, f = nbr[v] & visited, follower[v]
+        if later and later & ~(nbr[f] | 1 << f):
+            return ChordalityResult(False, None, _find_chordless_cycle(g))
+        weight[v] = -g.n
+        visited |= 1 << v
+        order.append(v)
+        for w in g.adj[v]:
+            weight[w] += 1
+            follower[w] = v
+    return ChordalityResult(True, tuple(order[::-1]), None)
 
 
 def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     """Least independent triple whose pairs connect outside the closed
-    neighbourhood of the third vertex, or None."""
-    comp_id = []
-    for z in range(g.n):
-        banned = set(g.adj[z]) | {z}
-        cid = [-1] * g.n
-        mark = 0
-        for s in range(g.n):
-            if s in banned or cid[s] >= 0:
-                continue
-            cid[s] = mark
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for y in g.adj[x]:
-                    if y not in banned and cid[y] < 0:
-                        cid[y] = mark
-                        queue.append(y)
-            mark += 1
-        comp_id.append(cid)
-    for a, b, c in combinations(range(g.n), 3):
-        if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
-            continue
-        if (comp_id[c][a] == comp_id[c][b] >= 0
-                and comp_id[b][a] == comp_id[b][c] >= 0
-                and comp_id[a][b] == comp_id[a][c] >= 0):
-            return (a, b, c)
+    neighbourhood of the third vertex, or None.
+
+    With ``reach[z][v]`` the component of g - N[z] holding v as a mask (0
+    for v in N[z]), (a, b, c) is one iff c lies in reach[a][b] and
+    reach[b][a], and b in reach[c][a]: these also make it independent.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    reach = [[0] * n for _ in range(n)]
+    for z, row in enumerate(reach):
+        for comp, _ in flood(g.nbr, full & ~(g.nbr[z] | 1 << z)):
+            for v in members(comp):
+                row[v] = comp
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in members((reach[a][b] & reach[b][a]) >> (b + 1) << (b + 1)):
+                if reach[c][a] >> b & 1:
+                    return (a, b, c)
     return None
 
 
@@ -300,28 +287,6 @@ class CutSetCatalog:
 SEPARATOR_BUDGET = 20_000
 
 
-def _flood(nbr: list[int], left: int) -> list[tuple[int, int]]:
-    """Components of the vertex bitmask ``left`` under the neighbour
-    bitmasks ``nbr``, by least vertex, each with its neighbourhood: pairs
-    (C, N(C)) with N(C) the vertices outside ``left`` adjacent to C."""
-    out = []
-    while left:
-        comp = frontier = left & -left
-        touched = 0
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= nbr[low.bit_length() - 1]
-                frontier ^= low
-            touched |= reach
-            frontier = reach & left & ~comp
-            comp |= frontier
-        left &= ~comp
-        out.append((comp, touched & ~comp))
-    return out
-
-
 def minimal_cut_sets(g: Graph, cap: int = 4) -> CutSetCatalog:
     """All inclusion-minimal cut sets of size <= cap, in the order of
     ``combinations`` by size, each with the components of g - S ordered by
@@ -351,17 +316,14 @@ def minimal_cut_sets(g: Graph, cap: int = 4) -> CutSetCatalog:
     if not is_connected(g):
         raise ValueError("cut sets are catalogued for connected graphs only")
     n = g.n
-    nbr = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+    nbr = g.nbr
     everything = (1 << n) - 1
-
-    def members(mask: int) -> tuple[int, ...]:
-        return tuple(v for v in range(n) if mask >> v & 1)
 
     seen: set[int] = set()
     todo: list[int] = []
 
     def separators_around(removed: int) -> None:
-        for _, sep in _flood(nbr, everything & ~removed):
+        for _, sep in flood(nbr, everything & ~removed):
             if sep not in seen:
                 seen.add(sep)
                 if len(seen) > SEPARATOR_BUDGET:
@@ -385,7 +347,7 @@ def minimal_cut_sets(g: Graph, cap: int = 4) -> CutSetCatalog:
     for s_mask in seen:
         if s_mask.bit_count() > size_cap:
             continue
-        comps = _flood(nbr, everything & ~s_mask)
+        comps = flood(nbr, everything & ~s_mask)
         if all(sep == s_mask for _, sep in comps):
             vs = members(s_mask)
             clique = all((nbr[v] | 1 << v) & s_mask == s_mask for v in vs)
@@ -401,15 +363,15 @@ def s_lobes(g: Graph, s: list[int] | tuple[int, ...]) -> list[Graph]:
 
     When S is not a cut set there is exactly one lobe: the graph itself.
     """
-    s_set = set(s)
-    for v in s_set:
+    s_mask = 0
+    for v in set(s):
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-    rest = [v for v in range(g.n) if v not in s_set]
-    comps = components(induced_subgraph(g, rest)) if rest else []
+        s_mask |= 1 << v
+    comps = flood(g.nbr, ((1 << g.n) - 1) & ~s_mask)
     if len(comps) <= 1:
         return [g]
-    return [induced_subgraph(g, sorted(s_set | {rest[i] for i in comp})) for comp in comps]
+    return [induced_subgraph(g, members(s_mask | comp)) for comp, _ in comps]
 
 
 def augment(g: Graph, s: list[int] | tuple[int, ...], h: Graph) -> Graph:

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import CapacityError
-from .graphs import Graph, distance_matrix, is_connected
+from .graphs import Graph, distance_matrix, distance_rings, flood, is_connected
 from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
 from .spans import good_components, rule_spans
 
@@ -124,15 +124,8 @@ def player_bound(g: Graph) -> Callable[[int, int], int]:
     """
     n = g.n
     adj = g.adj
-    nbr = [sum(1 << w for w in adj[v]) for v in range(n)]
-    dist = distance_matrix(g)
-    # rings[v][d]: the vertices at distance d from v
-    rings = []
-    for v in range(n):
-        ring = [0] * (int(max(dist[v])) + 1)
-        for w in range(n):
-            ring[int(dist[v][w])] |= 1 << w
-        rings.append(ring)
+    nbr = g.nbr
+    rings = distance_rings(g)
     # per leaf: its bit, its chain's degree-2 vertices, the chain's edge count
     pendants = []
     for leaf in range(n):
@@ -151,19 +144,7 @@ def player_bound(g: Graph) -> Callable[[int, int], int]:
         d = 1
         while not ring[d] & left:
             d += 1
-        comps, rest = 0, left
-        while rest:
-            comps += 1
-            comp = grow = rest & -rest
-            while grow:
-                reach = 0
-                while grow:
-                    low = grow & -grow
-                    reach |= nbr[low.bit_length() - 1]
-                    grow ^= low
-                grow = reach & rest & ~comp
-                comp |= grow
-            rest &= ~comp
+        comps = len(flood(nbr, left))
         back = [1 if inner >> pos & 1 else r for bit, inner, r in pendants if left & bit]
         extra = max(comps - 1, sum(back) - max(back) if back else 0)
         return left.bit_count() + d - 1 + extra

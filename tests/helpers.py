@@ -9,10 +9,10 @@ from itertools import combinations
 
 import networkx as nx
 
-from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, Rule, components,
+from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, Rule,
                      edge_good_components, good_components, induced_subgraph,
-                     is_connected, minimal_cut_sets, random_connected_graph,
-                     safety_subgraph, to_graph6, vertex_span)
+                     minimal_cut_sets, random_connected_graph, safety_subgraph,
+                     to_graph6, vertex_span)
 from spanlab.theorems import (CUT_CAP, HOLDS, NOT_APPLICABLE, VIOLATED, Check,
                               TheoremReport)
 
@@ -23,6 +23,14 @@ def nx_to_graph(gx) -> Graph:
     index = {v: i for i, v in enumerate(nodes)}
     edges = [(index[u], index[v]) for u, v in gx.edges()]
     return Graph(len(nodes), edges)
+
+
+def graph_to_nx(g: Graph) -> nx.Graph:
+    """The same graph in networkx, nodes 0..n-1."""
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    return gx
 
 
 def connected_atlas(max_n: int) -> list[Graph]:
@@ -206,16 +214,18 @@ def descending_span(base: ProductGraph, kind: str) -> tuple[int, Certificate]:
 
 def naive_minimal_cut_sets(g: Graph, cap: int) -> tuple[CutSet, ...]:
     """Independent minimal cut sets of size <= cap, from the definition:
-    S disconnects g and no proper non-empty subset of S does.  Builds an
-    induced subgraph for every subset tried; same order and fields as
-    ``minimal_cut_sets(g, cap).sets``."""
+    S disconnects g and no proper non-empty subset of S does.  Tests
+    connectivity and lists components with networkx for every subset
+    tried; same order and fields as ``minimal_cut_sets(g, cap).sets``."""
+    gx = graph_to_nx(g)
+
     def rest_of(vs):
-        return [v for v in range(g.n) if v not in vs]
+        return gx.subgraph(v for v in range(g.n) if v not in vs)
 
     @lru_cache(maxsize=None)
     def disconnects(vs):
         rest = rest_of(vs)
-        return bool(rest) and not is_connected(induced_subgraph(g, rest))
+        return len(rest) > 0 and not nx.is_connected(rest)
 
     found = []
     for size in range(1, min(cap, g.n - 2) + 1):
@@ -223,12 +233,26 @@ def naive_minimal_cut_sets(g: Graph, cap: int) -> tuple[CutSet, ...]:
             if not disconnects(vs) or any(disconnects(sub) for r in range(1, size)
                                           for sub in combinations(vs, r)):
                 continue
-            rest = rest_of(vs)
-            comps = tuple(tuple(rest[i] for i in comp)
-                          for comp in components(induced_subgraph(g, rest)))
+            comps = tuple(sorted(tuple(sorted(comp))
+                                 for comp in nx.connected_components(rest_of(vs))))
             clique = all(g.has_edge(a, b) for a, b in combinations(vs, 2))
             found.append(CutSet(vertices=vs, components=comps, is_clique=clique))
     return tuple(found)
+
+
+def naive_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
+    """Independent least asteroidal triple, from the definition: three
+    pairwise non-adjacent vertices, each two connected in networkx once the
+    closed neighbourhood of the third is removed."""
+    gx = graph_to_nx(g)
+    for triple in combinations(range(g.n), 3):
+        if any(gx.has_edge(a, b) for a, b in combinations(triple, 2)):
+            continue
+        if all(nx.has_path(gx.subgraph(set(gx) - set(gx[c]) - {c}),
+                           *(v for v in triple if v != c))
+               for c in triple):
+            return triple
+    return None
 
 
 def naive_span1_structure(h: Graph) -> TheoremReport:

@@ -100,6 +100,13 @@ def test_verify_seeded_family_json(capsys):
     assert res["checks"] > 0
 
 
+def test_verify_seeds_need_a_family(capsys):
+    for source in (["--fixture", "figure1"], ["--file", "unused.g6"]):
+        code, out, err = run(capsys, "verify", *source, "--seeds", "5")
+        assert (code, out) == (2, "")
+        assert "--seeds needs --family" in err
+
+
 def test_verify_counts_checks_skipped_by_a_size_cap(capsys):
     # interval:14 is over the interval cap of 12 vertices: both augmentation
     # checks are skipped, and still counted as not applicable

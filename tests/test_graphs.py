@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import floyd_warshall, nx_to_graph
+from helpers import all_trees, floyd_warshall, graph_to_nx, nx_to_graph
 import spanlab.families
 from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
                      components, distance_matrix, fresh_labels,
@@ -150,10 +150,14 @@ def test_metrics_petersen():
 
 
 def test_girth_matches_networkx():
+    # odd and even shortest cycles of every length up to 30, and forests
     rng = random.Random(3)
-    for _ in range(20):
-        gx = nx.gnp_random_graph(rng.randint(3, 9), 0.4,
-                                 seed=rng.randint(0, 10**6))
+    graphs = ([nx.gnp_random_graph(rng.randint(3, 9), 0.4, seed=rng.randint(0, 10**6))
+               for _ in range(20)]
+              + [nx.cycle_graph(n) for n in range(3, 31)] + [nx.petersen_graph()]
+              + [nx.grid_2d_graph(3, k) for k in range(1, 7)]
+              + [graph_to_nx(t) for t in all_trees(8)])
+    for gx in graphs:
         g = nx_to_graph(gx)
         expected = nx.girth(gx)
         ours = metrics(g).girth

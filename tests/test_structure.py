@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from helpers import (caterpillar, connected_atlas, naive_minimal_cut_sets, random_graphs,
-                     spine_tree)
+import networkx as nx
+
+from helpers import (caterpillar, connected_atlas, graph_to_nx, naive_asteroidal_triple,
+                     naive_minimal_cut_sets, random_graphs, spine_tree)
 from spanlab import (CapacityError, Graph, augment, complete_graph,
                      cycle_graph, end_cliques, find_asteroidal_triple, fixture,
                      induced_subgraph, interval_certificate, is_chordal,
@@ -51,8 +53,9 @@ def test_chordal_recognition():
 
 
 def test_chordal_witnesses_revalidate():
-    for g in random_graphs(25, 3, 8, seed=43):
+    for g in random_graphs(25, 3, 8, seed=43) + connected_atlas(7):
         res = is_chordal(g)
+        assert res.chordal == nx.is_chordal(graph_to_nx(g)), g.adj
         if res.chordal:
             assert is_peo(g, res.elimination_order)
         else:
@@ -101,6 +104,14 @@ def test_asteroidal_triples():
     assert independent_avoidance_check(s13, triple)
     c6 = cycle_graph(6)
     assert independent_avoidance_check(c6, find_asteroidal_triple(c6))
+
+
+def test_asteroidal_triple_is_the_least_by_the_definition():
+    graphs = (connected_atlas(7) + random_graphs(200, 3, 12, seed=67)
+              + [path_graph(k) for k in range(1, 9)]
+              + [subdivided_star(k) for k in range(9)])
+    for g in graphs:
+        assert find_asteroidal_triple(g) == naive_asteroidal_triple(g), g.adj
 
 
 def test_interval_recognition():
