@@ -9,9 +9,10 @@ their inputs.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress, repeat
+from operator import or_, xor
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphParseError
 
@@ -23,7 +24,7 @@ _GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Undirected simple graph with ordered vertices and distinct labels."""
 
-    __slots__ = ("n", "labels", "adj", "_label_index", "_dist", "_nbr")
+    __slots__ = ("n", "labels", "adj", "_label_index", "_dist", "_nbr", "_balls")
 
     def __init__(
         self,
@@ -55,6 +56,7 @@ class Graph:
         self._label_index = {lab: i for i, lab in enumerate(labels)}
         self._dist: tuple[tuple[float, ...], ...] | None = None
         self._nbr: tuple[int, ...] | None = None
+        self._balls: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def nbr(self) -> tuple[int, ...]:
@@ -110,36 +112,67 @@ class Metrics:
     girth: float
 
 
-def _bfs_row(adj: Sequence[Sequence[int]], src: int) -> list[float]:
-    """Hop distances from src."""
-    row: list[float] = [INFINITY] * len(adj)
-    row[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = row[u]
-        for v in adj[u]:
-            if row[v] == INFINITY:
-                row[v] = du + 1
-                queue.append(v)
-    return row
+def distance_balls(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``balls[d][u]``: the vertices within distance d of u as a bitmask,
+    for d = 0 .. the largest finite eccentricity; cached on the graph.
+
+    Grown a level at a time: balls[d + 1][u] is the union of balls[d][v]
+    over v in N[u].  The growth stops at the first level that changes no
+    ball, where every ball is its vertex's component, so a disconnected
+    graph needs no special case.  The cache holds n (ecc + 1) bitmasks.
+
+    A level is a few ``map(or_)`` passes, one per neighbour slot j, over
+    the vertices in descending degree order: those with a j-th neighbour
+    are a prefix of it, so a level costs about 2m + 3n big-integer
+    operations, none of them in a Python-level loop.
+    """
+    if g._balls is None:
+        adj = g.adj
+        order = sorted(range(g.n), key=lambda u: -len(adj[u]))
+        back = sorted(range(g.n), key=order.__getitem__)    # u's place in order
+        # slots[j][i]: the j-th neighbour of order[i], for each i that has one
+        slots = [[adj[u][j] for u in order if len(adj[u]) > j]
+                 for j in range(max(map(len, adj), default=0))]
+        ball = tuple(1 << u for u in range(g.n))
+        balls = [ball]
+        while True:
+            grown = list(map(ball.__getitem__, order))
+            for slot in slots:
+                grown[:len(slot)] = map(or_, grown, map(ball.__getitem__, slot))
+            ball = tuple(map(grown.__getitem__, back))
+            if ball == balls[-1]:
+                break
+            balls.append(ball)
+        g._balls = tuple(balls)
+    return g._balls
+
+
+def distance_rings(g: Graph) -> Iterator[list[int]]:
+    """For each source s in order, ``rings[d]``: the vertices at distance
+    exactly d from s as a bitmask, for d = 0 .. the largest finite
+    eccentricity.  Ring d is ball d minus ball d - 1 (``distance_balls``),
+    so it is 0 beyond the eccentricity of s."""
+    for col in zip(*distance_balls(g)):
+        yield [col[0], *map(xor, col[1:], col)]
 
 
 def distance_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
-    """All-pairs hop distances, cached on the graph object."""
+    """All-pairs hop distances, cached on the graph object: row s holds d
+    at the members of ring d of s (``distance_rings``), and the infinity
+    sentinel outside the component of s."""
     if g._dist is None:
-        g._dist = tuple(tuple(_bfs_row(g.adj, s)) for s in range(g.n))
+        n = g.n
+        rows = []
+        for rings in distance_rings(g):
+            row: list[float] = [INFINITY] * n
+            for d, ring in enumerate(rings):
+                while ring:
+                    low = ring & -ring
+                    row[low.bit_length() - 1] = d
+                    ring ^= low
+            rows.append(tuple(row))
+        g._dist = tuple(rows)
     return g._dist
-
-
-def distance_rings(g: Graph) -> list[list[int]]:
-    """``rings[s][d]``: the vertices at distance d from s as a bitmask, d <= n."""
-    rings = [[0] * (g.n + 1) for _ in range(g.n)]
-    for s, row in enumerate(distance_matrix(g)):
-        for v, d in enumerate(row):
-            if d != INFINITY:
-                rings[s][int(d)] |= 1 << v
-    return rings
 
 
 def metrics(g: Graph) -> Metrics:
@@ -162,15 +195,15 @@ def metrics(g: Graph) -> Metrics:
     # a forest (m = n - #components) has no cycle: skip its n^2 ring scan
     cyclic = g.m + len(flood(nbr, (1 << g.n) - 1)) > g.n
     for rings in distance_rings(g) if cyclic else ():
-        d = 1
-        while 2 * d < girth and rings[d]:
+        for d in range(1, len(rings)):
+            if 2 * d >= girth or not rings[d]:
+                break
             for v in members(rings[d]):
                 if (nbr[v] & rings[d - 1]).bit_count() > 1:
                     girth = 2 * d
                     break
                 if nbr[v] & rings[d]:
                     girth = min(girth, 2 * d + 1)
-            d += 1
     return Metrics(dist=dist, ecc=ecc, radius=radius, diameter=diameter, girth=girth)
 
 
@@ -218,6 +251,11 @@ def is_connected(g: Graph) -> bool:
 
 # --- text formats -----------------------------------------------------------
 
+# bytes.translate table: ASCII "0"/"1" to the selector bytes 0/1
+_SELECT = bytes.maketrans(b"01", b"\0\1")
+# a graph6 body character's value as six "0"/"1" characters
+_SIX_BITS = [format(v, "06b") for v in range(64)]
+
 
 def parse_graph(text: str, fmt: str) -> Graph:
     """Decode ``text`` in the named format ("graph6" or "edgelist")."""
@@ -262,21 +300,16 @@ def parse_graph6(text: str) -> Graph:
             line=1,
             offset=idx,
         )
-    bits = 0
-    for v in data[idx:]:
-        bits = (bits << 6) | v
-    pad = need * 6 - nbits
-    if pad and bits & ((1 << pad) - 1):
+    body = "".join(map(_SIX_BITS.__getitem__, data[idx:]))
+    if "1" in body[nbits:]:
         raise GraphParseError("non-zero padding bits in graph6 body", line=1, offset=len(s) - 1)
-    bits >>= pad
-    edges = []
     # upper triangle, column by column: (0,1), (0,2), (1,2), (0,3), ...
-    pos = nbits
+    # column j is the j bits from offset j(j - 1)/2, row 0 first
+    selectors = body.encode().translate(_SELECT)
+    edges = []
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
-                edges.append((i, j))
+        start = j * (j - 1) // 2
+        edges.extend(zip(compress(range(j), selectors[start:start + j]), repeat(j)))
     return Graph(n, edges)
 
 
@@ -288,18 +321,12 @@ def to_graph6(g: Graph) -> str:
         head = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
         head = [63, 63] + [(n >> (6 * k)) & 63 for k in range(5, -1, -1)]
-    bits = 0
-    nbits = n * (n - 1) // 2
-    pos = nbits
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if g.has_edge(i, j):
-                bits |= 1 << pos
-    need = (nbits + 5) // 6
-    bits <<= need * 6 - nbits
-    body = [(bits >> (6 * k)) & 63 for k in range(need - 1, -1, -1)]
-    return "".join(chr(v + 63) for v in head + body)
+    # column j: bits 0 .. j - 1 of nbr[j], row 0 first
+    nbr = g.nbr
+    body = "".join(format(nbr[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    body += "0" * (-len(body) % 6)
+    return "".join(chr(v + 63) for v in head) + "".join(
+        chr(int(body[k:k + 6], 2) + 63) for k in range(0, len(body), 6))
 
 
 def parse_edgelist(text: str) -> Graph:

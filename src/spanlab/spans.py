@@ -6,18 +6,22 @@ component whose two projections both cover every vertex.  Edge spans ask in
 addition that, for every base edge and each coordinate, some component edge
 moves that coordinate along it.  The radius bounds every variant.
 
-``rule_spans`` finds the spans of one rule without building a product.  At
-level L the thresholded product is held as n row bitsets: row u is the set
-of v with dist(u, v) >= L, and pair code u * n + v stands for player A at
-u and player B at v.  A component is flooded a frontier of rows at a time.
-Under the traditional and active rules a frontier row of u is dilated by
-B's step masks, the closed neighbourhoods N[v] or the open ones N(v), and
-ORed into the rows A moves to from u: N[u] or N(u).  Under the lazy rule
-one coordinate moves per step, so the dilated frontier goes into row u and
-the frontier itself into the rows of u's neighbours.  Each row update is a
-few big-integer operations (a dilation costs one table lookup per byte of
-the row), so a level's work follows the row updates, not the product's
-arcs: about (deg u + 1)(deg v + 1) per pair under the traditional rule.
+``rule_spans`` finds the spans of one rule without building a product or a
+distance matrix.  At level L the thresholded product is held as n row
+bitsets: row u is the set of v with dist(u, v) >= L, which is every vertex
+at level 0 and otherwise the complement of the ball of radius L - 1 around
+u.  Pair code u * n + v stands for player A at u and player B at v.  The
+balls come from ``graphs.distance_balls``, grown once per graph and cached
+on it; the radius is the first level at which some ball holds every vertex.
+A component is flooded a frontier of rows at a time.  Under the
+traditional and active rules a frontier row of u is dilated by B's step
+masks, the closed neighbourhoods N[v] or the open ones N(v), and ORed into
+the rows A moves to from u: N[u] or N(u).  Under the lazy rule one
+coordinate moves per step, so the dilated frontier goes into row u and the
+frontier itself into the rows of u's neighbours.  Each row update is a few
+big-integer operations (a dilation costs one table lookup per byte of the
+row), so a level's work follows the row updates, not the product's arcs:
+about (deg u + 1)(deg v + 1) per pair under the traditional rule.
 
 Lowering the threshold only adds pairs, so a good component at level L lies
 inside a good component at level L - 1, and an edge-good one inside an
@@ -46,7 +50,7 @@ from functools import reduce
 from itertools import chain, compress
 from operator import or_
 
-from .graphs import Graph, distance_matrix, is_connected
+from .graphs import _SELECT, Graph, distance_balls, is_connected
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
 
 
@@ -139,13 +143,16 @@ def _dilation(masks: Sequence[int]) -> Callable[[int], int]:
     return dilate
 
 
-# bytes.translate table: ASCII "0"/"1" to the selector bytes 0/1
-_SELECT = bytes.maketrans(b"01", b"\0\1")
-
-
 def _bit_strings(rows: list[int], n: int) -> list[str]:
     """Each row as n characters "0"/"1", bit 0 first."""
     return [format(row, f"0{n}b")[::-1] for row in rows]
+
+
+def _radius(balls: Sequence[Sequence[int]]) -> int:
+    """The least eccentricity: the first level at which some ball
+    (``graphs.distance_balls``) holds every vertex."""
+    full = (1 << len(balls[0])) - 1
+    return next(d for d, ball in enumerate(balls) if full in ball)
 
 
 def flood_spans(h: Graph, rule: Rule,
@@ -157,15 +164,8 @@ def flood_spans(h: Graph, rule: Rule,
     full = (1 << n) - 1
     opened = h.nbr
     closed = [mask | 1 << v for v, mask in enumerate(opened)]
-    dist = distance_matrix(h)
-    rad = int(min(max(row) for row in dist))
-    # at_least[level][u]: the v with min(dist(u, v), radius) >= level
-    at_least = [[0] * n for _ in range(rad + 1)]
-    for u, row in enumerate(dist):
-        for v, d in enumerate(row):
-            at_least[rad if d >= rad else int(d)][u] |= 1 << v
-    for level in range(rad - 1, -1, -1):
-        at_least[level] = [a | b for a, b in zip(at_least[level], at_least[level + 1])]
+    balls = distance_balls(h)
+    rad = _radius(balls)
     # One product move from pair (u, v): B steps into ``step(v)`` while A
     # goes to a row in ``both[u]``, or B stays while A goes to a row in
     # ``a_only[u]``.  An arc that moves A from u to a neighbour has B's end
@@ -211,7 +211,8 @@ def flood_spans(h: Graph, rule: Rule,
         code lies in row 0; flooding from the least unvisited code of row 0
         meets them in order and skips every component that misses row 0.
         """
-        avail = at_least[level][:]
+        # row u: the v outside the ball of radius level - 1 around u
+        avail = [full ^ ball for ball in balls[level - 1]] if level else [full] * n
         while avail[0]:
             comp = flood(avail, (avail[0] & -avail[0]).bit_length() - 1)
             if all(comp) and reduce(or_, comp) == full:

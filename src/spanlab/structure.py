@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import CapacityError
 from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, members
@@ -52,13 +51,28 @@ def _find_chordless_cycle(g: Graph) -> tuple[int, ...]:
 
     If v has non-adjacent neighbours u, w, a shortest u-w path avoiding the
     rest of N[v] closes a chordless cycle through v; such a triple exists
-    whenever any chordless cycle does.
+    whenever any chordless cycle does.  The inner vertices of such a path
+    lie in one component of G - N[v], so the path exists iff u and w both
+    lie in that component's neighbourhood.  So one flood per v finds the
+    least such pair u < w: the least u with a later non-neighbour w in a
+    neighbourhood that holds u, and the least such w.  One BFS then finds
+    the path.
     """
+    nbr = g.nbr
+    full = (1 << g.n) - 1
     for v in range(g.n):
         nv = g.adj[v]
-        for u, w in combinations(nv, 2):
-            if g.has_edge(u, w):
+        hoods = [hood for _, hood in flood(nbr, full & ~(nbr[v] | 1 << v))]
+        for u in nv:
+            # the w > u outside N[u] that share a neighbourhood with u
+            later = 0
+            for hood in hoods:
+                if hood >> u & 1:
+                    later |= hood
+            later &= ~nbr[u] & -(2 << u)
+            if not later:
                 continue
+            w = (later & -later).bit_length() - 1
             allowed = set(range(g.n)) - {v} - (set(nv) - {u, w})
             parent = {u: -1}
             queue = deque([u])
@@ -70,8 +84,6 @@ def _find_chordless_cycle(g: Graph) -> tuple[int, ...]:
                     if y in allowed and y not in parent:
                         parent[y] = x
                         queue.append(y)
-            if w not in parent:
-                continue
             path = [w]
             while path[-1] != u:
                 path.append(parent[path[-1]])

@@ -125,7 +125,7 @@ def player_bound(g: Graph) -> Callable[[int, int], int]:
     n = g.n
     adj = g.adj
     nbr = g.nbr
-    rings = distance_rings(g)
+    rings = list(distance_rings(g))
     # per leaf: its bit, its chain's degree-2 vertices, the chain's edge count
     pendants = []
     for leaf in range(n):

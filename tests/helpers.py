@@ -81,7 +81,7 @@ def random_graphs(count: int, min_n: int, max_n: int, seed: int) -> list[Graph]:
 
 
 def floyd_warshall(g: Graph) -> list[list[float]]:
-    """Independent all-pairs distances, for checking the BFS-based matrix."""
+    """Independent all-pairs distances, for checking the ball-based matrix."""
     big = float("inf")
     d = [[0 if i == j else big for j in range(g.n)] for i in range(g.n)]
     for u in range(g.n):
@@ -253,6 +253,36 @@ def naive_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
                for c in triple):
             return triple
     return None
+
+
+def naive_chordless_cycle(g: Graph) -> tuple[int, ...]:
+    """The chordless cycle of the one-BFS-per-pair search: for each v and
+    each non-adjacent pair u, w of its neighbours in ``combinations``
+    order, a BFS for a u-w path that avoids the rest of N[v]; the first
+    path found closes the cycle (v, u, ..., w)."""
+    for v in range(g.n):
+        nv = g.adj[v]
+        for u, w in combinations(nv, 2):
+            if g.has_edge(u, w):
+                continue
+            allowed = set(range(g.n)) - {v} - (set(nv) - {u, w})
+            parent = {u: -1}
+            queue = deque([u])
+            while queue:
+                x = queue.popleft()
+                if x == w:
+                    break
+                for y in g.adj[x]:
+                    if y in allowed and y not in parent:
+                        parent[y] = x
+                        queue.append(y)
+            if w not in parent:
+                continue
+            path = [w]
+            while path[-1] != u:
+                path.append(parent[path[-1]])
+            return tuple([v] + path[::-1])
+    raise AssertionError("no chordless cycle found in a non-chordal graph")
 
 
 def naive_span1_structure(h: Graph) -> TheoremReport:

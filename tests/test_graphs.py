@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_trees, floyd_warshall, graph_to_nx, nx_to_graph
+from helpers import (all_trees, connected_atlas, floyd_warshall, graph_to_nx,
+                     nx_to_graph)
 import spanlab.families
 from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
-                     components, distance_matrix, fresh_labels,
+                     components, cycle_graph, distance_matrix, fresh_labels,
                      induced_subgraph, is_connected, metrics,
-                     parse_edgelist, parse_graph, parse_graph6,
+                     parse_edgelist, parse_graph, parse_graph6, path_graph,
                      random_connected_graph, random_interval_graph, to_graph6)
+from spanlab.graphs import distance_balls, distance_rings
 
 
 def test_basic_construction():
@@ -79,20 +81,34 @@ def test_graph6_truncated():
 
 
 def test_graph6_round_trip_against_networkx():
+    # random graphs with up to 300 vertices (n >= 63 takes the 4-byte size
+    # form), and the connected atlas
     rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(1, 12)
-        gx = nx.gnp_random_graph(n, 0.4, seed=rng.randint(0, 10**6))
+    graphs = [nx.gnp_random_graph(rng.randint(1, 12), 0.4, seed=rng.randint(0, 10**6))
+              for _ in range(25)]
+    graphs += [nx.gnp_random_graph(n, (0.03, 0.1, 0.4)[n % 3], seed=n)
+               for n in [*range(13, 80), 120, 200, 258, 299, 300]]
+    graphs += [graph_to_nx(g) for g in connected_atlas(7)]
+    for gx in graphs:
         ours = nx_to_graph(gx)
         theirs = nx.to_graph6_bytes(gx, header=False).decode().strip()
-        assert to_graph6(ours) == theirs
-        assert parse_graph6(theirs).adj == ours.adj
+        assert to_graph6(ours) == theirs, gx
+        assert parse_graph6(theirs).adj == ours.adj, gx
 
 
 def test_graph6_large_n_size_form():
     # n = 70 exercises the 4-byte size encoding
     g = Graph(70, [(i, i + 1) for i in range(69)])
     assert parse_graph6(to_graph6(g)).adj == g.adj
+
+
+def test_graph6_padding_must_be_zero():
+    # n = 3: three edge bits, then three padding bits
+    assert parse_graph6("B" + chr(63 + 0b101000)).edges() == [(0, 1), (1, 2)]
+    for bit in (0b100, 0b010, 0b001):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph6("B" + chr(63 + (0b101000 | bit)))
+        assert "padding" in str(exc.value) and exc.value.offset == 1
 
 
 def test_edgelist_parsing():
@@ -120,18 +136,50 @@ def test_parse_graph_dispatch():
         parse_graph("C~", "dot")
 
 
+def _rings_by_definition(dist, n):
+    """rings[s][d]: the v at distance d from s, from a distance table."""
+    top = max((d for row in dist for d in row if d != INFINITY), default=0)
+    rings = [[0] * (top + 1) for _ in range(n)]
+    for s in range(n):
+        for v in range(n):
+            if dist[s][v] != INFINITY:
+                rings[s][dist[s][v]] |= 1 << v
+    return rings
+
+
 def test_distance_matrix_against_floyd_warshall():
+    # every connected graph n <= 7, random graphs (often disconnected),
+    # and n = 0, 1
     rng = random.Random(11)
-    for _ in range(20):
-        n = rng.randint(2, 9)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < 0.45]
-        g = Graph(n, edges)
-        ours = distance_matrix(g)
+    graphs = (connected_atlas(7)
+              + [Graph(0), Graph(1), Graph(3), Graph(5, [(0, 1), (2, 3)]),
+                 Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])])
+    for count, top, p in ((20, 9, 0.45), (60, 12, 0.15)):
+        for _ in range(count):
+            n = rng.randint(2, top)
+            graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < p]))
+    for g in graphs:
         ref = floyd_warshall(g)
-        for i in range(n):
-            for j in range(n):
-                assert ours[i][j] == ref[i][j]
+        assert [list(row) for row in distance_matrix(g)] == ref, g.adj
+        assert list(distance_rings(g)) == _rings_by_definition(ref, g.n), g.adj
+    assert distance_balls(Graph(0)) == ((),)
+    assert distance_matrix(Graph(0)) == ()
+    assert distance_balls(Graph(1)) == ((1,),)
+    assert distance_matrix(Graph(1)) == ((0,),)
+    assert distance_balls(Graph(5, [(0, 1), (2, 3)])) == (
+        (1, 2, 4, 8, 16), (3, 3, 12, 12, 16))
+
+
+def test_distance_kernel_on_long_paths_and_cycles():
+    for n in list(range(1, 21)) + [63, 64, 150, 299, 300]:
+        cases = [(path_graph(n), lambda i, j: abs(i - j))]
+        if n >= 3:
+            cases.append((cycle_graph(n), lambda i, j: min(abs(i - j), n - abs(i - j))))
+        for g, dist in cases:
+            ref = [[dist(i, j) for j in range(n)] for i in range(n)]
+            assert [list(row) for row in distance_matrix(g)] == ref, g
+            assert list(distance_rings(g)) == _rings_by_definition(ref, n), g
 
 
 def test_metrics_path4():

@@ -8,13 +8,14 @@ import pytest
 import networkx as nx
 
 from helpers import (caterpillar, connected_atlas, graph_to_nx, naive_asteroidal_triple,
-                     naive_minimal_cut_sets, random_graphs, spine_tree)
+                     naive_chordless_cycle, naive_minimal_cut_sets, random_graphs,
+                     spine_tree)
 from spanlab import (CapacityError, Graph, augment, complete_graph,
                      cycle_graph, end_cliques, find_asteroidal_triple, fixture,
                      induced_subgraph, interval_certificate, is_chordal,
                      is_connected, is_interval, maximal_cliques,
-                     minimal_cut_sets, path_graph, random_interval_graph,
-                     s_lobes, star_graph, subdivided_star)
+                     minimal_cut_sets, path_graph, random_connected_graph,
+                     random_interval_graph, s_lobes, star_graph, subdivided_star)
 
 
 def brute_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
@@ -67,6 +68,24 @@ def test_chordal_witnesses_revalidate():
                     adjacent = g.has_edge(cyc[i], cyc[j])
                     consecutive = j - i == 1 or (i == 0 and j == L - 1)
                     assert adjacent == consecutive, (cyc, i, j)
+
+
+def test_chordless_cycle_matches_the_pairwise_search():
+    rng = random.Random(71)
+    sparse = [random_connected_graph(rng.randint(5, 16), rng.choice((0.15, 0.25)), seed)
+              for seed in range(150)]
+    # a chordal graph with a C4 hung off its last vertex, and a disconnected one
+    band = random_interval_graph(30, 1)
+    hung = Graph(33, band.edges() + [(29, 30), (30, 31), (31, 32), (32, 29)])
+    graphs = (connected_atlas(7) + random_graphs(200, 4, 14, seed=73) + sparse
+              + [hung, Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3)])])
+    tried = 0
+    for g in graphs:
+        res = is_chordal(g)
+        if not res.chordal:
+            assert res.chordless_cycle == naive_chordless_cycle(g), g.adj
+            tried += 1
+    assert tried > 300
 
 
 def independent_avoidance_check(g: Graph, triple) -> bool:
