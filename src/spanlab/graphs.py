@@ -9,7 +9,8 @@ their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from operator import or_, xor
 from typing import Iterable, Iterator, Sequence
@@ -99,17 +100,51 @@ class Graph:
 
 @dataclass(frozen=True)
 class Metrics:
-    """All-pairs hop distances and the derived classical invariants.
+    """Eccentricities, radius and diameter of ``graph``, read off its
+    distance balls, plus the distance matrix and the girth, each computed
+    on first use.
 
-    Unreachable pairs carry the infinity sentinel; ``girth`` is infinite for
-    acyclic graphs.
+    Unreachable pairs carry the infinity sentinel, so every eccentricity of
+    a disconnected graph is infinite; ``girth`` is infinite for acyclic
+    graphs.
     """
 
-    dist: tuple[tuple[float, ...], ...]
+    graph: Graph = field(repr=False)
     ecc: tuple[float, ...]
     radius: float
     diameter: float
-    girth: float
+
+    @property
+    def dist(self) -> tuple[tuple[float, ...], ...]:
+        return distance_matrix(self.graph)
+
+    @cached_property
+    def girth(self) -> float:
+        """Girth from distance rings (Itai & Rodeh 1978, "Finding a minimum
+        circuit in a graph"): from a source s, an edge inside ring d, or a
+        vertex of ring d with two neighbours in ring d - 1, closes a walk
+        of length 2d + 1, or 2d, that holds a cycle.  A shortest cycle C is
+        isometric (a shorter chord path would close a shorter cycle), so
+        from any s on C the edge or vertex opposite s is such a witness of
+        |C|.  A source stops at the first ring d with 2d at least the best
+        so far.
+        """
+        g = self.graph
+        nbr = g.nbr
+        girth: float = INFINITY
+        # a forest (m = n - #components) has no cycle: skip its n^2 ring scan
+        cyclic = g.m + len(flood(nbr, (1 << g.n) - 1)) > g.n
+        for rings in distance_rings(g) if cyclic else ():
+            for d in range(1, len(rings)):
+                if 2 * d >= girth or not rings[d]:
+                    break
+                for v in members(rings[d]):
+                    if (nbr[v] & rings[d - 1]).bit_count() > 1:
+                        girth = 2 * d
+                        break
+                    if nbr[v] & rings[d]:
+                        girth = min(girth, 2 * d + 1)
+        return girth
 
 
 def distance_balls(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -166,45 +201,24 @@ def distance_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
         for rings in distance_rings(g):
             row: list[float] = [INFINITY] * n
             for d, ring in enumerate(rings):
-                while ring:
-                    low = ring & -ring
-                    row[low.bit_length() - 1] = d
-                    ring ^= low
+                for v in members(ring):
+                    row[v] = d
             rows.append(tuple(row))
         g._dist = tuple(rows)
     return g._dist
 
 
 def metrics(g: Graph) -> Metrics:
-    """Distances, eccentricities, radius, diameter and girth.
+    """Eccentricities, radius and diameter; distances and girth on demand.
 
-    Girth from distance rings (Itai & Rodeh 1978, "Finding a minimum
-    circuit in a graph"): from a source s, an edge inside ring d, or a
-    vertex of ring d with two neighbours in ring d - 1, closes a walk of
-    length 2d + 1, or 2d, that holds a cycle.  A shortest cycle C is
-    isometric (a shorter chord path would close a shorter cycle), so from
-    any s on C the edge or vertex opposite s is such a witness of |C|.
-    A source stops at the first ring d with 2d at least the best so far.
+    The eccentricity of u is the first level at which u's distance ball
+    (``distance_balls``) holds every vertex, and infinite if none does.
     """
-    dist = distance_matrix(g)
-    ecc = tuple(max(row) if row else 0 for row in dist)
-    radius = min(ecc) if ecc else 0
-    diameter = max(ecc) if ecc else 0
-    nbr = g.nbr
-    girth: float = INFINITY
-    # a forest (m = n - #components) has no cycle: skip its n^2 ring scan
-    cyclic = g.m + len(flood(nbr, (1 << g.n) - 1)) > g.n
-    for rings in distance_rings(g) if cyclic else ():
-        for d in range(1, len(rings)):
-            if 2 * d >= girth or not rings[d]:
-                break
-            for v in members(rings[d]):
-                if (nbr[v] & rings[d - 1]).bit_count() > 1:
-                    girth = 2 * d
-                    break
-                if nbr[v] & rings[d]:
-                    girth = min(girth, 2 * d + 1)
-    return Metrics(dist=dist, ecc=ecc, radius=radius, diameter=diameter, girth=girth)
+    full = (1 << g.n) - 1
+    ecc = tuple(col.index(full) if col[-1] == full else INFINITY
+                for col in zip(*distance_balls(g)))
+    return Metrics(graph=g, ecc=ecc, radius=min(ecc, default=0),
+                   diameter=max(ecc, default=0))
 
 
 def flood(nbr: Sequence[int], left: int) -> list[tuple[int, int]]:

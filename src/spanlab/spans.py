@@ -12,7 +12,7 @@ bitsets: row u is the set of v with dist(u, v) >= L, which is every vertex
 at level 0 and otherwise the complement of the ball of radius L - 1 around
 u.  Pair code u * n + v stands for player A at u and player B at v.  The
 balls come from ``graphs.distance_balls``, grown once per graph and cached
-on it; the radius is the first level at which some ball holds every vertex.
+on it; the radius, from ``graphs.metrics``, is read off the same balls.
 A component is flooded a frontier of rows at a time.  Under the
 traditional and active rules a frontier row of u is dilated by B's step
 masks, the closed neighbourhoods N[v] or the open ones N(v), and ORed into
@@ -50,7 +50,7 @@ from functools import reduce
 from itertools import chain, compress
 from operator import or_
 
-from .graphs import _SELECT, Graph, distance_balls, is_connected
+from .graphs import _SELECT, Graph, distance_balls, is_connected, metrics
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
 
 
@@ -148,13 +148,6 @@ def _bit_strings(rows: list[int], n: int) -> list[str]:
     return [format(row, f"0{n}b")[::-1] for row in rows]
 
 
-def _radius(balls: Sequence[Sequence[int]]) -> int:
-    """The least eccentricity: the first level at which some ball
-    (``graphs.distance_balls``) holds every vertex."""
-    full = (1 << len(balls[0])) - 1
-    return next(d for d, ball in enumerate(balls) if full in ball)
-
-
 def flood_spans(h: Graph, rule: Rule,
                 kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
     """Spans of each of ``kinds`` of a connected graph with at least one
@@ -165,7 +158,7 @@ def flood_spans(h: Graph, rule: Rule,
     opened = h.nbr
     closed = [mask | 1 << v for v, mask in enumerate(opened)]
     balls = distance_balls(h)
-    rad = _radius(balls)
+    rad = int(metrics(h).radius)
     # One product move from pair (u, v): B steps into ``step(v)`` while A
     # goes to a row in ``both[u]``, or B stays while A goes to a row in
     # ``a_only[u]``.  An arc that moves A from u to a neighbour has B's end

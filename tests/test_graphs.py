@@ -147,6 +147,15 @@ def _rings_by_definition(dist, n):
     return rings
 
 
+def _assert_eccentricities(met, dist):
+    """metrics' eccentricities, radius and diameter, read off the balls,
+    against those of a distance table."""
+    ecc = tuple(max(row) for row in dist)
+    assert met.ecc == ecc, met.graph.adj
+    assert (met.radius, met.diameter) == (min(ecc, default=0), max(ecc, default=0))
+    assert met.dist is distance_matrix(met.graph)
+
+
 def test_distance_matrix_against_floyd_warshall():
     # every connected graph n <= 7, random graphs (often disconnected),
     # and n = 0, 1
@@ -163,6 +172,7 @@ def test_distance_matrix_against_floyd_warshall():
         ref = floyd_warshall(g)
         assert [list(row) for row in distance_matrix(g)] == ref, g.adj
         assert list(distance_rings(g)) == _rings_by_definition(ref, g.n), g.adj
+        _assert_eccentricities(metrics(g), ref)
     assert distance_balls(Graph(0)) == ((),)
     assert distance_matrix(Graph(0)) == ()
     assert distance_balls(Graph(1)) == ((1,),)
@@ -180,6 +190,7 @@ def test_distance_kernel_on_long_paths_and_cycles():
             ref = [[dist(i, j) for j in range(n)] for i in range(n)]
             assert [list(row) for row in distance_matrix(g)] == ref, g
             assert list(distance_rings(g)) == _rings_by_definition(ref, n), g
+            _assert_eccentricities(metrics(g), ref)
 
 
 def test_metrics_path4():

@@ -10,8 +10,7 @@ from spanlab import (KINDS, RULES, Graph, Rule, build_product, complete_graph,
                      good_components, metrics, path_graph, product_components,
                      random_interval_graph, safety_subgraph, span_report,
                      vertex_span)
-from spanlab.graphs import distance_balls
-from spanlab.spans import _radius, rule_spans
+from spanlab.spans import rule_spans
 
 # (rule, kind) -> value tables confirmed by the reachability oracle;
 # see test_oracle.py and the acceptance suite for the live cross-checks.
@@ -111,15 +110,6 @@ def test_span_bounded_by_radius():
         rad = int(metrics(g).radius)
         for rule in ("traditional", "active", "lazy"):
             assert 0 <= vertex_span(g, rule)[0] <= rad
-
-
-def test_radius_from_the_balls_matches_metrics():
-    graphs = (connected_atlas(7) + random_graphs(40, 8, 40, seed=31)
-              + [path_graph(n) for n in (1, 2, 3, 64, 299, 300)]
-              + [cycle_graph(n) for n in (3, 4, 5, 64, 299, 300)]
-              + [random_interval_graph(60, seed) for seed in range(3)])
-    for g in graphs:
-        assert _radius(distance_balls(g)) == metrics(g).radius, g.adj
 
 
 def test_span_report_matches_individual_calls():
