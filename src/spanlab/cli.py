@@ -9,6 +9,7 @@ was violated, 2 usage or parse error, 3 capacity limit hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,11 @@ def _add_cap(p: argparse.ArgumentParser) -> None:
                    help="override size caps (default from SPANLAB_CAP or built-in)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it,
+    so callers must not change it; ``parse_args`` keeps no state between
+    calls."""
     ap = argparse.ArgumentParser(
         prog="spanlab",
         description="Span values, optimal walk pairs, and structure checks "
@@ -308,8 +313,10 @@ _DISPATCH = {"span": cmd_span, "minwalk": cmd_minwalk, "analyze": cmd_analyze,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.  The parser is built once
+    per process, on the first call, so later in-process calls pay only for
+    parsing their arguments."""
+    args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except CapacityError as exc:

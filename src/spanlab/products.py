@@ -95,6 +95,17 @@ def build_product(h: Graph, rule: Rule | str) -> ProductGraph:
     return ProductGraph(h, rule, 0, tuple(range(n * n)), adj, dist)
 
 
+def product_arcs(h: Graph, rule: Rule | str) -> int:
+    """Arc count of ``build_product(h, rule)`` from the degree sum s = 2m,
+    without building it.  The pair (u, v) has deg u + deg v moves of one
+    player (lazy) and deg u * deg v moves of both (active); traditional
+    allows either kind.  Summed over all n^2 pairs: 2ns and s^2."""
+    rule = as_rule(rule)
+    s = 2 * h.m
+    one, both = 2 * h.n * s, s * s
+    return {Rule.LAZY: one, Rule.ACTIVE: both, Rule.TRADITIONAL: one + both}[rule]
+
+
 def safety_subgraph(p: ProductGraph, k: int) -> ProductGraph:
     """Restriction of p to pair codes at base distance >= k."""
     n = p.base.n

@@ -149,8 +149,9 @@ def check_span1_structure(h: Graph, name: str = "graph",
     lobes of each class.  A lobe of at most ``_KEYED_LOBE_SIZE`` vertices is
     keyed by the least, over orderings of its vertices, of their neighbours
     in S and its inner edges by position; a larger lobe is its own class.
-    Past ``LOBE_UNION_BUDGET`` unions over all cuts the check raises
-    ``CapacityError`` before any span.
+    Unions of different cuts that are equal as labelled graphs (the same
+    graph6) share one span.  Past ``LOBE_UNION_BUDGET`` unions over all
+    cuts the check raises ``CapacityError`` before any span.
 
     ``traditional_span`` is h's traditional vertex span when the caller
     already knows it, as ``check_span_inequalities`` reports it; None
@@ -171,6 +172,7 @@ def check_span1_structure(h: Graph, name: str = "graph",
     if unions > LOBE_UNION_BUDGET:
         raise CapacityError(f"span-1 structure check needs {unions} lobe unions, "
                             f"over the budget of {LOBE_UNION_BUDGET}")
+    union_spans: dict[str, int] = {}    # graph6 of a lobe union -> its span
     clique_ok = True
     lobes_ok = True
     join_ok = True
@@ -189,8 +191,11 @@ def check_span1_structure(h: Graph, name: str = "graph",
             vs = set(cut.vertices)
             for i in chosen:
                 vs.update(parts[i])
-            union = induced_subgraph(h, sorted(vs))
-            if vertex_span(union, Rule.TRADITIONAL)[0] != 1:
+            union = induced_subgraph(h, vs)
+            key = to_graph6(union)
+            if key not in union_spans:
+                union_spans[key] = vertex_span(union, Rule.TRADITIONAL)[0]
+            if union_spans[key] != 1:
                 lobes_ok = False
                 witness.setdefault("bad_lobe_union",
                                    {"cut": list(cut.vertices), "lobes": chosen})

@@ -52,6 +52,9 @@ The search counts its work and raises ``CapacityError`` once that passes
 arcs, since each is then tried against the bound and the memo whether or
 not it is followed; memoising a per-player bound charges n, since it scans
 up to n vertices.  So the count bounds the time, and not only the states.
+Building the product comes before any of that work, so ``min_steps``
+first counts the product's arcs from the degree sum and refuses more than
+``PRODUCT_ARC_LIMIT`` of them.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from operator import add
 
 from .errors import CapacityError
 from .graphs import Graph, distance_matrix, distance_rings, flood, is_connected
-from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, safety_subgraph
+from .products import (VERTEX, ProductGraph, Rule, as_rule, build_product, product_arcs,
+                       safety_subgraph)
 from .spans import good_components, rule_spans
 
 # Work limit of one covering-walk search: the arcs of each cover state
@@ -70,6 +74,12 @@ from .spans import good_components, rule_spans
 # searches stopped at this limit (n = 14-120) took 0.9-6.1 s and peaked at
 # 98 MiB RSS or less.
 WALK_BUDGET = 3_000_000
+# Arc limit of the threshold-0 product that ``min_steps`` builds before the
+# search counts any work; about 46 bytes of RSS per arc.  On the same VM,
+# complete:70 (24.0M traditional arcs) answers in 7.6 s at 1,075 MiB peak
+# RSS and interval:50:1 (3.15M) in 1.2 s at 151 MiB; interval:200:1 (630M
+# arcs, about 27 GiB) is refused in 0.2 s.
+PRODUCT_ARC_LIMIT = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -172,10 +182,16 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
     memo: dict[int, int] = {}       # pos << n | visited -> player bound
     failed: dict[int, int] = {}     # cover state -> largest failing moves left
     work = 0
+    # per pair code: each player's position and its bit, looked up on every
+    # arc instead of dividing the code
+    pos_a = [c // n for c in range(n * n)]
+    pos_b = [c % n for c in range(n * n)]
+    bit_a = [1 << a for a in pos_a]
+    bit_b = [1 << b for b in pos_b]
 
     def pair_bound(code: int, ma: int, mb: int) -> int:
         nonlocal work
-        a, b = divmod(code, n)
+        a, b = pos_a[code], pos_b[code]
         ka, kb = a << n | ma, b << n | mb
         ha = memo.get(ka)
         if ha is None:
@@ -187,7 +203,7 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
             work += n
         return combine(ha, hb)
 
-    roots = [(c, 1 << c // n, 1 << c % n) for c in sorted(c for comp in comps for c in comp)]
+    roots = [(c, bit_a[c], bit_b[c]) for c in sorted(c for comp in comps for c in comp)]
     for code, ma, mb in roots:
         if ma & mb == full:
             return 0, (code,)
@@ -202,7 +218,7 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
                 code, ma, mb, nbrs = path[-1]
                 left = depth - len(path)        # moves left after the next one
                 for b in nbrs:
-                    na, nb = ma | 1 << b // n, mb | 1 << b % n
+                    na, nb = ma | bit_a[b], mb | bit_b[b]
                     if na & nb == full:
                         return len(path), (*(s[0] for s in path), b)
                     if (pair_bound(b, na, nb) > left
@@ -236,8 +252,9 @@ def min_steps(h: Graph, rule: Rule | str, cap: int | None = None) -> MinWalkResu
     """Span plus the shortest covering walk pair that attains it.
 
     The search stops with ``CapacityError`` once its work passes
-    ``WALK_BUDGET``; an explicit ``cap`` also refuses graphs with more than
-    ``cap`` vertices before any work.
+    ``WALK_BUDGET``.  Before any work, a product of more than
+    ``PRODUCT_ARC_LIMIT`` arcs is refused, and an explicit ``cap`` refuses
+    graphs with more than ``cap`` vertices.
     """
     rule = as_rule(rule)
     if not is_connected(h):
@@ -247,6 +264,11 @@ def min_steps(h: Graph, rule: Rule | str, cap: int | None = None) -> MinWalkResu
             f"covering-walk search tracks {h.n * h.n} pair positions x 4**{h.n} "
             f"cover masks = {h.n * h.n * 4**h.n} states; n={h.n} exceeds cap {cap}"
         )
+    arcs = product_arcs(h, rule)
+    if arcs > PRODUCT_ARC_LIMIT:
+        raise CapacityError(
+            f"covering-walk search builds the {rule.value} product of n={h.n}, "
+            f"m={h.m} with {arcs} arcs, over the limit of {PRODUCT_ARC_LIMIT}")
     k, _ = rule_spans(h, rule, (VERTEX,))[VERTEX]
     p = safety_subgraph(build_product(h, rule), k)
     found = shortest_covering_walk(p)

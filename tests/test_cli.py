@@ -1,12 +1,15 @@
 """Command-line behaviour: flows, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import spanlab
 from spanlab import cycle_graph, parse_graph6
 from spanlab.cli import main
 from spanlab.theorems import VIOLATED, Check, TheoremReport
@@ -220,6 +223,13 @@ def test_exit_3_on_capacity(capsys):
     code, _, err = run(capsys, "minwalk", "--family", "path:6", "--cap", "5")
     assert code == 3
     assert "capacity" in err
+    # the traditional product of interval:200:1 has 630M arcs: refused before
+    # it is built, not killed for lack of memory
+    start = time.perf_counter()
+    code, out, err = run(capsys, "minwalk", "--family", "interval:200:1")
+    assert (code, out) == (3, "")
+    assert "629869604 arcs" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_hopeless_random_family_fails_fast_with_exit_3(capsys):
@@ -250,3 +260,36 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "vertex=2" in proc.stdout
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # the parser is built once per process; each call through it must print
+    # and exit exactly as a fresh interpreter does
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("SPANLAB_CAP", raising=False)
+    src = str(Path(spanlab.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    calls = [
+        ["span"],
+        ["--help"],
+        ["minwalk", "--help"],
+        ["span", "--fixture", "figure1"],
+        ["minwalk", "--fixture", "figure1", "--cap", "6", "--format", "json"],
+        ["minwalk", "--family", "path:6", "--cap", "5"],
+        ["analyze", "--fixture", "figure2"],
+        ["verify", "--fixture", "figure3", "--format", "json"],
+        ["generate", "--family", "interval:10", "--seed", "3"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "spanlab", *argv],
+                              capture_output=True, text=True)
+        assert (code, out.out, out.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(code)
+    assert codes == [2, 0, 0, 0, 0, 3, 0, 0, 0]

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from helpers import random_graphs
-from spanlab import (Rule, as_rule, build_product, complete_graph, cycle_graph,
+from helpers import connected_atlas, random_graphs
+from spanlab import (RULES, Rule, as_rule, build_product, complete_graph, cycle_graph,
                      safety_subgraph)
+from spanlab.products import product_arcs
 
 
 def edge_set(p):
@@ -29,6 +30,14 @@ def test_k2_products_by_hand():
     assert edge_set(active) == {(0, 3), (1, 2)}
     lazy = build_product(k2, "lazy")
     assert edge_set(lazy) == {(0, 1), (0, 2), (1, 3), (2, 3)}
+
+
+def test_product_arcs_from_degree_sums():
+    for g in connected_atlas(5) + random_graphs(12, 2, 9, seed=13):
+        for rule in RULES:
+            built = build_product(g, rule)
+            assert product_arcs(g, rule) == sum(map(len, built.adj.values())), (g.adj, rule)
+            assert product_arcs(g, rule.value) == product_arcs(g, rule)
 
 
 def test_traditional_is_union_of_active_and_lazy():

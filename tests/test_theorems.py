@@ -241,7 +241,9 @@ def test_lobe_union_budget(monkeypatch, tmp_path):
 
 def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
     # caterpillar k = 10 (n = 22): at each hub, k interchangeable leaves and one
-    # larger lobe, so (k + 1) x 2 - 2 = 2k unions per cut; 2^(k+1) - 2 by subsets
+    # larger lobe, so (k + 1) x 2 - 2 = 2k unions per cut; 2^(k+1) - 2 by subsets.
+    # A hub with j < k of its own leaves is the same labelled star at both
+    # cuts, so the second cut adds only its k unions with the other hub's lobe
     import spanlab.theorems
     from spanlab.cli import main
     calls = []
@@ -254,7 +256,25 @@ def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
     path = tmp_path / "caterpillar.g6"
     path.write_text(to_graph6(caterpillar(10)) + "\n")
     assert main(["verify", "--file", str(path), "--format", "json"]) == 0
-    assert len(calls) == 40
+    assert len(calls) == 30
+
+
+def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
+    # on a path every vertex but the ends is a cut with two lobes; its unions
+    # are shorter paths, one span per length from 2 to n - 1 over all cuts
+    import spanlab.theorems
+    calls = []
+
+    def counting_span(h, rule):
+        calls.append(h.n)
+        return vertex_span(h, rule)
+
+    monkeypatch.setattr(spanlab.theorems, "vertex_span", counting_span)
+    for n in (10, 60):
+        calls.clear()
+        report = check_span1_structure(path_graph(n), traditional_span=1)
+        assert report.ok
+        assert sorted(calls) == list(range(2, n))
 
 
 def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):

@@ -112,6 +112,25 @@ def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
         min_steps(star_graph(10), "traditional")
 
 
+def test_product_arc_limit_refuses_before_building(monkeypatch):
+    built = []
+
+    def counting_build(h, rule):
+        built.append(rule)
+        return build_product(h, rule)
+
+    monkeypatch.setattr(spanlab.walks, "build_product", counting_build)
+    # K5: degree sum 20, so 2 * 5 * 20 + 20^2 = 600 traditional arcs, 200 lazy
+    monkeypatch.setattr(spanlab.walks, "PRODUCT_ARC_LIMIT", 599)
+    with pytest.raises(CapacityError, match="600 arcs, over the limit of 599"):
+        min_steps(complete_graph(5), "traditional")
+    assert not built
+    assert min_steps(complete_graph(5), "lazy").span == 1
+    monkeypatch.setattr(spanlab.walks, "PRODUCT_ARC_LIMIT", 600)
+    assert min_steps(complete_graph(5), "traditional").span == 1
+    assert len(built) == 2
+
+
 def test_player_bound_is_admissible():
     # the bound never exceeds the exact single-player covering-walk length
     for g in connected_atlas(6):
