@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import __version__
@@ -20,7 +19,7 @@ from .families import FIXTURES, fixture, generate_family
 from .graphs import INFINITY, Graph, distance_matrix, metrics, parse_graph, to_graph6
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
-from .structure import interval_certificate, minimal_cut_sets
+from .structure import INTERVAL_CAP, interval_certificate, minimal_cut_sets
 from .theorems import (NOT_APPLICABLE, SKIPPED_BY_CAP, VIOLATED, check_interval_theorems,
                        check_span1_structure, check_span_inequalities)
 from .walks import min_steps
@@ -42,11 +41,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output format (default text)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for seeded families (default 0)")
-
-
-def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=None,
-                   help="override size caps (default from SPANLAB_CAP or built-in)")
 
 
 @functools.cache
@@ -71,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minwalk", help="shortest optimal walk pair")
     _add_source(p)
     _add_common(p)
-    _add_cap(p)
     p.add_argument("--rule", choices=("traditional", "active", "lazy"),
                    default="traditional", help="movement rule (default traditional)")
 
@@ -79,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metrics, interval certificate, minimal cut sets")
     _add_source(p)
     _add_common(p)
-    _add_cap(p)
+    p.add_argument("--cap", type=int, default=INTERVAL_CAP,
+                   help="most vertices an interval representation is built "
+                        f"for (default {INTERVAL_CAP})")
 
     p = sub.add_parser("verify", help="run theorem checks against a graph")
     _add_source(p)
@@ -109,24 +104,6 @@ def load_graph(args: argparse.Namespace) -> tuple[str, Graph]:
     if args.family is not None:
         return args.family, generate_family(args.family, seed=args.seed)
     return args.file, _load_file(args.file)
-
-
-def resolve_cap(args: argparse.Namespace) -> int | None:
-    """--cap wins; else SPANLAB_CAP; else None (each operation's default)."""
-    if args.cap is not None:
-        if args.cap <= 0:
-            raise ValueError("--cap must be positive")
-        return args.cap
-    env = os.environ.get("SPANLAB_CAP")
-    if env is None or not env.strip():
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"SPANLAB_CAP must be an integer, got {env!r}") from None
-    if value <= 0:
-        raise ValueError("SPANLAB_CAP must be positive")
-    return value
 
 
 def describe(name: str, g: Graph) -> dict:
@@ -164,8 +141,7 @@ def cmd_span(args: argparse.Namespace) -> int:
 
 def cmd_minwalk(args: argparse.Namespace) -> int:
     name, g = load_graph(args)
-    cap = resolve_cap(args)
-    result = min_steps(g, args.rule) if cap is None else min_steps(g, args.rule, cap=cap)
+    result = min_steps(g, args.rule)
     pair = result.pair
     dist = distance_matrix(g)
     steps = [int(dist[g.index_of(a)][g.index_of(b)])
@@ -194,10 +170,10 @@ def _label_all(g: Graph, vs) -> list[str]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     name, g = load_graph(args)
-    cap = resolve_cap(args)
+    if args.cap <= 0:
+        raise ValueError("--cap must be positive")
     met = metrics(g)
-    cert = (interval_certificate(g) if cap is None
-            else interval_certificate(g, cap=cap))
+    cert = interval_certificate(g, args.cap)
     cuts = minimal_cut_sets(g)
     interval_doc: dict = {"is_interval": cert.is_interval}
     if cert.intervals is not None:

@@ -26,4 +26,4 @@ class GraphParseError(SpanlabError):
 
 
 class CapacityError(SpanlabError):
-    """An exact search would exceed its configured size cap."""
+    """An exact search would exceed a size cap or a work budget."""

@@ -101,8 +101,7 @@ class Graph:
 @dataclass(frozen=True)
 class Metrics:
     """Eccentricities, radius and diameter of ``graph``, read off its
-    distance balls, plus the distance matrix and the girth, each computed
-    on first use.
+    distance balls, plus the girth, computed on first use.
 
     Unreachable pairs carry the infinity sentinel, so every eccentricity of
     a disconnected graph is infinite; ``girth`` is infinite for acyclic
@@ -113,10 +112,6 @@ class Metrics:
     ecc: tuple[float, ...]
     radius: float
     diameter: float
-
-    @property
-    def dist(self) -> tuple[tuple[float, ...], ...]:
-        return distance_matrix(self.graph)
 
     @cached_property
     def girth(self) -> float:
@@ -209,7 +204,7 @@ def distance_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
 
 
 def metrics(g: Graph) -> Metrics:
-    """Eccentricities, radius and diameter; distances and girth on demand.
+    """Eccentricities, radius and diameter; girth on demand.
 
     The eccentricity of u is the first level at which u's distance ball
     (``distance_balls``) holds every vertex, and infinite if none does.

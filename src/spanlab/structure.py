@@ -18,6 +18,11 @@ from dataclasses import dataclass
 from .errors import CapacityError
 from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, members
 
+# size caps: vertices for interval representations and end-clique searches,
+# and the largest cut set enumerated
+INTERVAL_CAP = 12
+CUT_CAP = 4
+
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques (Bron-Kerbosch with pivoting), sorted."""
@@ -220,7 +225,7 @@ def is_interval(g: Graph) -> bool:
     return is_chordal(g).chordal and find_asteroidal_triple(g) is None
 
 
-def interval_certificate(g: Graph, cap: int = 12) -> IntervalCertificate:
+def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertificate:
     chord = is_chordal(g)
     if not chord.chordal:
         return IntervalCertificate(False, None, chord.chordless_cycle, None)
@@ -259,7 +264,7 @@ def interval_certificate(g: Graph, cap: int = 12) -> IntervalCertificate:
     return IntervalCertificate(True, tuple(intervals), None, None)
 
 
-def end_cliques(g: Graph, cap: int = 12) -> list[tuple[int, ...]]:
+def end_cliques(g: Graph) -> list[tuple[int, ...]]:
     """Maximal cliques that can head a consecutive clique ordering and own a
     simplicial vertex lying in no other maximal clique.
 
@@ -268,8 +273,9 @@ def end_cliques(g: Graph, cap: int = 12) -> list[tuple[int, ...]]:
     """
     if not is_interval(g):
         raise ValueError("end-cliques are defined for interval graphs only")
-    if g.n > cap:
-        raise CapacityError(f"end-clique search is capped at n <= {cap}, got n={g.n}")
+    if g.n > INTERVAL_CAP:
+        raise CapacityError(
+            f"end-clique search is capped at n <= {INTERVAL_CAP}, got n={g.n}")
     cliques = maximal_cliques(g)
     found = []
     for ci, c in enumerate(cliques):
@@ -299,7 +305,7 @@ class CutSetCatalog:
 SEPARATOR_BUDGET = 20_000
 
 
-def minimal_cut_sets(g: Graph, cap: int = 4) -> CutSetCatalog:
+def minimal_cut_sets(g: Graph, cap: int = CUT_CAP) -> CutSetCatalog:
     """All inclusion-minimal cut sets of size <= cap, in the order of
     ``combinations`` by size, each with the components of g - S ordered by
     least vertex.

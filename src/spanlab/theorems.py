@@ -15,7 +15,7 @@ from .families import complete_graph, path_graph
 from .graphs import Graph, induced_subgraph, is_connected, metrics, to_graph6
 from .products import EDGE, RULES, VERTEX, Rule
 from .spans import rule_spans, vertex_span
-from .structure import augment, end_cliques, is_interval, minimal_cut_sets
+from .structure import INTERVAL_CAP, augment, end_cliques, is_interval, minimal_cut_sets
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -23,9 +23,6 @@ NOT_APPLICABLE = "not-applicable"
 # the hypothesis holds, but the graph is over a size cap of the check
 SKIPPED_BY_CAP = "skipped-by-cap"
 
-# default size caps: cut sets enumerated, and vertices for interval certificates
-CUT_CAP = 4
-INTERVAL_CAP = 12
 # lobe unions the span-1 structure check may compute spans for, over all
 # cuts: about 3 s of span calls on unions of 40 vertices
 LOBE_UNION_BUDGET = 1_000
@@ -166,7 +163,7 @@ def check_span1_structure(h: Graph, name: str = "graph",
         checks = tuple(Check(c, NOT_APPLICABLE) for c in _SPAN1_CHECKS)
         return TheoremReport(graph_name=name, graph6=g6, checks=checks)
 
-    catalog = minimal_cut_sets(h, cap=CUT_CAP)
+    catalog = minimal_cut_sets(h)
     classes = [_lobe_classes(h, cut.vertices, cut.components) for cut in catalog.sets]
     unions = sum(prod(len(c) + 1 for c in cls) - 2 for cls in classes)
     if unions > LOBE_UNION_BUDGET:
@@ -264,11 +261,10 @@ def check_interval_theorems(h: Graph, name: str = "graph",
         checks.append(Check("tree-characterization", NOT_APPLICABLE))
 
     if iv and 2 <= h.n <= INTERVAL_CAP:
-        checks.append(_augmentation_check("end-clique-augmentation", h,
-                                          end_cliques(h, cap=INTERVAL_CAP)))
+        checks.append(_augmentation_check("end-clique-augmentation", h, end_cliques(h)))
         checks.append(_augmentation_check(
             "cut-clique-augmentation", h,
-            [cut.vertices for cut in minimal_cut_sets(h, cap=CUT_CAP).sets if cut.is_clique]))
+            [cut.vertices for cut in minimal_cut_sets(h).sets if cut.is_clique]))
     else:
         status = SKIPPED_BY_CAP if iv and h.n > INTERVAL_CAP else NOT_APPLICABLE
         checks.append(Check("end-clique-augmentation", status))

@@ -248,22 +248,16 @@ def walk_pair_from_codes(h: Graph, rule: Rule | str, codes: tuple[int, ...]) -> 
     return WalkPair(alice=alice, bob=bob, rule=rule, safety=safety, moves=len(codes) - 1)
 
 
-def min_steps(h: Graph, rule: Rule | str, cap: int | None = None) -> MinWalkResult:
+def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
     """Span plus the shortest covering walk pair that attains it.
 
     The search stops with ``CapacityError`` once its work passes
     ``WALK_BUDGET``.  Before any work, a product of more than
-    ``PRODUCT_ARC_LIMIT`` arcs is refused, and an explicit ``cap`` refuses
-    graphs with more than ``cap`` vertices.
+    ``PRODUCT_ARC_LIMIT`` arcs is refused.
     """
     rule = as_rule(rule)
     if not is_connected(h):
         raise ValueError("minimum-step search is defined for connected graphs only")
-    if cap is not None and h.n > cap:
-        raise CapacityError(
-            f"covering-walk search tracks {h.n * h.n} pair positions x 4**{h.n} "
-            f"cover masks = {h.n * h.n * 4**h.n} states; n={h.n} exceeds cap {cap}"
-        )
     arcs = product_arcs(h, rule)
     if arcs > PRODUCT_ARC_LIMIT:
         raise CapacityError(

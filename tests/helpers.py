@@ -13,8 +13,7 @@ from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, Rule,
                      edge_good_components, good_components, induced_subgraph,
                      minimal_cut_sets, random_connected_graph, safety_subgraph,
                      to_graph6, vertex_span)
-from spanlab.theorems import (CUT_CAP, HOLDS, NOT_APPLICABLE, VIOLATED, Check,
-                              TheoremReport)
+from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check, TheoremReport
 
 
 def nx_to_graph(gx) -> Graph:
@@ -297,7 +296,7 @@ def naive_span1_structure(h: Graph) -> TheoremReport:
         return TheoremReport("graph", g6, tuple(Check(c, NOT_APPLICABLE) for c in names))
     clique_ok = lobes_ok = join_ok = True
     witness: dict = {}
-    for cut in minimal_cut_sets(h, cap=CUT_CAP).sets:
+    for cut in minimal_cut_sets(h).sets:
         if not cut.is_clique:
             clique_ok = False
             witness.setdefault("non_clique_cut", list(cut.vertices))

@@ -87,6 +87,21 @@ def test_analyze_interval_representation(capsys):
     assert "girth=acyclic" in out
 
 
+def test_analyze_cap_limits_the_interval_representation(capsys):
+    # path:15 is interval, but over the default cap of 12 vertices
+    code, out, err = run(capsys, "analyze", "--family", "path:15")
+    assert (code, out) == (3, "")
+    assert "is_interval=True" in err
+    code, out, _ = run(capsys, "analyze", "--family", "path:15", "--cap", "15",
+                       "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["results"]["interval"]["intervals"]) == 15
+    for cap in ("0", "-2"):
+        code, out, err = run(capsys, "analyze", "--family", "path:15", "--cap", cap)
+        assert (code, out) == (2, "")
+        assert err == "spanlab: error: --cap must be positive\n"
+
+
 def test_verify_single_fixture(capsys):
     code, out, _ = run(capsys, "verify", "--fixture", "figure3")
     assert code == 0
@@ -209,20 +224,21 @@ def test_usage_errors_exit_2():
 
 
 def test_cap_only_on_commands_that_read_it(capsys):
-    # span, verify and generate have no size cap to override
-    for command in ("span", "verify", "generate"):
+    # only analyze has a size cap to override; minwalk's search has a work
+    # budget instead
+    for command in ("span", "minwalk", "verify", "generate"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--fixture", "figure1", "--cap", "3"])
         assert exc.value.code == 2
         assert "--cap" in capsys.readouterr().err
     assert run(capsys, "analyze", "--fixture", "figure1", "--cap", "6")[0] == 0
-    assert run(capsys, "minwalk", "--fixture", "figure1", "--cap", "6")[0] == 0
 
 
-def test_exit_3_on_capacity(capsys):
-    code, _, err = run(capsys, "minwalk", "--family", "path:6", "--cap", "5")
-    assert code == 3
-    assert "capacity" in err
+def test_exit_3_on_capacity(capsys, monkeypatch):
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 50)
+    code, out, err = run(capsys, "minwalk", "--family", "path:6")
+    assert (code, out) == (3, "")
+    assert "spanlab: capacity:" in err and "budget of 50" in err
     # the traditional product of interval:200:1 has 630M arcs: refused before
     # it is built, not killed for lack of memory
     start = time.perf_counter()
@@ -242,17 +258,6 @@ def test_hopeless_random_family_fails_fast_with_exit_3(capsys):
     assert time.perf_counter() - start < 20
 
 
-def test_env_cap_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("SPANLAB_CAP", "5")
-    code, _, _ = run(capsys, "minwalk", "--family", "path:6")
-    assert code == 3
-    # an explicit flag overrides the environment
-    code, _, _ = run(capsys, "minwalk", "--family", "path:6", "--cap", "8")
-    assert code == 0
-    monkeypatch.setenv("SPANLAB_CAP", "banana")
-    assert run(capsys, "minwalk", "--family", "path:6")[0] == 2
-
-
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "spanlab", "span", "--fixture", "figure1",
@@ -266,7 +271,6 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
     # the parser is built once per process; each call through it must print
     # and exit exactly as a fresh interpreter does
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("SPANLAB_CAP", raising=False)
     src = str(Path(spanlab.__file__).resolve().parents[1])
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -275,8 +279,8 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
         ["--help"],
         ["minwalk", "--help"],
         ["span", "--fixture", "figure1"],
-        ["minwalk", "--fixture", "figure1", "--cap", "6", "--format", "json"],
-        ["minwalk", "--family", "path:6", "--cap", "5"],
+        ["analyze", "--fixture", "figure1", "--cap", "6", "--format", "json"],
+        ["minwalk", "--family", "interval:200:1"],
         ["analyze", "--fixture", "figure2"],
         ["verify", "--fixture", "figure3", "--format", "json"],
         ["generate", "--family", "interval:10", "--seed", "3"],

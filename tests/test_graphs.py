@@ -153,7 +153,7 @@ def _assert_eccentricities(met, dist):
     ecc = tuple(max(row) for row in dist)
     assert met.ecc == ecc, met.graph.adj
     assert (met.radius, met.diameter) == (min(ecc, default=0), max(ecc, default=0))
-    assert met.dist is distance_matrix(met.graph)
+    assert distance_matrix(met.graph) is distance_matrix(met.graph)
 
 
 def test_distance_matrix_against_floyd_warshall():

@@ -170,7 +170,7 @@ def test_interval_certificate_negative_witnesses():
 def test_interval_certificate_capacity():
     g = path_graph(15)
     with pytest.raises(CapacityError) as exc:
-        interval_certificate(g, cap=12)
+        interval_certificate(g)
     assert "is_interval=True" in str(exc.value)
     # recognition itself has no cap
     assert is_interval(g)
@@ -180,6 +180,14 @@ def test_end_cliques_examples():
     assert end_cliques(path_graph(3)) == [(0, 1), (1, 2)]
     assert end_cliques(complete_graph(4)) == [(0, 1, 2, 3)]
     assert end_cliques(star_graph(3)) == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_end_cliques_at_the_interval_cap():
+    # a path on INTERVAL_CAP vertices still answers; one more is refused
+    assert end_cliques(path_graph(12)) == [(0, 1), (10, 11)]
+    with pytest.raises(CapacityError) as exc:
+        end_cliques(path_graph(13))
+    assert "n <= 12, got n=13" in str(exc.value)
 
 
 def test_end_cliques_require_interval_graph():

@@ -10,7 +10,7 @@ from spanlab import (CapacityError, Graph, Rule, check_interval_theorems,
                      check_span1_structure, check_span_inequalities, complete_graph,
                      cycle_graph, fixture, generate_family, minimal_cut_sets, parse_graph6,
                      path_graph, subdivided_star, to_graph6, vertex_span)
-from spanlab.theorems import (_KEYED_LOBE_SIZE, CUT_CAP, HOLDS, NOT_APPLICABLE,
+from spanlab.theorems import (_KEYED_LOBE_SIZE, HOLDS, NOT_APPLICABLE,
                               SKIPPED_BY_CAP, VIOLATED, Check, TheoremReport, _lobe_classes)
 
 
@@ -200,7 +200,7 @@ def test_lobe_classes_match_s_fixing_isomorphisms():
 
     pairs = 0
     for g in structure_graphs():
-        for cut in minimal_cut_sets(g, cap=CUT_CAP).sets:
+        for cut in minimal_cut_sets(g).sets:
             parts = cut.components
             classes = _lobe_classes(g, cut.vertices, parts)
             assert sorted(i for c in classes for i in c) == list(range(len(parts)))
@@ -222,7 +222,7 @@ def test_lobe_classes_match_s_fixing_isomorphisms():
     assert pairs > 1000
     # paths {1, 2, 3} and {4, 5, 6}, triangles {7, 8, 9} and {10, 11, 12}, tail {13, 14}
     g = fan()
-    (cut,) = [c for c in minimal_cut_sets(g, cap=CUT_CAP).sets if c.vertices == (0,)]
+    (cut,) = [c for c in minimal_cut_sets(g).sets if c.vertices == (0,)]
     assert _lobe_classes(g, cut.vertices, cut.components) == [[0, 1], [2, 3], [4]]
 
 
@@ -290,7 +290,7 @@ def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):
     assert check["join-all-but-two"].status == HOLDS
     bad = check["lobe-unions-span-1"]
     assert bad.status == VIOLATED
-    cuts = {c.vertices: c for c in minimal_cut_sets(g, cap=CUT_CAP).sets}
+    cuts = {c.vertices: c for c in minimal_cut_sets(g).sets}
     union = bad.witness["bad_lobe_union"]
     parts = cuts[tuple(union["cut"])].components
     assert union["lobes"] == sorted(set(union["lobes"]))

@@ -89,12 +89,6 @@ def test_walk_pair_from_codes():
     assert pair.moves == 1
 
 
-def test_capacity_error_mentions_state_count():
-    with pytest.raises(CapacityError) as exc:
-        min_steps(path_graph(6), "traditional", cap=5)
-    assert "states" in str(exc.value)
-
-
 def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
     # more than 10 vertices, solved well inside the budget
     assert min_steps(star_graph(10), "traditional").moves == 19
