@@ -1,14 +1,15 @@
 """Self-products of a graph under the three movement rules.
 
 A product vertex is the pair code ``u * n + v``: player A at u, player B at
-v.  Edges encode one simultaneous step of the two players:
+v.  Edges encode one step of the two players, in which each player stays or
+moves to a neighbour, not both staying.  A rule is two facts about a step:
 
-- traditional: each player stays or moves to a neighbour, not both staying;
-- active: both players move along an edge;
-- lazy: exactly one player moves along an edge.
+- ``solo``: one player may move while the other stays;
+- ``joint``: both players may move at once.
 
-``safety_subgraph`` restricts a product to the pairs whose distance in the
-base graph is at least a threshold k, which is what span search needs.
+Traditional allows both kinds of step, active only joint ones and lazy only
+solo ones.  ``safety_subgraph`` restricts a product to the pairs whose
+distance in the base graph is at least a threshold k.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ class Rule(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    @property
+    def solo(self) -> bool:
+        """A step may move one player while the other stays."""
+        return self is not Rule.ACTIVE
+
+    @property
+    def joint(self) -> bool:
+        """A step may move both players at once."""
+        return self is not Rule.LAZY
 
 
 RULES = (Rule.TRADITIONAL, Rule.ACTIVE, Rule.LAZY)
@@ -68,42 +79,26 @@ def build_product(h: Graph, rule: Rule | str) -> ProductGraph:
     rule = as_rule(rule)
     n = h.n
     dist = distance_matrix(h)
+    stay = [(w,) for w in range(n)]
+    # (A's moves, B's moves) per kind of step the rule allows
+    kinds = (([(h.adj, stay), (stay, h.adj)] if rule.solo else [])
+             + ([(h.adj, h.adj)] if rule.joint else []))
     adj: dict[int, tuple[int, ...]] = {}
     for u in range(n):
-        au = h.adj[u]
+        rows = [([u2 * n for u2 in a_moves[u]], b_moves) for a_moves, b_moves in kinds]
         for v in range(n):
-            av = h.adj[v]
-            code = u * n + v
-            nbrs: list[int] = []
-            if rule is Rule.TRADITIONAL:
-                for v2 in av:
-                    nbrs.append(u * n + v2)
-                for u2 in au:
-                    nbrs.append(u2 * n + v)
-                    for v2 in av:
-                        nbrs.append(u2 * n + v2)
-            elif rule is Rule.ACTIVE:
-                for u2 in au:
-                    for v2 in av:
-                        nbrs.append(u2 * n + v2)
-            else:
-                for v2 in av:
-                    nbrs.append(u * n + v2)
-                for u2 in au:
-                    nbrs.append(u2 * n + v)
-            adj[code] = tuple(sorted(nbrs))
+            adj[u * n + v] = tuple(sorted([
+                x + v2 for xs, b_moves in rows for x in xs for v2 in b_moves[v]]))
     return ProductGraph(h, rule, 0, tuple(range(n * n)), adj, dist)
 
 
 def product_arcs(h: Graph, rule: Rule | str) -> int:
     """Arc count of ``build_product(h, rule)`` from the degree sum s = 2m,
-    without building it.  The pair (u, v) has deg u + deg v moves of one
-    player (lazy) and deg u * deg v moves of both (active); traditional
-    allows either kind.  Summed over all n^2 pairs: 2ns and s^2."""
+    without building it.  The pair (u, v) has deg u + deg v solo moves and
+    deg u * deg v joint ones; summed over all n^2 pairs, 2ns and s^2."""
     rule = as_rule(rule)
     s = 2 * h.m
-    one, both = 2 * h.n * s, s * s
-    return {Rule.LAZY: one, Rule.ACTIVE: both, Rule.TRADITIONAL: one + both}[rule]
+    return (2 * h.n * s if rule.solo else 0) + (s * s if rule.joint else 0)
 
 
 def safety_subgraph(p: ProductGraph, k: int) -> ProductGraph:

@@ -13,12 +13,11 @@ at level 0 and otherwise the complement of the ball of radius L - 1 around
 u.  Pair code u * n + v stands for player A at u and player B at v.  The
 balls come from ``graphs.distance_balls``, grown once per graph and cached
 on it; the radius, from ``graphs.metrics``, is read off the same balls.
-A component is flooded a frontier of rows at a time.  Under the
-traditional and active rules a frontier row of u is dilated by B's step
-masks, the closed neighbourhoods N[v] or the open ones N(v), and ORed into
-the rows A moves to from u: N[u] or N(u).  Under the lazy rule one
-coordinate moves per step, so the dilated frontier goes into row u and the
-frontier itself into the rows of u's neighbours.  Each row update is a few
+A component is flooded a frontier of rows at a time.  Dilating the frontier
+F of row u by the open neighbourhoods N(v) gives D, the positions B can
+step to.  A solo step (``Rule.solo``) sends D into row u (B moves, A stays)
+and F into the rows of N(u) (A moves, B stays).  A joint step
+(``Rule.joint``) sends D into the rows of N(u).  Each row update is a few
 big-integer operations (a dilation costs one table lookup per byte of the
 row), so a level's work follows the row updates, not the product's arcs:
 about (deg u + 1)(deg v + 1) per pair under the traditional rule.
@@ -33,8 +32,10 @@ components in ascending order of least code, which is the order of
 ``good_components``, and the certificate is the first one.  Edge-good
 components are good, so the edge span descends from the vertex span,
 testing the good components of each level in that order.  A component with
-rows R passes when, for every base edge u u2, dilate(R[u]) & R[u2] != 0
-(lazy: R[u] & R[u2]), on its rows and again on their transpose.
+rows R passes when every base edge u u2 carries one of its arcs that moves
+A from u to u2.  B's end of such an arc lies in R[u] if solo and in
+dilate(R[u]) if joint, and it must meet R[u2].  The test runs on the rows
+and again on their transpose.
 
 The component functions below rescan one built product; the covering-walk
 search uses ``good_components``, and the tests use all three as the
@@ -155,24 +156,11 @@ def flood_spans(h: Graph, rule: Rule,
     """
     n = h.n
     full = (1 << n) - 1
-    opened = h.nbr
-    closed = [mask | 1 << v for v, mask in enumerate(opened)]
+    adj = h.adj
+    step = _dilation(h.nbr)         # B's moves from a set of vertices
+    solo, joint = rule.solo, rule.joint
     balls = distance_balls(h)
     rad = int(metrics(h).radius)
-    # One product move from pair (u, v): B steps into ``step(v)`` while A
-    # goes to a row in ``both[u]``, or B stays while A goes to a row in
-    # ``a_only[u]``.  An arc that moves A from u to a neighbour has B's end
-    # in ``edge_step(v)`` (None: at v itself).
-    if rule is Rule.TRADITIONAL:
-        step = edge_step = _dilation(closed)
-        both = [(u, *h.adj[u]) for u in range(n)]
-        a_only = [()] * n
-    elif rule is Rule.ACTIVE:
-        step = edge_step = _dilation(opened)
-        both, a_only = h.adj, [()] * n
-    else:
-        step, edge_step = _dilation(opened), None
-        both, a_only = [(u,) for u in range(n)], h.adj
     edges = h.edges()
 
     def flood(avail: list[int], start: int) -> list[int]:
@@ -186,7 +174,11 @@ def flood_spans(h: Graph, rule: Rule,
             u = stack.pop()
             front = pending[u]
             pending[u] = 0
-            for reach, rows in ((step(front), both[u]), (front, a_only[u])):
+            # B moves alone into row u; A moves into the rows of N(u), alone
+            # (B's front stays put) or jointly (B moves too)
+            d = step(front)
+            for reach, rows in ((d if solo else 0, (u,)),
+                                ((front if solo else 0) | (d if joint else 0), adj[u])):
                 for w in rows:
                     new = reach & avail[w]
                     if new:
@@ -215,7 +207,8 @@ def flood_spans(h: Graph, rule: Rule,
         # cols[v]: the u with (u, v) in comp; zip transposes the bit matrix
         cols = [int("".join(col)[::-1], 2) for col in zip(*_bit_strings(comp, n))]
         for rows in (comp, cols):
-            moved = rows if edge_step is None else list(map(edge_step, rows))
+            # B's end of an arc on which A moves from the row: stays or moves
+            moved = [(r if solo else 0) | (step(r) if joint else 0) for r in rows]
             if not all(moved[u] & rows[w] for u, w in edges):
                 return False
         return True

@@ -31,11 +31,11 @@ are first visits, and the rest are "extra".
   so P = sum of r(l) - max r(l) over the uncovered leaves.
 
 The two terms count landings in the same gaps, so only their max is sure.
-Stays only lengthen a walk, so the bound holds for every rule.  One product
-move moves each player at most once (traditional, active), so the pair
-needs the max of the two players' bounds; under the lazy rule exactly one
-player moves, so it needs their sum.  The bound is memoised per
-(position, visited set): at most n * 2^n entries per player.
+Stays only lengthen a walk, so the bound holds for every rule.  The pair
+needs the max of the two players' bounds when a step may move both players
+(``Rule.joint``), else their sum, since then each step moves one player.
+The bound is memoised per (position, visited set): at most n * 2^n entries
+per player.
 
 Least walk.  A memo keeps, per cover state, the largest number of moves
 left with which it is known to fail.  Both prunings drop only branches that
@@ -178,7 +178,7 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
     shift = 2 * n
     adj = p.adj
     bound = player_bound(p.base)
-    combine = add if p.rule is Rule.LAZY else max
+    combine = max if p.rule.joint else add
     memo: dict[int, int] = {}       # pos << n | visited -> player bound
     failed: dict[int, int] = {}     # cover state -> largest failing moves left
     work = 0
@@ -276,33 +276,30 @@ def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
 def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:
     """Check step legality, coverage, and the safety threshold k.
 
-    Simultaneous stays are legal under traditional rules (walks may repeat a
-    vertex) and under active rules (both players pausing keeps them aligned),
-    but not under lazy rules, where exactly one player moves per step.
+    In a legal step each player stays or moves along an edge.  A step that
+    moves exactly one player needs ``Rule.solo``; one that moves both, or
+    neither (the walks pause together), needs ``Rule.joint``.
     """
     if len(pair.alice) != len(pair.bob):
         raise ValueError("walks must have equal length")
     if not pair.alice:
         raise ValueError("walks must be non-empty")
+    if not is_connected(h):
+        raise ValueError("walk validation is defined for connected graphs only")
     ai = [h.index_of(x) for x in pair.alice]
     bi = [h.index_of(x) for x in pair.bob]
     dist = distance_matrix(h)
-    rule = pair.rule
+    solo, joint = pair.rule.solo, pair.rule.joint
     illegal = []
     for t in range(len(ai) - 1):
         a_stay, b_stay = ai[t] == ai[t + 1], bi[t] == bi[t + 1]
-        a_move = h.has_edge(ai[t], ai[t + 1])
-        b_move = h.has_edge(bi[t], bi[t + 1])
-        if rule is Rule.TRADITIONAL:
-            ok = (a_stay or a_move) and (b_stay or b_move)
-        elif rule is Rule.ACTIVE:
-            ok = (a_move and b_move) or (a_stay and b_stay)
-        else:
-            ok = (a_move and b_stay) or (a_stay and b_move)
-        if not ok:
+        if not ((a_stay or h.has_edge(ai[t], ai[t + 1]))
+                and (b_stay or h.has_edge(bi[t], bi[t + 1]))
+                and (solo if a_stay != b_stay else joint)):
             illegal.append(t)
-    missing_a = tuple(h.labels[v] for v in range(h.n) if v not in set(ai))
-    missing_b = tuple(h.labels[v] for v in range(h.n) if v not in set(bi))
+    seen_a, seen_b = set(ai), set(bi)
+    missing_a = tuple(h.labels[v] for v in range(h.n) if v not in seen_a)
+    missing_b = tuple(h.labels[v] for v in range(h.n) if v not in seen_b)
     safety = int(min(dist[a][b] for a, b in zip(ai, bi)))
     meets = safety >= k
     return WalkValidation(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import connected_atlas, random_graphs
+from helpers import connected_atlas, floyd_warshall, pair_moves, random_graphs
 from spanlab import (RULES, Rule, as_rule, build_product, complete_graph, cycle_graph,
                      safety_subgraph)
 from spanlab.products import product_arcs
@@ -19,6 +19,30 @@ def test_as_rule_accepts_names_and_rules():
     assert as_rule(Rule.LAZY) is Rule.LAZY
     with pytest.raises(ValueError):
         as_rule("sideways")
+
+
+def test_rule_facts():
+    assert [(rule.solo, rule.joint) for rule in RULES] == [
+        (True, True), (False, True), (True, False)]
+
+
+def test_product_moves_match_the_independent_generator():
+    # the product's move lists, thresholded, against helpers.pair_moves,
+    # which builds each rule's moves from the base graph on its own
+    graphs = connected_atlas(5) + random_graphs(6, 6, 7, seed=21)
+    for g in graphs:
+        n = g.n
+        dist = floyd_warshall(g)
+        rad = int(min(max(row) for row in dist))
+        for rule in RULES:
+            p = build_product(g, rule)
+            for k in range(rad + 1):
+                s = safety_subgraph(p, k)
+                for c in s.codes:
+                    a, b = divmod(c, n)
+                    expect = tuple(a2 * n + b2 for a2, b2 in
+                                   pair_moves(g, rule.value, dist, k, a, b))
+                    assert s.adj[c] == expect, (g.adj, rule, k, a, b)
 
 
 def test_k2_products_by_hand():

@@ -5,7 +5,7 @@ import pytest
 import spanlab.walks
 from helpers import (connected_atlas, least_covering_walk, naive_min_moves, random_graphs,
                      single_cover_moves)
-from spanlab import (RULES, CapacityError, Rule, WalkPair, build_product,
+from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, build_product,
                      complete_graph, cycle_graph, fixture, generate_family, min_steps,
                      path_graph, random_connected_graph, reroot_walk_pair,
                      safety_subgraph, shortest_covering_walk, star_graph,
@@ -206,6 +206,12 @@ def test_validator_reports_missing_vertices():
     assert v.missing_alice == ("2",)
     assert v.missing_bob == ("0",)
     assert not v.valid
+
+
+def test_validator_refuses_disconnected_graphs():
+    pair = WalkPair(alice=("0",), bob=("1",), rule=Rule.TRADITIONAL, safety=0, moves=0)
+    with pytest.raises(ValueError, match="connected"):
+        validate_walk_pair(pair, Graph(2), 1)
 
 
 def test_validator_threshold_check():
