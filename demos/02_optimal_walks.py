@@ -33,7 +33,8 @@ show("C4", cycle_graph(4), "lazy")
 # Paths force the players to swap ends through the middle.
 show("P4", path_graph(4), "traditional")
 
-# The figure3 fixture needs a 12-move tour at safety distance 2.
+# The figure3 fixture keeps safety distance 2 in a 9-move tour.  (The
+# pair of walks drawn in the paper for it takes 12 moves.)
 r = show("figure3", fixture("figure3"), "traditional")
 
 # Optimal walks can be re-rooted: any position a player holds at some time

@@ -219,13 +219,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(name: str, g: Graph) -> list:
-    inequalities = check_span_inequalities(g, name)
-    span = inequalities.traditional_span
-    return [inequalities, check_span1_structure(g, name, span),
-            check_interval_theorems(g, name, span)]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
@@ -243,8 +236,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     skipped = 0
     capped = 0
     violations = []
+    checkers = (check_span_inequalities, check_span1_structure, check_interval_theorems)
     for name, g in runs:
-        for report in _verify_one(name, g):
+        # one graph object for all three checkers: they share its level scans
+        for report in (checker(g, name) for checker in checkers):
             for check in report.checks:
                 if check.status in (NOT_APPLICABLE, SKIPPED_BY_CAP):
                     skipped += 1

@@ -25,7 +25,7 @@ _GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Undirected simple graph with ordered vertices and distinct labels."""
 
-    __slots__ = ("n", "labels", "adj", "_label_index", "_dist", "_nbr", "_balls")
+    __slots__ = ("n", "labels", "adj", "_label_index", "_dist", "_nbr", "_balls", "_scans")
 
     def __init__(
         self,
@@ -58,6 +58,7 @@ class Graph:
         self._dist: tuple[tuple[float, ...], ...] | None = None
         self._nbr: tuple[int, ...] | None = None
         self._balls: tuple[tuple[int, ...], ...] | None = None
+        self._scans: dict | None = None     # rule -> spans.LevelScan
 
     @property
     def nbr(self) -> tuple[int, ...]:

@@ -57,17 +57,15 @@ def as_rule(rule: Rule | str) -> Rule:
 class ProductGraph:
     """A distance-thresholded self-product of a base graph."""
 
-    __slots__ = ("base", "rule", "threshold", "codes", "adj", "dist")
+    __slots__ = ("base", "rule", "threshold", "codes", "adj")
 
     def __init__(self, base: Graph, rule: Rule, threshold: int,
-                 codes: tuple[int, ...], adj: dict[int, tuple[int, ...]],
-                 dist: tuple[tuple[float, ...], ...]):
+                 codes: tuple[int, ...], adj: dict[int, tuple[int, ...]]):
         self.base = base
         self.rule = rule
         self.threshold = threshold
         self.codes = codes          # surviving pair codes, ascending
         self.adj = adj              # code -> ascending neighbour codes
-        self.dist = dist            # base-graph distance matrix
 
     def __repr__(self) -> str:
         return (f"ProductGraph(rule={self.rule.value}, threshold={self.threshold}, "
@@ -78,7 +76,6 @@ def build_product(h: Graph, rule: Rule | str) -> ProductGraph:
     """Product of h with itself under the rule, threshold 0 (all n^2 pairs)."""
     rule = as_rule(rule)
     n = h.n
-    dist = distance_matrix(h)
     stay = [(w,) for w in range(n)]
     # (A's moves, B's moves) per kind of step the rule allows
     kinds = (([(h.adj, stay), (stay, h.adj)] if rule.solo else [])
@@ -89,7 +86,7 @@ def build_product(h: Graph, rule: Rule | str) -> ProductGraph:
         for v in range(n):
             adj[u * n + v] = tuple(sorted([
                 x + v2 for xs, b_moves in rows for x in xs for v2 in b_moves[v]]))
-    return ProductGraph(h, rule, 0, tuple(range(n * n)), adj, dist)
+    return ProductGraph(h, rule, 0, tuple(range(n * n)), adj)
 
 
 def product_arcs(h: Graph, rule: Rule | str) -> int:
@@ -104,8 +101,8 @@ def product_arcs(h: Graph, rule: Rule | str) -> int:
 def safety_subgraph(p: ProductGraph, k: int) -> ProductGraph:
     """Restriction of p to pair codes at base distance >= k."""
     n = p.base.n
-    dist = p.dist
+    dist = distance_matrix(p.base)
     keep = [c for c in p.codes if dist[c // n][c % n] >= k]
     keepset = set(keep)
     adj = {c: tuple(b for b in p.adj[c] if b in keepset) for c in keep}
-    return ProductGraph(p.base, p.rule, k, tuple(keep), adj, dist)
+    return ProductGraph(p.base, p.rule, k, tuple(keep), adj)

@@ -37,9 +37,14 @@ A from u to u2.  B's end of such an arc lies in R[u] if solo and in
 dilate(R[u]) if joint, and it must meet R[u2].  The test runs on the rows
 and again on their transpose.
 
-The component functions below rescan one built product; the covering-walk
-search uses ``good_components``, and the tests use all three as the
-per-threshold reference.
+The floods live in one ``LevelScan`` per graph and rule, cached on the
+graph like its balls.  It floods each level's good components lazily, in
+that order, and replays them to later calls: the span search, the span-1
+checks and the covering-walk search's roots share it, so no level of a
+graph is flooded twice.  Certificates are built per call, not cached.
+
+The component functions below rescan one built product; production code
+does not call them, and the tests use them as the per-threshold reference.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import or_
 
 from .graphs import _SELECT, Graph, distance_balls, is_connected, metrics
@@ -149,22 +154,45 @@ def _bit_strings(rows: list[int], n: int) -> list[str]:
     return [format(row, f"0{n}b")[::-1] for row in rows]
 
 
-def flood_spans(h: Graph, rule: Rule,
-                kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
-    """Spans of each of ``kinds`` of a connected graph with at least one
-    vertex, by row floods over its thresholded products (module docstring).
-    """
-    n = h.n
-    full = (1 << n) - 1
-    adj = h.adj
-    step = _dilation(h.nbr)         # B's moves from a set of vertices
-    solo, joint = rule.solo, rule.joint
-    balls = distance_balls(h)
-    rad = int(metrics(h).radius)
-    edges = h.edges()
+class LevelScan:
+    """The good components of one graph's thresholded products under one
+    rule, each level flooded on demand and kept (module docstring).  It
+    holds no reference to the graph, which reference counting still frees."""
 
-    def flood(avail: list[int], start: int) -> list[int]:
+    __slots__ = ("n", "adj", "balls", "edges", "rule", "step", "levels")
+
+    def __init__(self, h: Graph, rule: Rule, step: Callable[[int], int]):
+        self.n, self.adj, self.edges, self.rule = h.n, h.adj, h.edges(), rule
+        self.balls = distance_balls(h)
+        self.step = step                    # B's moves from a set of vertices
+        # level -> (its good components flooded so far, the codes not yet flooded)
+        self.levels: dict[int, tuple[list[list[int]], list[int]]] = {}
+
+    def good(self, level: int) -> Iterator[list[int]]:
+        """Rows of the good components at ``level`` in ascending order of
+        least pair code (module docstring): those flooded before, then new
+        floods from the least unvisited code of row 0."""
+        full = (1 << self.n) - 1
+        if level not in self.levels:
+            # row u: the v outside the ball of radius level - 1 around u;
+            # past the last ball every row is empty
+            balls = self.balls[min(level, len(self.balls)) - 1] if level else (0,) * self.n
+            self.levels[level] = [], [full ^ ball for ball in balls]
+        comps, avail = self.levels[level]
+        i = 0
+        while i < len(comps) or avail and avail[0]:
+            if i == len(comps):
+                comp = self._flood(avail, (avail[0] & -avail[0]).bit_length() - 1)
+                if not (all(comp) and reduce(or_, comp) == full):
+                    continue
+                comps.append(comp)
+            yield comps[i]
+            i += 1
+
+    def _flood(self, avail: list[int], start: int) -> list[int]:
         """Rows of the component of pair (0, start), taken out of ``avail``."""
+        n, adj, step = self.n, self.adj, self.step
+        solo, joint = self.rule.solo, self.rule.joint
         comp = [0] * n
         pending = [0] * n
         comp[0] = pending[0] = 1 << start
@@ -189,86 +217,74 @@ def flood_spans(h: Graph, rule: Rule,
                         pending[w] |= new
         return comp
 
-    def good_floods(level: int) -> Iterator[list[int]]:
-        """Good components at ``level`` in ascending order of least pair code.
-
-        A good component covers base vertex 0 in coordinate A, so its least
-        code lies in row 0; flooding from the least unvisited code of row 0
-        meets them in order and skips every component that misses row 0.
-        """
-        # row u: the v outside the ball of radius level - 1 around u
-        avail = [full ^ ball for ball in balls[level - 1]] if level else [full] * n
-        while avail[0]:
-            comp = flood(avail, (avail[0] & -avail[0]).bit_length() - 1)
-            if all(comp) and reduce(or_, comp) == full:
-                yield comp
-
-    def covers_edges(comp: list[int]) -> bool:
+    def covers_edges(self, comp: list[int]) -> bool:
+        """Whether the good component with rows ``comp`` is edge-good."""
+        solo, joint, step = self.rule.solo, self.rule.joint, self.step
         # cols[v]: the u with (u, v) in comp; zip transposes the bit matrix
-        cols = [int("".join(col)[::-1], 2) for col in zip(*_bit_strings(comp, n))]
+        cols = [int("".join(col)[::-1], 2) for col in zip(*_bit_strings(comp, self.n))]
         for rows in (comp, cols):
             # B's end of an arc on which A moves from the row: stays or moves
             moved = [(r if solo else 0) | (step(r) if joint else 0) for r in rows]
-            if not all(moved[u] & rows[w] for u, w in edges):
+            if not all(moved[u] & rows[w] for u, w in self.edges):
                 return False
         return True
 
-    def certificate(kind: str, level: int, comp: list[int]) -> tuple[int, Certificate]:
-        bits = "".join(_bit_strings(comp, n)).encode().translate(_SELECT)
-        codes = tuple(compress(range(n * n), bits))
-        return level, Certificate(rule=rule, kind=kind, threshold=level, component=codes)
 
-    # level -> (its first good component, an iterator over the later ones)
-    found: dict[int, tuple[list[int], Iterator[list[int]]]] = {}
+def level_scan(h: Graph, rule: Rule) -> LevelScan:
+    """The level scan of h under ``rule``, built on first use and cached on
+    h; an equal but distinct graph gets its own.  The dilation depends on h
+    only, so the scans of all rules share one set of its tables."""
+    scans = h._scans = h._scans or {}
+    if rule not in scans:
+        step = next(iter(scans.values())).step if scans else _dilation(h.nbr)
+        scans[rule] = LevelScan(h, rule, step)
+    return scans[rule]
 
-    def is_good(level: int) -> bool:
-        comps = good_floods(level)
-        first = next(comps, None)
-        if first is not None:
-            found[level] = first, comps
-        return first is not None
 
-    lo, hi = 0, rad
+def pair_codes(rows: list[int]) -> tuple[int, ...]:
+    """The pair codes u * n + v of the bitset rows, ascending."""
+    n = len(rows)
+    bits = "".join(_bit_strings(rows, n)).encode().translate(_SELECT)
+    return tuple(compress(range(n * n), bits))
+
+
+def flood_spans(h: Graph, rule: Rule,
+                kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
+    """Spans of each of ``kinds`` of a connected graph with at least one
+    vertex, read off its cached level scan (module docstring)."""
+    scan = level_scan(h, rule)
+    lo, hi = 0, int(metrics(h).radius)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if is_good(mid):
-            lo = mid
-        else:
+        if next(scan.good(mid), None) is None:
             hi = mid - 1
-    if lo not in found and not is_good(lo):
-        raise AssertionError("threshold 0 always admits a good component "
-                             "for a connected graph")
+        else:
+            lo = mid
+    # (level, rows) of each kind's certificate: the first good component at
+    # the vertex span, and the first edge-good one descending from it
+    firsts = {VERTEX: ((lo, comp) for comp in scan.good(lo)),
+              EDGE: ((level, comp) for level in range(lo, -1, -1)
+                     for comp in filter(scan.covers_edges, scan.good(level)))}
     out = {}
-    if VERTEX in kinds:
-        out[VERTEX] = certificate(VERTEX, lo, found[lo][0])
-    if EDGE in kinds:
-        level = lo
-        while True:
-            if level in found:
-                first, later = found[level]
-                comps = chain((first,), later)
-            else:
-                comps = good_floods(level)
-            comp = next(filter(covers_edges, comps), None)
-            if comp is not None:
-                break
-            if level == 0:
-                raise AssertionError("threshold 0 always admits an edge-good component "
-                                     "for a connected graph")
-            level -= 1
-        out[EDGE] = certificate(EDGE, level, comp)
-    return {kind: out[kind] for kind in kinds}
+    for kind in kinds:
+        level, comp = next(firsts[kind], (0, None))
+        if comp is None:
+            raise AssertionError(f"threshold 0 always admits a good component of kind "
+                                 f"{kind} for a connected graph")
+        out[kind] = level, Certificate(rule=rule, kind=kind, threshold=level,
+                                       component=pair_codes(comp))
+    return out
 
 
 def rule_spans(h: Graph, rule: Rule | str,
                kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
     """Spans of each of ``kinds`` under one rule, each with its certificate.
 
-    No product is built: ``flood_spans`` floods the thresholded products
-    row by row (module docstring).  The vertex span is the last level of
-    0 .. radius with a good component, found by binary search, since the
-    levels that have one are exactly 0 .. the span; its certificate is the
-    good component with the least pair code at that level.  The edge span
+    No product is built: ``flood_spans`` reads the graph's cached level
+    scan (module docstring).  The vertex span is the last level of 0 ..
+    radius with a good component, found by binary search, since the levels
+    that have one are exactly 0 .. the span; its certificate is the good
+    component with the least pair code at that level.  The edge span
     descends from the vertex span; its certificate is the first edge-good
     component, in the same order, at the first level that has one.
     """

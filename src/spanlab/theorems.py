@@ -42,8 +42,6 @@ class TheoremReport:
     graph_name: str
     graph6: str
     checks: tuple[Check, ...]
-    # the traditional vertex span, where the checker computed it
-    traditional_span: int | None = None
 
     @property
     def violations(self) -> tuple[Check, ...]:
@@ -101,12 +99,7 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
             spans[Rule.TRADITIONAL][0] >= 1,
             {"vertex": spans[Rule.TRADITIONAL][0]},
         ))
-    return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks),
-                         traditional_span=spans[Rule.TRADITIONAL][0])
-
-
-def _traditional_span(h: Graph, known: int | None) -> int:
-    return known if known is not None else vertex_span(h, Rule.TRADITIONAL)[0]
+    return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks))
 
 
 _SPAN1_CHECKS = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
@@ -132,8 +125,7 @@ def _lobe_classes(h: Graph, cut: tuple[int, ...],
     return list(classes.values())
 
 
-def check_span1_structure(h: Graph, name: str = "graph",
-                          traditional_span: int | None = None) -> TheoremReport:
+def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     """Structure forced on graphs with traditional vertex span 1 and no
     universal vertex: minimal cut sets are cliques, every union of S-lobes
     keeps span 1, and all but at most two lobes are full joins onto S.
@@ -148,17 +140,15 @@ def check_span1_structure(h: Graph, name: str = "graph",
     in S and its inner edges by position; a larger lobe is its own class.
     Unions of different cuts that are equal as labelled graphs (the same
     graph6) share one span.  Past ``LOBE_UNION_BUDGET`` unions over all
-    cuts the check raises ``CapacityError`` before any span.
-
-    ``traditional_span`` is h's traditional vertex span when the caller
-    already knows it, as ``check_span_inequalities`` reports it; None
-    computes it here."""
+    cuts the check raises ``CapacityError`` before any span.  h's own span
+    is read off its cached level scan, with no flood when
+    ``check_span_inequalities`` has already run on the same graph object."""
     if not is_connected(h):
         raise ValueError("span-1 structure applies to connected graphs only")
     g6 = to_graph6(h)
     applicable = (h.n >= 2
                   and max(h.degree(v) for v in range(h.n)) < h.n - 1
-                  and _traditional_span(h, traditional_span) == 1)
+                  and vertex_span(h, Rule.TRADITIONAL)[0] == 1)
     if not applicable:
         checks = tuple(Check(c, NOT_APPLICABLE) for c in _SPAN1_CHECKS)
         return TheoremReport(graph_name=name, graph6=g6, checks=checks)
@@ -233,21 +223,18 @@ def _augmentation_check(name: str, h: Graph, cliques: list[tuple[int, ...]]) -> 
     return _check(name, not witness, witness)
 
 
-def check_interval_theorems(h: Graph, name: str = "graph",
-                            traditional_span: int | None = None) -> TheoremReport:
+def check_interval_theorems(h: Graph, name: str = "graph") -> TheoremReport:
     """Interval graphs have traditional vertex span 1; trees have span 1 iff
     interval; augmenting an interval graph at an end-clique or at a clique
     minimal cut set keeps span 1.  The two augmentation checks run on
     interval graphs with at most ``INTERVAL_CAP`` vertices; on larger ones
-    their status is ``SKIPPED_BY_CAP``.
-
-    ``traditional_span`` is as for ``check_span1_structure``."""
+    their status is ``SKIPPED_BY_CAP``."""
     if not is_connected(h):
         raise ValueError("interval theorems apply to connected graphs only")
     iv = is_interval(h)
     tree = h.m == h.n - 1
     # one traditional vertex span serves both of the next two checks
-    sv = _traditional_span(h, traditional_span) if h.n >= 2 and (iv or tree) else None
+    sv = vertex_span(h, Rule.TRADITIONAL)[0] if h.n >= 2 and (iv or tree) else None
     checks = []
     if iv and h.n >= 2:
         checks.append(_check("interval-implies-span-1", sv == 1, {"vertex": sv}))

@@ -3,9 +3,10 @@
 A cover state is (pair code, visited set of player A, visited set of
 player B); the sets are vertex bitmasks.  The minimum number of moves comes
 from iterative-deepening depth-first search (IDA*, Korf 1985): for depth
-bounds D = D0, D0 + 1, ... it walks from every vertex of every good
+bounds D = D0, D0 + 1, ... it walks from every pair of every good
 component, one product move at a time, and drops a branch once a lower
-bound on the moves still needed exceeds the moves left.
+bound on the moves still needed exceeds the moves left.  The good
+components come from the graph's cached level scan (``spans.level_scan``).
 
 The per-player bound.  A player at ``pos`` who has still to visit the set U
 (pos not in U) needs at least
@@ -64,10 +65,10 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import CapacityError
-from .graphs import Graph, distance_matrix, distance_rings, flood, is_connected
+from .graphs import Graph, distance_balls, distance_matrix, flood, is_connected
 from .products import (VERTEX, ProductGraph, Rule, as_rule, build_product, product_arcs,
                        safety_subgraph)
-from .spans import good_components, rule_spans
+from .spans import level_scan, pair_codes, rule_spans
 
 # Work limit of one covering-walk search: the arcs of each cover state
 # entered plus n per per-player bound memoised.  On a 2-vCPU Xeon VM,
@@ -135,7 +136,7 @@ def player_bound(g: Graph) -> Callable[[int, int], int]:
     n = g.n
     adj = g.adj
     nbr = g.nbr
-    rings = list(distance_rings(g))
+    balls = distance_balls(g)
     # per leaf: its bit, its chain's degree-2 vertices, the chain's edge count
     pendants = []
     for leaf in range(n):
@@ -150,9 +151,8 @@ def player_bound(g: Graph) -> Callable[[int, int], int]:
     def bound(pos: int, left: int) -> int:
         if not left:
             return 0
-        ring = rings[pos]
         d = 1
-        while not ring[d] & left:
+        while not balls[d][pos] & left:
             d += 1
         comps = len(flood(nbr, left))
         back = [1 if inner >> pos & 1 else r for bit, inner, r in pendants if left & bit]
@@ -165,12 +165,15 @@ def player_bound(g: Graph) -> Callable[[int, int], int]:
 def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | None:
     """Minimum moves and the lexicographically least optimal product walk.
 
-    Returns None when the product has no good component, i.e. no single
+    ``p`` is ``build_product(h, rule)`` or its ``safety_subgraph`` at some
+    k, as in ``min_steps``: the roots are the good components of h's level
+    scan at level k, which the span search there has just flooded, and the
+    moves follow ``p.adj``.  Returns None when there is none, i.e. no single
     walk can cover all base vertices in both projections.  Iterative
     deepening under an admissible bound, as the module docstring explains;
     raises ``CapacityError`` once the work passes ``WALK_BUDGET``.
     """
-    comps = good_components(p)
+    comps = list(level_scan(p.base, p.rule).good(p.threshold))
     if not comps:
         return None
     n = p.base.n
@@ -203,7 +206,7 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
             work += n
         return combine(ha, hb)
 
-    roots = [(c, bit_a[c], bit_b[c]) for c in sorted(c for comp in comps for c in comp)]
+    roots = sorted((c, bit_a[c], bit_b[c]) for comp in comps for c in pair_codes(comp))
     for code, ma, mb in roots:
         if ma & mb == full:
             return 0, (code,)

@@ -11,7 +11,7 @@ import networkx as nx
 
 from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, Rule,
                      edge_good_components, good_components, induced_subgraph,
-                     minimal_cut_sets, random_connected_graph, safety_subgraph,
+                     metrics, minimal_cut_sets, random_connected_graph, safety_subgraph,
                      to_graph6, vertex_span)
 from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check, TheoremReport
 
@@ -203,7 +203,7 @@ def descending_span(base: ProductGraph, kind: str) -> tuple[int, Certificate]:
     return the first good (or edge-good) component found, with its
     threshold, in the same form as ``spans.rule_spans``."""
     finder = good_components if kind == VERTEX else edge_good_components
-    rad = int(min(max(row) for row in base.dist))
+    rad = int(metrics(base.base).radius)
     for k in range(rad, -1, -1):
         comps = finder(safety_subgraph(base, k))
         if comps:

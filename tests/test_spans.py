@@ -8,9 +8,9 @@ from helpers import connected_atlas, descending_span, random_graphs, spine_tree
 from spanlab import (KINDS, RULES, Graph, Rule, build_product, complete_graph,
                      cycle_graph, edge_good_components, edge_span, fixture, generate_family,
                      good_components, metrics, path_graph, product_components,
-                     random_interval_graph, safety_subgraph, span_report,
+                     random_interval_graph, safety_subgraph, span_report, to_graph6,
                      vertex_span)
-from spanlab.spans import rule_spans
+from spanlab.spans import level_scan, pair_codes, rule_spans
 
 # (rule, kind) -> value tables confirmed by the reachability oracle;
 # see test_oracle.py and the acceptance suite for the live cross-checks.
@@ -78,6 +78,48 @@ def test_good_components_require_both_projections():
     p = safety_subgraph(build_product(complete_graph(2), "lazy"), 1)
     assert product_components(p) == [(1,), (2,)]
     assert good_components(p) == []
+
+
+def test_level_scan_matches_the_product_components():
+    # the scan's good components at level k are those of the k-thresholded
+    # product, in the same order, whether flooded in one pass, resumed after
+    # the first, or replayed
+    for g in connected_atlas(6):
+        for rule in RULES:
+            base = build_product(g, rule)
+            scan = level_scan(g, rule)
+            for k in range(int(metrics(g).radius) + 2):
+                expected = good_components(safety_subgraph(base, k))
+                first = next(scan.good(k), None)
+                assert first is None or pair_codes(first) == expected[0]
+                for _ in range(2):
+                    got = [pair_codes(comp) for comp in scan.good(k)]
+                    assert got == expected, (to_graph6(g), rule, k)
+
+
+def test_level_scans_are_cached_per_graph_object(monkeypatch):
+    # a second call on one graph floods nothing; an equal but distinct
+    # graph has its own scans and floods again
+    from spanlab.spans import LevelScan
+    floods = []
+    flood = LevelScan._flood
+
+    def counting_flood(scan, avail, start):
+        floods.append(scan)
+        return flood(scan, avail, start)
+
+    monkeypatch.setattr(LevelScan, "_flood", counting_flood)
+    g, twin = fixture("figure1"), fixture("figure1")
+    assert g == twin and g is not twin
+    first = span_report(g)
+    once = len(floods)
+    assert once > 0
+    assert span_report(g) == first and len(floods) == once
+    assert span_report(twin) == first and len(floods) == 2 * once
+    assert {id(scan) for scan in floods[:once]}.isdisjoint(map(id, floods[once:]))
+    # the three rules' scans of one graph share one set of dilation tables
+    ours, theirs = ({id(level_scan(h, rule).step) for rule in RULES} for h in (g, twin))
+    assert len(ours) == len(theirs) == 1 and ours != theirs
 
 
 def test_edge_good_refines_good():

@@ -6,10 +6,12 @@ import networkx as nx
 import pytest
 
 from helpers import caterpillar, connected_atlas, naive_span1_structure, random_graphs
-from spanlab import (CapacityError, Graph, Rule, check_interval_theorems,
-                     check_span1_structure, check_span_inequalities, complete_graph,
-                     cycle_graph, fixture, generate_family, minimal_cut_sets, parse_graph6,
-                     path_graph, subdivided_star, to_graph6, vertex_span)
+from spanlab import (EDGE, FIXTURES, VERTEX, CapacityError, Graph, Rule,
+                     check_interval_theorems, check_span1_structure,
+                     check_span_inequalities, complete_graph, cycle_graph, fixture,
+                     generate_family, minimal_cut_sets, parse_graph6, path_graph,
+                     subdivided_star, to_graph6, vertex_span)
+from spanlab.spans import LevelScan
 from spanlab.theorems import (_KEYED_LOBE_SIZE, HOLDS, NOT_APPLICABLE,
                               SKIPPED_BY_CAP, VIOLATED, Check, TheoremReport, _lobe_classes)
 
@@ -113,10 +115,11 @@ def test_fuzz_random_graphs_have_no_violations():
             report = checker(g, name)
             assert report.ok, (name, report.violations)
             assert report.graph_name == name
-        # a traditional span handed in, as verify does, changes no report
-        known = check_span_inequalities(g, name).traditional_span
+        # the calls above cached g's level scans, as in verify: an equal
+        # graph with none cached floods afresh and gets the same reports
+        fresh = Graph(g.n, g.edges())
         for checker in (check_span1_structure, check_interval_theorems):
-            assert checker(g, name, known) == checker(g, name)
+            assert checker(g, name) == checker(fresh, name)
 
 
 def test_report_shape():
@@ -129,20 +132,33 @@ def test_report_shape():
 
 
 def test_verify_computes_the_traditional_span_once(monkeypatch):
-    # path:6 is an interval tree with span 1, so every checker needs its span
+    # path:6 is an interval tree with span 1, so every checker needs its
+    # span; the inequality check floods it, and the other two read it off
+    # the graph's cached level scan without a flood
     import spanlab.spans
     from spanlab.cli import main
     g = path_graph(6)
     runs = []
+    floods = []
     flood_spans = spanlab.spans.flood_spans
+    flood = LevelScan._flood
 
     def counting_floods(h, rule, kinds):
-        runs.append((h.adj, rule))
-        return flood_spans(h, rule, kinds)
+        before = len(floods)
+        out = flood_spans(h, rule, kinds)
+        runs.append((h.adj, rule, kinds, len(floods) - before, out[VERTEX][0]))
+        return out
+
+    def counting_flood(scan, avail, start):
+        floods.append(scan)
+        return flood(scan, avail, start)
 
     monkeypatch.setattr(spanlab.spans, "flood_spans", counting_floods)
+    monkeypatch.setattr(LevelScan, "_flood", counting_flood)
     assert main(["verify", "--family", "path:6", "--format", "json"]) == 0
-    assert runs.count((g.adj, Rule.TRADITIONAL)) == 1
+    traditional = [run[2:] for run in runs if run[:2] == (g.adj, Rule.TRADITIONAL)]
+    assert traditional[0][0] == (VERTEX, EDGE) and traditional[0][1] > 0
+    assert traditional[1:] == [((VERTEX,), 0, 1), ((VERTEX,), 0, 1)]
 
 
 def test_verify_calls_the_public_checkers(monkeypatch):
@@ -150,16 +166,43 @@ def test_verify_calls_the_public_checkers(monkeypatch):
     calls = []
 
     def counting(checker):
-        def wrapper(h, name="graph", traditional_span=None):
-            calls.append((checker.__name__, traditional_span))
-            return checker(h, name, traditional_span)
+        def wrapper(h, name="graph"):
+            calls.append((checker.__name__, h))
+            return checker(h, name)
         return wrapper
 
-    for checker in (check_span1_structure, check_interval_theorems):
+    for checker in (check_span_inequalities, check_span1_structure,
+                    check_interval_theorems):
         monkeypatch.setattr(spanlab.cli, checker.__name__, counting(checker))
     assert spanlab.cli.main(["verify", "--family", "path:6", "--format", "json"]) == 0
-    # path:6 has traditional vertex span 1, handed on from the inequalities
-    assert sorted(calls) == [("check_interval_theorems", 1), ("check_span1_structure", 1)]
+    # each checker once, all on one graph object, whose level scans they share
+    assert sorted(name for name, _ in calls) == [
+        "check_interval_theorems", "check_span1_structure", "check_span_inequalities"]
+    assert len({id(h) for _, h in calls}) == 1
+    assert calls[0][1] == path_graph(6)
+
+
+def test_verify_floods_each_level_once(monkeypatch, tmp_path):
+    # the graph, its lobe unions and its augmentations: no (graph, rule,
+    # level) is flooded twice, by one checker or by two
+    from spanlab.cli import main
+    flooded = []
+    good = LevelScan.good
+
+    def counting(scan, level):
+        if level not in scan.levels:
+            flooded.append((scan.adj, scan.rule, level))
+        return good(scan, level)
+
+    monkeypatch.setattr(LevelScan, "good", counting)
+    path = tmp_path / "caterpillar.g6"
+    path.write_text(to_graph6(caterpillar(6)) + "\n")
+    sources = ([["--fixture", name] for name in sorted(FIXTURES)]
+               + [["--family", "path:8"], ["--family", "interval:12"], ["--file", str(path)]])
+    for source in sources:
+        flooded.clear()
+        assert main(["verify", *source]) == 0
+        assert len(flooded) > 3 and len(set(flooded)) == len(flooded), source
 
 
 def fan():
@@ -256,12 +299,14 @@ def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
     path = tmp_path / "caterpillar.g6"
     path.write_text(to_graph6(caterpillar(10)) + "\n")
     assert main(["verify", "--file", str(path), "--format", "json"]) == 0
-    assert len(calls) == 30
+    # lobe unions, not the checkers' cached spans of the caterpillar itself
+    assert len([n for n in calls if n < 22]) == 30
 
 
 def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
     # on a path every vertex but the ends is a cut with two lobes; its unions
-    # are shorter paths, one span per length from 2 to n - 1 over all cuts
+    # are shorter paths, one span per length from 2 to n - 1 over all cuts,
+    # besides the span of the path itself
     import spanlab.theorems
     calls = []
 
@@ -272,9 +317,9 @@ def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
     monkeypatch.setattr(spanlab.theorems, "vertex_span", counting_span)
     for n in (10, 60):
         calls.clear()
-        report = check_span1_structure(path_graph(n), traditional_span=1)
+        report = check_span1_structure(path_graph(n))
         assert report.ok
-        assert sorted(calls) == list(range(2, n))
+        assert sorted(calls) == [*range(2, n), n]
 
 
 def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):

@@ -76,8 +76,11 @@ def test_min_steps_builds_the_product_once(monkeypatch):
 
 
 def test_shortest_covering_walk_none_without_good_component():
-    # K2 lazy at threshold 1 has no good component
+    # K2 lazy at threshold 1 has no good component, and no rule has one at
+    # a threshold past the diameter, where every pair is cut off
     p = safety_subgraph(build_product(complete_graph(2), "lazy"), 1)
+    assert shortest_covering_walk(p) is None
+    p = safety_subgraph(build_product(path_graph(3), "traditional"), 5)
     assert shortest_covering_walk(p) is None
 
 
@@ -142,6 +145,9 @@ def test_least_optimal_walks_beyond_five_vertices():
     graphs = [generate_family(spec)
               for spec in ("star:6", "star:7", "subdivided-star:4", "path:8")]
     graphs += [random_connected_graph(n, p=0.3, seed=s) for s in range(6) for n in (7, 8)]
+    # two good components at its active span, and the least optimal active
+    # walk lies in the second: the search needs the roots of both
+    graphs.append(Graph(7, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 5), (4, 5), (5, 6)]))
     span_one = 0
     for g in graphs:
         for rule in RULES:
