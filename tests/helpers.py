@@ -153,6 +153,36 @@ def naive_min_moves(g: Graph, rule: str, k: int) -> int | None:
     return None
 
 
+def naive_edge_cover(g: Graph, rule: str, k: int) -> bool:
+    """Independent edge-cover feasibility: can two players, starting at
+    distance >= k and keeping it, each traverse every edge?  Plain
+    reachability over (positions, A's traversed edges, B's traversed edges)
+    states, seeded with every admissible start pair at once, with no
+    component decomposition and no product machinery.  A player that moves
+    along an edge adds its bit to its own mask; one that stays adds
+    nothing.  The search is depth first, so a feasible threshold is
+    usually settled long before every state is seen."""
+    n = g.n
+    dist = floyd_warshall(g)
+    bit = {}
+    for i, (u, v) in enumerate(g.edges()):
+        bit[u, v] = bit[v, u] = 1 << i
+    full = (1 << g.m) - 1
+    moves_from = [[pair_moves(g, rule, dist, k, a, b) for b in range(n)] for a in range(n)]
+    stack = [(a, b, 0, 0) for a in range(n) for b in range(n) if dist[a][b] >= k]
+    seen = set(stack)
+    while stack:
+        a, b, ma, mb = stack.pop()
+        if ma == full and mb == full:
+            return True
+        for a2, b2 in moves_from[a][b]:
+            state = (a2, b2, ma | bit.get((a, a2), 0), mb | bit.get((b, b2), 0))
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return False
+
+
 def least_covering_walk(g: Graph, rule: str, k: int, moves: int) -> tuple[int, ...] | None:
     """Independent lexicographically least covering walk, as pair codes
     ``a * n + b``, with exactly ``moves`` moves at distance >= k.
