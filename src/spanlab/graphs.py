@@ -217,17 +217,6 @@ def metrics(g: Graph) -> Metrics:
                    diameter=max(ecc, default=0))
 
 
-def radius(g: Graph) -> float:
-    """The radius of ``metrics`` without the other eccentricities: the
-    first level of ``distance_balls`` that holds a full ball, infinite if
-    none does, and 0 for the empty graph."""
-    full = (1 << g.n) - 1
-    for d, level in enumerate(distance_balls(g)):
-        if full in level:
-            return d
-    return INFINITY if g.n else 0
-
-
 def flood(nbr: Sequence[int], left: int) -> list[tuple[int, int]]:
     """Components of the vertex bitmask ``left`` under the neighbour
     bitmasks ``nbr``, by least vertex, each with its neighbourhood: pairs

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapacityError
-from .graphs import Graph, distance_balls, is_connected, members, radius
+from .graphs import Graph, distance_balls, is_connected, members, metrics
 from .products import EDGE, VERTEX, Rule, as_rule
 
 
@@ -143,7 +143,7 @@ def brute_force_span(h: Graph, rule: Rule | str, kind: str, cap: int = 6) -> int
     if h.n > cap:
         raise CapacityError(f"brute-force oracle is capped at n <= {cap}, got n={h.n}")
     feasible = _vertex_feasible if kind == VERTEX else _edge_feasible
-    for k in range(radius(h), -1, -1):
+    for k in range(int(metrics(h).radius), -1, -1):
         if feasible(h, rule, k):
             return k
     raise AssertionError("threshold 0 is always feasible for a connected graph")

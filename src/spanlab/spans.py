@@ -12,7 +12,7 @@ bitsets: row u is the set of v with dist(u, v) >= L, which is every vertex
 at level 0 and otherwise the complement of the ball of radius L - 1 around
 u.  Pair code u * n + v stands for player A at u and player B at v.  The
 balls come from ``graphs.distance_balls``, grown once per graph and cached
-on it; the radius, from ``graphs.radius``, is read off the same balls.
+on it; the radius, from ``graphs.metrics``, is read off the same balls.
 A component is flooded a frontier of rows at a time.  Dilating the frontier
 F of row u by the open neighbourhoods N(v) gives D, the positions B can
 step to.  A solo step (``Rule.solo``) sends D into row u (B moves, A stays)
@@ -56,7 +56,7 @@ from functools import reduce
 from itertools import compress
 from operator import or_
 
-from .graphs import _SELECT, Graph, distance_balls, is_connected, radius
+from .graphs import _SELECT, Graph, distance_balls, is_connected, metrics
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
 
 
@@ -253,7 +253,7 @@ def flood_spans(h: Graph, rule: Rule,
     """Spans of each of ``kinds`` of a connected graph with at least one
     vertex, read off its cached level scan (module docstring)."""
     scan = level_scan(h, rule)
-    lo, hi = 0, int(radius(h))
+    lo, hi = 0, int(metrics(h).radius)
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if next(scan.good(mid), None) is None:

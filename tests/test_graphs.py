@@ -18,7 +18,7 @@ from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
                      induced_subgraph, is_connected, metrics,
                      parse_edgelist, parse_graph, parse_graph6, path_graph,
                      random_connected_graph, random_interval_graph, to_graph6)
-from spanlab.graphs import distance_balls, distance_rings, radius
+from spanlab.graphs import distance_balls, distance_rings
 
 
 def test_basic_construction():
@@ -191,17 +191,6 @@ def test_distance_kernel_on_long_paths_and_cycles():
             assert [list(row) for row in distance_matrix(g)] == ref, g
             assert list(distance_rings(g)) == _rings_by_definition(ref, n), g
             _assert_eccentricities(metrics(g), ref)
-
-
-def test_radius_matches_metrics():
-    # the first ball level holding a full ball is the least eccentricity
-    graphs = (connected_atlas(7) + [path_graph(n) for n in range(2, 301)]
-              + [cycle_graph(n) for n in range(3, 61)])
-    for g in graphs:
-        assert radius(g) == metrics(g).radius, g.adj
-    for g in (Graph(0), Graph(1), Graph(3), Graph(5, [(0, 1), (2, 3)])):
-        assert radius(g) == metrics(g).radius, g.adj
-    assert radius(Graph(3)) == INFINITY
 
 
 def test_metrics_path4():
