@@ -360,7 +360,7 @@ def minimal_cut_sets(g: Graph, cap: int = CUT_CAP) -> CutSetCatalog:
             separators_around(s_mask | nbr[low.bit_length() - 1])
             rest ^= low
 
-    size_cap = min(cap, n - 2)
+    size_cap = max(min(cap, n - 2), 0)
     found = []
     for s_mask in seen:
         if s_mask.bit_count() > size_cap:

@@ -1,7 +1,8 @@
 """Theorem harness: span inequalities, span-1 structure, interval theorems.
 
 Each checker returns a TheoremReport whose violations carry enough data
-(graph6 string plus the offending values) to replay the case by hand.
+to replay the case by hand: graph6 plus the offending values, and for a
+span-1 check (no span value) the cut and lobes, or clique and added graph.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .errors import CapacityError
 from .families import complete_graph, path_graph
 from .graphs import Graph, induced_subgraph, is_connected, metrics, to_graph6
 from .products import EDGE, RULES, VERTEX, Rule
-from .spans import rule_spans, vertex_span
+from .spans import level_scan, rule_spans
 from .structure import INTERVAL_CAP, augment, end_cliques, is_interval, minimal_cut_sets
 
 HOLDS = "holds"
@@ -23,8 +24,8 @@ NOT_APPLICABLE = "not-applicable"
 # the hypothesis holds, but the graph is over a size cap of the check
 SKIPPED_BY_CAP = "skipped-by-cap"
 
-# lobe unions the span-1 structure check may compute spans for, over all
-# cuts: about 3 s of span calls on unions of 40 vertices
+# lobe unions the span-1 structure check may probe, over all cuts: about
+# 0.5-2 s of probes on unions of 40 vertices on a 2-vCPU Xeon VM
 LOBE_UNION_BUDGET = 1_000
 # lobes of at most this many vertices get a key; it tries every ordering
 _KEYED_LOBE_SIZE = 4
@@ -102,6 +103,13 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
     return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks))
 
 
+def _span_is_1(h: Graph) -> bool:
+    """Whether connected h with n >= 2 has traditional vertex span 1: the
+    span is >= 1 and the levels with a good component are 0 .. span, so it
+    is 1 iff level 2 has none (past the radius a centre's row is empty)."""
+    return next(level_scan(h, Rule.TRADITIONAL).good(2), None) is None
+
+
 _SPAN1_CHECKS = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
 
 
@@ -132,23 +140,22 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
 
     Lobes L1, L2 of S are interchangeable when an isomorphism of G[S + L1]
     onto G[S + L2] fixes S pointwise.  Lobes touch only S, so swapping them
-    maps a union onto an isomorphic one, with the same span: one span per
-    vector of per-class counts serves, prod(c_i + 1) - 2 per cut instead of
-    2^c - 2 (no empty union, and not h itself), each union taking the first
+    maps a union onto an isomorphic one, with the same span: one span-1 probe
+    per vector of per-class counts serves, prod(c_i + 1) - 2 per cut instead
+    of 2^c - 2 (no empty union, and not h itself), each union taking the first
     lobes of each class.  A lobe of at most ``_KEYED_LOBE_SIZE`` vertices is
     keyed by the least, over orderings of its vertices, of their neighbours
     in S and its inner edges by position; a larger lobe is its own class.
     Unions of different cuts that are equal as labelled graphs (the same
-    graph6) share one span.  Past ``LOBE_UNION_BUDGET`` unions over all
-    cuts the check raises ``CapacityError`` before any span.  h's own span
-    is read off its cached level scan, with no flood when
-    ``check_span_inequalities`` has already run on the same graph object."""
+    graph6) share one probe.  Past ``LOBE_UNION_BUDGET`` unions over all
+    cuts the check raises ``CapacityError`` before any probe.  h's own probe
+    reads its cached level scan, with no flood when ``check_span_inequalities``
+    has already flooded level 2 of the same graph object."""
     if not is_connected(h):
         raise ValueError("span-1 structure applies to connected graphs only")
     g6 = to_graph6(h)
-    applicable = (h.n >= 2
-                  and max(h.degree(v) for v in range(h.n)) < h.n - 1
-                  and vertex_span(h, Rule.TRADITIONAL)[0] == 1)
+    applicable = (h.n >= 2 and max(h.degree(v) for v in range(h.n)) < h.n - 1
+                  and _span_is_1(h))
     if not applicable:
         checks = tuple(Check(c, NOT_APPLICABLE) for c in _SPAN1_CHECKS)
         return TheoremReport(graph_name=name, graph6=g6, checks=checks)
@@ -159,7 +166,7 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     if unions > LOBE_UNION_BUDGET:
         raise CapacityError(f"span-1 structure check needs {unions} lobe unions, "
                             f"over the budget of {LOBE_UNION_BUDGET}")
-    union_spans: dict[str, int] = {}    # graph6 of a lobe union -> its span
+    union_ok: dict[str, bool] = {}    # graph6 of a lobe union -> span 1?
     clique_ok = True
     lobes_ok = True
     join_ok = True
@@ -180,9 +187,9 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
                 vs.update(parts[i])
             union = induced_subgraph(h, vs)
             key = to_graph6(union)
-            if key not in union_spans:
-                union_spans[key] = vertex_span(union, Rule.TRADITIONAL)[0]
-            if union_spans[key] != 1:
+            if key not in union_ok:
+                union_ok[key] = _span_is_1(union)
+            if not union_ok[key]:
                 lobes_ok = False
                 witness.setdefault("bad_lobe_union",
                                    {"cut": list(cut.vertices), "lobes": chosen})
@@ -217,9 +224,8 @@ def _augmentation_check(name: str, h: Graph, cliques: list[tuple[int, ...]]) -> 
     witness: dict = {}
     for K in cliques:
         for hname, extra in _aug_test_graphs():
-            sv = vertex_span(augment(h, K, extra), Rule.TRADITIONAL)[0]
-            if sv != 1:
-                witness.setdefault("case", {"clique": list(K), "added": hname, "vertex": sv})
+            if not _span_is_1(augment(h, K, extra)):
+                witness.setdefault("case", {"clique": list(K), "added": hname})
     return _check(name, not witness, witness)
 
 
@@ -233,17 +239,16 @@ def check_interval_theorems(h: Graph, name: str = "graph") -> TheoremReport:
         raise ValueError("interval theorems apply to connected graphs only")
     iv = is_interval(h)
     tree = h.m == h.n - 1
-    # one traditional vertex span serves both of the next two checks
-    sv = vertex_span(h, Rule.TRADITIONAL)[0] if h.n >= 2 and (iv or tree) else None
+    # one span-1 probe serves both of the next two checks
+    span_1 = _span_is_1(h) if h.n >= 2 and (iv or tree) else None
     checks = []
     if iv and h.n >= 2:
-        checks.append(_check("interval-implies-span-1", sv == 1, {"vertex": sv}))
+        checks.append(_check("interval-implies-span-1", span_1, {}))
     else:
         checks.append(Check("interval-implies-span-1", NOT_APPLICABLE))
 
     if h.n >= 2 and tree:
-        checks.append(_check("tree-characterization", (sv == 1) == iv,
-                             {"vertex": sv, "is_interval": iv}))
+        checks.append(_check("tree-characterization", span_1 == iv, {"is_interval": iv}))
     else:
         checks.append(Check("tree-characterization", NOT_APPLICABLE))
 

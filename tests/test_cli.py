@@ -118,6 +118,16 @@ def test_verify_seeded_family_json(capsys):
     assert res["checks"] > 0
 
 
+def test_analyze_size_cap_is_never_negative(capsys, tmp_path):
+    # n - 2 is negative below two vertices: the cap reads 0, and there are no cuts
+    path = tmp_path / "empty.g6"
+    path.write_text("?\n")
+    for source in (["--family", "path:1"], ["--file", str(path)]):
+        code, out, _ = run(capsys, "analyze", *source)
+        assert code == 0
+        assert "minimal cut sets (size <= 0): 0" in out.splitlines()
+
+
 def test_verify_seeds_need_a_family(capsys):
     for source in (["--fixture", "figure1"], ["--file", "unused.g6"]):
         code, out, err = run(capsys, "verify", *source, "--seeds", "5")

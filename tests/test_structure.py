@@ -15,7 +15,8 @@ from spanlab import (CapacityError, Graph, augment, complete_graph,
                      induced_subgraph, interval_certificate, is_chordal,
                      is_connected, is_interval, maximal_cliques,
                      minimal_cut_sets, path_graph, random_connected_graph,
-                     random_interval_graph, s_lobes, star_graph, subdivided_star)
+                     random_interval_graph, s_lobes, star_graph, subdivided_star,
+                     to_graph6)
 
 
 def brute_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
@@ -261,7 +262,7 @@ def test_minimal_cut_sets_size_filter():
         for cap in {1, 2, 3, max(g.n - 2, 1)}:
             cat = minimal_cut_sets(g, cap)
             assert cat.sets == tuple(c for c in every if len(c.vertices) <= cap), (g.adj, cap)
-            assert cat.size_cap == min(cap, g.n - 2)
+            assert cat.size_cap == max(min(cap, g.n - 2), 0)
 
 
 def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
@@ -288,6 +289,21 @@ def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
     monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 19)
     with pytest.raises(CapacityError, match="generated 20 minimal separators"):
         minimal_cut_sets(cycle_graph(8), cap=1)
+
+
+def test_theta_graph_exits_3_at_the_separator_budget(tmp_path, capsys):
+    # two poles joined by ten paths of 3 inner vertices: n = 32, one cut of
+    # size <= 4 (the poles) but 3^10 minimal separators, one inner vertex per
+    # path, which the closure must visit; verify needs no cut sets here
+    from spanlab.cli import main
+    edges = [(u, v) for p in range(10)
+             for u, v in ((0, 2 + 3 * p), (2 + 3 * p, 3 + 3 * p),
+                          (3 + 3 * p, 4 + 3 * p), (4 + 3 * p, 1))]
+    path = tmp_path / "theta.g6"
+    path.write_text(to_graph6(Graph(32, edges)) + "\n")
+    assert main(["analyze", "--file", str(path)]) == 3
+    assert "over the budget of 20000" in capsys.readouterr().err
+    assert main(["verify", "--file", str(path)]) == 0
 
 
 def test_s_lobes_on_figure3_base():

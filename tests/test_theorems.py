@@ -8,10 +8,10 @@ import pytest
 from helpers import caterpillar, connected_atlas, naive_span1_structure, random_graphs
 from spanlab import (EDGE, FIXTURES, VERTEX, CapacityError, Graph, Rule,
                      check_interval_theorems, check_span1_structure,
-                     check_span_inequalities, complete_graph, cycle_graph, fixture,
-                     generate_family, minimal_cut_sets, parse_graph6, path_graph,
-                     subdivided_star, to_graph6, vertex_span)
-from spanlab.spans import LevelScan
+                     check_span_inequalities, complete_graph, cycle_graph, end_cliques,
+                     fixture, generate_family, is_interval, minimal_cut_sets,
+                     parse_graph6, path_graph, subdivided_star, to_graph6, vertex_span)
+from spanlab.spans import LevelScan, level_scan
 from spanlab.theorems import (_KEYED_LOBE_SIZE, HOLDS, NOT_APPLICABLE,
                               SKIPPED_BY_CAP, VIOLATED, Check, TheoremReport, _lobe_classes)
 
@@ -132,15 +132,18 @@ def test_report_shape():
 
 
 def test_verify_computes_the_traditional_span_once(monkeypatch):
-    # path:6 is an interval tree with span 1, so every checker needs its
-    # span; the inequality check floods it, and the other two read it off
-    # the graph's cached level scan without a flood
+    # path:6 is an interval tree with span 1, so every checker asks about its
+    # span; the inequality check floods it, and the other two probe level 2
+    # of the graph's cached level scan without a flood
     import spanlab.spans
+    import spanlab.theorems
     from spanlab.cli import main
     g = path_graph(6)
     runs = []
+    probes = []
     floods = []
     flood_spans = spanlab.spans.flood_spans
+    probe = spanlab.theorems._span_is_1
     flood = LevelScan._flood
 
     def counting_floods(h, rule, kinds):
@@ -149,16 +152,24 @@ def test_verify_computes_the_traditional_span_once(monkeypatch):
         runs.append((h.adj, rule, kinds, len(floods) - before, out[VERTEX][0]))
         return out
 
+    def counting_probe(h):
+        before = len(floods)
+        out = probe(h)
+        probes.append((h.adj, len(floods) - before, out))
+        return out
+
     def counting_flood(scan, avail, start):
         floods.append(scan)
         return flood(scan, avail, start)
 
     monkeypatch.setattr(spanlab.spans, "flood_spans", counting_floods)
+    monkeypatch.setattr(spanlab.theorems, "_span_is_1", counting_probe)
     monkeypatch.setattr(LevelScan, "_flood", counting_flood)
     assert main(["verify", "--family", "path:6", "--format", "json"]) == 0
     traditional = [run[2:] for run in runs if run[:2] == (g.adj, Rule.TRADITIONAL)]
+    assert len(traditional) == 1
     assert traditional[0][0] == (VERTEX, EDGE) and traditional[0][1] > 0
-    assert traditional[1:] == [((VERTEX,), 0, 1), ((VERTEX,), 0, 1)]
+    assert [p[1:] for p in probes if p[0] == g.adj] == [(0, True), (0, True)]
 
 
 def test_verify_calls_the_public_checkers(monkeypatch):
@@ -286,35 +297,40 @@ def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
     # caterpillar k = 10 (n = 22): at each hub, k interchangeable leaves and one
     # larger lobe, so (k + 1) x 2 - 2 = 2k unions per cut; 2^(k+1) - 2 by subsets.
     # A hub with j < k of its own leaves is the same labelled star at both
-    # cuts, so the second cut adds only its k unions with the other hub's lobe
+    # cuts, so the second cut adds only its k unions with the other hub's lobe.
+    # Each union gets one span-1 probe, which floods level 2 only
     import spanlab.theorems
     from spanlab.cli import main
     calls = []
+    probe = spanlab.theorems._span_is_1
 
-    def counting_span(h, rule):
-        calls.append(h.n)
-        return vertex_span(h, rule)
+    def counting_probe(h):
+        out = probe(h)
+        calls.append((h.n, tuple(level_scan(h, Rule.TRADITIONAL).levels)))
+        return out
 
-    monkeypatch.setattr(spanlab.theorems, "vertex_span", counting_span)
+    monkeypatch.setattr(spanlab.theorems, "_span_is_1", counting_probe)
     path = tmp_path / "caterpillar.g6"
     path.write_text(to_graph6(caterpillar(10)) + "\n")
     assert main(["verify", "--file", str(path), "--format", "json"]) == 0
-    # lobe unions, not the checkers' cached spans of the caterpillar itself
-    assert len([n for n in calls if n < 22]) == 30
+    # lobe unions, not the checkers' probes of the caterpillar itself
+    unions = [levels for n, levels in calls if n < 22]
+    assert len(unions) == 30 and set(unions) == {(2,)}
 
 
 def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
     # on a path every vertex but the ends is a cut with two lobes; its unions
-    # are shorter paths, one span per length from 2 to n - 1 over all cuts,
-    # besides the span of the path itself
+    # are shorter paths, one span-1 probe per length from 2 to n - 1 over all
+    # cuts, besides the probe of the path itself
     import spanlab.theorems
     calls = []
+    probe = spanlab.theorems._span_is_1
 
-    def counting_span(h, rule):
+    def counting_probe(h):
         calls.append(h.n)
-        return vertex_span(h, rule)
+        return probe(h)
 
-    monkeypatch.setattr(spanlab.theorems, "vertex_span", counting_span)
+    monkeypatch.setattr(spanlab.theorems, "_span_is_1", counting_probe)
     for n in (10, 60):
         calls.clear()
         report = check_span1_structure(path_graph(n))
@@ -325,11 +341,12 @@ def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
 def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):
     import spanlab.theorems
     g = fan()
+    probe = spanlab.theorems._span_is_1
 
-    def broken_span(h, rule):
-        return (2, None) if h.n < g.n else vertex_span(h, rule)
+    def broken_probe(h):
+        return h.n >= g.n and probe(h)
 
-    monkeypatch.setattr(spanlab.theorems, "vertex_span", broken_span)
+    monkeypatch.setattr(spanlab.theorems, "_span_is_1", broken_probe)
     check = {c.name: c for c in check_span1_structure(g).checks}
     assert check["cut-sets-are-cliques"].status == HOLDS
     assert check["join-all-but-two"].status == HOLDS
@@ -341,3 +358,52 @@ def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):
     assert union["lobes"] == sorted(set(union["lobes"]))
     assert 0 < len(union["lobes"]) < len(parts)
     assert all(0 <= i < len(parts) for i in union["lobes"])
+    assert set(bad.witness) == {"graph6", "bad_lobe_union"}
+    assert bad.witness["graph6"] == to_graph6(g)
+
+
+def test_interval_theorems_report_a_bad_augmentation(monkeypatch):
+    # a probe that fails every augmentation by K2 (two added vertices): both
+    # augmentation checks name the first clique they augment, and nothing else
+    import spanlab.theorems
+    g = path_graph(5)
+    probe = spanlab.theorems._span_is_1
+
+    def broken_probe(h):
+        return h.n != g.n + 2 and probe(h)
+
+    monkeypatch.setattr(spanlab.theorems, "_span_is_1", broken_probe)
+    check = {c.name: c for c in check_interval_theorems(g).checks}
+    assert check["interval-implies-span-1"].status == HOLDS
+    assert check["tree-characterization"].status == HOLDS
+    firsts = {"end-clique-augmentation": end_cliques(g)[0],
+              "cut-clique-augmentation": next(
+                  c.vertices for c in minimal_cut_sets(g).sets if c.is_clique)}
+    for name, clique in firsts.items():
+        assert check[name].status == VIOLATED
+        assert check[name].witness == {"case": {"clique": list(clique), "added": "K2"}}
+
+
+def test_span_1_probe_matches_vertex_span(monkeypatch):
+    # every connected graph with 2 <= n <= 7, and every augmentation the
+    # interval checks probe on the interval graphs among them; the probe
+    # runs on a copy, so it floods level 2 itself
+    import spanlab.theorems
+    probe = spanlab.theorems._span_is_1
+    probed = []
+
+    def recording_probe(h):
+        probed.append(h)
+        return probe(h)
+
+    graphs = [g for g in connected_atlas(7) if g.n >= 2]
+    monkeypatch.setattr(spanlab.theorems, "_span_is_1", recording_probe)
+    for g in graphs:
+        if is_interval(g):
+            assert check_interval_theorems(g).ok
+    atlas = {id(g) for g in graphs}
+    augmented = [h for h in probed if id(h) not in atlas]
+    assert len(augmented) > 6000
+    answers = [probe(Graph(h.n, h.edges())) for h in graphs + augmented]
+    assert answers == [vertex_span(h, "traditional")[0] == 1 for h in graphs + augmented]
+    assert 0 < answers.count(False) < len(graphs)
