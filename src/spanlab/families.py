@@ -140,46 +140,49 @@ def fixture(name: str) -> Graph:
         raise ValueError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}") from None
 
 
+# each family's fields after its name, one per ":"
+_FORMS = {"fixture": "NAME", "path": "N", "cycle": "N", "complete": "N", "star": "LEAVES",
+          "subdivided_star": "RAYS", "random": "N[:P[:SEED]]", "random_connected": "N[:P[:SEED]]",
+          "interval": "N[:SEED]", "random_interval": "N[:SEED]"}
+
+
 def generate_family(spec: str, seed: int | None = None) -> Graph:
     """Build the graph named by a family spec string."""
     name, _, rest = spec.strip().partition(":")
     args = rest.split(":") if rest else []
     name = name.strip().lower().replace("-", "_")
+    if name not in _FORMS:
+        raise ValueError(f"unknown family {name!r}")
+    if not 1 <= len(args) <= _FORMS[name].count(":") + 1:
+        raise ValueError(f"{name} spec is {name}:{_FORMS[name]}, got {spec!r}")
 
     def int_arg(i: int, what: str) -> int:
-        if len(args) <= i:
-            raise ValueError(f"family {name!r} needs {what}")
         try:
             return int(args[i])
         except ValueError:
             raise ValueError(f"family {name!r}: bad {what} {args[i]!r}") from None
 
     if name == "fixture":
-        if len(args) != 1:
-            raise ValueError("fixture spec is fixture:NAME")
         return fixture(args[0])
     if name == "path":
-        return path_graph(int_arg(0, "a vertex count"))
+        return path_graph(int_arg(0, "vertex count"))
     if name == "cycle":
-        return cycle_graph(int_arg(0, "a vertex count"))
+        return cycle_graph(int_arg(0, "vertex count"))
     if name == "complete":
-        return complete_graph(int_arg(0, "a vertex count"))
+        return complete_graph(int_arg(0, "vertex count"))
     if name == "star":
-        return star_graph(int_arg(0, "a leaf count"))
+        return star_graph(int_arg(0, "leaf count"))
     if name == "subdivided_star":
-        return subdivided_star(int_arg(0, "a ray count"))
+        return subdivided_star(int_arg(0, "ray count"))
+    n = int_arg(0, "vertex count")
     if name in ("random", "random_connected"):
-        n = int_arg(0, "a vertex count")
         p = 0.5
         if len(args) > 1:
             try:
                 p = float(args[1])
             except ValueError:
                 raise ValueError(f"family {name!r}: bad probability {args[1]!r}") from None
-        s = int_arg(2, "a seed") if len(args) > 2 else (seed if seed is not None else 0)
+        s = int_arg(2, "seed") if len(args) > 2 else (seed if seed is not None else 0)
         return random_connected_graph(n, p, s)
-    if name in ("interval", "random_interval"):
-        n = int_arg(0, "a vertex count")
-        s = int_arg(1, "a seed") if len(args) > 1 else (seed if seed is not None else 0)
-        return random_interval_graph(n, s)
-    raise ValueError(f"unknown family {name!r}")
+    s = int_arg(1, "seed") if len(args) > 1 else (seed if seed is not None else 0)
+    return random_interval_graph(n, s)

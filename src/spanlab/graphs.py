@@ -9,6 +9,7 @@ their inputs.
 from __future__ import annotations
 
 import math
+from binascii import b2a_base64
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
@@ -265,6 +266,9 @@ def is_connected(g: Graph) -> bool:
 _SELECT = bytes.maketrans(b"01", b"\0\1")
 # a graph6 body character's value as six "0"/"1" characters
 _SIX_BITS = [format(v, "06b") for v in range(64)]
+# bytes.translate table: the base64 digit of value v to the graph6 one, chr(v + 63)
+_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
@@ -334,9 +338,11 @@ def to_graph6(g: Graph) -> str:
     # column j: bits 0 .. j - 1 of nbr[j], row 0 first
     nbr = g.nbr
     body = "".join(format(nbr[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
-    body += "0" * (-len(body) % 6)
-    return "".join(chr(v + 63) for v in head) + "".join(
-        chr(int(body[k:k + 6], 2) + 63) for k in range(0, len(body), 6))
+    # base64 writes the same six-bit groups for whole 24-bit blocks
+    chars = -(-len(body) // 6)
+    body += "0" * (-len(body) % 24)
+    data = b2a_base64(int(body or "0", 2).to_bytes(len(body) // 8, "big"), newline=False)
+    return "".join(chr(v + 63) for v in head) + data[:chars].translate(_BASE64).decode()
 
 
 def parse_edgelist(text: str) -> Graph:

@@ -25,23 +25,29 @@ about (deg u + 1)(deg v + 1) per pair under the traditional rule.
 Lowering the threshold only adds pairs, so a good component at level L lies
 inside a good component at level L - 1, and an edge-good one inside an
 edge-good one.  The levels with a good component are therefore 0 .. the
-vertex span, and a binary search over 0 .. radius finds it.  A good
-component covers vertex 0 in coordinate A, so its least pair code lies in
-row 0: floods started from the least unvisited code of row 0 meet the good
-components in ascending order of least code, which is the order of
-``good_components``, and the certificate is the first one.  Edge-good
-components are good, so the edge span descends from the vertex span,
-testing the good components of each level in that order.  A component with
-rows R passes when every base edge u u2 carries one of its arcs that moves
-A from u to u2.  B's end of such an arc lies in R[u] if solo and in
-dilate(R[u]) if joint, and it must meet R[u2].  The test runs on the rows
-and again on their transpose.
+vertex span.  The search probes the top level first, whose rows are the
+smallest, and binary-searches below it only if that fails.  The top level is
+the radius, capped by the vertex span of any cached scan of the graph under
+a rule with all of this rule's steps: its arcs include this rule's on the
+same pairs, so each good or edge-good component here lies inside a good or
+edge-good one there.  (Traditional has the steps of active and of lazy,
+which are not nested.)  A good component covers vertex 0 in coordinate A, so
+its least pair code lies in row 0: floods started from the least unvisited
+code of row 0 meet the good components in ascending order of least code,
+which is the order of ``good_components``, and the certificate is the first
+one.  Edge-good components are good, so the edge span descends from the
+vertex span, testing the good components of each level in that order.  A
+component with rows R passes when every base edge u u2 carries one of its
+arcs that moves A from u to u2.  B's end of such an arc lies in R[u] if solo
+and in dilate(R[u]) if joint, and it must meet R[u2].  The test runs on the
+rows and again on their transpose.
 
 The floods live in one ``LevelScan`` per graph and rule, cached on the
 graph like its balls.  It floods each level's good components lazily, in
 that order, and replays them to later calls: the span search, the span-1
 checks and the covering-walk search's roots share it, so no level of a
-graph is flooded twice.  Certificates are built per call, not cached.
+graph is flooded twice.  A certificate keeps its component's rows and
+builds the pair codes on first read.
 
 The component functions below rescan one built product; production code
 does not call them, and the tests use them as the per-threshold reference.
@@ -52,7 +58,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 
@@ -60,15 +66,29 @@ from .graphs import _SELECT, Graph, distance_balls, is_connected, metrics
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """A witnessing component: re-running the component scan at ``threshold``
-    must find ``component`` (pair codes) good, or edge-good for kind="edge"."""
+    must find ``component`` (pair codes, built from ``rows`` on first read)
+    good, or edge-good for kind="edge".  Equality compares ``component``."""
 
     rule: Rule
     kind: str
     threshold: int
-    component: tuple[int, ...]
+    rows: tuple[int, ...]
+
+    @cached_property
+    def component(self) -> tuple[int, ...]:
+        return pair_codes(self.rows)
+
+    def _key(self) -> tuple:
+        return self.rule, self.kind, self.threshold, self.component
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, Certificate) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def product_components(p: ProductGraph) -> list[tuple[int, ...]]:
@@ -142,9 +162,12 @@ def _dilation(masks: Sequence[int]) -> Callable[[int], int]:
             table += [t | mask for t in table]
         tables.append(table)
     nbytes = len(tables)
+    one = (0, *masks)                   # one[v + 1]: the image of bit v alone
 
     def dilate(bits: int) -> int:
-        return reduce(or_, map(list.__getitem__, tables, bits.to_bytes(nbytes, "little")))
+        if bits & (bits - 1):
+            return reduce(or_, map(list.__getitem__, tables, bits.to_bytes(nbytes, "little")))
+        return one[bits.bit_length()]
 
     return dilate
 
@@ -159,7 +182,7 @@ class LevelScan:
     rule, each level flooded on demand and kept (module docstring).  It
     holds no reference to the graph, which reference counting still frees."""
 
-    __slots__ = ("n", "adj", "balls", "edges", "rule", "step", "levels")
+    __slots__ = ("n", "adj", "balls", "edges", "rule", "step", "levels", "span")
 
     def __init__(self, h: Graph, rule: Rule, step: Callable[[int], int]):
         self.n, self.adj, self.edges, self.rule = h.n, h.adj, h.edges(), rule
@@ -167,6 +190,7 @@ class LevelScan:
         self.step = step                    # B's moves from a set of vertices
         # level -> (its good components flooded so far, the codes not yet flooded)
         self.levels: dict[int, tuple[list[list[int]], list[int]]] = {}
+        self.span: int | None = None        # the vertex span, once found
 
     def good(self, level: int) -> Iterator[list[int]]:
         """Rows of the good components at ``level`` in ascending order of
@@ -253,13 +277,18 @@ def flood_spans(h: Graph, rule: Rule,
     """Spans of each of ``kinds`` of a connected graph with at least one
     vertex, read off its cached level scan (module docstring)."""
     scan = level_scan(h, rule)
-    lo, hi = 0, int(metrics(h).radius)
+    # the span of a cached scan under a rule with all of this rule's steps
+    caps = [other.span for r, other in h._scans.items() if other.span is not None
+            and r.solo >= rule.solo and r.joint >= rule.joint]
+    lo, hi = 0, min([int(metrics(h).radius), *caps])
+    mid = hi                            # the top level first
     while lo < hi:
-        mid = (lo + hi + 1) // 2
         if next(scan.good(mid), None) is None:
             hi = mid - 1
         else:
             lo = mid
+        mid = (lo + hi + 1) // 2
+    scan.span = lo
     # (level, rows) of each kind's certificate: the first good component at
     # the vertex span, and the first edge-good one descending from it
     firsts = {VERTEX: ((lo, comp) for comp in scan.good(lo)),
@@ -271,8 +300,7 @@ def flood_spans(h: Graph, rule: Rule,
         if comp is None:
             raise AssertionError(f"threshold 0 always admits a good component of kind "
                                  f"{kind} for a connected graph")
-        out[kind] = level, Certificate(rule=rule, kind=kind, threshold=level,
-                                       component=pair_codes(comp))
+        out[kind] = level, Certificate(rule=rule, kind=kind, threshold=level, rows=tuple(comp))
     return out
 
 
@@ -282,11 +310,13 @@ def rule_spans(h: Graph, rule: Rule | str,
 
     No product is built: ``flood_spans`` reads the graph's cached level
     scan (module docstring).  The vertex span is the last level of 0 ..
-    radius with a good component, found by binary search, since the levels
-    that have one are exactly 0 .. the span; its certificate is the good
+    radius with a good component: the top level first, the radius capped by
+    the span of a scan cached on h under a rule with all of this rule's
+    steps, then a binary search below it.  Its certificate is the good
     component with the least pair code at that level.  The edge span
     descends from the vertex span; its certificate is the first edge-good
-    component, in the same order, at the first level that has one.
+    component, in the same order, at the first level that has one.  Pair
+    codes are built on the first read of ``component``.
     """
     if not is_connected(h):
         raise ValueError("span is defined for connected graphs only")

@@ -233,11 +233,15 @@ def descending_span(base: ProductGraph, kind: str) -> tuple[int, Certificate]:
     return the first good (or edge-good) component found, with its
     threshold, in the same form as ``spans.rule_spans``."""
     finder = good_components if kind == VERTEX else edge_good_components
+    n = base.base.n
     rad = int(metrics(base.base).radius)
     for k in range(rad, -1, -1):
         comps = finder(safety_subgraph(base, k))
         if comps:
-            return k, Certificate(rule=base.rule, kind=kind, threshold=k, component=comps[0])
+            rows = [0] * n
+            for code in comps[0]:
+                rows[code // n] |= 1 << code % n
+            return k, Certificate(rule=base.rule, kind=kind, threshold=k, rows=tuple(rows))
     raise AssertionError("threshold 0 always admits a good component for a connected graph")
 
 

@@ -210,6 +210,30 @@ def test_exit_2_on_bad_family(capsys):
     assert run(capsys, "span", "--family", "path:x")[0] == 2
 
 
+def test_exit_2_on_extra_family_fields(capsys):
+    # a field past the family's form is refused, naming the form, rather
+    # than dropped
+    cases = {("span", "path:5:9"): "path spec is path:N",
+             ("generate", "interval:6:1:7"): "interval spec is interval:N[:SEED]",
+             ("span", "random:8:0.4:7:1"): "random spec is random:N[:P[:SEED]]",
+             ("span", "subdivided-star:3:1"): "subdivided_star spec is subdivided_star:RAYS",
+             ("generate", "fixture:figure1:x"): "fixture spec is fixture:NAME"}
+    for (command, spec), form in cases.items():
+        code, out, err = run(capsys, command, "--family", spec)
+        assert (code, out) == (2, ""), spec
+        assert f"{form}, got '{spec}'" in err, err
+    # the longest forms still answer
+    assert run(capsys, "generate", "--family", "interval:6:1")[0] == 0
+    assert run(capsys, "generate", "--family", "random:8:0.4:7")[0] == 0
+
+
+def test_bad_family_field_messages(capsys):
+    assert run(capsys, "span", "--family", "path:abc")[2].strip() == (
+        "spanlab: error: family 'path': bad vertex count 'abc'")
+    assert run(capsys, "span", "--family", "star")[2].strip() == (
+        "spanlab: error: star spec is star:LEAVES, got 'star'")
+
+
 def test_exit_2_on_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.g6"
     bad.write_text("D\n")

@@ -82,10 +82,12 @@ def test_graph6_truncated():
 
 def test_graph6_round_trip_against_networkx():
     # random graphs with up to 300 vertices (n >= 63 takes the 4-byte size
-    # form), and the connected atlas
+    # form), the empty and complete graphs on either side of that change,
+    # and the connected atlas
     rng = random.Random(7)
     graphs = [nx.gnp_random_graph(rng.randint(1, 12), 0.4, seed=rng.randint(0, 10**6))
               for _ in range(25)]
+    graphs += [make(n) for n in (0, 62, 63, 64) for make in (nx.empty_graph, nx.complete_graph)]
     graphs += [nx.gnp_random_graph(n, (0.03, 0.1, 0.4)[n % 3], seed=n)
                for n in [*range(13, 80), 120, 200, 258, 299, 300]]
     graphs += [graph_to_nx(g) for g in connected_atlas(7)]

@@ -5,9 +5,9 @@ import sys
 import pytest
 
 from helpers import connected_atlas, descending_span, random_graphs, spine_tree
-from spanlab import (KINDS, RULES, Graph, Rule, build_product, complete_graph,
+from spanlab import (KINDS, RULES, VERTEX, Graph, Rule, build_product, complete_graph,
                      cycle_graph, edge_good_components, edge_span, fixture, generate_family,
-                     good_components, metrics, path_graph, product_components,
+                     good_components, metrics, parse_graph6, path_graph, product_components,
                      random_interval_graph, safety_subgraph, span_report, to_graph6,
                      vertex_span)
 from spanlab.spans import level_scan, pair_codes, rule_spans
@@ -120,6 +120,89 @@ def test_level_scans_are_cached_per_graph_object(monkeypatch):
     # the three rules' scans of one graph share one set of dilation tables
     ours, theirs = ({id(level_scan(h, rule).step) for rule in RULES} for h in (g, twin))
     assert len(ours) == len(theirs) == 1 and ours != theirs
+
+
+def fresh(g: Graph) -> Graph:
+    """An equal graph object with no cached balls or level scans."""
+    return Graph(g.n, g.edges(), g.labels)
+
+
+def test_active_and_lazy_spans_are_at_most_traditional():
+    # a traditional step set contains the active and the lazy ones, so each
+    # good or edge-good component of their products lies inside one of the
+    # traditional product; no cache is shared between the calls
+    for g in connected_atlas(7):
+        spans = {rule: {kind: k for kind, (k, _) in rule_spans(fresh(g), rule).items()}
+                 for rule in RULES}
+        for rule in (Rule.ACTIVE, Rule.LAZY):
+            for kind in KINDS:
+                assert spans[rule][kind] <= spans[Rule.TRADITIONAL][kind], (to_graph6(g), rule)
+
+
+def test_capped_spans_match_uncapped_ones():
+    # one graph object asked rule after rule, so each rule's search may be
+    # capped by the span of a cached scan, against a fresh object per rule.
+    # The active and lazy step sets are not nested, and either span can be
+    # the larger (active > lazy on paths, lazy > active on the net E@dW),
+    # so neither may cap the other in either order
+    graphs = connected_atlas(7) + [path_graph(60), generate_family("random:60:0.1:1")]
+    for g in graphs:
+        uncapped = {rule: rule_spans(fresh(g), rule) for rule in RULES}
+        for order in (RULES, RULES[::-1], (Rule.ACTIVE, Rule.LAZY, Rule.TRADITIONAL)):
+            h = fresh(g)
+            capped = {rule: rule_spans(h, rule) for rule in order}
+            assert capped == uncapped, (to_graph6(g), order)
+
+
+def test_span_report_floods_no_level_above_a_dominating_span():
+    # levels flooded per rule, read off each cached level scan: active and
+    # lazy search below the traditional span, never above it, and on a
+    # random graph whose spans all equal the radius, each rule's vertex span
+    # floods the radius level alone
+    path = path_graph(60)
+    report = span_report(path)
+    assert report.value(Rule.TRADITIONAL, VERTEX) == 1
+    levels = {rule: sorted(level_scan(path, rule).levels) for rule in RULES}
+    assert levels[Rule.TRADITIONAL][-1] == 30                   # the radius
+    assert levels[Rule.ACTIVE] == [1] and levels[Rule.LAZY] == [0, 1]
+    # a repeat, with every scan's span cached, answers the same and floods
+    # no new level
+    assert span_report(path) == report
+    assert {rule: sorted(level_scan(path, rule).levels) for rule in RULES} == levels
+    net = parse_graph6("E@dW")                                  # lazy 2 > active 1
+    report = span_report(net)
+    assert [report.value(rule, VERTEX) for rule in RULES] == [2, 1, 2]
+    assert {rule: sorted(level_scan(net, rule).levels) for rule in RULES} == {
+        Rule.TRADITIONAL: [2], Rule.ACTIVE: [1, 2], Rule.LAZY: [2]}
+    g = generate_family("random:60:0.1:1")
+    radius = int(metrics(g).radius)
+    for rule in RULES:
+        assert vertex_span(g, rule)[0] == radius
+        assert list(level_scan(g, rule).levels) == [radius], rule
+
+
+def test_certificate_codes_are_built_on_first_read(monkeypatch):
+    # span_report and the inequality checker leave every certificate's pair
+    # codes unbuilt; the first read of .component builds them once
+    import spanlab.spans
+    from spanlab.theorems import check_span_inequalities
+    calls = []
+    codes = spanlab.spans.pair_codes
+
+    def counting(rows):
+        calls.append(rows)
+        return codes(rows)
+
+    monkeypatch.setattr(spanlab.spans, "pair_codes", counting)
+    g = fixture("figure1")
+    report = span_report(g)
+    check_span_inequalities(g)
+    check_span_inequalities(fresh(g))
+    assert calls == []
+    cert = report.certificates[Rule.TRADITIONAL][VERTEX]
+    assert cert.component == codes(list(cert.rows)) and len(calls) == 1
+    assert cert.component is cert.component and len(calls) == 1
+    assert cert == vertex_span(fresh(g), Rule.TRADITIONAL)[1]
 
 
 def test_edge_good_refines_good():
