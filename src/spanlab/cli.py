@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__
@@ -112,10 +113,16 @@ def describe(name: str, g: Graph) -> dict:
 
 
 def emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
+    """Write a command's output.  A reader that closes the pipe early (as
+    ``head`` does) drops the rest of it, and the command keeps its exit
+    code: stdout is pointed at the null device, so that the flush at exit
+    does not fail again."""
+    try:
+        print(json.dumps(doc, indent=2, sort_keys=True) if args.format == "json"
+              else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _finite(x: float) -> int | None:

@@ -137,6 +137,9 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     """Structure forced on graphs with traditional vertex span 1 and no
     universal vertex: minimal cut sets are cliques, every union of S-lobes
     keeps span 1, and all but at most two lobes are full joins onto S.
+    The conditions are necessary, not sufficient: the net ``E@dW`` and
+    ``EyuG`` have no universal vertex and traditional vertex span 2, yet
+    meet all three on every minimal cut set.
 
     Lobes L1, L2 of S are interchangeable when an isomorphism of G[S + L1]
     onto G[S + L2] fixes S pointwise.  Lobes touch only S, so swapping them

@@ -13,6 +13,7 @@ from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, Rule,
                      edge_good_components, good_components, induced_subgraph,
                      metrics, minimal_cut_sets, random_connected_graph, safety_subgraph,
                      to_graph6, vertex_span)
+from spanlab.structure import CUT_CAP
 from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check, TheoremReport
 
 
@@ -318,19 +319,16 @@ def naive_chordless_cycle(g: Graph) -> tuple[int, ...]:
     raise AssertionError("no chordless cycle found in a non-chordal graph")
 
 
-def naive_span1_structure(h: Graph) -> TheoremReport:
-    """Independent span-1 structure report: the same three checks as
-    ``check_span1_structure``, computing one traditional vertex span for
-    every proper non-empty union of S-lobes (2^c - 2 per cut) instead of one
-    per count vector of interchangeable lobes."""
-    names = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
-    g6 = to_graph6(h)
-    if (h.n < 2 or max(h.degree(v) for v in range(h.n)) == h.n - 1
-            or vertex_span(h, Rule.TRADITIONAL)[0] != 1):
-        return TheoremReport("graph", g6, tuple(Check(c, NOT_APPLICABLE) for c in names))
+def span1_conditions(h: Graph, cap: int = CUT_CAP) -> tuple[tuple[bool, bool, bool], dict]:
+    """The three conditions of the span-1 structure theorem on the minimal
+    cut sets of size <= cap, whatever h's span: every cut set is a clique,
+    every proper non-empty union of S-lobes (2^c - 2 per cut, one
+    traditional vertex span each) has span 1, and at most two lobes per cut
+    are not full joins onto S.  Returns whether each holds, and the first
+    witness of each that fails."""
     clique_ok = lobes_ok = join_ok = True
     witness: dict = {}
-    for cut in minimal_cut_sets(h).sets:
+    for cut in minimal_cut_sets(h, cap).sets:
         if not cut.is_clique:
             clique_ok = False
             witness.setdefault("non_clique_cut", list(cut.vertices))
@@ -347,6 +345,20 @@ def naive_span1_structure(h: Graph) -> TheoremReport:
         if bad > 2:
             join_ok = False
             witness.setdefault("non_join_lobes", {"cut": list(cut.vertices), "count": bad})
+    return (clique_ok, lobes_ok, join_ok), witness
+
+
+def naive_span1_structure(h: Graph) -> TheoremReport:
+    """Independent span-1 structure report: the same three checks as
+    ``check_span1_structure``, gated the same way, from ``span1_conditions``
+    (one traditional vertex span for every proper non-empty union of S-lobes
+    instead of one per count vector of interchangeable lobes)."""
+    names = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
+    g6 = to_graph6(h)
+    if (h.n < 2 or max(h.degree(v) for v in range(h.n)) == h.n - 1
+            or vertex_span(h, Rule.TRADITIONAL)[0] != 1):
+        return TheoremReport("graph", g6, tuple(Check(c, NOT_APPLICABLE) for c in names))
+    holds, witness = span1_conditions(h)
     checks = tuple(Check(c, HOLDS) if ok else Check(c, VIOLATED, {"graph6": g6} | witness)
-                   for c, ok in zip(names, (clique_ok, lobes_ok, join_ok)))
+                   for c, ok in zip(names, holds))
     return TheoremReport("graph", g6, checks)

@@ -331,3 +331,21 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
         assert (code, out.out, out.err) == (proc.returncode, proc.stdout, proc.stderr), argv
         codes.append(code)
     assert codes == [2, 0, 0, 0, 0, 3, 0, 0, 0]
+
+
+def test_stdout_closed_early_keeps_the_exit_code(monkeypatch):
+    # a reader that stops reading (`| head -c 1`) or never reads is no usage
+    # error: the command exits 0 and writes nothing to stderr
+    src = str(Path(spanlab.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for argv, read in ((["generate", "--family", "path:2000"], 1),
+                       (["span", "--family", "path:60"], 0),
+                       (["verify", "--family", "path:8", "--format", "json"], 0)):
+        proc = subprocess.Popen([sys.executable, "-m", "spanlab", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b""), argv

@@ -2,18 +2,20 @@
 
 The oracle never touches the product-graph machinery; it searches joint
 configuration states directly, so agreement here is meaningful evidence.
-The exhaustive sweep over n <= 6 lives in the acceptance suite; the one over
-all connected 7-vertex graphs lives here, and so does the check of every
-threshold against the joint-state searches of ``helpers``.
+The exhaustive sweep over n <= 6 lives in the acceptance suite; the ones over
+all connected 7-vertex graphs and all trees with 8 and 9 vertices live
+here, and so do the check of every threshold against the joint-state
+searches of ``helpers`` and the work budget.
 """
 
 import pytest
 
-from helpers import (connected_atlas, naive_edge_cover, naive_min_moves,
+import spanlab.oracle
+from helpers import (all_trees, connected_atlas, naive_edge_cover, naive_min_moves,
                      random_graphs)
 from spanlab import (CapacityError, Graph, brute_force_span, complete_graph,
-                     cycle_graph, edge_span, metrics, path_graph,
-                     star_graph, vertex_span)
+                     cycle_graph, edge_span, generate_family, metrics, parse_graph6,
+                     path_graph, star_graph, vertex_span)
 
 
 def test_spot_values():
@@ -73,16 +75,58 @@ def test_agreement_with_solver_on_all_7_vertex_graphs():
     for g in catalog:
         for rule in ("traditional", "active", "lazy"):
             for kind, solve in (("vertex", vertex_span), ("edge", edge_span)):
-                if brute_force_span(g, rule, kind, cap=7) != solve(g, rule)[0]:
+                if brute_force_span(g, rule, kind) != solve(g, rule)[0]:
                     mismatches.append((g.adj, rule, kind))
     assert not mismatches, mismatches[:5]
 
 
-def test_capacity_cap():
+def test_agreement_with_solver_on_trees_with_8_and_9_vertices():
+    trees = [g for g in all_trees(9) if g.n >= 8]
+    assert len(trees) == 23 + 47
+    for g in trees:
+        for rule in ("traditional", "active", "lazy"):
+            for kind, solve in (("vertex", vertex_span), ("edge", edge_span)):
+                assert brute_force_span(g, rule, kind) == solve(g, rule)[0], (
+                    g.adj, rule, kind)
+
+
+def test_work_budget(monkeypatch):
+    # the budget counts successor arcs built and states visited over every
+    # threshold: each call below needs exactly that many units, answers at
+    # that budget and raises one unit short of it
+    cases = [(path_graph(7), "traditional", "vertex", 1976),
+             (path_graph(7), "traditional", "edge", 667),
+             (parse_graph6("FNz~o"), "active", "edge", 448_074)]
+    assert max(case[-1] for case in cases) <= spanlab.oracle.ORACLE_BUDGET
+    for g, rule, kind, units in cases:
+        monkeypatch.setattr(spanlab.oracle, "ORACLE_BUDGET", units)
+        assert brute_force_span(g, rule, kind) == 1
+        monkeypatch.setattr(spanlab.oracle, "ORACLE_BUDGET", units - 1)
+        with pytest.raises(CapacityError, match="budget of"):
+            brute_force_span(g, rule, kind)
+
+
+def test_over_budget_searches_stop():
+    # a 9-vertex edge search passes the budget in its visited states
+    g = generate_family("random:9:0.6:3")
     with pytest.raises(CapacityError):
-        brute_force_span(path_graph(7), "traditional", "vertex")
-    # a raised cap admits the same graph
-    assert brute_force_span(path_graph(7), "traditional", "vertex", cap=7) == 1
+        brute_force_span(g, "lazy", "edge")
+
+
+def test_over_budget_successor_tables_stop(monkeypatch):
+    # K80's threshold-1 table has about 40M arcs: the budget stops it while
+    # it is still being built
+    built = []
+    successors = spanlab.oracle._successors
+
+    def recording(*args):
+        built.append(successors(*args))
+        return built[-1]
+
+    monkeypatch.setattr(spanlab.oracle, "_successors", recording)
+    with pytest.raises(CapacityError):
+        brute_force_span(complete_graph(80), "traditional", "vertex")
+    assert not built
 
 
 def test_input_validation():

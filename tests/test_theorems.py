@@ -5,7 +5,8 @@ from functools import lru_cache
 import networkx as nx
 import pytest
 
-from helpers import caterpillar, connected_atlas, naive_span1_structure, random_graphs
+from helpers import (caterpillar, connected_atlas, naive_span1_structure, random_graphs,
+                     span1_conditions)
 from spanlab import (EDGE, FIXTURES, VERTEX, CapacityError, Graph, Rule,
                      check_interval_theorems, check_span1_structure,
                      check_span_inequalities, complete_graph, cycle_graph, end_cliques,
@@ -239,6 +240,27 @@ def test_span1_structure_matches_the_subset_reference():
         assert status_map(report) == status_map(naive_span1_structure(g)), to_graph6(g)
         applicable += set(status_map(report).values()) != {NOT_APPLICABLE}
     assert applicable >= 200
+
+
+def test_span1_structure_conditions_are_necessary_not_sufficient():
+    # the net E@dW and EyuG have no universal vertex and traditional vertex
+    # span 2, yet meet all three conditions on every minimal cut set; so do
+    # 13 graphs with 7 vertices, and none with fewer than 6
+    for g6 in ("E@dW", "EyuG"):
+        g = parse_graph6(g6)
+        assert max(g.degree(v) for v in range(g.n)) < g.n - 1
+        assert vertex_span(g, Rule.TRADITIONAL)[0] == 2
+        assert span1_conditions(g, cap=g.n) == ((True, True, True), {})
+        assert set(status_map(check_span1_structure(g)).values()) == {NOT_APPLICABLE}
+    meet = {}
+    for g in connected_atlas(7):
+        if (g.n >= 3 and max(g.degree(v) for v in range(g.n)) < g.n - 1
+                and all(span1_conditions(g, cap=g.n)[0])
+                and vertex_span(g, Rule.TRADITIONAL)[0] != 1):
+            meet.setdefault(g.n, []).append(to_graph6(g))
+    assert {n: len(g6s) for n, g6s in meet.items()} == {6: 2, 7: 13}
+    assert sorted(meet[6]) == ["E@dW", "EyuG"]
+    assert meet[7][0] == "F\\CoG"
 
 
 def test_lobe_classes_match_s_fixing_isomorphisms():
