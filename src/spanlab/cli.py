@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .errors import CapacityError, GraphParseError
-from .families import FIXTURES, fixture, generate_family
+from .families import FIXTURES, _seed_ignored, fixture, generate_family
 from .graphs import INFINITY, Graph, distance_matrix, metrics, parse_graph, to_graph6
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
@@ -231,6 +231,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--seeds must be at least 1")
     if args.seeds > 1 and args.family is None:
         raise ValueError("--seeds needs --family")
+    if args.seeds > 1 and (why := _seed_ignored(args.family)):
+        raise ValueError(f"--seeds needs a family spec that reads the seed: {why}")
     runs: list[tuple[str, Graph]] = []
     if args.seeds > 1:
         for s in range(args.seed, args.seed + args.seeds):

@@ -146,8 +146,8 @@ _FORMS = {"fixture": "NAME", "path": "N", "cycle": "N", "complete": "N", "star":
           "interval": "N[:SEED]", "random_interval": "N[:SEED]"}
 
 
-def generate_family(spec: str, seed: int | None = None) -> Graph:
-    """Build the graph named by a family spec string."""
+def _split(spec: str) -> tuple[str, list[str]]:
+    """A family spec's name and fields, checked against its form."""
     name, _, rest = spec.strip().partition(":")
     args = rest.split(":") if rest else []
     name = name.strip().lower().replace("-", "_")
@@ -155,6 +155,23 @@ def generate_family(spec: str, seed: int | None = None) -> Graph:
         raise ValueError(f"unknown family {name!r}")
     if not 1 <= len(args) <= _FORMS[name].count(":") + 1:
         raise ValueError(f"{name} spec is {name}:{_FORMS[name]}, got {spec!r}")
+    return name, args
+
+
+def _seed_ignored(spec: str) -> str | None:
+    """Why a family spec names the same graph whatever the ``seed``
+    argument of ``generate_family``, or None if the spec reads it."""
+    name, args = _split(spec)
+    if "SEED" not in _FORMS[name]:
+        return f"{name} has no seed"
+    if len(args) > _FORMS[name].count(":"):
+        return f"{spec!r} embeds seed {args[-1]}"
+    return None
+
+
+def generate_family(spec: str, seed: int | None = None) -> Graph:
+    """Build the graph named by a family spec string."""
+    name, args = _split(spec)
 
     def int_arg(i: int, what: str) -> int:
         try:

@@ -4,15 +4,16 @@ end-cliques, minimal cut sets, lobes, and clique-coupled augmentation.
 Everything here is exact and desk-scale, and works on the neighbour bitmasks
 of ``graphs``: maximum cardinality search plus the Tarjan-Yannakakis
 follower test for chordality, component masks of G - N[z] for asteroidal
-triples, a pruned backtracking search over maximal-clique orderings for
-interval representations, and minimal cut sets picked by a full-component
-test out of the minimal separators, which a closure (Berry, Bordat & Cogis
-1999) generates by component floods.
+triples, one memoised search over maximal-clique orderings for interval
+representations and end cliques, and minimal cut sets picked by a
+full-component test out of the minimal separators, which a closure (Berry,
+Bordat & Cogis 1999) generates by component floods.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import CapacityError
@@ -149,60 +150,49 @@ def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def _consecutive_clique_ordering(cliques: list[tuple[int, ...]], n: int,
-                                 first: int | None = None) -> list[int] | None:
-    """Order clique indices so each vertex's cliques sit consecutively.
+def _clique_paths(cliques: list[tuple[int, ...]]) -> Callable[[int], tuple[int, ...] | None]:
+    """A search for clique paths: orders of the maximal cliques ``cliques``
+    in which each vertex's cliques sit next to each other.  It returns
+    ``first(start)``: the lexicographically least such order of clique
+    indices that begins with ``start``, or None if there is none.
 
-    Backtracking with the one pruning rule that matters: a clique may be
-    placed only if every currently open vertex belongs to it.
+    A vertex is open while it lies in a placed and in an unplaced clique.
+    The next clique must hold every open vertex, or that vertex's run of
+    cliques would break; and an order built by that rule keeps every run
+    unbroken.  In masks, with ``placed`` and ``rest`` the unions of the
+    placed and the unplaced cliques, clique c may come next iff ``placed &
+    rest & ~c`` is 0.  The moves thus depend only on the set of cliques
+    placed, and so does whether that set can be completed: the sets that
+    fail go in one memo that every start shares.  Cliques are tried in
+    ascending order and the memo cuts only sets that cannot be completed,
+    so the first order found is the least.
     """
-    member = [set(c) for c in cliques]
-    total = [0] * n
-    for c in member:
-        for v in c:
-            total[v] += 1
-    placed = [0] * n
-    open_set: set[int] = set()
-    seq: list[int] = []
-    used = [False] * len(cliques)
+    masks = [sum(1 << v for v in c) for c in cliques]
+    everything = (1 << len(masks)) - 1
+    dead: set[int] = set()
 
-    def put(ci: int) -> None:
-        used[ci] = True
-        seq.append(ci)
-        for v in member[ci]:
-            placed[v] += 1
-            if placed[v] == total[v]:
-                open_set.discard(v)
-            else:
-                open_set.add(v)
+    def extend(done: int, placed: int) -> tuple[int, ...] | None:
+        if done == everything:
+            return ()
+        if done in dead:
+            return None
+        todo = members(everything & ~done)
+        rest = 0
+        for ci in todo:
+            rest |= masks[ci]
+        for ci in todo:
+            if not placed & rest & ~masks[ci]:
+                tail = extend(done | 1 << ci, placed | masks[ci])
+                if tail is not None:
+                    return (ci, *tail)
+        dead.add(done)
+        return None
 
-    def take(ci: int) -> None:
-        used[ci] = False
-        seq.pop()
-        for v in member[ci]:
-            if placed[v] == total[v]:
-                open_set.add(v)
-            placed[v] -= 1
-            if placed[v] == 0:
-                open_set.discard(v)
+    def first(start: int) -> tuple[int, ...] | None:
+        tail = extend(1 << start, masks[start])
+        return None if tail is None else (start, *tail)
 
-    def rec() -> bool:
-        if len(seq) == len(cliques):
-            return True
-        for ci in range(len(cliques)):
-            if used[ci] or not open_set <= member[ci]:
-                continue
-            put(ci)
-            if rec():
-                return True
-            take(ci)
-        return False
-
-    if first is not None:
-        put(first)
-    if rec():
-        return list(seq)
-    return None
+    return first
 
 
 @dataclass(frozen=True)
@@ -226,6 +216,18 @@ def is_interval(g: Graph) -> bool:
 
 
 def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertificate:
+    """Whether g is an interval graph, with a witness either way.
+
+    A graph is interval iff it is chordal and has no asteroidal triple
+    (Lekkerkerker & Boland 1962), so the negative witness is a chordless
+    cycle of length >= 4 from ``is_chordal`` or the least asteroidal
+    triple.  The positive witness comes from the least clique path of
+    ``_clique_paths``, which exists iff g is interval (Gilmore & Hoffman
+    1964): vertex v gets the positions of its first and last clique,
+    spread to distinct integer endpoints.  Recognition has no cap; the
+    cap applies after it, so an interval graph with more than ``cap``
+    vertices raises ``CapacityError`` rather than being built.
+    """
     chord = is_chordal(g)
     if not chord.chordal:
         return IntervalCertificate(False, None, chord.chordless_cycle, None)
@@ -238,38 +240,39 @@ def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertifica
             f"only built for n <= {cap}, got n={g.n}"
         )
     cliques = maximal_cliques(g)
-    ordering = _consecutive_clique_ordering(cliques, g.n)
-    if ordering is None:
-        raise AssertionError("chordal AT-free graph must admit a consecutive clique ordering")
-    pos = {ci: i for i, ci in enumerate(ordering)}
-    first = [len(cliques)] * g.n
-    last = [-1] * g.n
-    for ci, c in enumerate(cliques):
-        for v in c:
-            first[v] = min(first[v], pos[ci])
-            last[v] = max(last[v], pos[ci])
+    path = next(filter(None, map(_clique_paths(cliques), range(len(cliques)))), ())
+    if len(path) != len(cliques):
+        raise AssertionError("chordal AT-free graph must admit a clique path")
+    first = [len(path)] * g.n
+    last = [0] * g.n
+    for i, ci in enumerate(path):
+        for v in cliques[ci]:
+            first[v] = min(first[v], i)
+            last[v] = i
     # distinct integer endpoints: block of width 2n+2 per clique position,
     # left ends in the low half, right ends in the high half
     block = 2 * g.n + 2
-    left_rank: dict[int, int] = {}
-    right_rank: dict[int, int] = {}
+    lefts: Counter[int] = Counter()
+    rights: Counter[int] = Counter()
     intervals = []
     for v in range(g.n):
-        lr = left_rank.get(first[v], 0)
-        left_rank[first[v]] = lr + 1
-        rr = right_rank.get(last[v], 0)
-        right_rank[last[v]] = rr + 1
-        intervals.append((first[v] * block + 1 + lr,
-                          last[v] * block + g.n + 1 + rr))
+        intervals.append((first[v] * block + 1 + lefts[first[v]],
+                          last[v] * block + g.n + 1 + rights[last[v]]))
+        lefts[first[v]] += 1
+        rights[last[v]] += 1
     return IntervalCertificate(True, tuple(intervals), None, None)
 
 
 def end_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """Maximal cliques that can head a consecutive clique ordering and own a
-    simplicial vertex lying in no other maximal clique.
+    """Maximal cliques that can head a clique path (see ``_clique_paths``).
 
-    Placeable first and placeable last coincide (reverse the ordering), so
-    only one direction is searched.
+    Placeable first and placeable last coincide (reverse the path), so
+    only one direction is searched.  Each such clique C owns a simplicial
+    vertex lying in no other maximal clique, so no separate test asks for
+    one: if C is the only clique, every v in C has N[v] = C.  Otherwise let
+    D follow C on the path and v lie in C but not in D; v's cliques are
+    consecutive from C on and miss D, so C is v's only clique, and since
+    each neighbour of v shares a maximal clique with it, N[v] = C.
     """
     if not is_interval(g):
         raise ValueError("end-cliques are defined for interval graphs only")
@@ -277,13 +280,8 @@ def end_cliques(g: Graph) -> list[tuple[int, ...]]:
         raise CapacityError(
             f"end-clique search is capped at n <= {INTERVAL_CAP}, got n={g.n}")
     cliques = maximal_cliques(g)
-    found = []
-    for ci, c in enumerate(cliques):
-        if not any(set(g.adj[v]) | {v} == set(c) for v in c):
-            continue
-        if _consecutive_clique_ordering(cliques, g.n, first=ci) is not None:
-            found.append(c)
-    return found
+    first = _clique_paths(cliques)
+    return [c for ci, c in enumerate(cliques) if first(ci) is not None]
 
 
 @dataclass(frozen=True)
@@ -295,7 +293,6 @@ class CutSet:
 
 @dataclass(frozen=True)
 class CutSetCatalog:
-    graph: Graph
     sets: tuple[CutSet, ...]
     size_cap: int
 
@@ -373,7 +370,7 @@ def minimal_cut_sets(g: Graph, cap: int = CUT_CAP) -> CutSetCatalog:
                                 components=tuple(members(c) for c, _ in comps),
                                 is_clique=clique))
     found.sort(key=lambda cut: (len(cut.vertices), cut.vertices))
-    return CutSetCatalog(graph=g, sets=tuple(found), size_cap=size_cap)
+    return CutSetCatalog(sets=tuple(found), size_cap=size_cap)
 
 
 def s_lobes(g: Graph, s: list[int] | tuple[int, ...]) -> list[Graph]:

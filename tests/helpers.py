@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 
@@ -287,6 +287,22 @@ def naive_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
                for c in triple):
             return triple
     return None
+
+
+def naive_end_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """Independent end cliques, from the definition: the maximal cliques
+    (from networkx) that head some ordering of all of them in which each
+    vertex's cliques sit next to each other, trying every ordering.
+    Sorted, like ``end_cliques``."""
+    cliques = [tuple(sorted(c)) for c in nx.find_cliques(graph_to_nx(g))]
+    heads = set()
+    for order in permutations(cliques):
+        if order[0] in heads:
+            continue
+        spots = [[i for i, c in enumerate(order) if v in c] for v in range(g.n)]
+        if all(s[-1] - s[0] == len(s) - 1 for s in spots):
+            heads.add(order[0])
+    return sorted(heads)
 
 
 def naive_chordless_cycle(g: Graph) -> tuple[int, ...]:

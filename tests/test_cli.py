@@ -133,6 +133,12 @@ def test_verify_seeds_need_a_family(capsys):
         code, out, err = run(capsys, "verify", *source, "--seeds", "5")
         assert (code, out) == (2, "")
         assert "--seeds needs --family" in err
+    # a spec that reads no seed names one graph, which --seeds would count N times
+    for spec, why in (("path:6", "path has no seed"), ("fixture:figure1", "fixture has no seed"),
+                      ("random:8:0.4:7", "'random:8:0.4:7' embeds seed 7")):
+        code, out, err = run(capsys, "verify", "--family", spec, "--seeds", "3")
+        assert (code, out) == (2, "")
+        assert f"--seeds needs a family spec that reads the seed: {why}" in err
 
 
 def test_verify_counts_checks_skipped_by_a_size_cap(capsys):

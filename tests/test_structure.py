@@ -8,8 +8,8 @@ import pytest
 import networkx as nx
 
 from helpers import (caterpillar, connected_atlas, graph_to_nx, naive_asteroidal_triple,
-                     naive_chordless_cycle, naive_minimal_cut_sets, random_graphs,
-                     spine_tree)
+                     naive_chordless_cycle, naive_end_cliques, naive_minimal_cut_sets,
+                     nx_to_graph, random_graphs, spine_tree)
 from spanlab import (CapacityError, Graph, augment, complete_graph,
                      cycle_graph, end_cliques, find_asteroidal_triple, fixture,
                      induced_subgraph, interval_certificate, is_chordal,
@@ -143,10 +143,17 @@ def test_interval_recognition():
     assert not is_interval(fixture("figure2"))
 
 
+def interval_atlas() -> list[Graph]:
+    """Every interval graph with 1 <= n <= 7, disconnected ones included."""
+    graphs = (nx_to_graph(gx) for gx in nx.graph_atlas_g() if 1 <= gx.number_of_nodes() <= 7)
+    return [g for g in graphs if is_interval(g)]
+
+
 def test_interval_certificate_realizes_adjacency():
     rng = random.Random(47)
-    for _ in range(20):
-        g = random_interval_graph(rng.randint(2, 10), seed=rng.randint(0, 10**6))
+    graphs = [random_interval_graph(rng.randint(2, 10), seed=rng.randint(0, 10**6))
+              for _ in range(20)]
+    for g in graphs + interval_atlas():
         cert = interval_certificate(g)
         assert cert.is_interval
         ends = [e for iv in cert.intervals for e in iv]
@@ -181,6 +188,13 @@ def test_end_cliques_examples():
     assert end_cliques(path_graph(3)) == [(0, 1), (1, 2)]
     assert end_cliques(complete_graph(4)) == [(0, 1, 2, 3)]
     assert end_cliques(star_graph(3)) == [(0, 1), (0, 2), (0, 3)]
+
+
+def test_end_cliques_match_every_ordering_on_the_atlas():
+    graphs = interval_atlas()
+    assert len(graphs) == 505
+    for g in graphs:
+        assert end_cliques(g) == naive_end_cliques(g), to_graph6(g)
 
 
 def test_end_cliques_at_the_interval_cap():
