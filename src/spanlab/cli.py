@@ -40,8 +40,8 @@ def _add_source(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default text)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for seeded families (default 0)")
+    p.add_argument("--seed", type=int,
+                   help="seed for a --family spec that reads one (default 0)")
 
 
 @functools.cache
@@ -99,7 +99,18 @@ def _load_file(path: str) -> Graph:
     return parse_graph(text, "edgelist" if len(stripped[0].split()) > 1 else "graph6")
 
 
+def _check_seeded(args: argparse.Namespace, flag: str) -> None:
+    """Refuse ``flag`` unless the graph source is a family spec that reads
+    the seed: elsewhere the flag would name the same graph."""
+    if args.family is None:
+        raise ValueError(f"{flag} needs --family")
+    if why := _seed_ignored(args.family):
+        raise ValueError(f"{flag} needs a family spec that reads the seed: {why}")
+
+
 def load_graph(args: argparse.Namespace) -> tuple[str, Graph]:
+    if args.seed is not None:
+        _check_seeded(args, "--seed")
     if args.fixture is not None:
         return args.fixture, fixture(args.fixture)
     if args.family is not None:
@@ -229,17 +240,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
-    if args.seeds > 1 and args.family is None:
-        raise ValueError("--seeds needs --family")
-    if args.seeds > 1 and (why := _seed_ignored(args.family)):
-        raise ValueError(f"--seeds needs a family spec that reads the seed: {why}")
-    runs: list[tuple[str, Graph]] = []
     if args.seeds > 1:
-        for s in range(args.seed, args.seed + args.seeds):
-            runs.append((f"{args.family} seed={s}",
-                         generate_family(args.family, seed=s)))
-    else:
-        runs.append(load_graph(args))
+        _check_seeded(args, "--seeds")
+    first_seed = args.seed or 0
+    runs = ([(f"{args.family} seed={s}", generate_family(args.family, seed=s))
+             for s in range(first_seed, first_seed + args.seeds)]
+            if args.seeds > 1 else [load_graph(args)])
     checks_run = 0
     # checks that did not run; capped counts those a size cap skipped
     skipped = 0
@@ -262,7 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                        "witness": check.witness or {}})
     first_name, first_graph = runs[0]
     graph_doc = (describe(first_name, first_graph) if len(runs) == 1
-                 else {"family": args.family, "seed": args.seed,
+                 else {"family": args.family, "seed": first_seed,
                        "seeds": args.seeds})
     doc = {"tool": "spanlab", "version": __version__, "graph": graph_doc,
            "results": {"graphs": len(runs), "checks": checks_run,

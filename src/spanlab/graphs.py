@@ -179,6 +179,16 @@ def distance_balls(g: Graph) -> tuple[tuple[int, ...], ...]:
     return g._balls
 
 
+def far_rows(balls: Sequence[Sequence[int]], k: int) -> list[int]:
+    """Row u: the vertices at distance >= k from u as a bitmask, from
+    ``balls = distance_balls(g)``.  At k = 0 that is every vertex; else it
+    is the complement of ball k - 1, and past the last ball level (the
+    component) it is the vertices of other components only."""
+    full = (1 << len(balls[0])) - 1
+    below = balls[min(k, len(balls)) - 1] if k else (0,) * len(balls[0])
+    return [full ^ ball for ball in below]
+
+
 def distance_rings(g: Graph) -> Iterator[list[int]]:
     """For each source s in order, ``rings[d]``: the vertices at distance
     exactly d from s as a bitmask, for d = 0 .. the largest finite

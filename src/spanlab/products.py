@@ -8,15 +8,18 @@ moves to a neighbour, not both staying.  A rule is two facts about a step:
 - ``joint``: both players may move at once.
 
 Traditional allows both kinds of step, active only joint ones and lazy only
-solo ones.  ``safety_subgraph`` restricts a product to the pairs whose
-distance in the base graph is at least a threshold k.
+solo ones.  ``build_product(h, rule, k)`` keeps only the pairs whose
+distance in the base graph is at least a threshold k, and the moves between
+them: pair (u, v) survives iff v lies in row u of ``graphs.far_rows``, so
+the moves come straight from the base adjacency and no pair below the
+threshold is ever made.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .graphs import Graph, distance_matrix
+from .graphs import Graph, distance_balls, far_rows, members
 
 
 class Rule(Enum):
@@ -72,26 +75,30 @@ class ProductGraph:
                 f"pairs={len(self.codes)})")
 
 
-def build_product(h: Graph, rule: Rule | str) -> ProductGraph:
-    """Product of h with itself under the rule, threshold 0 (all n^2 pairs)."""
+def build_product(h: Graph, rule: Rule | str, k: int = 0) -> ProductGraph:
+    """Product of h with itself under the rule, restricted to the pairs at
+    base distance >= k (all n^2 pairs at k = 0) and the moves between them.
+    Codes and each pair's moves are in ascending order."""
     rule = as_rule(rule)
     n = h.n
+    rows = far_rows(distance_balls(h), k)
     stay = [(w,) for w in range(n)]
     # (A's moves, B's moves) per kind of step the rule allows
     kinds = (([(h.adj, stay), (stay, h.adj)] if rule.solo else [])
              + ([(h.adj, h.adj)] if rule.joint else []))
     adj: dict[int, tuple[int, ...]] = {}
     for u in range(n):
-        rows = [([u2 * n for u2 in a_moves[u]], b_moves) for a_moves, b_moves in kinds]
-        for v in range(n):
+        for v in members(rows[u]):
             adj[u * n + v] = tuple(sorted([
-                x + v2 for xs, b_moves in rows for x in xs for v2 in b_moves[v]]))
-    return ProductGraph(h, rule, 0, tuple(range(n * n)), adj)
+                u2 * n + v2 for a_moves, b_moves in kinds
+                for u2 in a_moves[u] for v2 in b_moves[v] if rows[u2] >> v2 & 1]))
+    return ProductGraph(h, rule, k, tuple(adj), adj)
 
 
 def product_arcs(h: Graph, rule: Rule | str) -> int:
-    """Arc count of ``build_product(h, rule)`` from the degree sum s = 2m,
-    without building it.  The pair (u, v) has deg u + deg v solo moves and
+    """Arc count of ``build_product(h, rule)`` at threshold 0, and so an
+    upper bound at any threshold, from the degree sum s = 2m, without
+    building it.  The pair (u, v) has deg u + deg v solo moves and
     deg u * deg v joint ones; summed over all n^2 pairs, 2ns and s^2."""
     rule = as_rule(rule)
     s = 2 * h.m
@@ -99,10 +106,6 @@ def product_arcs(h: Graph, rule: Rule | str) -> int:
 
 
 def safety_subgraph(p: ProductGraph, k: int) -> ProductGraph:
-    """Restriction of p to pair codes at base distance >= k."""
-    n = p.base.n
-    dist = distance_matrix(p.base)
-    keep = [c for c in p.codes if dist[c // n][c % n] >= k]
-    keepset = set(keep)
-    adj = {c: tuple(b for b in p.adj[c] if b in keepset) for c in keep}
-    return ProductGraph(p.base, p.rule, k, tuple(keep), adj)
+    """Restriction of p to pair codes at base distance >= k; a product
+    already at a higher threshold keeps it."""
+    return build_product(p.base, p.rule, max(p.threshold, k))

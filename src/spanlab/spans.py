@@ -8,11 +8,12 @@ moves that coordinate along it.  The radius bounds every variant.
 
 ``rule_spans`` finds the spans of one rule without building a product or a
 distance matrix.  At level L the thresholded product is held as n row
-bitsets: row u is the set of v with dist(u, v) >= L, which is every vertex
-at level 0 and otherwise the complement of the ball of radius L - 1 around
-u.  Pair code u * n + v stands for player A at u and player B at v.  The
-balls come from ``graphs.distance_balls``, grown once per graph and cached
-on it; the radius, from ``graphs.metrics``, is read off the same balls.
+bitsets (``graphs.far_rows``): row u is the set of v with dist(u, v) >= L,
+which is every vertex at level 0 and otherwise the complement of the ball of
+radius L - 1 around u.  Pair code u * n + v stands for player A at u and
+player B at v.  The balls come from ``graphs.distance_balls``, grown once
+per graph and cached on it; the radius, from ``graphs.metrics``, is read off
+the same balls.
 A component is flooded a frontier of rows at a time.  Dilating the frontier
 F of row u by the open neighbourhoods N(v) gives D, the positions B can
 step to.  A solo step (``Rule.solo``) sends D into row u (B moves, A stays)
@@ -62,7 +63,7 @@ from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 
-from .graphs import _SELECT, Graph, distance_balls, is_connected, metrics
+from .graphs import _SELECT, Graph, distance_balls, far_rows, is_connected, metrics
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
 
 
@@ -198,10 +199,7 @@ class LevelScan:
         floods from the least unvisited code of row 0."""
         full = (1 << self.n) - 1
         if level not in self.levels:
-            # row u: the v outside the ball of radius level - 1 around u;
-            # past the last ball every row is empty
-            balls = self.balls[min(level, len(self.balls)) - 1] if level else (0,) * self.n
-            self.levels[level] = [], [full ^ ball for ball in balls]
+            self.levels[level] = [], far_rows(self.balls, level)
         comps, avail = self.levels[level]
         i = 0
         while i < len(comps) or avail and avail[0]:

@@ -13,7 +13,7 @@ Bordat & Cogis 1999) generates by component floods.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .errors import CapacityError
@@ -165,32 +165,36 @@ def _clique_paths(cliques: list[tuple[int, ...]]) -> Callable[[int], tuple[int, 
     placed, and so does whether that set can be completed: the sets that
     fail go in one memo that every start shares.  Cliques are tried in
     ascending order and the memo cuts only sets that cannot be completed,
-    so the first order found is the least.
+    so the first order found is the least.  The search keeps its own
+    stack, one entry per clique placed, so a path of any length fits.
     """
     masks = [sum(1 << v for v in c) for c in cliques]
     everything = (1 << len(masks)) - 1
     dead: set[int] = set()
 
-    def extend(done: int, placed: int) -> tuple[int, ...] | None:
-        if done == everything:
-            return ()
-        if done in dead:
-            return None
+    def entry(ci: int, done: int, placed: int) -> tuple[int, int, int, Iterator[int]]:
+        """The stack entry once clique ``ci`` is placed: ``ci``, the set
+        placed, its union, and the cliques that may come next, ascending."""
         todo = members(everything & ~done)
         rest = 0
-        for ci in todo:
-            rest |= masks[ci]
-        for ci in todo:
-            if not placed & rest & ~masks[ci]:
-                tail = extend(done | 1 << ci, placed | masks[ci])
-                if tail is not None:
-                    return (ci, *tail)
-        dead.add(done)
-        return None
+        for cj in todo:
+            rest |= masks[cj]
+        return ci, done, placed, (cj for cj in todo if not placed & rest & ~masks[cj])
 
     def first(start: int) -> tuple[int, ...] | None:
-        tail = extend(1 << start, masks[start])
-        return None if tail is None else (start, *tail)
+        # the root entry offers ``start`` alone; the empty set it leaves in
+        # ``dead`` is never looked up
+        stack = [(-1, 0, 0, iter((start,)))]
+        while stack:
+            _, done, placed, nexts = stack[-1]
+            ci = next(nexts, None)
+            if ci is None:
+                dead.add(stack.pop()[1])
+            elif done | 1 << ci == everything:
+                return (*(frame[0] for frame in stack[1:]), ci)
+            elif done | 1 << ci not in dead:
+                stack.append(entry(ci, done | 1 << ci, placed | masks[ci]))
+        return None
 
     return first
 

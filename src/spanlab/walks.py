@@ -53,9 +53,9 @@ The search counts its work and raises ``CapacityError`` once that passes
 arcs, since each is then tried against the bound and the memo whether or
 not it is followed; memoising a per-player bound charges n, since it scans
 up to n vertices.  So the count bounds the time, and not only the states.
-Building the product comes before any of that work, so ``min_steps``
-first counts the product's arcs from the degree sum and refuses more than
-``PRODUCT_ARC_LIMIT`` of them.
+Building the product at the span comes before any of that work, so
+``min_steps`` first bounds its arcs by the threshold-0 count from the
+degree sum and refuses more than ``PRODUCT_ARC_LIMIT`` of them.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ from operator import add
 
 from .errors import CapacityError
 from .graphs import Graph, distance_balls, distance_matrix, flood, is_connected
-from .products import (VERTEX, ProductGraph, Rule, as_rule, build_product, product_arcs,
-                       safety_subgraph)
+from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, product_arcs
 from .spans import level_scan, pair_codes, rule_spans
 
 # Work limit of one covering-walk search: the arcs of each cover state
@@ -75,11 +74,13 @@ from .spans import level_scan, pair_codes, rule_spans
 # searches stopped at this limit (n = 14-120) took 0.9-6.1 s and peaked at
 # 98 MiB RSS or less.
 WALK_BUDGET = 3_000_000
-# Arc limit of the threshold-0 product that ``min_steps`` builds before the
-# search counts any work; about 46 bytes of RSS per arc.  On the same VM,
-# complete:70 (24.0M traditional arcs) answers in 7.6 s at 1,075 MiB peak
-# RSS and interval:50:1 (3.15M) in 1.2 s at 151 MiB; interval:200:1 (630M
-# arcs, about 27 GiB) is refused in 0.2 s.
+# Arc limit of the product that ``min_steps`` builds at the span, checked
+# before the build.  The count is the threshold-0 product's, from the degree
+# sum (``product_arcs``): an upper bound on the thresholded product's arcs.
+# Measured on the same VM when the threshold-0 product was built (about 46
+# bytes of RSS per arc): complete:70 (24.0M traditional arcs) answered in
+# 7.6 s at 1,075 MiB peak RSS and interval:50:1 (3.15M) in 1.2 s at 151 MiB;
+# interval:200:1 (630M arcs, about 27 GiB) is refused in 0.2 s.
 PRODUCT_ARC_LIMIT = 25_000_000
 
 
@@ -165,8 +166,8 @@ def player_bound(g: Graph) -> Callable[[int, int], int]:
 def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | None:
     """Minimum moves and the lexicographically least optimal product walk.
 
-    ``p`` is ``build_product(h, rule)`` or its ``safety_subgraph`` at some
-    k, as in ``min_steps``: the roots are the good components of h's level
+    ``p`` is ``build_product(h, rule, k)`` at some k, as in ``min_steps``
+    at the span: the roots are the good components of h's level
     scan at level k, which the span search there has just flooded, and the
     moves follow ``p.adj``.  Returns None when there is none, i.e. no single
     walk can cover all base vertices in both projections.  Iterative
@@ -254,8 +255,9 @@ def walk_pair_from_codes(h: Graph, rule: Rule | str, codes: tuple[int, ...]) -> 
 def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
     """Span plus the shortest covering walk pair that attains it.
 
-    The search stops with ``CapacityError`` once its work passes
-    ``WALK_BUDGET``.  Before any work, a product of more than
+    The product is built once, at the span.  The search stops with
+    ``CapacityError`` once its work passes ``WALK_BUDGET``.  Before any
+    work, a graph whose threshold-0 product has more than
     ``PRODUCT_ARC_LIMIT`` arcs is refused.
     """
     rule = as_rule(rule)
@@ -265,9 +267,9 @@ def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
     if arcs > PRODUCT_ARC_LIMIT:
         raise CapacityError(
             f"covering-walk search builds the {rule.value} product of n={h.n}, "
-            f"m={h.m} with {arcs} arcs, over the limit of {PRODUCT_ARC_LIMIT}")
+            f"m={h.m} with up to {arcs} arcs, over the limit of {PRODUCT_ARC_LIMIT}")
     k, _ = rule_spans(h, rule, (VERTEX,))[VERTEX]
-    p = safety_subgraph(build_product(h, rule), k)
+    p = build_product(h, rule, k)
     found = shortest_covering_walk(p)
     if found is None:
         raise AssertionError("the span threshold always admits a covering walk")

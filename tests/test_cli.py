@@ -141,6 +141,34 @@ def test_verify_seeds_need_a_family(capsys):
         assert f"--seeds needs a family spec that reads the seed: {why}" in err
 
 
+def test_an_unread_seed_is_a_usage_error(capsys):
+    # an explicit --seed that names no other graph is refused, not ignored
+    for argv, why in ((["span", "--family", "path:6"], "path has no seed"),
+                      (["generate", "--family", "random:8:0.4:7"],
+                       "'random:8:0.4:7' embeds seed 7"),
+                      (["minwalk", "--family", "fixture:figure1"], "fixture has no seed"),
+                      (["verify", "--family", "path:6"], "path has no seed")):
+        code, out, err = run(capsys, *argv, "--seed", "3")
+        assert (code, out) == (2, ""), argv
+        assert f"--seed needs a family spec that reads the seed: {why}" in err
+    for source in (["--fixture", "figure1"], ["--file", "unused.g6"]):
+        code, out, err = run(capsys, "span", *source, "--seed", "3")
+        assert (code, out) == (2, "")
+        assert "--seed needs --family" in err
+    # a spec that reads the seed takes it, and verify --seeds starts there
+    code, out, _ = run(capsys, "generate", "--family", "random:8:0.4", "--seed", "3")
+    assert (code, out) == (0, run(capsys, "generate", "--family", "random:8:0.4:3")[1])
+    code, out, _ = run(capsys, "span", "--family", "random:7", "--seed", "4")
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--family", "random:8", "--seeds", "3",
+                       "--seed", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["graph"] == {"family": "random:8", "seed": 5, "seeds": 3}
+    code, out, _ = run(capsys, "verify", "--family", "random:8", "--seeds", "3",
+                       "--format", "json")
+    assert json.loads(out)["graph"]["seed"] == 0
+
+
 def test_verify_counts_checks_skipped_by_a_size_cap(capsys):
     # interval:14 is over the interval cap of 12 vertices: both augmentation
     # checks are skipped, and still counted as not applicable

@@ -27,22 +27,27 @@ def test_rule_facts():
 
 
 def test_product_moves_match_the_independent_generator():
-    # the product's move lists, thresholded, against helpers.pair_moves,
-    # which builds each rule's moves from the base graph on its own
+    # the product built at each threshold, up to two past the diameter (no
+    # pair is left past it, and far_rows clamps past the last ball level),
+    # against helpers.pair_moves, which builds each rule's moves from the
+    # base graph and Floyd-Warshall distances on its own
     graphs = connected_atlas(5) + random_graphs(6, 6, 7, seed=21)
     for g in graphs:
         n = g.n
         dist = floyd_warshall(g)
-        rad = int(min(max(row) for row in dist))
+        diam = int(max(map(max, dist)))
         for rule in RULES:
-            p = build_product(g, rule)
-            for k in range(rad + 1):
-                s = safety_subgraph(p, k)
-                for c in s.codes:
+            for k in range(diam + 3):
+                p = build_product(g, rule, k)
+                assert p.threshold == k
+                assert p.codes == tuple(a * n + b for a in range(n) for b in range(n)
+                                        if dist[a][b] >= k), (g.adj, rule, k)
+                assert set(p.adj) == set(p.codes)
+                for c in p.codes:
                     a, b = divmod(c, n)
                     expect = tuple(a2 * n + b2 for a2, b2 in
                                    pair_moves(g, rule.value, dist, k, a, b))
-                    assert s.adj[c] == expect, (g.adj, rule, k, a, b)
+                    assert p.adj[c] == expect, (g.adj, rule, k, a, b)
 
 
 def test_k2_products_by_hand():
@@ -98,6 +103,15 @@ def test_safety_subgraph_threshold_zero_keeps_everything():
     s = safety_subgraph(p, 0)
     assert set(s.codes) == set(p.codes)
     assert edge_set(s) == edge_set(p)
+
+
+def test_safety_subgraph_keeps_a_higher_threshold():
+    g = cycle_graph(6)
+    p = build_product(g, "traditional", 3)
+    s = safety_subgraph(p, 1)
+    assert s.threshold == 3
+    assert s.codes == p.codes and s.adj == p.adj
+    assert safety_subgraph(p, 4).threshold == 4
 
 
 def test_safety_filter_is_monotone():

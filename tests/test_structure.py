@@ -184,6 +184,19 @@ def test_interval_certificate_capacity():
     assert is_interval(g)
 
 
+def test_interval_certificate_of_a_long_clique_path():
+    # 1,099 maximal cliques in one path: the clique-path search holds one
+    # stack entry per clique placed, not one Python frame
+    g = path_graph(1100)
+    cert = interval_certificate(g, cap=1100)
+    assert cert.is_interval
+    ivs = cert.intervals
+    for u in range(g.n):
+        lu, ru = ivs[u]
+        for v in range(u + 1, g.n):
+            assert (max(lu, ivs[v][0]) <= min(ru, ivs[v][1])) == (v == u + 1), (u, v)
+
+
 def test_end_cliques_examples():
     assert end_cliques(path_graph(3)) == [(0, 1), (1, 2)]
     assert end_cliques(complete_graph(4)) == [(0, 1, 2, 3)]

@@ -61,18 +61,26 @@ def test_min_steps_result_validates():
 
 
 def test_min_steps_builds_the_product_once(monkeypatch):
-    import spanlab.walks
+    # one build, at the span, and no filtered copy of a larger product
+    import spanlab.products
+    assert not hasattr(spanlab.walks, "safety_subgraph")
     built = []
 
-    def counting_build(h, rule):
-        built.append(rule)
-        return build_product(h, rule)
+    def counting_build(h, rule, k=0):
+        built.append(k)
+        return build_product(h, rule, k)
+
+    def no_filter(p, k):
+        raise AssertionError("min_steps filters no product")
 
     monkeypatch.setattr(spanlab.walks, "build_product", counting_build)
-    for rule in ("traditional", "active", "lazy"):
-        built.clear()
-        min_steps(cycle_graph(5), rule)
-        assert len(built) == 1, rule
+    monkeypatch.setattr(spanlab.products, "safety_subgraph", no_filter)
+    for g in (cycle_graph(5), path_graph(4), star_graph(3)):
+        for rule in ("traditional", "active", "lazy"):
+            built.clear()
+            r = min_steps(g, rule)
+            assert built == [r.span], (g.adj, rule)
+            assert r.span == vertex_span(g, rule)[0]
 
 
 def test_shortest_covering_walk_none_without_good_component():
@@ -112,9 +120,9 @@ def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
 def test_product_arc_limit_refuses_before_building(monkeypatch):
     built = []
 
-    def counting_build(h, rule):
+    def counting_build(h, rule, k=0):
         built.append(rule)
-        return build_product(h, rule)
+        return build_product(h, rule, k)
 
     monkeypatch.setattr(spanlab.walks, "build_product", counting_build)
     # K5: degree sum 20, so 2 * 5 * 20 + 20^2 = 600 traditional arcs, 200 lazy
