@@ -17,7 +17,8 @@ import sys
 from . import __version__
 from .errors import CapacityError, GraphParseError
 from .families import FIXTURES, _seed_ignored, fixture, generate_family
-from .graphs import INFINITY, Graph, distance_matrix, metrics, parse_graph, to_graph6
+from .graphs import (INFINITY, Graph, ball_distance, distance_balls, metrics, parse_graph,
+                     to_graph6)
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
 from .structure import INTERVAL_CAP, interval_certificate, minimal_cut_sets
@@ -161,9 +162,8 @@ def cmd_minwalk(args: argparse.Namespace) -> int:
     name, g = load_graph(args)
     result = min_steps(g, args.rule)
     pair = result.pair
-    dist = distance_matrix(g)
-    steps = [int(dist[g.index_of(a)][g.index_of(b)])
-             for a, b in zip(pair.alice, pair.bob)]
+    balls = distance_balls(g)
+    steps = [ball_distance(balls, c // g.n, c % g.n) for c in result.product_walk]
     doc = {"tool": "spanlab", "version": __version__,
            "graph": describe(name, g),
            "results": {"rule": pair.rule.value, "span": result.span,

@@ -189,6 +189,15 @@ def far_rows(balls: Sequence[Sequence[int]], k: int) -> list[int]:
     return [full ^ ball for ball in below]
 
 
+def ball_distance(balls: Sequence[Sequence[int]], u: int, v: int) -> int:
+    """Hop distance from u to v, for v in u's component, off ``balls =
+    distance_balls(g)``: the first level whose ball around u holds v."""
+    d = 0
+    while not balls[d][u] >> v & 1:
+        d += 1
+    return d
+
+
 def distance_rings(g: Graph) -> Iterator[list[int]]:
     """For each source s in order, ``rings[d]``: the vertices at distance
     exactly d from s as a bitmask, for d = 0 .. the largest finite

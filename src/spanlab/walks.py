@@ -8,6 +8,19 @@ component, one product move at a time, and drops a branch once a lower
 bound on the moves still needed exceeds the moves left.  The good
 components come from the graph's cached level scan (``spans.level_scan``).
 
+The bounds.  A player at ``pos`` who has visited the set ``visited`` needs
+some number of moves to visit the rest when alone; the other player only
+adds constraints, so that count is admissible for the pair (a pattern
+database; Culberson & Schaeffer 1998).  The pair needs the max of the two
+players' counts when a step may move both players (``Rule.joint``), else
+their sum, since then each step moves one player.  Each count is read at
+``pos << n | visited``.  While n << n is at most ``COVER_TABLE_LIMIT``
+(n <= 14), they come from ``cover_table``, which holds the exact count of
+every state and is filled once per search by a breadth-first search
+backwards from the fully visited states.  Past the limit, each count is
+the per-player bound below, memoised on first read: at most n * 2^n
+entries per player.
+
 The per-player bound.  A player at ``pos`` who has still to visit the set U
 (pos not in U) needs at least
 
@@ -32,11 +45,7 @@ are first visits, and the rest are "extra".
   so P = sum of r(l) - max r(l) over the uncovered leaves.
 
 The two terms count landings in the same gaps, so only their max is sure.
-Stays only lengthen a walk, so the bound holds for every rule.  The pair
-needs the max of the two players' bounds when a step may move both players
-(``Rule.joint``), else their sum, since then each step moves one player.
-The bound is memoised per (position, visited set): at most n * 2^n entries
-per player.
+Stays only lengthen a walk, so both counts hold for every rule.
 
 Least walk.  A memo keeps, per cover state, the largest number of moves
 left with which it is known to fail.  Both prunings drop only branches that
@@ -51,8 +60,9 @@ returned a walk first.
 The search counts its work and raises ``CapacityError`` once that passes
 ``WALK_BUDGET``.  Entering a cover state (a root, or a push) charges its
 arcs, since each is then tried against the bound and the memo whether or
-not it is followed; memoising a per-player bound charges n, since it scans
-up to n vertices.  So the count bounds the time, and not only the states.
+not it is followed.  The cover table charges its n << n entries once, and
+each memoised per-player bound charges n, since it scans up to n vertices.
+So the count bounds the time, and not only the states.
 Building the product at the span comes before any of that work, so
 ``min_steps`` first bounds its arcs by the threshold-0 count from the
 degree sum and refuses more than ``PRODUCT_ARC_LIMIT`` of them.
@@ -65,12 +75,13 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import CapacityError
-from .graphs import Graph, distance_balls, distance_matrix, flood, is_connected
+from .graphs import Graph, ball_distance, distance_balls, flood, is_connected
 from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, product_arcs
 from .spans import level_scan, pair_codes, rule_spans
 
 # Work limit of one covering-walk search: the arcs of each cover state
-# entered plus n per per-player bound memoised.  On a 2-vCPU Xeon VM,
+# entered, plus one per cover-table entry or n per per-player bound
+# memoised.  On a 2-vCPU Xeon VM,
 # searches stopped at this limit (n = 14-120) took 0.9-6.1 s and peaked at
 # 98 MiB RSS or less.
 WALK_BUDGET = 3_000_000
@@ -82,6 +93,12 @@ WALK_BUDGET = 3_000_000
 # 7.6 s at 1,075 MiB peak RSS and interval:50:1 (3.15M) in 1.2 s at 151 MiB;
 # interval:200:1 (630M arcs, about 27 GiB) is refused in 0.2 s.
 PRODUCT_ARC_LIMIT = 25_000_000
+# Entry limit of the exact cover table (``cover_table``, n << n bytes), so
+# n <= 14; past it the search memoises ``player_bound`` instead.  On the
+# same VM the fill took 0.04-0.05 s at n = 14 (path, cycle, star, random
+# p = 0.3 and complete graphs) and 0.10 s at n = 15, where the per-player
+# bound answers stars and paths in milliseconds.
+COVER_TABLE_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -163,6 +180,65 @@ def player_bound(g: Graph) -> Callable[[int, int], int]:
     return bound
 
 
+def cover_table(g: Graph) -> bytearray:
+    """Exact moves one player needs to visit every vertex of connected
+    ``g``: entry ``pos << n | visited``, for each state with pos in visited,
+    holds the length of the shortest walk from pos that visits the rest.
+    Every other entry is 255.
+
+    Breadth-first search backwards from the fully visited states.  A move
+    takes (p, S) to (q, S | {q}) for q adjacent to p, so the states one move
+    before (q, T) are (p, T) and (p, T - {q}) for the neighbours p of q in
+    T.  Each visited set keeps the bitmask of its positions not yet reached,
+    so one AND with N(q) finds the new ones.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    nbr = g.nbr
+    table = bytearray(b"\xff") * (n << n)
+    unset = list(range(1 << n))     # per visited set: positions not yet reached
+    unset[full] = 0
+    for v in range(n):
+        table[v << n | full] = 0
+    frontier = [[full] for _ in range(n)]   # per position, the visited sets
+    moves = 0
+    while any(frontier):
+        moves += 1
+        reached: list[list[int]] = [[] for _ in range(n)]
+        for q, sets in enumerate(frontier):
+            near = nbr[q]
+            for flip in (0, 1 << q):
+                for seen in sets:
+                    seen ^= flip
+                    new = near & unset[seen]
+                    if new:
+                        unset[seen] ^= new
+                        while new:
+                            low = new & -new
+                            p = low.bit_length() - 1
+                            table[p << n | seen] = moves
+                            reached[p].append(seen)
+                            new ^= low
+        frontier = reached
+    return table
+
+
+class _BoundMemo(dict):
+    """``pos << n | visited`` -> ``player_bound(g)(pos, unvisited)``,
+    computed on first read: the walk search's bounds past
+    ``COVER_TABLE_LIMIT``, read like ``cover_table``."""
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.n = g.n
+        self.bound = player_bound(g)
+
+    def __missing__(self, key: int) -> int:
+        full = (1 << self.n) - 1
+        value = self[key] = self.bound(key >> self.n, full ^ key & full)
+        return value
+
+
 def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | None:
     """Minimum moves and the lexicographically least optimal product walk.
 
@@ -181,36 +257,29 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
     full = (1 << n) - 1
     shift = 2 * n
     adj = p.adj
-    bound = player_bound(p.base)
-    combine = max if p.rule.joint else add
-    memo: dict[int, int] = {}       # pos << n | visited -> player bound
-    failed: dict[int, int] = {}     # cover state -> largest failing moves left
-    work = 0
-    # per pair code: each player's position and its bit, looked up on every
-    # arc instead of dividing the code
-    pos_a = [c // n for c in range(n * n)]
-    pos_b = [c % n for c in range(n * n)]
-    bit_a = [1 << a for a in pos_a]
-    bit_b = [1 << b for b in pos_b]
-
-    def pair_bound(code: int, ma: int, mb: int) -> int:
-        nonlocal work
-        a, b = pos_a[code], pos_b[code]
-        ka, kb = a << n | ma, b << n | mb
-        ha = memo.get(ka)
-        if ha is None:
-            ha = memo[ka] = bound(a, full ^ ma)
-            work += n
-        hb = memo.get(kb)
-        if hb is None:
-            hb = memo[kb] = bound(b, full ^ mb)
-            work += n
-        return combine(ha, hb)
-
+    # per pair code: each player's bit, and its position shifted to index
+    # the bounds, looked up on every arc instead of dividing the code
+    bit_a = [1 << c // n for c in range(n * n)]
+    bit_b = [1 << c % n for c in range(n * n)]
+    at_a = [c // n << n for c in range(n * n)]
+    at_b = [c % n << n for c in range(n * n)]
     roots = sorted((c, bit_a[c], bit_b[c]) for comp in comps for c in pair_codes(comp))
     for code, ma, mb in roots:
         if ma & mb == full:
             return 0, (code,)
+    # pos << n | visited -> one player's bound; each entry is charged to the
+    # work: 1 per table entry, n per memoised per-player bound
+    if n << n <= COVER_TABLE_LIMIT:
+        bounds, cost = cover_table(p.base), 1
+    else:
+        bounds, cost = _BoundMemo(p.base), n
+    combine = max if p.rule.joint else add
+    failed: dict[int, int] = {}     # cover state -> largest failing moves left
+    work = 0
+
+    def pair_bound(code: int, ma: int, mb: int) -> int:
+        return combine(bounds[at_a[code] | ma], bounds[at_b[code] | mb])
+
     depth = min(pair_bound(*root) for root in roots)
     while True:
         for root in roots:
@@ -225,15 +294,15 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
                     na, nb = ma | bit_a[b], mb | bit_b[b]
                     if na & nb == full:
                         return len(path), (*(s[0] for s in path), b)
-                    if (pair_bound(b, na, nb) > left
+                    if (combine(bounds[at_a[b] | na], bounds[at_b[b] | nb]) > left
                             or failed.get(b << shift | na << n | nb, -1) >= left):
                         continue
                     work += len(adj[b])
-                    if work > WALK_BUDGET:
+                    if work + cost * len(bounds) > WALK_BUDGET:
                         raise CapacityError(
                             f"covering-walk search passed its budget of {WALK_BUDGET} "
-                            f"(arcs of the cover states entered, n per memoised bound) "
-                            f"on n={n} at depth {depth}")
+                            f"(arcs of the cover states entered, 1 per cover-table "
+                            f"entry or n per memoised bound) on n={n} at depth {depth}")
                     path.append((b, na, nb, iter(adj[b])))
                     break
                 else:
@@ -245,10 +314,10 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
 def walk_pair_from_codes(h: Graph, rule: Rule | str, codes: tuple[int, ...]) -> WalkPair:
     rule = as_rule(rule)
     n = h.n
-    dist = distance_matrix(h)
+    balls = distance_balls(h)
     alice = tuple(h.labels[c // n] for c in codes)
     bob = tuple(h.labels[c % n] for c in codes)
-    safety = int(min(dist[c // n][c % n] for c in codes))
+    safety = min(ball_distance(balls, c // n, c % n) for c in codes)
     return WalkPair(alice=alice, bob=bob, rule=rule, safety=safety, moves=len(codes) - 1)
 
 
@@ -293,7 +362,7 @@ def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:
         raise ValueError("walk validation is defined for connected graphs only")
     ai = [h.index_of(x) for x in pair.alice]
     bi = [h.index_of(x) for x in pair.bob]
-    dist = distance_matrix(h)
+    balls = distance_balls(h)
     solo, joint = pair.rule.solo, pair.rule.joint
     illegal = []
     for t in range(len(ai) - 1):
@@ -305,7 +374,7 @@ def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:
     seen_a, seen_b = set(ai), set(bi)
     missing_a = tuple(h.labels[v] for v in range(h.n) if v not in seen_a)
     missing_b = tuple(h.labels[v] for v in range(h.n) if v not in seen_b)
-    safety = int(min(dist[a][b] for a, b in zip(ai, bi)))
+    safety = min(ball_distance(balls, a, b) for a, b in zip(ai, bi))
     meets = safety >= k
     return WalkValidation(
         legal=not illegal,

@@ -7,10 +7,10 @@ from helpers import (connected_atlas, least_covering_walk, naive_min_moves, rand
                      single_cover_moves)
 from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, build_product,
                      complete_graph, cycle_graph, fixture, generate_family, min_steps,
-                     path_graph, random_connected_graph, reroot_walk_pair,
+                     parse_graph6, path_graph, random_connected_graph, reroot_walk_pair,
                      safety_subgraph, shortest_covering_walk, star_graph,
                      validate_walk_pair, vertex_span, walk_pair_from_codes)
-from spanlab.walks import player_bound
+from spanlab.walks import COVER_TABLE_LIMIT, cover_table, player_bound
 
 # the published example pair on the figure3 graph: swap walks that keep the
 # players at distance exactly 2 the whole time
@@ -108,13 +108,22 @@ def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
     with pytest.raises(CapacityError) as exc:
         min_steps(star_graph(10), "traditional")
     assert "budget of 50" in str(exc.value)
-    # the arcs of each cover state entered plus n per memoised bound: this
-    # search needs exactly 1,366 units
-    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 1366)
+    # the arcs of each cover state entered plus one per cover-table entry
+    # (11 << 11 = 22,528 of them): this search needs exactly 23,069 units
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 23069)
     assert min_steps(star_graph(10), "traditional").moves == 19
-    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 1365)
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 23068)
     with pytest.raises(CapacityError):
         min_steps(star_graph(10), "traditional")
+
+
+def test_cover_table_search_stays_small_where_the_players_block_each_other(monkeypatch):
+    # K(2,5) under the lazy rule: per-player bounds that ignore the other
+    # player start at 12 against an optimum of 16, and that search needed
+    # 553,194 units; the exact table needs 992 (896 entries, 96 arcs)
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 1000)
+    r = min_steps(parse_graph6("F]rE?"), "lazy")
+    assert (r.span, r.moves) == (1, 16)
 
 
 def test_product_arc_limit_refuses_before_building(monkeypatch):
@@ -147,6 +156,43 @@ def test_player_bound_is_admissible():
     exact = single_cover_moves(star)
     # from a leaf: 7 first visits plus a return to the centre after 5 leaves
     assert player_bound(star)(1, 0b11111101) == exact[1, 0b10] == 12
+
+
+def test_cover_table_is_exact():
+    # every state with the position visited holds the exact single-player
+    # covering-walk length, and no other state is filled
+    for g in connected_atlas(7):
+        exact = single_cover_moves(g)
+        table = cover_table(g)
+        assert len(table) == g.n << g.n
+        for key, moves in enumerate(table):
+            want = exact.get((key >> g.n, key & ((1 << g.n) - 1)), 255)
+            assert moves == want, (g.adj, key)
+
+
+def test_search_past_the_table_limit_memoises_player_bound(monkeypatch):
+    calls = []
+
+    def counting_bound(g):
+        calls.append(g.n)
+        return player_bound(g)
+
+    def no_table(g):
+        raise AssertionError(f"cover table filled for n={g.n}")
+
+    monkeypatch.setattr(spanlab.walks, "player_bound", counting_bound)
+    monkeypatch.setattr(spanlab.walks, "cover_table", no_table)
+    g = star_graph(20)
+    assert g.n << g.n > COVER_TABLE_LIMIT
+    assert min_steps(g, "traditional").moves == 39
+    assert min_steps(g, "lazy").moves == 76
+    assert calls == [21, 21]
+    # at the limit the search reads the table, and player_bound is not built
+    monkeypatch.setattr(spanlab.walks, "cover_table", cover_table)
+    g = star_graph(13)
+    assert g.n << g.n <= COVER_TABLE_LIMIT
+    assert min_steps(g, "traditional").moves == 25
+    assert calls == [21, 21]
 
 
 def test_least_optimal_walks_beyond_five_vertices():
