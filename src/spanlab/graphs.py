@@ -189,6 +189,13 @@ def far_rows(balls: Sequence[Sequence[int]], k: int) -> list[int]:
     return [full ^ ball for ball in below]
 
 
+def pair_codes(rows: Sequence[int]) -> tuple[int, ...]:
+    """The pair codes u * n + v of the bitset rows (v in row u), ascending."""
+    n = len(rows)
+    bits = "".join(format(row, f"0{n}b")[::-1] for row in rows).encode().translate(_SELECT)
+    return tuple(compress(range(n * n), bits))
+
+
 def ball_distance(balls: Sequence[Sequence[int]], u: int, v: int) -> int:
     """Hop distance from u to v, for v in u's component, off ``balls =
     distance_balls(g)``: the first level whose ball around u holds v."""

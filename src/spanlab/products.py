@@ -10,16 +10,17 @@ moves to a neighbour, not both staying.  A rule is two facts about a step:
 Traditional allows both kinds of step, active only joint ones and lazy only
 solo ones.  ``build_product(h, rule, k)`` keeps only the pairs whose
 distance in the base graph is at least a threshold k, and the moves between
-them: pair (u, v) survives iff v lies in row u of ``graphs.far_rows``, so
-the moves come straight from the base adjacency and no pair below the
-threshold is ever made.
+them: pair (u, v) survives iff v lies in row u of ``graphs.far_rows``.  The
+build keeps only the rows.  The pair codes, and each pair's moves, are
+generated from them and the base adjacency on first read.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 
-from .graphs import Graph, distance_balls, far_rows, members
+from .graphs import Graph, distance_balls, far_rows, pair_codes
 
 
 class Rule(Enum):
@@ -57,22 +58,48 @@ def as_rule(rule: Rule | str) -> Rule:
         raise ValueError(f"unknown movement rule {rule!r}") from None
 
 
+class _Moves(dict):
+    """Pair code -> its moves as ascending codes, generated on first read: A
+    stays or moves to a2 in N(a), in ascending order, and B's choices are a
+    bitmask ANDed with row a2.  A code not in the product raises KeyError."""
+
+    def __init__(self, h: Graph, rule: Rule, rows: list[int]):
+        super().__init__()
+        self.h, self.rule, self.rows = h, rule, rows
+
+    def __missing__(self, code: int) -> tuple[int, ...]:
+        h, rule, rows, n = self.h, self.rule, self.rows, self.h.n
+        if not (0 <= code < n * n and rows[code // n] >> code % n & 1):
+            raise KeyError(code)
+        a, b = divmod(code, n)
+        # B's choices when A stays (solo) and when A moves (solo, joint)
+        stay = h.nbr[b] if rule.solo else 0
+        move = (1 << b if rule.solo else 0) | (h.nbr[b] if rule.joint else 0)
+        out = []
+        for a2 in sorted((a, *h.adj[a])):
+            mask, base = (stay if a2 == a else move) & rows[a2], a2 * n
+            while mask:
+                low = mask & -mask
+                out.append(base + low.bit_length() - 1)
+                mask ^= low
+        moves = self[code] = tuple(out)
+        return moves
+
+
 class ProductGraph:
-    """A distance-thresholded self-product of a base graph."""
+    """A distance-thresholded self-product of a base graph, held as the
+    bitset rows of ``graphs.far_rows``."""
 
-    __slots__ = ("base", "rule", "threshold", "codes", "adj")
-
-    def __init__(self, base: Graph, rule: Rule, threshold: int,
-                 codes: tuple[int, ...], adj: dict[int, tuple[int, ...]]):
+    def __init__(self, base: Graph, rule: Rule, threshold: int, rows: list[int]):
         self.base = base
         self.rule = rule
         self.threshold = threshold
-        self.codes = codes          # surviving pair codes, ascending
-        self.adj = adj              # code -> ascending neighbour codes
+        self.adj = _Moves(base, rule, rows)     # code -> ascending neighbour codes
 
-    def __repr__(self) -> str:
-        return (f"ProductGraph(rule={self.rule.value}, threshold={self.threshold}, "
-                f"pairs={len(self.codes)})")
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """The surviving pair codes, ascending."""
+        return pair_codes(self.adj.rows)
 
 
 def build_product(h: Graph, rule: Rule | str, k: int = 0) -> ProductGraph:
@@ -80,29 +107,7 @@ def build_product(h: Graph, rule: Rule | str, k: int = 0) -> ProductGraph:
     base distance >= k (all n^2 pairs at k = 0) and the moves between them.
     Codes and each pair's moves are in ascending order."""
     rule = as_rule(rule)
-    n = h.n
-    rows = far_rows(distance_balls(h), k)
-    stay = [(w,) for w in range(n)]
-    # (A's moves, B's moves) per kind of step the rule allows
-    kinds = (([(h.adj, stay), (stay, h.adj)] if rule.solo else [])
-             + ([(h.adj, h.adj)] if rule.joint else []))
-    adj: dict[int, tuple[int, ...]] = {}
-    for u in range(n):
-        for v in members(rows[u]):
-            adj[u * n + v] = tuple(sorted([
-                u2 * n + v2 for a_moves, b_moves in kinds
-                for u2 in a_moves[u] for v2 in b_moves[v] if rows[u2] >> v2 & 1]))
-    return ProductGraph(h, rule, k, tuple(adj), adj)
-
-
-def product_arcs(h: Graph, rule: Rule | str) -> int:
-    """Arc count of ``build_product(h, rule)`` at threshold 0, and so an
-    upper bound at any threshold, from the degree sum s = 2m, without
-    building it.  The pair (u, v) has deg u + deg v solo moves and
-    deg u * deg v joint ones; summed over all n^2 pairs, 2ns and s^2."""
-    rule = as_rule(rule)
-    s = 2 * h.m
-    return (2 * h.n * s if rule.solo else 0) + (s * s if rule.joint else 0)
+    return ProductGraph(h, rule, k, far_rows(distance_balls(h), k))
 
 
 def safety_subgraph(p: ProductGraph, k: int) -> ProductGraph:

@@ -60,10 +60,9 @@ from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
 from operator import or_
 
-from .graphs import _SELECT, Graph, distance_balls, far_rows, is_connected, metrics
+from .graphs import Graph, distance_balls, far_rows, is_connected, metrics, pair_codes
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
 
 
@@ -173,11 +172,6 @@ def _dilation(masks: Sequence[int]) -> Callable[[int], int]:
     return dilate
 
 
-def _bit_strings(rows: list[int], n: int) -> list[str]:
-    """Each row as n characters "0"/"1", bit 0 first."""
-    return [format(row, f"0{n}b")[::-1] for row in rows]
-
-
 class LevelScan:
     """The good components of one graph's thresholded products under one
     rule, each level flooded on demand and kept (module docstring).  It
@@ -243,7 +237,8 @@ class LevelScan:
         """Whether the good component with rows ``comp`` is edge-good."""
         solo, joint, step = self.rule.solo, self.rule.joint, self.step
         # cols[v]: the u with (u, v) in comp; zip transposes the bit matrix
-        cols = [int("".join(col)[::-1], 2) for col in zip(*_bit_strings(comp, self.n))]
+        bits = (format(row, f"0{self.n}b")[::-1] for row in comp)     # bit 0 first
+        cols = [int("".join(col)[::-1], 2) for col in zip(*bits)]
         for rows in (comp, cols):
             # B's end of an arc on which A moves from the row: stays or moves
             moved = [(r if solo else 0) | (step(r) if joint else 0) for r in rows]
@@ -261,13 +256,6 @@ def level_scan(h: Graph, rule: Rule) -> LevelScan:
         step = next(iter(scans.values())).step if scans else _dilation(h.nbr)
         scans[rule] = LevelScan(h, rule, step)
     return scans[rule]
-
-
-def pair_codes(rows: list[int]) -> tuple[int, ...]:
-    """The pair codes u * n + v of the bitset rows, ascending."""
-    n = len(rows)
-    bits = "".join(_bit_strings(rows, n)).encode().translate(_SELECT)
-    return tuple(compress(range(n * n), bits))
 
 
 def flood_spans(h: Graph, rule: Rule,

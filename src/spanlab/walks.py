@@ -62,10 +62,17 @@ The search counts its work and raises ``CapacityError`` once that passes
 arcs, since each is then tried against the bound and the memo whether or
 not it is followed.  The cover table charges its n << n entries once, and
 each memoised per-player bound charges n, since it scans up to n vertices.
-So the count bounds the time, and not only the states.
-Building the product at the span comes before any of that work, so
-``min_steps`` first bounds its arcs by the threshold-0 count from the
-degree sum and refuses more than ``PRODUCT_ARC_LIMIT`` of them.
+So the count bounds the time, and not only the states.  The product
+generates a pair's moves when the search first enters it, so the count
+bounds the product's memory too.
+
+For n >= 3, ``min_steps`` refuses a graph with n(n - 1) >= ``WALK_BUDGET``
+before the span, and loses no answer.  Each move adds at most one vertex
+to a player's visited set, so an answer takes at least two moves, and by
+the last push the search has read A's bound at n - 1 distinct visited
+sets.  Past ``COVER_TABLE_LIMIT`` each of these bounds costs n units;
+below it, the table charges n * 2^n >= n(n - 1).  The root charged at least
+one arc, so that push's check passes the budget: the search would raise.
 """
 
 from __future__ import annotations
@@ -75,24 +82,17 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import CapacityError
-from .graphs import Graph, ball_distance, distance_balls, flood, is_connected
-from .products import VERTEX, ProductGraph, Rule, as_rule, build_product, product_arcs
-from .spans import level_scan, pair_codes, rule_spans
+from .graphs import Graph, ball_distance, distance_balls, flood, is_connected, pair_codes
+from .products import VERTEX, ProductGraph, Rule, as_rule, build_product
+from .spans import level_scan, rule_spans
 
 # Work limit of one covering-walk search: the arcs of each cover state
 # entered, plus one per cover-table entry or n per per-player bound
-# memoised.  On a 2-vCPU Xeon VM,
-# searches stopped at this limit (n = 14-120) took 0.9-6.1 s and peaked at
-# 98 MiB RSS or less.
+# memoised; graphs with n <= 1,732 reach the search.  On a 2-vCPU Xeon VM,
+# searches stopped at it took 1.1-3.5 s at 29-92 MiB peak RSS for n = 14-300,
+# and 2.2-11.5 s at 95-1,110 MiB for n = 1,000-1,732 (path:1500: 10.2 s at
+# 780 MiB, 2.8 s and 469 MiB of it the span); star:1700 took 50 s, 2.6 GiB.
 WALK_BUDGET = 3_000_000
-# Arc limit of the product that ``min_steps`` builds at the span, checked
-# before the build.  The count is the threshold-0 product's, from the degree
-# sum (``product_arcs``): an upper bound on the thresholded product's arcs.
-# Measured on the same VM when the threshold-0 product was built (about 46
-# bytes of RSS per arc): complete:70 (24.0M traditional arcs) answered in
-# 7.6 s at 1,075 MiB peak RSS and interval:50:1 (3.15M) in 1.2 s at 151 MiB;
-# interval:200:1 (630M arcs, about 27 GiB) is refused in 0.2 s.
-PRODUCT_ARC_LIMIT = 25_000_000
 # Entry limit of the exact cover table (``cover_table``, n << n bytes), so
 # n <= 14; past it the search memoises ``player_bound`` instead.  On the
 # same VM the fill took 0.04-0.05 s at n = 14 (path, cycle, star, random
@@ -258,11 +258,11 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
     shift = 2 * n
     adj = p.adj
     # per pair code: each player's bit, and its position shifted to index
-    # the bounds, looked up on every arc instead of dividing the code
-    bit_a = [1 << c // n for c in range(n * n)]
-    bit_b = [1 << c % n for c in range(n * n)]
-    at_a = [c // n << n for c in range(n * n)]
-    at_b = [c % n << n for c in range(n * n)]
+    # the bounds, looked up on every arc instead of dividing the code (n
+    # shared ints per table)
+    bits, at = [1 << v for v in range(n)], [v << n for v in range(n)]
+    bit_a, at_a = ([x for x in row for _ in range(n)] for row in (bits, at))
+    bit_b, at_b = bits * n, at * n
     roots = sorted((c, bit_a[c], bit_b[c]) for comp in comps for c in pair_codes(comp))
     for code, ma, mb in roots:
         if ma & mb == full:
@@ -325,18 +325,17 @@ def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
     """Span plus the shortest covering walk pair that attains it.
 
     The product is built once, at the span.  The search stops with
-    ``CapacityError`` once its work passes ``WALK_BUDGET``.  Before any
-    work, a graph whose threshold-0 product has more than
-    ``PRODUCT_ARC_LIMIT`` arcs is refused.
+    ``CapacityError`` once its work passes ``WALK_BUDGET``, and a graph on
+    which it must (module docstring) is refused before the span.
     """
     rule = as_rule(rule)
     if not is_connected(h):
         raise ValueError("minimum-step search is defined for connected graphs only")
-    arcs = product_arcs(h, rule)
-    if arcs > PRODUCT_ARC_LIMIT:
+    n = h.n
+    if n >= 3 and n * (n - 1) >= WALK_BUDGET:
         raise CapacityError(
-            f"covering-walk search builds the {rule.value} product of n={h.n}, "
-            f"m={h.m} with up to {arcs} arcs, over the limit of {PRODUCT_ARC_LIMIT}")
+            f"covering-walk search on n={n} reads at least n(n - 1) = {n * (n - 1)} "
+            f"units of bounds, over its budget of {WALK_BUDGET}")
     k, _ = rule_spans(h, rule, (VERTEX,))[VERTEX]
     p = build_product(h, rule, k)
     found = shortest_covering_walk(p)

@@ -307,13 +307,20 @@ def test_exit_3_on_capacity(capsys, monkeypatch):
     code, out, err = run(capsys, "minwalk", "--family", "path:6")
     assert (code, out) == (3, "")
     assert "spanlab: capacity:" in err and "budget of 50" in err
-    # the traditional product of interval:200:1 has 630M arcs: refused before
-    # it is built, not killed for lack of memory
+    monkeypatch.undo()
+    # the search on interval:200:1 (630M arcs at threshold 0) ends at the
+    # work budget, having generated the moves of the pairs it entered only
     start = time.perf_counter()
     code, out, err = run(capsys, "minwalk", "--family", "interval:200:1")
     assert (code, out) == (3, "")
-    assert "629869604 arcs" in err
+    assert "search passed its budget of 3000000" in err
     assert time.perf_counter() - start < 10
+    # at n = 2,000, n(n - 1) passes the budget: refused before the span
+    start = time.perf_counter()
+    code, out, err = run(capsys, "minwalk", "--family", "path:2000")
+    assert (code, out) == (3, "")
+    assert "budget of 3000000" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_hopeless_random_family_fails_fast_with_exit_3(capsys):

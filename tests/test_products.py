@@ -7,7 +7,6 @@ import pytest
 from helpers import connected_atlas, floyd_warshall, pair_moves, random_graphs
 from spanlab import (RULES, Rule, as_rule, build_product, complete_graph, cycle_graph,
                      safety_subgraph)
-from spanlab.products import product_arcs
 
 
 def edge_set(p):
@@ -42,7 +41,9 @@ def test_product_moves_match_the_independent_generator():
                 assert p.threshold == k
                 assert p.codes == tuple(a * n + b for a in range(n) for b in range(n)
                                         if dist[a][b] >= k), (g.adj, rule, k)
-                assert set(p.adj) == set(p.codes)
+                for c in [-1, *sorted(set(range(n * n)) - set(p.codes)), n * n]:
+                    with pytest.raises(KeyError):
+                        p.adj[c]
                 for c in p.codes:
                     a, b = divmod(c, n)
                     expect = tuple(a2 * n + b2 for a2, b2 in
@@ -62,11 +63,14 @@ def test_k2_products_by_hand():
 
 
 def test_product_arcs_from_degree_sums():
+    # the pair (u, v) has deg u + deg v solo moves and deg u * deg v joint
+    # ones; summed over all n^2 pairs, 2n * 2m and (2m)^2
     for g in connected_atlas(5) + random_graphs(12, 2, 9, seed=13):
+        s = 2 * g.m
         for rule in RULES:
-            built = build_product(g, rule)
-            assert product_arcs(g, rule) == sum(map(len, built.adj.values())), (g.adj, rule)
-            assert product_arcs(g, rule.value) == product_arcs(g, rule)
+            p = build_product(g, rule)
+            arcs = (2 * g.n * s if rule.solo else 0) + (s * s if rule.joint else 0)
+            assert sum(len(p.adj[c]) for c in p.codes) == arcs, (g.adj, rule)
 
 
 def test_traditional_is_union_of_active_and_lazy():
@@ -110,7 +114,8 @@ def test_safety_subgraph_keeps_a_higher_threshold():
     p = build_product(g, "traditional", 3)
     s = safety_subgraph(p, 1)
     assert s.threshold == 3
-    assert s.codes == p.codes and s.adj == p.adj
+    assert s.codes == p.codes
+    assert all(s.adj[c] == p.adj[c] for c in p.codes)
     assert safety_subgraph(p, 4).threshold == 4
 
 

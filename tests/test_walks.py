@@ -10,6 +10,7 @@ from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, build_product,
                      parse_graph6, path_graph, random_connected_graph, reroot_walk_pair,
                      safety_subgraph, shortest_covering_walk, star_graph,
                      validate_walk_pair, vertex_span, walk_pair_from_codes)
+from spanlab.spans import rule_spans
 from spanlab.walks import COVER_TABLE_LIMIT, cover_table, player_bound
 
 # the published example pair on the figure3 graph: swap walks that keep the
@@ -126,23 +127,68 @@ def test_cover_table_search_stays_small_where_the_players_block_each_other(monke
     assert (r.span, r.moves) == (1, 16)
 
 
-def test_product_arc_limit_refuses_before_building(monkeypatch):
+def test_refusal_before_the_span_at_n_times_n_minus_1(monkeypatch):
+    # K5: n(n - 1) = 20 units; refused at that budget without a span, and
+    # one above it the span runs and the search passes the budget itself
+    spans = []
+
+    def counting_spans(h, rule, kinds):
+        spans.append(rule)
+        return rule_spans(h, rule, kinds)
+
+    monkeypatch.setattr(spanlab.walks, "rule_spans", counting_spans)
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 20)
+    with pytest.raises(CapacityError, match="budget of 20"):
+        min_steps(complete_graph(5), "traditional")
+    assert not spans
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 21)
+    with pytest.raises(CapacityError, match="search passed its budget of 21"):
+        min_steps(complete_graph(5), "traditional")
+    assert spans == [Rule.TRADITIONAL]
+
+
+def test_refusal_loses_no_answer(monkeypatch):
+    # past the cover-table limit, the least budget with which the search
+    # itself (no refusal in front of it) answers lies above n(n - 1), as the
+    # module docstring proves
+    for g in (star_graph(15), path_graph(16)):
+        n = g.n
+        assert n << n > COVER_TABLE_LIMIT
+        p = build_product(g, "traditional", vertex_span(g, "traditional")[0])
+
+        def answers(budget):
+            monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", budget)
+            try:
+                shortest_covering_walk(p)
+            except CapacityError:
+                return False
+            return True
+
+        lo, hi = 1, 3_000_000
+        assert answers(hi)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if answers(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        assert lo > n * (n - 1), (g.adj, lo)
+
+
+def test_search_generates_only_the_moves_it_enters(monkeypatch):
+    # K80: 41M traditional arcs at its span of 1, of which the search
+    # generates those of the pairs it enters
     built = []
 
-    def counting_build(h, rule, k=0):
-        built.append(rule)
-        return build_product(h, rule, k)
+    def capturing_build(h, rule, k=0):
+        built.append(build_product(h, rule, k))
+        return built[-1]
 
-    monkeypatch.setattr(spanlab.walks, "build_product", counting_build)
-    # K5: degree sum 20, so 2 * 5 * 20 + 20^2 = 600 traditional arcs, 200 lazy
-    monkeypatch.setattr(spanlab.walks, "PRODUCT_ARC_LIMIT", 599)
-    with pytest.raises(CapacityError, match="600 arcs, over the limit of 599"):
-        min_steps(complete_graph(5), "traditional")
-    assert not built
-    assert min_steps(complete_graph(5), "lazy").span == 1
-    monkeypatch.setattr(spanlab.walks, "PRODUCT_ARC_LIMIT", 600)
-    assert min_steps(complete_graph(5), "traditional").span == 1
-    assert len(built) == 2
+    monkeypatch.setattr(spanlab.walks, "build_product", capturing_build)
+    r = min_steps(complete_graph(80), "traditional")
+    assert (r.span, r.moves) == (1, 79)
+    [p] = built
+    assert 0 < len(p.adj) < len(p.codes) == 80 * 79
 
 
 def test_player_bound_is_admissible():
