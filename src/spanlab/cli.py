@@ -163,7 +163,7 @@ def cmd_minwalk(args: argparse.Namespace) -> int:
     result = min_steps(g, args.rule)
     pair = result.pair
     balls = distance_balls(g)
-    steps = [ball_distance(balls, c // g.n, c % g.n) for c in result.product_walk]
+    steps = [ball_distance(balls, c // g.n, 1 << c % g.n) for c in result.product_walk]
     doc = {"tool": "spanlab", "version": __version__,
            "graph": describe(name, g),
            "results": {"rule": pair.rule.value, "span": result.span,

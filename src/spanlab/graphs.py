@@ -26,7 +26,7 @@ _GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Undirected simple graph with ordered vertices and distinct labels."""
 
-    __slots__ = ("n", "labels", "adj", "_label_index", "_dist", "_nbr", "_balls", "_scans")
+    __slots__ = ("n", "labels", "adj", "_label_index", "_nbr", "_balls", "_scans")
 
     def __init__(
         self,
@@ -56,7 +56,6 @@ class Graph:
         self.labels = labels
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self._label_index = {lab: i for i, lab in enumerate(labels)}
-        self._dist: tuple[tuple[float, ...], ...] | None = None
         self._nbr: tuple[int, ...] | None = None
         self._balls: tuple[tuple[int, ...], ...] | None = None
         self._scans: dict | None = None     # rule -> spans.LevelScan
@@ -196,11 +195,12 @@ def pair_codes(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(compress(range(n * n), bits))
 
 
-def ball_distance(balls: Sequence[Sequence[int]], u: int, v: int) -> int:
-    """Hop distance from u to v, for v in u's component, off ``balls =
-    distance_balls(g)``: the first level whose ball around u holds v."""
+def ball_distance(balls: Sequence[Sequence[int]], u: int, targets: int) -> int:
+    """Hop distance from u to the nearest vertex of the bitmask ``targets``,
+    which must meet u's component, off ``balls = distance_balls(g)``: the
+    first level whose ball around u meets ``targets``."""
     d = 0
-    while not balls[d][u] >> v & 1:
+    while not balls[d][u] & targets:
         d += 1
     return d
 
@@ -215,20 +215,17 @@ def distance_rings(g: Graph) -> Iterator[list[int]]:
 
 
 def distance_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
-    """All-pairs hop distances, cached on the graph object: row s holds d
-    at the members of ring d of s (``distance_rings``), and the infinity
-    sentinel outside the component of s."""
-    if g._dist is None:
-        n = g.n
-        rows = []
-        for rings in distance_rings(g):
-            row: list[float] = [INFINITY] * n
-            for d, ring in enumerate(rings):
-                for v in members(ring):
-                    row[v] = d
-            rows.append(tuple(row))
-        g._dist = tuple(rows)
-    return g._dist
+    """All-pairs hop distances, built on each call: row s holds d at the
+    members of ring d of s (``distance_rings``), and the infinity sentinel
+    outside the component of s."""
+    rows = []
+    for rings in distance_rings(g):
+        row: list[float] = [INFINITY] * g.n
+        for d, ring in enumerate(rings):
+            for v in members(ring):
+                row[v] = d
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def metrics(g: Graph) -> Metrics:

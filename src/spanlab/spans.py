@@ -6,11 +6,12 @@ component whose two projections both cover every vertex.  Edge spans ask in
 addition that, for every base edge and each coordinate, some component edge
 moves that coordinate along it.  The radius bounds every variant.
 
-``rule_spans`` finds the spans of one rule without building a product or a
-distance matrix.  At level L the thresholded product is held as n row
-bitsets (``graphs.far_rows``): row u is the set of v with dist(u, v) >= L,
-which is every vertex at level 0 and otherwise the complement of the ball of
-radius L - 1 around u.  Pair code u * n + v stands for player A at u and
+``rule_spans`` checks that the graph is connected and not empty, then finds
+the spans of one rule without building a product or a distance matrix.  At
+level L the thresholded product is held as n row bitsets
+(``graphs.far_rows``): row u is the set of v with dist(u, v) >= L, which is
+every vertex at level 0 and otherwise the complement of the ball of radius
+L - 1 around u.  Pair code u * n + v stands for player A at u and
 player B at v.  The balls come from ``graphs.distance_balls``, grown once
 per graph and cached on it; the radius, from ``graphs.metrics``, is read off
 the same balls.
@@ -66,11 +67,12 @@ from .graphs import Graph, distance_balls, far_rows, is_connected, metrics, pair
 from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Certificate:
     """A witnessing component: re-running the component scan at ``threshold``
     must find ``component`` (pair codes, built from ``rows`` on first read)
-    good, or edge-good for kind="edge".  Equality compares ``component``."""
+    good, or edge-good for kind="edge".  On one graph the rows and the pair
+    codes determine each other, so equality compares the rows."""
 
     rule: Rule
     kind: str
@@ -80,15 +82,6 @@ class Certificate:
     @cached_property
     def component(self) -> tuple[int, ...]:
         return pair_codes(self.rows)
-
-    def _key(self) -> tuple:
-        return self.rule, self.kind, self.threshold, self.component
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, Certificate) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def product_components(p: ProductGraph) -> list[tuple[int, ...]]:
@@ -258,10 +251,26 @@ def level_scan(h: Graph, rule: Rule) -> LevelScan:
     return scans[rule]
 
 
-def flood_spans(h: Graph, rule: Rule,
-                kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
+def rule_spans(h: Graph, rule: Rule | str,
+               kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
     """Spans of each of ``kinds`` of a connected graph with at least one
-    vertex, read off its cached level scan (module docstring)."""
+    vertex under one rule, each with its certificate, read off the graph's
+    cached level scan; no product is built (module docstring).
+
+    The vertex span is the last level of 0 .. radius with a good component:
+    the top level first, the radius capped by the span of a scan cached on
+    h under a rule with all of this rule's steps, then a binary search
+    below it.  Its certificate is the good component with the least pair
+    code at that level.  The edge span descends from the vertex span; its
+    certificate is the first edge-good component, in the same order, at the
+    first level that has one.  Pair codes are built on the first read of
+    ``component``.
+    """
+    if not is_connected(h):
+        raise ValueError("span is defined for connected graphs only")
+    if h.n == 0:
+        raise ValueError("span needs at least one vertex")
+    rule = as_rule(rule)
     scan = level_scan(h, rule)
     # the span of a cached scan under a rule with all of this rule's steps
     caps = [other.span for r, other in h._scans.items() if other.span is not None
@@ -288,27 +297,6 @@ def flood_spans(h: Graph, rule: Rule,
                                  f"{kind} for a connected graph")
         out[kind] = level, Certificate(rule=rule, kind=kind, threshold=level, rows=tuple(comp))
     return out
-
-
-def rule_spans(h: Graph, rule: Rule | str,
-               kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
-    """Spans of each of ``kinds`` under one rule, each with its certificate.
-
-    No product is built: ``flood_spans`` reads the graph's cached level
-    scan (module docstring).  The vertex span is the last level of 0 ..
-    radius with a good component: the top level first, the radius capped by
-    the span of a scan cached on h under a rule with all of this rule's
-    steps, then a binary search below it.  Its certificate is the good
-    component with the least pair code at that level.  The edge span
-    descends from the vertex span; its certificate is the first edge-good
-    component, in the same order, at the first level that has one.  Pair
-    codes are built on the first read of ``component``.
-    """
-    if not is_connected(h):
-        raise ValueError("span is defined for connected graphs only")
-    if h.n == 0:
-        raise ValueError("span needs at least one vertex")
-    return flood_spans(h, as_rule(rule), kinds)
 
 
 def vertex_span(h: Graph, rule: Rule | str) -> tuple[int, Certificate]:

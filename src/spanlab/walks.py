@@ -17,9 +17,9 @@ their sum, since then each step moves one player.  Each count is read at
 ``pos << n | visited``.  While n << n is at most ``COVER_TABLE_LIMIT``
 (n <= 14), they come from ``cover_table``, which holds the exact count of
 every state and is filled once per search by a breadth-first search
-backwards from the fully visited states.  Past the limit, each count is
-the per-player bound below, memoised on first read: at most n * 2^n
-entries per player.
+backwards from the fully visited states.  Past the limit, they come from
+``PlayerBound``, which computes the per-player bound below on first read
+and keeps it: at most n * 2^n entries per player.
 
 The per-player bound.  A player at ``pos`` who has still to visit the set U
 (pos not in U) needs at least
@@ -61,7 +61,7 @@ The search counts its work and raises ``CapacityError`` once that passes
 ``WALK_BUDGET``.  Entering a cover state (a root, or a push) charges its
 arcs, since each is then tried against the bound and the memo whether or
 not it is followed.  The cover table charges its n << n entries once, and
-each memoised per-player bound charges n, since it scans up to n vertices.
+each ``PlayerBound`` entry charges n, since it scans up to n vertices.
 So the count bounds the time, and not only the states.  The product
 generates a pair's moves when the search first enters it, so the count
 bounds the product's memory too.
@@ -77,7 +77,6 @@ one arc, so that push's check passes the budget: the search would raise.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from operator import add
 
@@ -94,7 +93,7 @@ from .spans import level_scan, rule_spans
 # 780 MiB, 2.8 s and 469 MiB of it the span); star:1700 took 50 s, 2.6 GiB.
 WALK_BUDGET = 3_000_000
 # Entry limit of the exact cover table (``cover_table``, n << n bytes), so
-# n <= 14; past it the search memoises ``player_bound`` instead.  On the
+# n <= 14; past it the search reads ``PlayerBound`` instead.  On the
 # same VM the fill took 0.04-0.05 s at n = 14 (path, cycle, star, random
 # p = 0.3 and complete graphs) and 0.10 s at n = 15, where the per-player
 # bound answers stars and paths in milliseconds.
@@ -144,42 +143,6 @@ class MinWalkResult:
     product_walk: tuple[int, ...]
 
 
-def player_bound(g: Graph) -> Callable[[int, int], int]:
-    """Lower bound on the moves one player at ``pos`` needs to visit every
-    vertex of the bitmask ``left``; the module docstring proves it.
-
-    Returns ``bound(pos, left)`` for connected ``g`` and ``pos`` not in
-    ``left``.
-    """
-    n = g.n
-    adj = g.adj
-    nbr = g.nbr
-    balls = distance_balls(g)
-    # per leaf: its bit, its chain's degree-2 vertices, the chain's edge count
-    pendants = []
-    for leaf in range(n):
-        if len(adj[leaf]) != 1:
-            continue
-        prev, cur, inner = leaf, adj[leaf][0], 0
-        while len(adj[cur]) == 2:
-            inner |= 1 << cur
-            prev, cur = cur, adj[cur][adj[cur][0] == prev]
-        pendants.append((1 << leaf, inner, inner.bit_count() + 1))
-
-    def bound(pos: int, left: int) -> int:
-        if not left:
-            return 0
-        d = 1
-        while not balls[d][pos] & left:
-            d += 1
-        comps = len(flood(nbr, left))
-        back = [1 if inner >> pos & 1 else r for bit, inner, r in pendants if left & bit]
-        extra = max(comps - 1, sum(back) - max(back) if back else 0)
-        return left.bit_count() + d - 1 + extra
-
-    return bound
-
-
 def cover_table(g: Graph) -> bytearray:
     """Exact moves one player needs to visit every vertex of connected
     ``g``: entry ``pos << n | visited``, for each state with pos in visited,
@@ -223,19 +186,38 @@ def cover_table(g: Graph) -> bytearray:
     return table
 
 
-class _BoundMemo(dict):
-    """``pos << n | visited`` -> ``player_bound(g)(pos, unvisited)``,
-    computed on first read: the walk search's bounds past
-    ``COVER_TABLE_LIMIT``, read like ``cover_table``."""
+class PlayerBound(dict):
+    """``pos << n | visited`` -> a lower bound on the moves one player at
+    pos in connected ``g`` needs to visit every vertex outside ``visited``
+    (pos in visited), computed on first read: the walk search's bounds past
+    ``COVER_TABLE_LIMIT``, read like ``cover_table``.  The module docstring
+    proves the bound."""
 
     def __init__(self, g: Graph):
         super().__init__()
-        self.n = g.n
-        self.bound = player_bound(g)
+        n = self.n = g.n
+        adj = g.adj
+        self.nbr, self.balls, self.full = g.nbr, distance_balls(g), (1 << n) - 1
+        # per leaf: its bit, its chain's degree-2 vertices, the chain's edge count
+        self.pendants = []
+        for leaf in range(n):
+            if len(adj[leaf]) != 1:
+                continue
+            prev, cur, inner = leaf, adj[leaf][0], 0
+            while len(adj[cur]) == 2:
+                inner |= 1 << cur
+                prev, cur = cur, adj[cur][adj[cur][0] == prev]
+            self.pendants.append((1 << leaf, inner, inner.bit_count() + 1))
 
     def __missing__(self, key: int) -> int:
-        full = (1 << self.n) - 1
-        value = self[key] = self.bound(key >> self.n, full ^ key & full)
+        pos, left = key >> self.n, self.full ^ key & self.full
+        value = 0
+        if left:
+            comps = len(flood(self.nbr, left))
+            back = [1 if inner >> pos & 1 else r for bit, inner, r in self.pendants if left & bit]
+            extra = max(comps - 1, sum(back) - max(back) if back else 0)
+            value = left.bit_count() + ball_distance(self.balls, pos, left) - 1 + extra
+        self[key] = value
         return value
 
 
@@ -263,30 +245,29 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
     bits, at = [1 << v for v in range(n)], [v << n for v in range(n)]
     bit_a, at_a = ([x for x in row for _ in range(n)] for row in (bits, at))
     bit_b, at_b = bits * n, at * n
-    roots = sorted((c, bit_a[c], bit_b[c]) for comp in comps for c in pair_codes(comp))
-    for code, ma, mb in roots:
-        if ma & mb == full:
+    codes = sorted(c for comp in comps for c in pair_codes(comp))
+    for code in codes:
+        if bit_a[code] & bit_b[code] == full:
             return 0, (code,)
     # pos << n | visited -> one player's bound; each entry is charged to the
     # work: 1 per table entry, n per memoised per-player bound
     if n << n <= COVER_TABLE_LIMIT:
         bounds, cost = cover_table(p.base), 1
     else:
-        bounds, cost = _BoundMemo(p.base), n
+        bounds, cost = PlayerBound(p.base), n
     combine = max if p.rule.joint else add
+    # per root, in ascending code: its pair bound and its cover state
+    roots = [(combine(bounds[at_a[c] | bit_a[c]], bounds[at_b[c] | bit_b[c]]),
+              c, bit_a[c], bit_b[c]) for c in codes]
     failed: dict[int, int] = {}     # cover state -> largest failing moves left
     work = 0
-
-    def pair_bound(code: int, ma: int, mb: int) -> int:
-        return combine(bounds[at_a[code] | ma], bounds[at_b[code] | mb])
-
-    depth = min(pair_bound(*root) for root in roots)
+    depth = min(root[0] for root in roots)
     while True:
-        for root in roots:
-            if pair_bound(*root) > depth:
+        for bound, code, ma, mb in roots:
+            if bound > depth:
                 continue
-            work += len(adj[root[0]])
-            path = [(*root, iter(adj[root[0]]))]
+            work += len(adj[code])
+            path = [(code, ma, mb, iter(adj[code]))]
             while path:
                 code, ma, mb, nbrs = path[-1]
                 left = depth - len(path)        # moves left after the next one
@@ -317,7 +298,7 @@ def walk_pair_from_codes(h: Graph, rule: Rule | str, codes: tuple[int, ...]) -> 
     balls = distance_balls(h)
     alice = tuple(h.labels[c // n] for c in codes)
     bob = tuple(h.labels[c % n] for c in codes)
-    safety = min(ball_distance(balls, c // n, c % n) for c in codes)
+    safety = min(ball_distance(balls, c // n, 1 << c % n) for c in codes)
     return WalkPair(alice=alice, bob=bob, rule=rule, safety=safety, moves=len(codes) - 1)
 
 
@@ -373,7 +354,7 @@ def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:
     seen_a, seen_b = set(ai), set(bi)
     missing_a = tuple(h.labels[v] for v in range(h.n) if v not in seen_a)
     missing_b = tuple(h.labels[v] for v in range(h.n) if v not in seen_b)
-    safety = min(ball_distance(balls, a, b) for a, b in zip(ai, bi))
+    safety = min(ball_distance(balls, a, 1 << b) for a, b in zip(ai, bi))
     meets = safety >= k
     return WalkValidation(
         legal=not illegal,

@@ -18,7 +18,7 @@ from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
                      induced_subgraph, is_connected, metrics,
                      parse_edgelist, parse_graph, parse_graph6, path_graph,
                      random_connected_graph, random_interval_graph, to_graph6)
-from spanlab.graphs import distance_balls, distance_rings
+from spanlab.graphs import ball_distance, distance_balls, distance_rings, far_rows
 
 
 def test_basic_construction():
@@ -155,7 +155,7 @@ def _assert_eccentricities(met, dist):
     ecc = tuple(max(row) for row in dist)
     assert met.ecc == ecc, met.graph.adj
     assert (met.radius, met.diameter) == (min(ecc, default=0), max(ecc, default=0))
-    assert distance_matrix(met.graph) is distance_matrix(met.graph)
+    assert distance_matrix(met.graph) == distance_matrix(met.graph)
 
 
 def test_distance_matrix_against_floyd_warshall():
@@ -193,6 +193,27 @@ def test_distance_kernel_on_long_paths_and_cycles():
             assert [list(row) for row in distance_matrix(g)] == ref, g
             assert list(distance_rings(g)) == _rings_by_definition(ref, n), g
             _assert_eccentricities(metrics(g), ref)
+
+
+def test_far_rows_and_ball_distance_against_distance_matrix():
+    # far_rows at every level, including the clamp past the last ball level,
+    # and ball_distance to every target set that meets u's component, against
+    # distance_matrix (itself checked against Floyd-Warshall above)
+    disconnected = [Graph(3), Graph(5, [(0, 1), (2, 3)]),
+                    Graph(6, [(0, 1), (1, 2), (3, 4)]),
+                    Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])]
+    for g in connected_atlas(7) + disconnected:
+        n, balls, dist = g.n, distance_balls(g), distance_matrix(g)
+        for k in range(len(balls) + 2):
+            want = [sum(1 << v for v in range(n) if dist[u][v] >= k) for u in range(n)]
+            assert far_rows(balls, k) == want, (g.adj, k)
+        if n > 6:
+            continue
+        for u in range(n):
+            for targets in range(1, 1 << n):
+                near = [dist[u][v] for v in range(n) if targets >> v & 1]
+                if min(near) != INFINITY:
+                    assert ball_distance(balls, u, targets) == min(near), (g.adj, u, targets)
 
 
 def test_metrics_path4():

@@ -5,11 +5,11 @@ import sys
 import pytest
 
 from helpers import connected_atlas, descending_span, random_graphs, spine_tree
-from spanlab import (KINDS, RULES, VERTEX, Graph, Rule, build_product, complete_graph,
-                     cycle_graph, edge_good_components, edge_span, fixture, generate_family,
-                     good_components, metrics, parse_graph6, path_graph, product_components,
-                     random_interval_graph, safety_subgraph, span_report, to_graph6,
-                     vertex_span)
+from spanlab import (KINDS, RULES, VERTEX, Certificate, Graph, Rule, build_product,
+                     complete_graph, cycle_graph, edge_good_components, edge_span, fixture,
+                     generate_family, good_components, metrics, parse_graph6, path_graph,
+                     product_components, random_interval_graph, safety_subgraph, span_report,
+                     to_graph6, vertex_span)
 from spanlab.spans import level_scan, pair_codes, rule_spans
 
 # (rule, kind) -> value tables confirmed by the reachability oracle;
@@ -203,6 +203,30 @@ def test_certificate_codes_are_built_on_first_read(monkeypatch):
     assert cert.component == codes(list(cert.rows)) and len(calls) == 1
     assert cert.component is cert.component and len(calls) == 1
     assert cert == vertex_span(fresh(g), Rule.TRADITIONAL)[1]
+
+
+def test_certificate_identity_is_its_fields():
+    # equality and hash cover (rule, kind, threshold, rows): a certificate
+    # rebuilt from its rows is equal, one row bit flipped is not, and the
+    # certificates of two equal graph objects collapse pairwise in a set
+    g = fixture("figure1")
+    certs = [cert for kinds in span_report(g).certificates.values() for cert in kinds.values()]
+    for cert in certs:
+        rebuilt = Certificate(rule=cert.rule, kind=cert.kind, threshold=cert.threshold,
+                              rows=tuple(list(cert.rows)))
+        assert rebuilt == cert and hash(rebuilt) == hash(cert)
+        for u in range(g.n):
+            for v in range(g.n):
+                rows = list(cert.rows)
+                rows[u] ^= 1 << v
+                flipped = Certificate(rule=cert.rule, kind=cert.kind,
+                                      threshold=cert.threshold, rows=tuple(rows))
+                assert flipped != cert and flipped.component != cert.component
+    twins = [cert for kinds in span_report(fresh(g)).certificates.values()
+             for cert in kinds.values()]
+    assert all(a is not b and a == b for a, b in zip(certs, twins))
+    # the six differ in rule or kind, and each twin lands on its certificate
+    assert len(set(certs)) == len(set(certs + twins)) == len(certs) == 6
 
 
 def test_edge_good_refines_good():

@@ -1,5 +1,6 @@
 """Theorem harness: applicability gating, check outcomes, report shape."""
 
+import sys
 from functools import lru_cache
 
 import networkx as nx
@@ -7,7 +8,7 @@ import pytest
 
 from helpers import (caterpillar, connected_atlas, naive_span1_structure, random_graphs,
                      span1_conditions)
-from spanlab import (EDGE, FIXTURES, VERTEX, CapacityError, Graph, Rule,
+from spanlab import (EDGE, FIXTURES, KINDS, VERTEX, CapacityError, Graph, Rule,
                      check_interval_theorems, check_span1_structure,
                      check_span_inequalities, complete_graph, cycle_graph, end_cliques,
                      fixture, generate_family, is_interval, minimal_cut_sets,
@@ -136,21 +137,20 @@ def test_verify_computes_the_traditional_span_once(monkeypatch):
     # path:6 is an interval tree with span 1, so every checker asks about its
     # span; the inequality check floods it, and the other two probe level 2
     # of the graph's cached level scan without a flood
-    import spanlab.spans
     import spanlab.theorems
     from spanlab.cli import main
     g = path_graph(6)
     runs = []
     probes = []
     floods = []
-    flood_spans = spanlab.spans.flood_spans
+    rule_spans = spanlab.theorems.rule_spans
     probe = spanlab.theorems._span_is_1
     flood = LevelScan._flood
 
-    def counting_floods(h, rule, kinds):
+    def counting_spans(h, rule, kinds=KINDS):
         before = len(floods)
-        out = flood_spans(h, rule, kinds)
-        runs.append((h.adj, rule, kinds, len(floods) - before, out[VERTEX][0]))
+        out = rule_spans(h, rule, kinds)
+        runs.append((h.adj, Rule(rule), kinds, len(floods) - before, out[VERTEX][0]))
         return out
 
     def counting_probe(h):
@@ -163,7 +163,10 @@ def test_verify_computes_the_traditional_span_once(monkeypatch):
         floods.append(scan)
         return flood(scan, avail, start)
 
-    monkeypatch.setattr(spanlab.spans, "flood_spans", counting_floods)
+    # every call, from the theorems or through vertex_span and span_report
+    for mod in [m for name, m in sys.modules.items() if name.startswith("spanlab")]:
+        if getattr(mod, "rule_spans", None) is rule_spans:
+            monkeypatch.setattr(mod, "rule_spans", counting_spans)
     monkeypatch.setattr(spanlab.theorems, "_span_is_1", counting_probe)
     monkeypatch.setattr(LevelScan, "_flood", counting_flood)
     assert main(["verify", "--family", "path:6", "--format", "json"]) == 0

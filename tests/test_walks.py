@@ -11,7 +11,7 @@ from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, build_product,
                      safety_subgraph, shortest_covering_walk, star_graph,
                      validate_walk_pair, vertex_span, walk_pair_from_codes)
 from spanlab.spans import rule_spans
-from spanlab.walks import COVER_TABLE_LIMIT, cover_table, player_bound
+from spanlab.walks import COVER_TABLE_LIMIT, PlayerBound, cover_table
 
 # the published example pair on the figure3 graph: swap walks that keep the
 # players at distance exactly 2 the whole time
@@ -194,14 +194,13 @@ def test_search_generates_only_the_moves_it_enters(monkeypatch):
 def test_player_bound_is_admissible():
     # the bound never exceeds the exact single-player covering-walk length
     for g in connected_atlas(6):
-        bound = player_bound(g)
-        full = (1 << g.n) - 1
+        bound = PlayerBound(g)
         for (pos, seen), moves in single_cover_moves(g).items():
-            assert bound(pos, full ^ seen) <= moves, (g.adj, pos, seen)
+            assert bound[pos << g.n | seen] <= moves, (g.adj, pos, seen)
     star = star_graph(7)
     exact = single_cover_moves(star)
     # from a leaf: 7 first visits plus a return to the centre after 5 leaves
-    assert player_bound(star)(1, 0b11111101) == exact[1, 0b10] == 12
+    assert PlayerBound(star)[1 << 8 | 0b10] == exact[1, 0b10] == 12
 
 
 def test_cover_table_is_exact():
@@ -219,21 +218,22 @@ def test_cover_table_is_exact():
 def test_search_past_the_table_limit_memoises_player_bound(monkeypatch):
     calls = []
 
-    def counting_bound(g):
-        calls.append(g.n)
-        return player_bound(g)
+    class CountingBound(PlayerBound):
+        def __init__(self, g):
+            calls.append(g.n)
+            super().__init__(g)
 
     def no_table(g):
         raise AssertionError(f"cover table filled for n={g.n}")
 
-    monkeypatch.setattr(spanlab.walks, "player_bound", counting_bound)
+    monkeypatch.setattr(spanlab.walks, "PlayerBound", CountingBound)
     monkeypatch.setattr(spanlab.walks, "cover_table", no_table)
     g = star_graph(20)
     assert g.n << g.n > COVER_TABLE_LIMIT
     assert min_steps(g, "traditional").moves == 39
     assert min_steps(g, "lazy").moves == 76
     assert calls == [21, 21]
-    # at the limit the search reads the table, and player_bound is not built
+    # at the limit the search reads the table, and no PlayerBound is built
     monkeypatch.setattr(spanlab.walks, "cover_table", cover_table)
     g = star_graph(13)
     assert g.n << g.n <= COVER_TABLE_LIMIT
