@@ -16,7 +16,7 @@ from .families import (FIXTURES, complete_graph, cycle_graph, fixture,
                        random_interval_graph, star_graph, subdivided_star)
 from .graphs import (INFINITY, Graph, Metrics, components, distance_matrix,
                      fresh_labels, induced_subgraph, is_connected, metrics,
-                     parse_edgelist, parse_graph, parse_graph6, to_graph6)
+                     parse_edgelist, parse_graph6, to_graph6)
 from .oracle import brute_force_span
 from .products import (EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule,
                        as_rule, build_product, safety_subgraph)
@@ -49,7 +49,7 @@ __all__ = [
     "fresh_labels", "generate_family", "good_components", "induced_subgraph",
     "interval_certificate", "is_chordal", "is_connected", "is_interval",
     "maximal_cliques", "metrics", "min_steps", "minimal_cut_sets",
-    "parse_edgelist", "parse_graph", "parse_graph6", "path_graph",
+    "parse_edgelist", "parse_graph6", "path_graph",
     "product_components", "random_connected_graph", "random_interval_graph",
     "reroot_walk_pair", "s_lobes", "safety_subgraph",
     "shortest_covering_walk", "span_report", "star_graph", "subdivided_star",

@@ -2,8 +2,10 @@
 
 Subcommands: span (all six span values), minwalk (shortest optimal walk
 pair), analyze (metrics, interval certificate, cut sets), verify (theorem
-checks), generate (emit graph6).  Exit codes: 0 success, 1 a theorem check
-was violated, 2 usage or parse error, 3 capacity limit hit.
+checks), generate (emit graph6); ``_COMMANDS`` lists them.  Exit codes: 0
+success, 1 a theorem check was violated, 2 usage or parse error, 3 capacity
+limit hit.  Every JSON document is the envelope ``emit`` builds: tool,
+version, graph and results.
 """
 
 from __future__ import annotations
@@ -16,34 +18,15 @@ import sys
 
 from . import __version__
 from .errors import CapacityError, GraphParseError
-from .families import FIXTURES, _seed_ignored, fixture, generate_family
-from .graphs import (INFINITY, Graph, ball_distance, distance_balls, metrics, parse_graph,
-                     to_graph6)
+from .families import FAMILIES, FIXTURES, _seed_ignored, fixture, generate_family
+from .graphs import (INFINITY, Graph, ball_distance, distance_balls, metrics, parse_edgelist,
+                     parse_graph6, to_graph6)
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
 from .structure import INTERVAL_CAP, interval_certificate, minimal_cut_sets
 from .theorems import (NOT_APPLICABLE, SKIPPED_BY_CAP, VIOLATED, check_interval_theorems,
                        check_span1_structure, check_span_inequalities)
 from .walks import min_steps
-
-_FAMILY_HELP = ("generated graph, e.g. path:5, cycle:6, complete:4, star:3, "
-                "subdivided-star:4, random:8, interval:10")
-
-
-def _add_source(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--fixture", metavar="NAME",
-                     help="built-in graph: " + ", ".join(sorted(FIXTURES)))
-    src.add_argument("--family", metavar="SPEC", help=_FAMILY_HELP)
-    src.add_argument("--file", metavar="PATH", help="graph6 or edge-list file")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="output format (default text)")
-    p.add_argument("--seed", type=int,
-                   help="seed for a --family spec that reads one (default 0)")
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -55,38 +38,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Span values, optimal walk pairs, and structure checks "
                     "for connected graphs.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("span", help="compute span values of a graph")
-    _add_source(p)
-    _add_common(p)
-    p.add_argument("--rule", choices=("traditional", "active", "lazy", "all"),
-                   default="all", help="movement rule (default all)")
-    p.add_argument("--kind", choices=("vertex", "edge", "both"), default="both",
-                   help="cover kind (default both)")
-
-    p = sub.add_parser("minwalk", help="shortest optimal walk pair")
-    _add_source(p)
-    _add_common(p)
-    p.add_argument("--rule", choices=("traditional", "active", "lazy"),
-                   default="traditional", help="movement rule (default traditional)")
-
-    p = sub.add_parser("analyze",
-                       help="metrics, interval certificate, minimal cut sets")
-    _add_source(p)
-    _add_common(p)
-    p.add_argument("--cap", type=int, default=INTERVAL_CAP,
-                   help="most vertices an interval representation is built "
-                        f"for (default {INTERVAL_CAP})")
-
-    p = sub.add_parser("verify", help="run theorem checks against a graph")
-    _add_source(p)
-    _add_common(p)
-    p.add_argument("--seeds", type=int, default=1,
-                   help="check this many seeded instances of a --family spec")
-
-    p = sub.add_parser("generate", help="emit the chosen graph as graph6")
-    _add_source(p)
-    _add_common(p)
+    p = {}
+    for name, (help_line, _) in _COMMANDS.items():
+        p[name] = sub.add_parser(name, help=help_line)
+        src = p[name].add_mutually_exclusive_group(required=True)
+        src.add_argument("--fixture", metavar="NAME",
+                         help="built-in graph: " + ", ".join(sorted(FIXTURES)))
+        src.add_argument("--family", metavar="SPEC", help="generated graph: " + ", ".join(
+            f"{family}:{form}" for family, (_, form) in FAMILIES.items()))
+        src.add_argument("--file", metavar="PATH", help="graph6 or edge-list file")
+        p[name].add_argument("--format", choices=("text", "json"), default="text",
+                             help="output format (default text)")
+        p[name].add_argument("--seed", type=int,
+                             help="seed for a --family spec that reads one (default 0)")
+    p["span"].add_argument("--rule", choices=("traditional", "active", "lazy", "all"),
+                           default="all", help="movement rule (default all)")
+    p["span"].add_argument("--kind", choices=("vertex", "edge", "both"), default="both",
+                           help="cover kind (default both)")
+    p["minwalk"].add_argument("--rule", choices=("traditional", "active", "lazy"),
+                              default="traditional", help="movement rule (default traditional)")
+    p["analyze"].add_argument("--cap", type=int, default=INTERVAL_CAP,
+                              help="most vertices an interval representation is built "
+                                   f"for (default {INTERVAL_CAP})")
+    p["verify"].add_argument("--seeds", type=int, default=1,
+                             help="check this many seeded instances of a --family spec")
     return ap
 
 
@@ -97,7 +72,7 @@ def _load_file(path: str) -> Graph:
     if not stripped:
         raise GraphParseError(f"empty graph file {path!r}")
     # edge-list lines contain whitespace between endpoints; graph6 never does
-    return parse_graph(text, "edgelist" if len(stripped[0].split()) > 1 else "graph6")
+    return (parse_edgelist if len(stripped[0].split()) > 1 else parse_graph6)(text)
 
 
 def _check_seeded(args: argparse.Namespace, flag: str) -> None:
@@ -124,11 +99,13 @@ def describe(name: str, g: Graph) -> dict:
             "graph6": to_graph6(g), "labels": list(g.labels)}
 
 
-def emit(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
-    """Write a command's output.  A reader that closes the pipe early (as
+def emit(args: argparse.Namespace, graph: dict, results: dict, lines: list[str]) -> None:
+    """Write a command's output: ``lines`` as text, or the JSON envelope of
+    ``graph`` and ``results``.  A reader that closes the pipe early (as
     ``head`` does) drops the rest of it, and the command keeps its exit
     code: stdout is pointed at the null device, so that the flush at exit
     does not fail again."""
+    doc = {"tool": "spanlab", "version": __version__, "graph": graph, "results": results}
     try:
         print(json.dumps(doc, indent=2, sort_keys=True) if args.format == "json"
               else "\n".join(lines))
@@ -148,13 +125,11 @@ def cmd_span(args: argparse.Namespace) -> int:
     values: dict[str, dict[str, int]] = {}
     for rule in rules:
         values[rule.value] = {kind: k for kind, (k, _) in rule_spans(g, rule, kinds).items()}
-    doc = {"tool": "spanlab", "version": __version__,
-           "graph": describe(name, g), "results": {"spans": values}}
     lines = [f"graph: {name}  n={g.n} m={g.m}"]
     for rule in rules:
         cells = "  ".join(f"{kind}={values[rule.value][kind]}" for kind in kinds)
         lines.append(f"{rule.value}: {cells}")
-    emit(args, doc, lines)
+    emit(args, describe(name, g), {"spans": values}, lines)
     return 0
 
 
@@ -164,12 +139,6 @@ def cmd_minwalk(args: argparse.Namespace) -> int:
     pair = result.pair
     balls = distance_balls(g)
     steps = [ball_distance(balls, c // g.n, 1 << c % g.n) for c in result.product_walk]
-    doc = {"tool": "spanlab", "version": __version__,
-           "graph": describe(name, g),
-           "results": {"rule": pair.rule.value, "span": result.span,
-                       "moves": result.moves, "alice": list(pair.alice),
-                       "bob": list(pair.bob), "distances": steps,
-                       "safety": pair.safety}}
     width = max(5, max(len(a) for a in pair.alice + pair.bob))
     lines = [f"graph: {name}  n={g.n} m={g.m}",
              f"rule: {pair.rule.value}",
@@ -178,7 +147,10 @@ def cmd_minwalk(args: argparse.Namespace) -> int:
              f"{'step':>4}  {'alice':>{width}}  {'bob':>{width}}  distance"]
     for i, (a, b) in enumerate(zip(pair.alice, pair.bob)):
         lines.append(f"{i:>4}  {a:>{width}}  {b:>{width}}  {steps[i]:>8}")
-    emit(args, doc, lines)
+    emit(args, describe(name, g),
+         {"rule": pair.rule.value, "span": result.span, "moves": result.moves,
+          "alice": list(pair.alice), "bob": list(pair.bob), "distances": steps,
+          "safety": pair.safety}, lines)
     return 0
 
 
@@ -205,13 +177,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                  "is_clique": c.is_clique,
                  "components": [_label_all(g, comp) for comp in c.components]}
                 for c in cuts.sets]
-    doc = {"tool": "spanlab", "version": __version__,
-           "graph": describe(name, g),
-           "results": {"metrics": {"radius": _finite(met.radius),
-                                   "diameter": _finite(met.diameter),
-                                   "girth": _finite(met.girth)},
-                       "interval": interval_doc,
-                       "cut_sets": cuts_doc}}
     girth_text = "acyclic" if met.girth == INFINITY else str(int(met.girth))
     lines = [f"graph: {name}  n={g.n} m={g.m}",
              f"radius={_finite(met.radius)} diameter={_finite(met.diameter)} "
@@ -233,7 +198,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         flag = "clique" if c.is_clique else "not a clique"
         lines.append("  {" + ",".join(_label_all(g, c.vertices)) + "}  "
                      + flag + "  components: " + comps)
-    emit(args, doc, lines)
+    emit(args, describe(name, g),
+         {"metrics": {"radius": _finite(met.radius), "diameter": _finite(met.diameter),
+                      "girth": _finite(met.girth)},
+          "interval": interval_doc, "cut_sets": cuts_doc}, lines)
     return 0
 
 
@@ -270,10 +238,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     graph_doc = (describe(first_name, first_graph) if len(runs) == 1
                  else {"family": args.family, "seed": first_seed,
                        "seeds": args.seeds})
-    doc = {"tool": "spanlab", "version": __version__, "graph": graph_doc,
-           "results": {"graphs": len(runs), "checks": checks_run,
-                       "not_applicable": skipped, "skipped_by_cap": capped,
-                       "violations": violations}}
     lines = [f"graphs checked: {len(runs)}",
              f"checks run: {checks_run} (not applicable: {skipped}, "
              f"skipped by a cap: {capped})",
@@ -281,21 +245,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for v in violations:
         lines.append(f"  VIOLATED {v['check']} on {v['graph']} "
                      f"(graph6 {v['graph6']}): {v['witness']}")
-    emit(args, doc, lines)
+    emit(args, graph_doc, {"graphs": len(runs), "checks": checks_run, "not_applicable": skipped,
+                           "skipped_by_cap": capped, "violations": violations}, lines)
     return 1 if violations else 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     name, g = load_graph(args)
     g6 = to_graph6(g)
-    doc = {"tool": "spanlab", "version": __version__,
-           "graph": describe(name, g), "results": {"graph6": g6}}
-    emit(args, doc, [g6])
+    emit(args, describe(name, g), {"graph6": g6}, [g6])
     return 0
 
 
-_DISPATCH = {"span": cmd_span, "minwalk": cmd_minwalk, "analyze": cmd_analyze,
-             "verify": cmd_verify, "generate": cmd_generate}
+# each subcommand's help line and handler, in the order the help lists them
+_COMMANDS = {
+    "span": ("compute span values of a graph", cmd_span),
+    "minwalk": ("shortest optimal walk pair", cmd_minwalk),
+    "analyze": ("metrics, interval certificate, minimal cut sets", cmd_analyze),
+    "verify": ("run theorem checks against a graph", cmd_verify),
+    "generate": ("emit the chosen graph as graph6", cmd_generate),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -304,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     parsing their arguments."""
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except CapacityError as exc:
         print(f"spanlab: capacity: {exc}", file=sys.stderr)
         return 3

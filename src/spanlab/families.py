@@ -2,7 +2,9 @@
 
 A family spec is a string like ``cycle:5``, ``random:8``, ``random:8:0.4:7``
 (n, edge probability, seed), ``random_interval:9:3``, or ``fixture:figure1``.
-A seed embedded in the spec wins over the ``seed`` argument.
+A seed embedded in the spec wins over the ``seed`` argument.  The grammar
+lives in one place: ``FAMILIES`` gives each family's builder and form, and
+``_FIELDS`` how each field of a form is read.
 """
 
 from __future__ import annotations
@@ -140,10 +142,23 @@ def fixture(name: str) -> Graph:
         raise ValueError(f"unknown fixture {name!r}; have {sorted(FIXTURES)}") from None
 
 
-# each family's fields after its name, one per ":"
-_FORMS = {"fixture": "NAME", "path": "N", "cycle": "N", "complete": "N", "star": "LEAVES",
-          "subdivided_star": "RAYS", "random": "N[:P[:SEED]]", "random_connected": "N[:P[:SEED]]",
-          "interval": "N[:SEED]", "random_interval": "N[:SEED]"}
+# each family's builder, and its fields after its name, one per ":"; the
+# bracketed ones may be left out, and a left-out SEED is the seed argument
+FAMILIES = {
+    "fixture": (fixture, "NAME"),
+    "path": (path_graph, "N"),
+    "cycle": (cycle_graph, "N"),
+    "complete": (complete_graph, "N"),
+    "star": (star_graph, "LEAVES"),
+    "subdivided_star": (subdivided_star, "RAYS"),
+    "random": (random_connected_graph, "N[:P[:SEED]]"),
+    "random_connected": (random_connected_graph, "N[:P[:SEED]]"),
+    "interval": (random_interval_graph, "N[:SEED]"),
+    "random_interval": (random_interval_graph, "N[:SEED]"),
+}
+# how each field is read, and what an error calls it
+_FIELDS = {"N": (int, "vertex count"), "LEAVES": (int, "leaf count"), "RAYS": (int, "ray count"),
+           "P": (float, "probability"), "SEED": (int, "seed"), "NAME": (str, "name")}
 
 
 def _split(spec: str) -> tuple[str, list[str]]:
@@ -151,10 +166,11 @@ def _split(spec: str) -> tuple[str, list[str]]:
     name, _, rest = spec.strip().partition(":")
     args = rest.split(":") if rest else []
     name = name.strip().lower().replace("-", "_")
-    if name not in _FORMS:
+    if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
-    if not 1 <= len(args) <= _FORMS[name].count(":") + 1:
-        raise ValueError(f"{name} spec is {name}:{_FORMS[name]}, got {spec!r}")
+    form = FAMILIES[name][1]
+    if not 1 <= len(args) <= form.count(":") + 1:
+        raise ValueError(f"{name} spec is {name}:{form}, got {spec!r}")
     return name, args
 
 
@@ -162,9 +178,10 @@ def _seed_ignored(spec: str) -> str | None:
     """Why a family spec names the same graph whatever the ``seed``
     argument of ``generate_family``, or None if the spec reads it."""
     name, args = _split(spec)
-    if "SEED" not in _FORMS[name]:
+    form = FAMILIES[name][1]
+    if "SEED" not in form:
         return f"{name} has no seed"
-    if len(args) > _FORMS[name].count(":"):
+    if len(args) > form.count(":"):
         return f"{spec!r} embeds seed {args[-1]}"
     return None
 
@@ -172,34 +189,15 @@ def _seed_ignored(spec: str) -> str | None:
 def generate_family(spec: str, seed: int | None = None) -> Graph:
     """Build the graph named by a family spec string."""
     name, args = _split(spec)
-
-    def int_arg(i: int, what: str) -> int:
+    build, form = FAMILIES[name]
+    fields = form.replace("[", "").replace("]", "").split(":")
+    values = []
+    for field, arg in zip(fields, args):
+        read, what = _FIELDS[field]
         try:
-            return int(args[i])
+            values.append(read(arg))
         except ValueError:
-            raise ValueError(f"family {name!r}: bad {what} {args[i]!r}") from None
-
-    if name == "fixture":
-        return fixture(args[0])
-    if name == "path":
-        return path_graph(int_arg(0, "vertex count"))
-    if name == "cycle":
-        return cycle_graph(int_arg(0, "vertex count"))
-    if name == "complete":
-        return complete_graph(int_arg(0, "vertex count"))
-    if name == "star":
-        return star_graph(int_arg(0, "leaf count"))
-    if name == "subdivided_star":
-        return subdivided_star(int_arg(0, "ray count"))
-    n = int_arg(0, "vertex count")
-    if name in ("random", "random_connected"):
-        p = 0.5
-        if len(args) > 1:
-            try:
-                p = float(args[1])
-            except ValueError:
-                raise ValueError(f"family {name!r}: bad probability {args[1]!r}") from None
-        s = int_arg(2, "seed") if len(args) > 2 else (seed if seed is not None else 0)
-        return random_connected_graph(n, p, s)
-    s = int_arg(1, "seed") if len(args) > 1 else (seed if seed is not None else 0)
-    return random_interval_graph(n, s)
+            raise ValueError(f"family {name!r}: bad {what} {arg!r}") from None
+    if "SEED" in fields[len(args):]:
+        return build(*values, seed=seed or 0)
+    return build(*values)

@@ -294,15 +294,6 @@ _BASE64 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
 
-def parse_graph(text: str, fmt: str) -> Graph:
-    """Decode ``text`` in the named format ("graph6" or "edgelist")."""
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
-
-
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(_GRAPH6_HEADER):

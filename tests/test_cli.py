@@ -10,9 +10,20 @@ from pathlib import Path
 import pytest
 
 import spanlab
-from spanlab import cycle_graph, parse_graph6
+from spanlab import (complete_graph, cycle_graph, fixture, generate_family, parse_graph6,
+                     path_graph, random_connected_graph, random_interval_graph, star_graph,
+                     subdivided_star)
 from spanlab.cli import main
+from spanlab.families import _seed_ignored
 from spanlab.theorems import VIOLATED, Check, TheoremReport
+
+
+@pytest.fixture
+def subprocess_path(monkeypatch):
+    """Subprocesses import the spanlab these tests import."""
+    src = str(Path(spanlab.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 def run(capsys, *argv):
@@ -218,6 +229,39 @@ def test_json_outputs_are_byte_identical_across_runs(capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_every_command_wraps_its_results_in_one_envelope(capsys):
+    for argv in (["span", "--fixture", "figure1"],
+                 ["minwalk", "--family", "cycle:4"],
+                 ["analyze", "--fixture", "figure2"],
+                 ["verify", "--fixture", "figure3"],
+                 ["generate", "--family", "cycle:5"],
+                 ["verify", "--family", "random:6", "--seeds", "3"]):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        assert (code, set(doc)) == (0, {"tool", "version", "graph", "results"}), argv
+        assert (doc["tool"], doc["version"]) == ("spanlab", spanlab.__version__)
+    # the seeded family run describes the family, not one graph
+    assert doc["graph"] == {"family": "random:6", "seed": 0, "seeds": 3}
+
+
+def test_json_outputs_are_byte_identical_across_processes(monkeypatch, subprocess_path):
+    # string hashing is salted per process: set iteration order must not
+    # reach the output
+    for argv in (["span", "--family", "random:9:0.4:2"],
+                 ["minwalk", "--fixture", "figure1", "--rule", "lazy"],
+                 ["analyze", "--fixture", "figure3"],
+                 ["verify", "--family", "interval:8", "--seeds", "3"],
+                 ["generate", "--family", "random:10", "--seed", "1"]):
+        outputs = []
+        for hash_seed in ("0", "1"):
+            monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+            proc = subprocess.run([sys.executable, "-m", "spanlab", *argv, "--format", "json"],
+                                  capture_output=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, b""), argv
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
+
+
 def test_file_inputs_both_formats(tmp_path, capsys):
     g6 = tmp_path / "g.g6"
     g6.write_text("C~\n")
@@ -231,6 +275,15 @@ def test_file_inputs_both_formats(tmp_path, capsys):
     code, out, _ = run(capsys, "span", "--file", str(el), "--format", "json")
     assert code == 0
     assert json.loads(out)["results"]["spans"]["traditional"]["vertex"] == 2
+
+    # the format is read off the first non-blank line
+    for text, graph in ((">>graph6<<C~\n", complete_graph(4)),
+                        ("\n\n0 1\n1 2\n2 3\n3 0\n", cycle_graph(4)),
+                        ("0 1\n", path_graph(2))):
+        f = tmp_path / "sniffed"
+        f.write_text(text)
+        code, out, _ = run(capsys, "generate", "--file", str(f))
+        assert (code, parse_graph6(out.strip())) == (0, graph), text
 
 
 def test_exit_2_on_unknown_fixture(capsys):
@@ -264,8 +317,58 @@ def test_exit_2_on_extra_family_fields(capsys):
 def test_bad_family_field_messages(capsys):
     assert run(capsys, "span", "--family", "path:abc")[2].strip() == (
         "spanlab: error: family 'path': bad vertex count 'abc'")
+    # each field kind names itself, and the first bad field is the one reported
+    for spec, message in (("star:q", "family 'star': bad leaf count 'q'"),
+                          ("subdivided-star:z", "family 'subdivided_star': bad ray count 'z'"),
+                          ("random:8:x", "family 'random': bad probability 'x'"),
+                          ("random_connected:8:x:y",
+                           "family 'random_connected': bad probability 'x'"),
+                          ("random:8:0.4:y", "family 'random': bad seed 'y'"),
+                          ("random_interval:9:y", "family 'random_interval': bad seed 'y'"),
+                          ("interval:x:y", "family 'interval': bad vertex count 'x'")):
+        code, out, err = run(capsys, "span", "--family", spec)
+        assert (code, out, err) == (2, "", f"spanlab: error: {message}\n"), spec
     assert run(capsys, "span", "--family", "star")[2].strip() == (
         "spanlab: error: star spec is star:LEAVES, got 'star'")
+
+
+# every family and alias at its shortest and longest form, with the graph
+# its builder makes at seed 3
+FAMILY_SPECS = (
+    ("fixture:figure1", fixture("figure1")),
+    ("path:5", path_graph(5)),
+    ("cycle:6", cycle_graph(6)),
+    ("complete:4", complete_graph(4)),
+    ("star:3", star_graph(3)),
+    ("subdivided-star:4", subdivided_star(4)),
+    ("subdivided_star:4", subdivided_star(4)),
+    ("random:8", random_connected_graph(8, 0.5, 3)),
+    ("random:8:0.5:3", random_connected_graph(8, 0.5, 3)),
+    ("random:8:0.4", random_connected_graph(8, 0.4, 3)),
+    ("random_connected:8", random_connected_graph(8, 0.5, 3)),
+    ("random_connected:8:0.4:7", random_connected_graph(8, 0.4, 7)),
+    ("interval:9", random_interval_graph(9, 3)),
+    ("interval:9:2", random_interval_graph(9, 2)),
+    ("random_interval:9", random_interval_graph(9, 3)),
+    ("random_interval:9:2", random_interval_graph(9, 2)),
+)
+
+
+def test_family_specs_build_what_their_builders_build():
+    for spec, graph in FAMILY_SPECS:
+        assert generate_family(spec, seed=3) == graph, spec
+    # a left-out seed is 0 without the seed argument, and a spec's seed wins
+    assert generate_family("random:8") == random_connected_graph(8, 0.5, 0)
+    assert generate_family("interval:9") == random_interval_graph(9, 0)
+    assert generate_family("random:8:0.5:3", seed=9) == random_connected_graph(8, 0.5, 3)
+    assert generate_family("interval:9:2", seed=9) == random_interval_graph(9, 2)
+
+
+def test_seed_ignored_exactly_when_the_seed_is_not_read():
+    for spec, _ in FAMILY_SPECS:
+        reads_seed = any(generate_family(spec, seed=s) != generate_family(spec, seed=0)
+                         for s in range(1, 4))
+        assert (_seed_ignored(spec) is None) == reads_seed, spec
 
 
 def test_exit_2_on_malformed_file(tmp_path, capsys):
@@ -274,6 +377,10 @@ def test_exit_2_on_malformed_file(tmp_path, capsys):
     assert run(capsys, "span", "--file", str(bad))[0] == 2
     missing = tmp_path / "missing.g6"
     assert run(capsys, "span", "--file", str(missing))[0] == 2
+    empty = tmp_path / "empty.edges"
+    empty.write_text("\n  \n")
+    assert run(capsys, "span", "--file", str(empty)) == (
+        2, "", f"spanlab: error: empty graph file {str(empty)!r}\n")
 
 
 def test_exit_2_on_disconnected_input(tmp_path, capsys):
@@ -342,13 +449,10 @@ def test_console_entry_point():
     assert "vertex=2" in proc.stdout
 
 
-def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch, subprocess_path):
     # the parser is built once per process; each call through it must print
     # and exit exactly as a fresh interpreter does
     monkeypatch.setenv("COLUMNS", "80")
-    src = str(Path(spanlab.__file__).resolve().parents[1])
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     calls = [
         ["span"],
         ["--help"],
@@ -374,12 +478,9 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
     assert codes == [2, 0, 0, 0, 0, 3, 0, 0, 0]
 
 
-def test_stdout_closed_early_keeps_the_exit_code(monkeypatch):
+def test_stdout_closed_early_keeps_the_exit_code(subprocess_path):
     # a reader that stops reading (`| head -c 1`) or never reads is no usage
     # error: the command exits 0 and writes nothing to stderr
-    src = str(Path(spanlab.__file__).resolve().parents[1])
-    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     for argv, read in ((["generate", "--family", "path:2000"], 1),
                        (["span", "--family", "path:60"], 0),
                        (["verify", "--family", "path:8", "--format", "json"], 0)):

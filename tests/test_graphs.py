@@ -16,7 +16,7 @@ import spanlab.families
 from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
                      components, cycle_graph, distance_matrix, fresh_labels,
                      induced_subgraph, is_connected, metrics,
-                     parse_edgelist, parse_graph, parse_graph6, path_graph,
+                     parse_edgelist, parse_graph6, path_graph,
                      random_connected_graph, random_interval_graph, to_graph6)
 from spanlab.graphs import ball_distance, distance_balls, distance_rings, far_rows
 
@@ -129,13 +129,6 @@ def test_edgelist_errors_carry_line_numbers():
         parse_edgelist("-1 2")
     with pytest.raises(GraphParseError):
         parse_edgelist("3 3")
-
-
-def test_parse_graph_dispatch():
-    assert parse_graph("C~", "graph6").m == 6
-    assert parse_graph("0 1", "edgelist").m == 1
-    with pytest.raises(ValueError):
-        parse_graph("C~", "dot")
 
 
 def _rings_by_definition(dist, n):
