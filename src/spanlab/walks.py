@@ -17,9 +17,11 @@ their sum, since then each step moves one player.  Each count is read at
 ``pos << n | visited``.  While n << n is at most ``COVER_TABLE_LIMIT``
 (n <= 14), they come from ``cover_table``, which holds the exact count of
 every state and is filled once per search by a breadth-first search
-backwards from the fully visited states.  Past the limit, they come from
-``PlayerBound``, which computes the per-player bound below on first read
-and keeps it: at most n * 2^n entries per player.
+backwards from the fully visited states, each level a few big-integer
+operations per vertex over all visited sets at once (one byte lane per
+set).  Past the limit, they come from ``PlayerBound``, which computes the
+per-player bound below on first read and keeps it: at most n * 2^n entries
+per player.
 
 The per-player bound.  A player at ``pos`` who has still to visit the set U
 (pos not in U) needs at least
@@ -94,9 +96,9 @@ from .spans import level_scan, rule_spans
 WALK_BUDGET = 3_000_000
 # Entry limit of the exact cover table (``cover_table``, n << n bytes), so
 # n <= 14; past it the search reads ``PlayerBound`` instead.  On the
-# same VM the fill took 0.04-0.05 s at n = 14 (path, cycle, star, random
-# p = 0.3 and complete graphs) and 0.10 s at n = 15, where the per-player
-# bound answers stars and paths in milliseconds.
+# same VM the fill took 3-6 ms at n = 14 (path, cycle, star, random p = 0.3
+# and complete graphs), 8-11 ms at n = 15 and 19-23 ms at n = 16 (star,
+# path, random p = 0.3), where it raised peak RSS from 16 to 22 MiB.
 COVER_TABLE_LIMIT = 1 << 18
 
 
@@ -149,41 +151,40 @@ def cover_table(g: Graph) -> bytearray:
     holds the length of the shortest walk from pos that visits the rest.
     Every other entry is 255.
 
-    Breadth-first search backwards from the fully visited states.  A move
+    Breadth-first search backwards from the fully visited states, one level
+    over all visited sets at once.  Each big integer below holds one byte
+    lane per visited set S (bits 8S .. 8S + 7); position q's front holds
+    lane T for each state (q, T) first reached at the last level.  A move
     takes (p, S) to (q, S | {q}) for q adjacent to p, so the states one move
-    before (q, T) are (p, T) and (p, T - {q}) for the neighbours p of q in
-    T.  Each visited set keeps the bitmask of its positions not yet reached,
-    so one AND with N(q) finds the new ones.
+    before (q, T) are (p, T) and (p, T - {q}).  Every T in q's front holds
+    q, so lane T - {q} is lane T - 2^q, and one shift by 8 << q moves the
+    whole front there; an AND with p's lanes not yet reached keeps the new
+    states.  A state first reached at level d gets d in its lane.  No lane
+    carries: each lane is set once, and d <= 2(n - 1) < 256, since one
+    player covers the graph along a spanning tree.
     """
-    n = g.n
-    full = (1 << n) - 1
-    nbr = g.nbr
-    table = bytearray(b"\xff") * (n << n)
-    unset = list(range(1 << n))     # per visited set: positions not yet reached
-    unset[full] = 0
-    for v in range(n):
-        table[v << n | full] = 0
-    frontier = [[full] for _ in range(n)]   # per position, the visited sets
+    n, size = g.n, 1 << g.n
+    done = 1 << 8 * (size - 1)      # the lane of the full set
+    ones = int.from_bytes(b"\x01" * size, "little")
+    # per position p: the lanes of the sets holding p; of those not reached
+    has = [int.from_bytes((bytes(1 << p) + b"\x01" * (1 << p)) * (size >> (p + 1)), "little")
+           for p in range(n)]
+    unreached = [lanes ^ done for lanes in has]
+    front, table = [done] * n, [0] * n
     moves = 0
-    while any(frontier):
+    while any(front):
         moves += 1
-        reached: list[list[int]] = [[] for _ in range(n)]
-        for q, sets in enumerate(frontier):
-            near = nbr[q]
-            for flip in (0, 1 << q):
-                for seen in sets:
-                    seen ^= flip
-                    new = near & unset[seen]
-                    if new:
-                        unset[seen] ^= new
-                        while new:
-                            low = new & -new
-                            p = low.bit_length() - 1
-                            table[p << n | seen] = moves
-                            reached[p].append(seen)
-                            new ^= low
-        frontier = reached
-    return table
+        back = [lanes | lanes >> (8 << q) for q, lanes in enumerate(front)]
+        for p, near in enumerate(g.adj):
+            lanes = 0
+            for q in near:
+                lanes |= back[q]
+            front[p] = lanes = lanes & unreached[p]
+            if lanes:
+                unreached[p] ^= lanes
+                table[p] |= lanes * moves
+    return bytearray().join((row | 255 * (ones ^ lanes | rest)).to_bytes(size, "little")
+                            for row, lanes, rest in zip(table, has, unreached))
 
 
 class PlayerBound(dict):

@@ -205,14 +205,16 @@ def test_player_bound_is_admissible():
 
 def test_cover_table_is_exact():
     # every state with the position visited holds the exact single-player
-    # covering-walk length, and no other state is filled
-    for g in connected_atlas(7):
-        exact = single_cover_moves(g)
+    # covering-walk length, and no other state is filled; beyond the atlas,
+    # path:1 has a position with no neighbour and star:13 the widest lanes
+    specs = ("path:1", "path:2", "star:7", "subdivided-star:4", "path:8", "cycle:9",
+             "complete:10", "random:10:0.4:2", "random:12:0.3:0", "star:13")
+    for g in [*connected_atlas(7), *map(generate_family, specs)]:
+        want = bytearray(b"\xff") * (g.n << g.n)
+        for (pos, seen), moves in single_cover_moves(g).items():
+            want[pos << g.n | seen] = moves
         table = cover_table(g)
-        assert len(table) == g.n << g.n
-        for key, moves in enumerate(table):
-            want = exact.get((key >> g.n, key & ((1 << g.n) - 1)), 255)
-            assert moves == want, (g.adj, key)
+        assert type(table) is bytearray and table == want, g.adj
 
 
 def test_search_past_the_table_limit_memoises_player_bound(monkeypatch):
