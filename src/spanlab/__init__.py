@@ -32,7 +32,7 @@ from .theorems import (Check, TheoremReport, check_interval_theorems,
                        check_span1_structure, check_span_inequalities)
 from .walks import (MinWalkResult, WalkPair, WalkValidation, min_steps,
                     reroot_walk_pair, shortest_covering_walk,
-                    validate_walk_pair, walk_pair_from_codes)
+                    validate_walk_pair)
 
 __version__ = "0.1.0"
 
@@ -53,5 +53,5 @@ __all__ = [
     "product_components", "random_connected_graph", "random_interval_graph",
     "reroot_walk_pair", "s_lobes", "safety_subgraph",
     "shortest_covering_walk", "span_report", "star_graph", "subdivided_star",
-    "to_graph6", "validate_walk_pair", "vertex_span", "walk_pair_from_codes",
+    "to_graph6", "validate_walk_pair", "vertex_span",
 ]

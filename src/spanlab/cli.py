@@ -19,8 +19,7 @@ import sys
 from . import __version__
 from .errors import CapacityError, GraphParseError
 from .families import FAMILIES, FIXTURES, _seed_ignored, fixture, generate_family
-from .graphs import (INFINITY, Graph, ball_distance, distance_balls, metrics, parse_edgelist,
-                     parse_graph6, to_graph6)
+from .graphs import INFINITY, Graph, metrics, parse_edgelist, parse_graph6, to_graph6
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
 from .structure import INTERVAL_CAP, interval_certificate, minimal_cut_sets
@@ -137,20 +136,16 @@ def cmd_minwalk(args: argparse.Namespace) -> int:
     name, g = load_graph(args)
     result = min_steps(g, args.rule)
     pair = result.pair
-    balls = distance_balls(g)
-    steps = [ball_distance(balls, c // g.n, 1 << c % g.n) for c in result.product_walk]
     width = max(5, max(len(a) for a in pair.alice + pair.bob))
     lines = [f"graph: {name}  n={g.n} m={g.m}",
              f"rule: {pair.rule.value}",
              f"span: {result.span}",
              f"moves: {result.moves}",
              f"{'step':>4}  {'alice':>{width}}  {'bob':>{width}}  distance"]
-    for i, (a, b) in enumerate(zip(pair.alice, pair.bob)):
-        lines.append(f"{i:>4}  {a:>{width}}  {b:>{width}}  {steps[i]:>8}")
+    for i, (a, b, d) in enumerate(zip(pair.alice, pair.bob, result.distances)):
+        lines.append(f"{i:>4}  {a:>{width}}  {b:>{width}}  {d:>8}")
     emit(args, describe(name, g),
-         {"rule": pair.rule.value, "span": result.span, "moves": result.moves,
-          "alice": list(pair.alice), "bob": list(pair.bob), "distances": steps,
-          "safety": pair.safety}, lines)
+         {**pair.as_dict(), "span": result.span, "distances": result.distances}, lines)
     return 0
 
 
@@ -183,21 +178,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
              f"girth={girth_text}"]
     if cert.is_interval:
         lines.append("interval: yes")
-        for v in range(g.n):
-            l, r = cert.intervals[v]
-            lines.append(f"  {g.labels[v]}: [{l}, {r}]")
+        lines += [f"  {v}: [{l}, {r}]" for v, (l, r) in interval_doc["intervals"].items()]
+    elif "chordless_cycle" in interval_doc:
+        lines.append("interval: no  (chordless cycle "
+                     + "-".join(interval_doc["chordless_cycle"]) + ")")
     else:
-        witness = (f"chordless cycle {'-'.join(_label_all(g, cert.chordless_cycle))}"
-                   if cert.chordless_cycle is not None else
-                   f"asteroidal triple {', '.join(_label_all(g, cert.asteroidal_triple))}")
-        lines.append(f"interval: no  ({witness})")
-    lines.append(f"minimal cut sets (size <= {cuts.size_cap}): {len(cuts.sets)}")
-    for c in cuts.sets:
-        comps = " / ".join("{" + ",".join(_label_all(g, comp)) + "}"
-                           for comp in c.components)
-        flag = "clique" if c.is_clique else "not a clique"
-        lines.append("  {" + ",".join(_label_all(g, c.vertices)) + "}  "
-                     + flag + "  components: " + comps)
+        lines.append("interval: no  (asteroidal triple "
+                     + ", ".join(interval_doc["asteroidal_triple"]) + ")")
+    lines.append(f"minimal cut sets (size <= {cuts.size_cap}): {len(cuts_doc)}")
+    for c in cuts_doc:
+        comps = " / ".join("{" + ",".join(comp) + "}" for comp in c["components"])
+        flag = "clique" if c["is_clique"] else "not a clique"
+        lines.append("  {" + ",".join(c["vertices"]) + "}  " + flag + "  components: " + comps)
     emit(args, describe(name, g),
          {"metrics": {"radius": _finite(met.radius), "diameter": _finite(met.diameter),
                       "girth": _finite(met.girth)},

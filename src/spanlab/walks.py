@@ -57,7 +57,9 @@ Seeds and neighbours are tried in ascending pair code, so the search meets
 walks in lexicographic order and the first covering walk it finds is the
 lexicographically least optimal walk: a smaller one would differ first at
 some move tried earlier, whose branch was not pruned and so would have
-returned a walk first.
+returned a walk first.  ``shortest_covering_walk`` returns that walk as
+pair codes, and ``min_steps`` alone decodes it: into the two players'
+labels, their distance at each step, and the safety.
 
 The search counts its work and raises ``CapacityError`` once that passes
 ``WALK_BUDGET``.  Entering a cover state (a root, or a push) charges its
@@ -143,6 +145,7 @@ class MinWalkResult:
     moves: int
     pair: WalkPair
     product_walk: tuple[int, ...]
+    distances: tuple[int, ...]      # the players' distance at each step
 
 
 def cover_table(g: Graph) -> bytearray:
@@ -222,8 +225,9 @@ class PlayerBound(dict):
         return value
 
 
-def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | None:
-    """Minimum moves and the lexicographically least optimal product walk.
+def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
+    """The lexicographically least optimal product walk, as pair codes; its
+    moves are its length minus one, and ``min_steps`` decodes it.
 
     ``p`` is ``build_product(h, rule, k)`` at some k, as in ``min_steps``
     at the span: the roots are the good components of h's level
@@ -249,7 +253,7 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
     codes = sorted(c for comp in comps for c in pair_codes(comp))
     for code in codes:
         if bit_a[code] & bit_b[code] == full:
-            return 0, (code,)
+            return (code,)
     # pos << n | visited -> one player's bound; each entry is charged to the
     # work: 1 per table entry, n per memoised per-player bound
     if n << n <= COVER_TABLE_LIMIT:
@@ -275,7 +279,7 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
                 for b in nbrs:
                     na, nb = ma | bit_a[b], mb | bit_b[b]
                     if na & nb == full:
-                        return len(path), (*(s[0] for s in path), b)
+                        return (*(s[0] for s in path), b)
                     if (combine(bounds[at_a[b] | na], bounds[at_b[b] | nb]) > left
                             or failed.get(b << shift | na << n | nb, -1) >= left):
                         continue
@@ -293,22 +297,15 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, tuple[int, ...]] | Non
         depth += 1
 
 
-def walk_pair_from_codes(h: Graph, rule: Rule | str, codes: tuple[int, ...]) -> WalkPair:
-    rule = as_rule(rule)
-    n = h.n
-    balls = distance_balls(h)
-    alice = tuple(h.labels[c // n] for c in codes)
-    bob = tuple(h.labels[c % n] for c in codes)
-    safety = min(ball_distance(balls, c // n, 1 << c % n) for c in codes)
-    return WalkPair(alice=alice, bob=bob, rule=rule, safety=safety, moves=len(codes) - 1)
-
-
 def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
     """Span plus the shortest covering walk pair that attains it.
 
-    The product is built once, at the span.  The search stops with
-    ``CapacityError`` once its work passes ``WALK_BUDGET``, and a graph on
-    which it must (module docstring) is refused before the span.
+    The product is built once, at the span, and the pair codes of
+    ``shortest_covering_walk`` are decoded here, once: into the pair, the
+    players' distance at each step (``distances``) and the safety.  The
+    search stops with ``CapacityError`` once its work passes
+    ``WALK_BUDGET``, and a graph on which it must (module docstring) is
+    refused before the span.
     """
     rule = as_rule(rule)
     if not is_connected(h):
@@ -319,13 +316,17 @@ def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
             f"covering-walk search on n={n} reads at least n(n - 1) = {n * (n - 1)} "
             f"units of bounds, over its budget of {WALK_BUDGET}")
     k, _ = rule_spans(h, rule, (VERTEX,))[VERTEX]
-    p = build_product(h, rule, k)
-    found = shortest_covering_walk(p)
-    if found is None:
+    codes = shortest_covering_walk(build_product(h, rule, k))
+    if codes is None:
         raise AssertionError("the span threshold always admits a covering walk")
-    moves, codes = found
-    return MinWalkResult(span=k, moves=moves, pair=walk_pair_from_codes(h, rule, codes),
-                         product_walk=codes)
+    steps = [divmod(c, n) for c in codes]
+    balls = distance_balls(h)
+    distances = tuple(ball_distance(balls, a, 1 << b) for a, b in steps)
+    pair = WalkPair(alice=tuple(h.labels[a] for a, _ in steps),
+                    bob=tuple(h.labels[b] for _, b in steps),
+                    rule=rule, safety=min(distances), moves=len(codes) - 1)
+    return MinWalkResult(span=k, moves=pair.moves, pair=pair, product_walk=codes,
+                         distances=distances)
 
 
 def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:

@@ -79,6 +79,53 @@ def test_minwalk_text_table(capsys):
     assert "distance" in out
 
 
+def test_minwalk_text_rows_match_the_json(capsys):
+    # figure3's labels are 1..8, not its vertex indices 0..7
+    for rule in ("traditional", "active", "lazy"):
+        code, text, _ = run(capsys, "minwalk", "--fixture", "figure3", "--rule", rule)
+        assert code == 0
+        code, out, _ = run(capsys, "minwalk", "--fixture", "figure3", "--rule", rule,
+                           "--format", "json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert set(res["alice"] + res["bob"]) == {str(v) for v in range(1, 9)}
+        lines = text.splitlines()
+        assert lines[1:4] == [f"rule: {rule}", f"span: {res['span']}", f"moves: {res['moves']}"]
+        assert [row.split() for row in lines[5:]] == [
+            [str(i), a, b, str(d)]
+            for i, (a, b, d) in enumerate(zip(res["alice"], res["bob"], res["distances"]))]
+        assert res["safety"] == min(res["distances"])
+
+
+def test_analyze_text_lines_match_the_json(capsys):
+    witnesses = {("--fixture", "figure2"): "chordless cycle 0-1-2-3",
+                 ("--family", "subdivided_star:3"): "asteroidal triple 2, 4, 6",
+                 ("--family", "path:6", "--cap", "6"): None,
+                 ("--family", "random:12:0.3:2"): "chordless cycle 1-2-3-10"}
+    for argv, witness in witnesses.items():
+        code, text, _ = run(capsys, "analyze", *argv)
+        assert code == 0
+        code, out, _ = run(capsys, "analyze", *argv, "--format", "json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        iv = res["interval"]
+        if witness is None:
+            head = ["interval: yes"] + [f"  {v}: [{l}, {r}]"
+                                        for v, (l, r) in iv["intervals"].items()]
+        else:
+            cycle, triple = iv.get("chordless_cycle"), iv.get("asteroidal_triple")
+            assert witness == (f"chordless cycle {'-'.join(cycle)}" if cycle
+                               else f"asteroidal triple {', '.join(triple)}")
+            head = [f"interval: no  ({witness})"]
+        cuts = [f"  {{{','.join(c['vertices'])}}}  "
+                + ("clique" if c["is_clique"] else "not a clique") + "  components: "
+                + " / ".join("{" + ",".join(comp) + "}" for comp in c["components"])
+                for c in res["cut_sets"]]
+        assert cuts, argv
+        count = f"minimal cut sets (size <= 4): {len(cuts)}"
+        assert text.splitlines()[2:] == head + [count] + cuts, argv
+
+
 def test_analyze_flow(capsys):
     code, out, _ = run(capsys, "analyze", "--fixture", "figure2",
                        "--format", "json")

@@ -3,13 +3,13 @@
 import pytest
 
 import spanlab.walks
-from helpers import (connected_atlas, least_covering_walk, naive_min_moves, random_graphs,
-                     single_cover_moves)
+from helpers import (connected_atlas, floyd_warshall, least_covering_walk, naive_min_moves,
+                     random_graphs, single_cover_moves)
 from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, build_product,
                      complete_graph, cycle_graph, fixture, generate_family, min_steps,
                      parse_graph6, path_graph, random_connected_graph, reroot_walk_pair,
                      safety_subgraph, shortest_covering_walk, star_graph,
-                     validate_walk_pair, vertex_span, walk_pair_from_codes)
+                     validate_walk_pair, vertex_span)
 from spanlab.spans import rule_spans
 from spanlab.walks import COVER_TABLE_LIMIT, PlayerBound, cover_table
 
@@ -61,6 +61,24 @@ def test_min_steps_result_validates():
             assert v.safety >= r.span
 
 
+def test_walk_answer_decodes_one_product_walk_on_every_small_graph():
+    # every connected graph with n <= 6 under each rule: the labels and the
+    # distance at each step decode that step's pair code, and the safety is
+    # the least of those distances
+    for g in connected_atlas(6):
+        dist = floyd_warshall(g)
+        for rule in RULES:
+            r = min_steps(g, rule)
+            steps = r.moves + 1
+            assert (len(r.product_walk), len(r.distances), len(r.pair.alice),
+                    len(r.pair.bob)) == (steps,) * 4, (g.adj, rule)
+            for i, code in enumerate(r.product_walk):
+                a, b = divmod(code, g.n)
+                assert (r.pair.alice[i], r.pair.bob[i]) == (g.labels[a], g.labels[b])
+                assert r.distances[i] == dist[a][b], (g.adj, rule, i)
+            assert r.pair.safety == min(r.distances) >= r.span, (g.adj, rule)
+
+
 def test_min_steps_builds_the_product_once(monkeypatch):
     # one build, at the span, and no filtered copy of a larger product
     import spanlab.products
@@ -91,14 +109,6 @@ def test_shortest_covering_walk_none_without_good_component():
     assert shortest_covering_walk(p) is None
     p = safety_subgraph(build_product(path_graph(3), "traditional"), 5)
     assert shortest_covering_walk(p) is None
-
-
-def test_walk_pair_from_codes():
-    g = path_graph(2)
-    pair = walk_pair_from_codes(g, "traditional", (1, 2))
-    assert pair.alice == ("0", "1")
-    assert pair.bob == ("1", "0")
-    assert pair.moves == 1
 
 
 def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
