@@ -12,8 +12,8 @@
 #
 # This demo prints the six span values for a handful of named graphs.
 
-from spanlab import (complete_graph, cycle_graph, fixture, metrics,
-                     path_graph, span_report, star_graph, subdivided_star)
+from spanlab import (RULES, complete_graph, cycle_graph, fixture, metrics,
+                     path_graph, rule_spans, star_graph, subdivided_star)
 
 GRAPHS = [
     ("K2 (single edge)", complete_graph(2)),
@@ -29,16 +29,15 @@ GRAPHS = [
 ]
 
 header = f"{'graph':24} {'rad':>3}  " + "  ".join(
-    f"{rule[:4]}:V/E" for rule in ("traditional", "active", "lazy"))
+    f"{rule.value[:4]}:V/E" for rule in RULES)
 print(header)
 print("-" * len(header))
 
 for name, g in GRAPHS:
-    rep = span_report(g)
     rad = int(metrics(g).radius)
     cells = "  ".join(
-        f"{rep.value(rule, 'vertex')}/{rep.value(rule, 'edge')}   "
-        for rule in ("traditional", "active", "lazy"))
+        f"{spans['vertex'][0]}/{spans['edge'][0]}   "
+        for spans in (rule_spans(g, rule) for rule in RULES))
     print(f"{name:24} {rad:>3}  {cells}")
 
 # A few things worth noticing in the table:

@@ -16,8 +16,8 @@ def show(name, g, rule):
     for player, walk in (("Alice", r.pair.alice), ("Bob", r.pair.bob)):
         print(f"  {player}: {' -> '.join(walk)}")
     v = validate_walk_pair(r.pair, g, r.span)
-    print(f"  validated: legal={v.legal} covers_all={v.alice_surjective and v.bob_surjective} "
-          f"safety={v.safety}")
+    print(f"  validated: legal={not v.illegal_steps} "
+          f"covers_all={not v.missing_alice and not v.missing_bob} safety={v.safety}")
     print()
     return r
 

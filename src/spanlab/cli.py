@@ -154,9 +154,9 @@ def _label_all(g: Graph, vs) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    name, g = load_graph(args)
     if args.cap <= 0:
         raise ValueError("--cap must be positive")
+    name, g = load_graph(args)
     met = metrics(g)
     cert = interval_certificate(g, args.cap)
     cuts = minimal_cut_sets(g)

@@ -64,7 +64,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .graphs import Graph, distance_balls, far_rows, is_connected, metrics, pair_codes
-from .products import EDGE, KINDS, RULES, VERTEX, ProductGraph, Rule, as_rule
+from .products import EDGE, KINDS, VERTEX, ProductGraph, Rule, as_rule
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,8 @@ def rule_spans(h: Graph, rule: Rule | str,
                kinds: tuple[str, ...] = KINDS) -> dict[str, tuple[int, Certificate]]:
     """Spans of each of ``kinds`` of a connected graph with at least one
     vertex under one rule, each with its certificate, read off the graph's
-    cached level scan; no product is built (module docstring).
+    cached level scan; no product is built (module docstring).  For all
+    six spans, call it once per rule in ``RULES``.
 
     The vertex span is the last level of 0 .. radius with a good component:
     the top level first, the radius capped by the span of a scan cached on
@@ -307,24 +308,3 @@ def vertex_span(h: Graph, rule: Rule | str) -> tuple[int, Certificate]:
 def edge_span(h: Graph, rule: Rule | str) -> tuple[int, Certificate]:
     """Largest safety distance two edge-covering players can keep."""
     return rule_spans(h, rule, (EDGE,))[EDGE]
-
-
-@dataclass(frozen=True)
-class SpanReport:
-    """All six span values of one graph plus their certificates."""
-
-    values: dict[Rule, dict[str, int]]
-    certificates: dict[Rule, dict[str, Certificate]]
-
-    def value(self, rule: Rule | str, kind: str) -> int:
-        return self.values[as_rule(rule)][kind]
-
-
-def span_report(h: Graph) -> SpanReport:
-    values: dict[Rule, dict[str, int]] = {}
-    certs: dict[Rule, dict[str, Certificate]] = {}
-    for rule in RULES:
-        spans = rule_spans(h, rule)
-        values[rule] = {kind: k for kind, (k, _) in spans.items()}
-        certs[rule] = {kind: cert for kind, (_, cert) in spans.items()}
-    return SpanReport(values=values, certificates=certs)

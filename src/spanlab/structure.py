@@ -8,6 +8,11 @@ triples, one memoised search over maximal-clique orderings for interval
 representations and end cliques, and minimal cut sets picked by a
 full-component test out of the minimal separators, which a closure (Berry,
 Bordat & Cogis 1999) generates by component floods.
+
+The two exponential searches count their work and raise ``CapacityError``
+past a fixed budget: the clique-path search past ``CLIQUE_PATH_BUDGET``
+cliques scanned, the separator closure past ``SEPARATOR_BUDGET``
+separators.
 """
 
 from __future__ import annotations
@@ -23,6 +28,12 @@ from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, 
 # and the largest cut set enumerated
 INTERVAL_CAP = 12
 CUT_CAP = 4
+
+# cliques the clique-path search may scan in one call, over all its starts:
+# a path on n vertices scans (n - 1)(n - 2) / 2 (603,351 at n = 1,100), and
+# the caterpillar a'-a-h-b-b' with 15 leaves on h, searched from a leaf,
+# passes it
+CLIQUE_PATH_BUDGET = 1_000_000
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -167,15 +178,28 @@ def _clique_paths(cliques: list[tuple[int, ...]]) -> Callable[[int], tuple[int, 
     ascending order and the memo cuts only sets that cannot be completed,
     so the first order found is the least.  The search keeps its own
     stack, one entry per clique placed, so a path of any length fits.
+
+    The memo does not keep the search polynomial: from a clique that
+    cannot head a path, it may try every subset of the cliques that hang
+    off one vertex.  Each entry scans the unplaced cliques, and past
+    ``CLIQUE_PATH_BUDGET`` cliques scanned, summed over every start, the
+    search raises ``CapacityError``.
     """
     masks = [sum(1 << v for v in c) for c in cliques]
     everything = (1 << len(masks)) - 1
     dead: set[int] = set()
+    scanned = 0
 
     def entry(ci: int, done: int, placed: int) -> tuple[int, int, int, Iterator[int]]:
         """The stack entry once clique ``ci`` is placed: ``ci``, the set
         placed, its union, and the cliques that may come next, ascending."""
+        nonlocal scanned
         todo = members(everything & ~done)
+        scanned += len(todo)
+        if scanned > CLIQUE_PATH_BUDGET:
+            raise CapacityError(
+                f"clique-path search on {len(masks)} maximal cliques scanned {scanned} "
+                f"cliques, over the budget of {CLIQUE_PATH_BUDGET}")
         rest = 0
         for cj in todo:
             rest |= masks[cj]
@@ -230,7 +254,8 @@ def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertifica
     1964): vertex v gets the positions of its first and last clique,
     spread to distinct integer endpoints.  Recognition has no cap; the
     cap applies after it, so an interval graph with more than ``cap``
-    vertices raises ``CapacityError`` rather than being built.
+    vertices raises ``CapacityError`` rather than being built, as does a
+    clique-path search past ``CLIQUE_PATH_BUDGET``.
     """
     chord = is_chordal(g)
     if not chord.chordal:

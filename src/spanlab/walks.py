@@ -128,15 +128,11 @@ class WalkPair:
 class WalkValidation:
     """Outcome of checking a walk pair against a graph and a threshold."""
 
-    legal: bool
     illegal_steps: tuple[int, ...]
-    alice_surjective: bool
-    bob_surjective: bool
     missing_alice: tuple[str, ...]
     missing_bob: tuple[str, ...]
     safety: int
-    meets_threshold: bool
-    valid: bool
+    valid: bool             # no illegal step, nothing missing, and safety >= k
 
 
 @dataclass(frozen=True)
@@ -357,17 +353,12 @@ def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:
     missing_a = tuple(h.labels[v] for v in range(h.n) if v not in seen_a)
     missing_b = tuple(h.labels[v] for v in range(h.n) if v not in seen_b)
     safety = min(ball_distance(balls, a, 1 << b) for a, b in zip(ai, bi))
-    meets = safety >= k
     return WalkValidation(
-        legal=not illegal,
         illegal_steps=tuple(illegal),
-        alice_surjective=not missing_a,
-        bob_surjective=not missing_b,
         missing_alice=missing_a,
         missing_bob=missing_b,
         safety=safety,
-        meets_threshold=meets,
-        valid=not illegal and not missing_a and not missing_b and meets,
+        valid=not illegal and not missing_a and not missing_b and safety >= k,
     )
 
 

@@ -9,10 +9,10 @@ from itertools import combinations, permutations
 
 import networkx as nx
 
-from spanlab import (VERTEX, Certificate, CutSet, Graph, ProductGraph, Rule,
-                     edge_good_components, good_components, induced_subgraph,
-                     metrics, minimal_cut_sets, random_connected_graph, safety_subgraph,
-                     to_graph6, vertex_span)
+from spanlab import (VERTEX, Certificate, CutSet, Graph, Rule, induced_subgraph, metrics,
+                     minimal_cut_sets, random_connected_graph, to_graph6, vertex_span)
+from spanlab.products import ProductGraph, safety_subgraph
+from spanlab.spans import edge_good_components, good_components
 from spanlab.structure import CUT_CAP
 from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check, TheoremReport
 

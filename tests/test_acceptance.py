@@ -50,7 +50,7 @@ def test_criterion_2_figure3_walks_and_span():
         pair = WalkPair(alice=alice, bob=bob, rule=Rule.TRADITIONAL,
                         safety=2, moves=len(alice) - 1)
         v = validate_walk_pair(pair, g, 2)
-        assert v.legal and v.alice_surjective and v.bob_surjective
+        assert not v.illegal_steps and not v.missing_alice and not v.missing_bob
         assert v.safety == 2
         assert v.valid
         assert vertex_span(g, "traditional")[0] == 2

@@ -158,6 +158,10 @@ def test_analyze_cap_limits_the_interval_representation(capsys):
         code, out, err = run(capsys, "analyze", "--family", "path:15", "--cap", cap)
         assert (code, out) == (2, "")
         assert err == "spanlab: error: --cap must be positive\n"
+    # the flag is checked before the graph is built: this spec finds no
+    # connected sample and would exit 3
+    code, out, err = run(capsys, "analyze", "--family", "random:60:0.01", "--cap", "0")
+    assert (code, out, err) == (2, "", "spanlab: error: --cap must be positive\n")
 
 
 def test_verify_single_fixture(capsys):

@@ -14,11 +14,12 @@ from helpers import (all_trees, connected_atlas, floyd_warshall, graph_to_nx,
                      nx_to_graph)
 import spanlab.families
 from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
-                     components, cycle_graph, distance_matrix, fresh_labels,
+                     components, cycle_graph, fresh_labels,
                      induced_subgraph, is_connected, metrics,
                      parse_edgelist, parse_graph6, path_graph,
                      random_connected_graph, random_interval_graph, to_graph6)
-from spanlab.graphs import ball_distance, distance_balls, distance_rings, far_rows
+from spanlab.graphs import (ball_distance, distance_balls, distance_matrix, distance_rings,
+                            far_rows)
 
 
 def test_basic_construction():

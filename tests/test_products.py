@@ -5,8 +5,8 @@ import random
 import pytest
 
 from helpers import connected_atlas, floyd_warshall, pair_moves, random_graphs
-from spanlab import (RULES, Rule, as_rule, build_product, complete_graph, cycle_graph,
-                     safety_subgraph)
+from spanlab import RULES, Rule, as_rule, complete_graph, cycle_graph
+from spanlab.products import build_product, safety_subgraph
 
 
 def edge_set(p):

@@ -5,12 +5,12 @@ import sys
 import pytest
 
 from helpers import connected_atlas, descending_span, random_graphs, spine_tree
-from spanlab import (KINDS, RULES, VERTEX, Certificate, Graph, Rule, build_product,
-                     complete_graph, cycle_graph, edge_good_components, edge_span, fixture,
-                     generate_family, good_components, metrics, parse_graph6, path_graph,
-                     product_components, random_interval_graph, safety_subgraph, span_report,
-                     to_graph6, vertex_span)
-from spanlab.spans import level_scan, pair_codes, rule_spans
+from spanlab import (EDGE, KINDS, RULES, VERTEX, Certificate, Graph, Rule, complete_graph,
+                     cycle_graph, edge_span, fixture, generate_family, metrics, parse_graph6,
+                     path_graph, random_interval_graph, rule_spans, to_graph6, vertex_span)
+from spanlab.products import build_product, safety_subgraph
+from spanlab.spans import (edge_good_components, good_components, level_scan, pair_codes,
+                           product_components)
 
 # (rule, kind) -> value tables confirmed by the reachability oracle;
 # see test_oracle.py and the acceptance suite for the live cross-checks.
@@ -58,10 +58,11 @@ def test_fixture_values():
         "figure3": {"traditional": (2, 1), "active": (2, 1), "lazy": (2, 1)},
     }
     for name, rows in tables.items():
-        rep = span_report(fixture(name))
+        g = fixture(name)
         for rule, (v, e) in rows.items():
-            assert rep.value(rule, "vertex") == v, (name, rule)
-            assert rep.value(rule, "edge") == e, (name, rule)
+            spans = rule_spans(g, rule)
+            assert spans[VERTEX][0] == v, (name, rule)
+            assert spans[EDGE][0] == e, (name, rule)
 
 
 def test_c4_traditional_certificate_structure():
@@ -111,11 +112,11 @@ def test_level_scans_are_cached_per_graph_object(monkeypatch):
     monkeypatch.setattr(LevelScan, "_flood", counting_flood)
     g, twin = fixture("figure1"), fixture("figure1")
     assert g == twin and g is not twin
-    first = span_report(g)
+    first = six_spans(g)
     once = len(floods)
     assert once > 0
-    assert span_report(g) == first and len(floods) == once
-    assert span_report(twin) == first and len(floods) == 2 * once
+    assert six_spans(g) == first and len(floods) == once
+    assert six_spans(twin) == first and len(floods) == 2 * once
     assert {id(scan) for scan in floods[:once]}.isdisjoint(map(id, floods[once:]))
     # the three rules' scans of one graph share one set of dilation tables
     ours, theirs = ({id(level_scan(h, rule).step) for rule in RULES} for h in (g, twin))
@@ -125,6 +126,11 @@ def test_level_scans_are_cached_per_graph_object(monkeypatch):
 def fresh(g: Graph) -> Graph:
     """An equal graph object with no cached balls or level scans."""
     return Graph(g.n, g.edges(), g.labels)
+
+
+def six_spans(g: Graph) -> dict:
+    """rule -> kind -> (span, certificate), the rules asked in ``RULES`` order."""
+    return {rule: rule_spans(g, rule) for rule in RULES}
 
 
 def test_active_and_lazy_spans_are_at_most_traditional():
@@ -154,24 +160,24 @@ def test_capped_spans_match_uncapped_ones():
             assert capped == uncapped, (to_graph6(g), order)
 
 
-def test_span_report_floods_no_level_above_a_dominating_span():
+def test_six_spans_flood_no_level_above_a_dominating_span():
     # levels flooded per rule, read off each cached level scan: active and
     # lazy search below the traditional span, never above it, and on a
     # random graph whose spans all equal the radius, each rule's vertex span
     # floods the radius level alone
     path = path_graph(60)
-    report = span_report(path)
-    assert report.value(Rule.TRADITIONAL, VERTEX) == 1
+    spans = six_spans(path)
+    assert spans[Rule.TRADITIONAL][VERTEX][0] == 1
     levels = {rule: sorted(level_scan(path, rule).levels) for rule in RULES}
     assert levels[Rule.TRADITIONAL][-1] == 30                   # the radius
     assert levels[Rule.ACTIVE] == [1] and levels[Rule.LAZY] == [0, 1]
     # a repeat, with every scan's span cached, answers the same and floods
     # no new level
-    assert span_report(path) == report
+    assert six_spans(path) == spans
     assert {rule: sorted(level_scan(path, rule).levels) for rule in RULES} == levels
     net = parse_graph6("E@dW")                                  # lazy 2 > active 1
-    report = span_report(net)
-    assert [report.value(rule, VERTEX) for rule in RULES] == [2, 1, 2]
+    spans = six_spans(net)
+    assert [spans[rule][VERTEX][0] for rule in RULES] == [2, 1, 2]
     assert {rule: sorted(level_scan(net, rule).levels) for rule in RULES} == {
         Rule.TRADITIONAL: [2], Rule.ACTIVE: [1, 2], Rule.LAZY: [2]}
     g = generate_family("random:60:0.1:1")
@@ -182,8 +188,8 @@ def test_span_report_floods_no_level_above_a_dominating_span():
 
 
 def test_certificate_codes_are_built_on_first_read(monkeypatch):
-    # span_report and the inequality checker leave every certificate's pair
-    # codes unbuilt; the first read of .component builds them once
+    # the six spans and the inequality checker leave every certificate's
+    # pair codes unbuilt; the first read of .component builds them once
     import spanlab.spans
     from spanlab.theorems import check_span_inequalities
     calls = []
@@ -195,11 +201,11 @@ def test_certificate_codes_are_built_on_first_read(monkeypatch):
 
     monkeypatch.setattr(spanlab.spans, "pair_codes", counting)
     g = fixture("figure1")
-    report = span_report(g)
+    spans = six_spans(g)
     check_span_inequalities(g)
     check_span_inequalities(fresh(g))
     assert calls == []
-    cert = report.certificates[Rule.TRADITIONAL][VERTEX]
+    cert = spans[Rule.TRADITIONAL][VERTEX][1]
     assert cert.component == codes(list(cert.rows)) and len(calls) == 1
     assert cert.component is cert.component and len(calls) == 1
     assert cert == vertex_span(fresh(g), Rule.TRADITIONAL)[1]
@@ -210,7 +216,7 @@ def test_certificate_identity_is_its_fields():
     # rebuilt from its rows is equal, one row bit flipped is not, and the
     # certificates of two equal graph objects collapse pairwise in a set
     g = fixture("figure1")
-    certs = [cert for kinds in span_report(g).certificates.values() for cert in kinds.values()]
+    certs = [cert for kinds in six_spans(g).values() for _, cert in kinds.values()]
     for cert in certs:
         rebuilt = Certificate(rule=cert.rule, kind=cert.kind, threshold=cert.threshold,
                               rows=tuple(list(cert.rows)))
@@ -222,8 +228,7 @@ def test_certificate_identity_is_its_fields():
                 flipped = Certificate(rule=cert.rule, kind=cert.kind,
                                       threshold=cert.threshold, rows=tuple(rows))
                 assert flipped != cert and flipped.component != cert.component
-    twins = [cert for kinds in span_report(fresh(g)).certificates.values()
-             for cert in kinds.values()]
+    twins = [cert for kinds in six_spans(fresh(g)).values() for _, cert in kinds.values()]
     assert all(a is not b and a == b for a, b in zip(certs, twins))
     # the six differ in rule or kind, and each twin lands on its certificate
     assert len(set(certs)) == len(set(certs + twins)) == len(certs) == 6
@@ -261,17 +266,17 @@ def test_span_bounded_by_radius():
             assert 0 <= vertex_span(g, rule)[0] <= rad
 
 
-def test_span_report_matches_individual_calls():
+def test_rule_spans_match_individual_calls():
     g = fixture("figure1")
-    rep = span_report(g)
-    for rule in ("traditional", "active", "lazy"):
-        assert rep.value(rule, "vertex") == vertex_span(g, rule)[0]
-        assert rep.value(rule, "edge") == edge_span(g, rule)[0]
+    spans = six_spans(g)
+    for rule in RULES:
+        assert spans[rule][VERTEX] == vertex_span(g, rule)
+        assert spans[rule][EDGE] == edge_span(g, rule)
 
 
 def test_span_path_builds_no_product(monkeypatch):
     # the spans come from row floods: no product and no safety subgraph is
-    # built by span_report, the inequality checker or the span command
+    # built for the six spans, by the inequality checker or by the span command
     import spanlab
     from spanlab.cli import main
     from spanlab.theorems import check_span_inequalities
@@ -290,7 +295,7 @@ def test_span_path_builds_no_product(monkeypatch):
             if getattr(mod, fn.__name__, None) is fn:
                 monkeypatch.setattr(mod, fn.__name__, counting(fn))
     g = cycle_graph(5)
-    span_report(g)
+    six_spans(g)
     check_span_inequalities(g)
     assert main(["span", "--family", "cycle:5", "--rule", "all",
                  "--kind", "both", "--format", "json"]) == 0

@@ -2,6 +2,7 @@
 lobes, and the augmentation construction."""
 
 import random
+import time
 
 import pytest
 
@@ -195,6 +196,33 @@ def test_interval_certificate_of_a_long_clique_path():
         lu, ru = ivs[u]
         for v in range(u + 1, g.n):
             assert (max(lu, ivs[v][0]) <= min(ru, ivs[v][1])) == (v == u + 1), (u, v)
+
+
+def test_clique_path_budget_counts_the_cliques_scanned(monkeypatch):
+    # P30 has 29 cliques, and the path from clique 0 answers: placing
+    # clique i scans the 28 - i unplaced ones, until the last completes the
+    # path, so 28 + 27 + ... + 1 = 406 in all
+    import spanlab.structure
+    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 406)
+    assert interval_certificate(path_graph(30), cap=30).is_interval
+    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 405)
+    with pytest.raises(CapacityError, match="scanned 406 cliques"):
+        interval_certificate(path_graph(30), cap=30)
+
+
+def test_clique_path_search_stops_at_its_budget():
+    # the caterpillar a'-a-h-b-b' with 18 leaves on h, the leaves first: no
+    # clique path starts at a leaf's clique, and the search from there tries
+    # every subset of the leaf cliques (3 * 2^18 entries) unless stopped
+    k = 18
+    a_end, a, h, b, b_end = range(k, k + 5)
+    g = Graph(k + 5, [(leaf, h) for leaf in range(k)]
+              + [(a_end, a), (a, h), (h, b), (b, b_end)])
+    assert is_interval(g)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="clique-path search"):
+        interval_certificate(g, cap=100)
+    assert time.perf_counter() - start < 2
 
 
 def test_end_cliques_examples():

@@ -163,7 +163,7 @@ def test_verify_computes_the_traditional_span_once(monkeypatch):
         floods.append(scan)
         return flood(scan, avail, start)
 
-    # every call, from the theorems or through vertex_span and span_report
+    # every call, from the theorems, through vertex_span or through spanlab.rule_spans
     for mod in [m for name, m in sys.modules.items() if name.startswith("spanlab")]:
         if getattr(mod, "rule_spans", None) is rule_spans:
             monkeypatch.setattr(mod, "rule_spans", counting_spans)

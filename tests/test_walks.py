@@ -5,13 +5,13 @@ import pytest
 import spanlab.walks
 from helpers import (connected_atlas, floyd_warshall, least_covering_walk, naive_min_moves,
                      random_graphs, single_cover_moves)
-from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, build_product,
-                     complete_graph, cycle_graph, fixture, generate_family, min_steps,
-                     parse_graph6, path_graph, random_connected_graph, reroot_walk_pair,
-                     safety_subgraph, shortest_covering_walk, star_graph,
-                     validate_walk_pair, vertex_span)
+from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, complete_graph, cycle_graph,
+                     fixture, generate_family, min_steps, parse_graph6, path_graph,
+                     random_connected_graph, reroot_walk_pair, star_graph, validate_walk_pair,
+                     vertex_span)
+from spanlab.products import build_product, safety_subgraph
 from spanlab.spans import rule_spans
-from spanlab.walks import COVER_TABLE_LIMIT, PlayerBound, cover_table
+from spanlab.walks import COVER_TABLE_LIMIT, PlayerBound, cover_table, shortest_covering_walk
 
 # the published example pair on the figure3 graph: swap walks that keep the
 # players at distance exactly 2 the whole time
@@ -277,8 +277,8 @@ def test_published_walks_on_figure3():
     pair = WalkPair(alice=FIG3_ALICE, bob=FIG3_BOB, rule=Rule.TRADITIONAL,
                     safety=2, moves=len(FIG3_ALICE) - 1)
     v = validate_walk_pair(pair, g, 2)
-    assert v.legal
-    assert v.alice_surjective and v.bob_surjective
+    assert not v.illegal_steps
+    assert not v.missing_alice and not v.missing_bob
     assert v.safety == 2
     assert v.valid
 
@@ -290,7 +290,7 @@ def test_traditional_both_stay_is_legal():
     v = validate_walk_pair(pair, g, 0)
     # step 3 teleports bob from 2 to 0; everything else is fine
     assert v.illegal_steps == (2,)
-    assert not v.legal
+    assert not v.valid
 
 
 def test_active_requires_joint_motion():
@@ -300,20 +300,20 @@ def test_active_requires_joint_motion():
     assert validate_walk_pair(pair, g, 0).illegal_steps == (0,)
     pair = WalkPair(alice=("0", "0"), bob=("2", "2"), rule=Rule.ACTIVE,
                     safety=0, moves=1)
-    assert validate_walk_pair(pair, g, 0).legal
+    assert not validate_walk_pair(pair, g, 0).illegal_steps
 
 
 def test_lazy_forbids_both_staying_and_both_moving():
     g = path_graph(3)
     both_stay = WalkPair(alice=("0", "0"), bob=("2", "2"), rule=Rule.LAZY,
                          safety=0, moves=1)
-    assert not validate_walk_pair(both_stay, g, 0).legal
+    assert validate_walk_pair(both_stay, g, 0).illegal_steps == (0,)
     both_move = WalkPair(alice=("0", "1"), bob=("2", "1"), rule=Rule.LAZY,
                          safety=0, moves=1)
-    assert not validate_walk_pair(both_move, g, 0).legal
+    assert validate_walk_pair(both_move, g, 0).illegal_steps == (0,)
     one_moves = WalkPair(alice=("0", "1"), bob=("2", "2"), rule=Rule.LAZY,
                          safety=0, moves=1)
-    assert validate_walk_pair(one_moves, g, 0).legal
+    assert not validate_walk_pair(one_moves, g, 0).illegal_steps
 
 
 def test_validator_reports_missing_vertices():
@@ -335,8 +335,9 @@ def test_validator_refuses_disconnected_graphs():
 def test_validator_threshold_check():
     g = cycle_graph(4)
     pair = min_steps(g, "traditional").pair
-    assert validate_walk_pair(pair, g, 2).meets_threshold
-    assert not validate_walk_pair(pair, g, 3).meets_threshold
+    at_two, at_three = validate_walk_pair(pair, g, 2), validate_walk_pair(pair, g, 3)
+    assert at_two.safety == at_three.safety == 2
+    assert at_two.valid and not at_three.valid
 
 
 def test_validator_input_errors():
