@@ -49,7 +49,11 @@ graph like its balls.  It floods each level's good components lazily, in
 that order, and replays them to later calls: the span search, the span-1
 checks and the covering-walk search's roots share it, so no level of a
 graph is flooded twice.  A certificate keeps its component's rows and
-builds the pair codes on first read.
+builds the pair codes on first read.  ``LevelScan.good_in`` runs the same
+floods on rows handed to it, of the subgraph induced on a vertex mask: the
+span-1 checks probe level 2 of each lobe union on the graph's own scan, and
+of each augmentation on one scan of neighbour masks per clique, with no
+graph or distance balls built for either.
 
 The component functions below rescan one built product; production code
 does not call them, and the tests use them as the per-threshold reference.
@@ -167,15 +171,21 @@ def _dilation(masks: Sequence[int]) -> Callable[[int], int]:
 
 class LevelScan:
     """The good components of one graph's thresholded products under one
-    rule, each level flooded on demand and kept (module docstring).  It
-    holds no reference to the graph, which reference counting still frees."""
+    rule, each level flooded on demand and kept (module docstring).  It is
+    built from the graph's adjacency lists ``adj`` and holds no reference to
+    the graph, which reference counting still frees.  ``step`` is B's moves
+    from a set of vertices, built from ``adj`` unless given.  ``balls``, the
+    graph's distance balls, serve ``good``; a scan without them floods only
+    the rows handed to ``good_in``."""
 
     __slots__ = ("n", "adj", "balls", "edges", "rule", "step", "levels", "span")
 
-    def __init__(self, h: Graph, rule: Rule, step: Callable[[int], int]):
-        self.n, self.adj, self.edges, self.rule = h.n, h.adj, h.edges(), rule
-        self.balls = distance_balls(h)
-        self.step = step                    # B's moves from a set of vertices
+    def __init__(self, adj: Sequence[Sequence[int]], rule: Rule,
+                 step: Callable[[int], int] | None = None,
+                 balls: Sequence[Sequence[int]] = ()):
+        self.n, self.adj, self.rule, self.balls = len(adj), adj, rule, balls
+        self.edges = [(u, w) for u, ws in enumerate(adj) for w in ws if u < w]
+        self.step = step or _dilation([sum(1 << w for w in ws) for ws in adj])
         # level -> (its good components flooded so far, the codes not yet flooded)
         self.levels: dict[int, tuple[list[list[int]], list[int]]] = {}
         self.span: int | None = None        # the vertex span, once found
@@ -183,30 +193,47 @@ class LevelScan:
     def good(self, level: int) -> Iterator[list[int]]:
         """Rows of the good components at ``level`` in ascending order of
         least pair code (module docstring): those flooded before, then new
-        floods from the least unvisited code of row 0."""
-        full = (1 << self.n) - 1
+        floods (``good_in``)."""
         if level not in self.levels:
             self.levels[level] = [], far_rows(self.balls, level)
         comps, avail = self.levels[level]
+        floods = self.good_in(avail, (1 << self.n) - 1)
         i = 0
-        while i < len(comps) or avail and avail[0]:
+        while True:
             if i == len(comps):
-                comp = self._flood(avail, (avail[0] & -avail[0]).bit_length() - 1)
-                if not (all(comp) and reduce(or_, comp) == full):
-                    continue
+                comp = next(floods, None)
+                if comp is None:
+                    return
                 comps.append(comp)
             yield comps[i]
             i += 1
 
+    def good_in(self, avail: list[int], vertices: int) -> Iterator[list[int]]:
+        """Rows of the good components, taken out of ``avail``, of the
+        product of the subgraph induced on the vertex mask ``vertices`` whose
+        pairs are the rows ``avail`` (0 outside ``vertices``).  A good
+        component covers the least vertex r of ``vertices`` in coordinate A,
+        so floods start from the least unvisited code of row r, in ascending
+        order of least pair code.  Each of the other rows is 0 in every
+        component, and an empty vertex set has none."""
+        n = self.n
+        r = (vertices & -vertices).bit_length() - 1
+        outside = n - vertices.bit_count()
+        while vertices and avail[r]:
+            comp = self._flood(avail, r * n + (avail[r] & -avail[r]).bit_length() - 1)
+            if comp.count(0) == outside and reduce(or_, comp) == vertices:
+                yield comp
+
     def _flood(self, avail: list[int], start: int) -> list[int]:
-        """Rows of the component of pair (0, start), taken out of ``avail``."""
+        """Rows of the component of pair code ``start``, taken out of ``avail``."""
         n, adj, step = self.n, self.adj, self.step
         solo, joint = self.rule.solo, self.rule.joint
         comp = [0] * n
         pending = [0] * n
-        comp[0] = pending[0] = 1 << start
-        avail[0] ^= 1 << start
-        stack = [0]
+        u, v = divmod(start, n)
+        comp[u] = pending[u] = 1 << v
+        avail[u] ^= 1 << v
+        stack = [u]
         while stack:
             u = stack.pop()
             front = pending[u]
@@ -247,7 +274,7 @@ def level_scan(h: Graph, rule: Rule) -> LevelScan:
     scans = h._scans = h._scans or {}
     if rule not in scans:
         step = next(iter(scans.values())).step if scans else _dilation(h.nbr)
-        scans[rule] = LevelScan(h, rule, step)
+        scans[rule] = LevelScan(h.adj, rule, step, distance_balls(h))
     return scans[rule]
 
 

@@ -305,6 +305,11 @@ def end_cliques(g: Graph) -> list[tuple[int, ...]]:
     """
     if not is_interval(g):
         raise ValueError("end-cliques are defined for interval graphs only")
+    return _end_cliques(g)
+
+
+def _end_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """``end_cliques`` of g, which the caller has recognised as interval."""
     if g.n > INTERVAL_CAP:
         raise CapacityError(
             f"end-clique search is capped at n <= {INTERVAL_CAP}, got n={g.n}")

@@ -7,16 +7,16 @@ span-1 check (no span value) the cut and lobes, or clique and added graph.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import prod
 
 from .errors import CapacityError
-from .families import complete_graph, path_graph
-from .graphs import Graph, induced_subgraph, is_connected, metrics, to_graph6
+from .graphs import Graph, induced_masks, is_connected, members, metrics, to_graph6
 from .products import EDGE, RULES, VERTEX, Rule
-from .spans import level_scan, rule_spans
-from .structure import INTERVAL_CAP, augment, end_cliques, is_interval, minimal_cut_sets
+from .spans import LevelScan, level_scan, rule_spans
+from .structure import INTERVAL_CAP, _end_cliques, is_interval, minimal_cut_sets
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -24,8 +24,11 @@ NOT_APPLICABLE = "not-applicable"
 # the hypothesis holds, but the graph is over a size cap of the check
 SKIPPED_BY_CAP = "skipped-by-cap"
 
-# lobe unions the span-1 structure check may probe, over all cuts: about
-# 0.5-2 s of probes on unions of 40 vertices on a 2-vCPU Xeon VM
+# lobe unions the span-1 structure check may probe, over all cuts.  On a
+# 2-vCPU Xeon VM (CPython 3.11) the probes take about 0.07 s for the 528
+# unions of a 47-vertex interval graph (cliques K1..K8 and a 10-vertex path
+# hung at one vertex), and about 1.6 s for the 996 unions of path:500, 498
+# of them distinct, of up to 499 vertices
 LOBE_UNION_BUDGET = 1_000
 # lobes of at most this many vertices get a key; it tries every ordering
 _KEYED_LOBE_SIZE = 4
@@ -110,6 +113,16 @@ def _span_is_1(h: Graph) -> bool:
     return next(level_scan(h, Rule.TRADITIONAL).good(2), None) is None
 
 
+def _induced_span_is_1(scan: LevelScan, nbr: Sequence[int], vertices: int) -> bool:
+    """``_span_is_1`` of the connected subgraph, with at least two vertices,
+    induced on the vertex mask ``vertices`` of the graph with neighbour
+    masks ``nbr``, whose traditional ``scan`` floods it.  Two vertices of
+    the subgraph are at distance >= 2 in it iff they are distinct and not
+    adjacent, so row v of its level 2 is ``vertices`` minus N[v]."""
+    rows = [vertices & ~(m | 1 << v) if vertices >> v & 1 else 0 for v, m in enumerate(nbr)]
+    return next(scan.good_in(rows, vertices), None) is None
+
+
 _SPAN1_CHECKS = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
 
 
@@ -149,11 +162,14 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     lobes of each class.  A lobe of at most ``_KEYED_LOBE_SIZE`` vertices is
     keyed by the least, over orderings of its vertices, of their neighbours
     in S and its inner edges by position; a larger lobe is its own class.
-    Unions of different cuts that are equal as labelled graphs (the same
-    graph6) share one probe.  Past ``LOBE_UNION_BUDGET`` unions over all
-    cuts the check raises ``CapacityError`` before any probe.  h's own probe
-    reads its cached level scan, with no flood when ``check_span_inequalities``
-    has already flooded level 2 of the same graph object."""
+    A union is probed on h's neighbour masks and h's traditional level scan
+    (``_induced_span_is_1``), with no graph built.  Unions of different cuts
+    whose neighbour masks, relabelled in index order (``induced_masks``),
+    are equal are the same labelled graph and share one probe.  Past
+    ``LOBE_UNION_BUDGET`` unions over all cuts the check raises
+    ``CapacityError`` before any probe.  h's own probe reads its cached level
+    scan, with no flood when ``check_span_inequalities`` has already flooded
+    level 2 of the same graph object."""
     if not is_connected(h):
         raise ValueError("span-1 structure applies to connected graphs only")
     g6 = to_graph6(h)
@@ -169,7 +185,9 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     if unions > LOBE_UNION_BUDGET:
         raise CapacityError(f"span-1 structure check needs {unions} lobe unions, "
                             f"over the budget of {LOBE_UNION_BUDGET}")
-    union_ok: dict[str, bool] = {}    # graph6 of a lobe union -> span 1?
+    scan, nbr = level_scan(h, Rule.TRADITIONAL), h.nbr
+    # a lobe union's relabelled neighbour masks -> span 1?
+    union_ok: dict[tuple[int, ...], bool] = {}
     clique_ok = True
     lobes_ok = True
     join_ok = True
@@ -178,20 +196,20 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
         if not cut.is_clique:
             clique_ok = False
             witness.setdefault("non_clique_cut", list(cut.vertices))
-        parts = cut.components
+        cut_mask = sum(1 << v for v in cut.vertices)
+        lobe_masks = [sum(1 << v for v in lobe) for lobe in cut.components]
         full = tuple(len(c) for c in cls)
         for counts in product(*(range(t + 1) for t in full)):
             # the union of all lobes is h itself, whose span is 1
             if not any(counts) or counts == full:
                 continue
             chosen = sorted(i for c, t in zip(cls, counts) for i in c[:t])
-            vs = set(cut.vertices)
+            vs = cut_mask
             for i in chosen:
-                vs.update(parts[i])
-            union = induced_subgraph(h, vs)
-            key = to_graph6(union)
+                vs |= lobe_masks[i]
+            key = induced_masks(h, vs)
             if key not in union_ok:
-                union_ok[key] = _span_is_1(union)
+                union_ok[key] = _induced_span_is_1(scan, nbr, vs)
             if not union_ok[key]:
                 lobes_ok = False
                 witness.setdefault("bad_lobe_union",
@@ -212,22 +230,33 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     return TheoremReport(graph_name=name, graph6=g6, checks=checks)
 
 
-def _aug_test_graphs() -> list[tuple[str, Graph]]:
-    return [
-        ("K1", complete_graph(1)),
-        ("K2", complete_graph(2)),
-        ("P3", path_graph(3)),
-        ("K3", complete_graph(3)),
-    ]
+# the graphs an augmentation adds, by name and neighbour masks: K1, K2, the
+# path P3 and the triangle K3
+_ADDED_GRAPHS = (("K1", (0b0,)), ("K2", (0b10, 0b01)), ("P3", (0b010, 0b101, 0b010)),
+                 ("K3", (0b110, 0b101, 0b011)))
 
 
 def _augmentation_check(name: str, h: Graph, cliques: list[tuple[int, ...]]) -> Check:
     """Augmenting h at each clique by each test graph keeps traditional
-    vertex span 1; the witness is the first case that does not."""
+    vertex span 1; the witness is the first case that does not.
+
+    Per clique K one set of neighbour masks holds h and, after h's vertices,
+    the four test graphs side by side, every vertex of each joined to K.
+    ``augment(h, K, X)`` is, up to the labels of X, its subgraph induced on
+    h and X, which one scan of the masks probes (``_induced_span_is_1``)."""
     witness: dict = {}
+    added = sum(len(masks) for _, masks in _ADDED_GRAPHS)
     for K in cliques:
-        for hname, extra in _aug_test_graphs():
-            if not _span_is_1(augment(h, K, extra)):
+        k = sum(1 << v for v in K)
+        nbr = [m | ((1 << added) - 1) << h.n if k >> v & 1 else m for v, m in enumerate(h.nbr)]
+        parts = []
+        for hname, masks in _ADDED_GRAPHS:
+            off = len(nbr)
+            parts.append((hname, ((1 << len(masks)) - 1) << off))
+            nbr += [m << off | k for m in masks]
+        scan = LevelScan(tuple(map(members, nbr)), Rule.TRADITIONAL)
+        for hname, part in parts:
+            if not _induced_span_is_1(scan, nbr, (1 << h.n) - 1 | part):
                 witness.setdefault("case", {"clique": list(K), "added": hname})
     return _check(name, not witness, witness)
 
@@ -256,7 +285,7 @@ def check_interval_theorems(h: Graph, name: str = "graph") -> TheoremReport:
         checks.append(Check("tree-characterization", NOT_APPLICABLE))
 
     if iv and 2 <= h.n <= INTERVAL_CAP:
-        checks.append(_augmentation_check("end-clique-augmentation", h, end_cliques(h)))
+        checks.append(_augmentation_check("end-clique-augmentation", h, _end_cliques(h)))
         checks.append(_augmentation_check(
             "cut-clique-augmentation", h,
             [cut.vertices for cut in minimal_cut_sets(h).sets if cut.is_clique]))

@@ -11,9 +11,10 @@ from helpers import (caterpillar, connected_atlas, naive_span1_structure, random
 from spanlab import (EDGE, FIXTURES, KINDS, VERTEX, CapacityError, Graph, Rule,
                      check_interval_theorems, check_span1_structure,
                      check_span_inequalities, complete_graph, cycle_graph, end_cliques,
-                     fixture, generate_family, is_interval, minimal_cut_sets,
+                     fixture, generate_family, induced_subgraph, is_interval, minimal_cut_sets,
                      parse_graph6, path_graph, subdivided_star, to_graph6, vertex_span)
-from spanlab.spans import LevelScan, level_scan
+from spanlab.graphs import distance_balls, far_rows, members
+from spanlab.spans import LevelScan
 from spanlab.theorems import (_KEYED_LOBE_SIZE, HOLDS, NOT_APPLICABLE,
                               SKIPPED_BY_CAP, VIOLATED, Check, TheoremReport, _lobe_classes)
 
@@ -323,24 +324,39 @@ def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
     # larger lobe, so (k + 1) x 2 - 2 = 2k unions per cut; 2^(k+1) - 2 by subsets.
     # A hub with j < k of its own leaves is the same labelled star at both
     # cuts, so the second cut adds only its k unions with the other hub's lobe.
-    # Each union gets one span-1 probe, which floods level 2 only
+    # Each union gets one span-1 probe, which floods level 2 of the union only:
+    # the rows of the union's own level-2 product, at its vertices in g
     import spanlab.theorems
     from spanlab.cli import main
-    calls = []
-    probe = spanlab.theorems._span_is_1
+    g = caterpillar(10)
+    probes = []
+    floods = []
+    probe = spanlab.theorems._induced_span_is_1
+    good_in = LevelScan.good_in
 
-    def counting_probe(h):
-        out = probe(h)
-        calls.append((h.n, tuple(level_scan(h, Rule.TRADITIONAL).levels)))
+    def counting_probe(scan, nbr, vertices):
+        before = len(floods)
+        out = probe(scan, nbr, vertices)
+        probes.append((vertices, floods[before:]))
         return out
 
-    monkeypatch.setattr(spanlab.theorems, "_span_is_1", counting_probe)
+    def recording_good_in(scan, avail, vertices):
+        floods.append((vertices, list(avail)))
+        return good_in(scan, avail, vertices)
+
+    monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", counting_probe)
+    monkeypatch.setattr(LevelScan, "good_in", recording_good_in)
     path = tmp_path / "caterpillar.g6"
-    path.write_text(to_graph6(caterpillar(10)) + "\n")
+    path.write_text(to_graph6(g) + "\n")
     assert main(["verify", "--file", str(path), "--format", "json"]) == 0
-    # lobe unions, not the checkers' probes of the caterpillar itself
-    unions = [levels for n, levels in calls if n < 22]
-    assert len(unions) == 30 and set(unions) == {(2,)}
+    assert len(probes) == 30 and len({vertices for vertices, _ in probes}) == 30
+    for vertices, calls in probes:
+        union = members(vertices)
+        level2 = far_rows(distance_balls(induced_subgraph(g, union)), 2)
+        expected = [0] * g.n
+        for v, row in zip(union, level2):
+            expected[v] = sum(1 << union[i] for i in members(row))
+        assert calls == [(vertices, expected)]
 
 
 def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
@@ -350,12 +366,18 @@ def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
     import spanlab.theorems
     calls = []
     probe = spanlab.theorems._span_is_1
+    induced_probe = spanlab.theorems._induced_span_is_1
 
     def counting_probe(h):
         calls.append(h.n)
         return probe(h)
 
+    def counting_induced_probe(scan, nbr, vertices):
+        calls.append(vertices.bit_count())
+        return induced_probe(scan, nbr, vertices)
+
     monkeypatch.setattr(spanlab.theorems, "_span_is_1", counting_probe)
+    monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", counting_induced_probe)
     for n in (10, 60):
         calls.clear()
         report = check_span1_structure(path_graph(n))
@@ -366,12 +388,12 @@ def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
 def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):
     import spanlab.theorems
     g = fan()
-    probe = spanlab.theorems._span_is_1
+    probe = spanlab.theorems._induced_span_is_1
 
-    def broken_probe(h):
-        return h.n >= g.n and probe(h)
+    def broken_probe(scan, nbr, vertices):
+        return vertices.bit_count() >= g.n and probe(scan, nbr, vertices)
 
-    monkeypatch.setattr(spanlab.theorems, "_span_is_1", broken_probe)
+    monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", broken_probe)
     check = {c.name: c for c in check_span1_structure(g).checks}
     assert check["cut-sets-are-cliques"].status == HOLDS
     assert check["join-all-but-two"].status == HOLDS
@@ -392,12 +414,12 @@ def test_interval_theorems_report_a_bad_augmentation(monkeypatch):
     # augmentation checks name the first clique they augment, and nothing else
     import spanlab.theorems
     g = path_graph(5)
-    probe = spanlab.theorems._span_is_1
+    probe = spanlab.theorems._induced_span_is_1
 
-    def broken_probe(h):
-        return h.n != g.n + 2 and probe(h)
+    def broken_probe(scan, nbr, vertices):
+        return vertices.bit_count() != g.n + 2 and probe(scan, nbr, vertices)
 
-    monkeypatch.setattr(spanlab.theorems, "_span_is_1", broken_probe)
+    monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", broken_probe)
     check = {c.name: c for c in check_interval_theorems(g).checks}
     assert check["interval-implies-span-1"].status == HOLDS
     assert check["tree-characterization"].status == HOLDS
@@ -409,26 +431,91 @@ def test_interval_theorems_report_a_bad_augmentation(monkeypatch):
         assert check[name].witness == {"case": {"clique": list(clique), "added": "K2"}}
 
 
-def test_span_1_probe_matches_vertex_span(monkeypatch):
-    # every connected graph with 2 <= n <= 7, and every augmentation the
-    # interval checks probe on the interval graphs among them; the probe
-    # runs on a copy, so it floods level 2 itself
-    import spanlab.theorems
-    probe = spanlab.theorems._span_is_1
-    probed = []
+def masks_graph(nbr, vertices):
+    """The subgraph induced on the vertex mask ``vertices`` of the graph
+    with neighbour masks ``nbr``, as a fresh Graph numbered in index order."""
+    union = members(vertices)
+    index = {v: i for i, v in enumerate(union)}
+    return Graph(len(union), [(index[v], index[w]) for v in union
+                              for w in members(nbr[v] & vertices) if v < w])
 
-    def recording_probe(h):
-        probed.append(h)
-        return probe(h)
+
+def test_span_1_probe_matches_vertex_span(monkeypatch):
+    # every connected graph with 2 <= n <= 7, each probed on a copy, which
+    # floods level 2 itself, and every augmentation the interval checks probe
+    # on the interval graphs among them, checked on a graph rebuilt from the
+    # probe's masks
+    import spanlab.theorems
+    probe = spanlab.theorems._induced_span_is_1
+    augmented = []
+
+    def recording_probe(scan, nbr, vertices):
+        out = probe(scan, nbr, vertices)
+        augmented.append((masks_graph(nbr, vertices), out))
+        return out
 
     graphs = [g for g in connected_atlas(7) if g.n >= 2]
-    monkeypatch.setattr(spanlab.theorems, "_span_is_1", recording_probe)
+    monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", recording_probe)
     for g in graphs:
         if is_interval(g):
             assert check_interval_theorems(g).ok
-    atlas = {id(g) for g in graphs}
-    augmented = [h for h in probed if id(h) not in atlas]
     assert len(augmented) > 6000
-    answers = [probe(Graph(h.n, h.edges())) for h in graphs + augmented]
-    assert answers == [vertex_span(h, "traditional")[0] == 1 for h in graphs + augmented]
+    answers = ([spanlab.theorems._span_is_1(Graph(g.n, g.edges())) for g in graphs]
+               + [out for _, out in augmented])
+    rebuilt = graphs + [h for h, _ in augmented]
+    assert answers == [vertex_span(h, "traditional")[0] == 1 for h in rebuilt]
     assert 0 < answers.count(False) < len(graphs)
+
+
+def test_verify_builds_no_graph_for_lobe_unions_or_augmentations(monkeypatch, tmp_path):
+    # the span-1 probes run on neighbour masks: verify grows distance balls
+    # and builds a Graph only for the graph it verifies, on a caterpillar
+    # (lobe unions) and on an interval graph that has augmentation checks
+    from spanlab.cli import main
+    built = []
+    balled = []
+    init = Graph.__init__
+    balls = distance_balls
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def counting_balls(g):
+        balled.append(g)
+        return balls(g)
+
+    interval = generate_family("interval:12:3")
+    assert is_interval(interval) and interval.m > interval.n - 1
+    assert status_map(check_interval_theorems(interval))["end-clique-augmentation"] == HOLDS
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    for mod in [m for name, m in sys.modules.items() if name.startswith("spanlab")]:
+        if getattr(mod, "distance_balls", None) is balls:
+            monkeypatch.setattr(mod, "distance_balls", counting_balls)
+    path = tmp_path / "graph.g6"
+    for g in (caterpillar(10), interval):
+        path.write_text(to_graph6(g) + "\n")
+        built.clear()
+        balled.clear()
+        assert main(["verify", "--file", str(path), "--format", "json"]) == 0
+        assert len(built) == 1 and built[0].adj == g.adj
+        assert balled and {id(h) for h in balled} == {id(built[0])}
+
+
+def test_verify_recognises_each_interval_graph_once(monkeypatch):
+    # check_interval_theorems runs the asteroidal-triple test once per
+    # interval graph; its end-clique search does not recognise the graph again
+    import spanlab.structure
+    from spanlab.cli import main
+    calls = []
+    find = spanlab.structure.find_asteroidal_triple
+
+    def counting_find(g):
+        calls.append(g)
+        return find(g)
+
+    monkeypatch.setattr(spanlab.structure, "find_asteroidal_triple", counting_find)
+    assert main(["verify", "--family", "interval:12", "--seeds", "20", "--format", "json"]) == 0
+    assert len(calls) == 20 and all(g.n == 12 for g in calls)
+    with pytest.raises(ValueError):
+        end_cliques(cycle_graph(5))

@@ -104,11 +104,13 @@ def test_min_steps_builds_the_product_once(monkeypatch):
 
 def test_shortest_covering_walk_none_without_good_component():
     # K2 lazy at threshold 1 has no good component, and no rule has one at
-    # a threshold past the diameter, where every pair is cut off
+    # a threshold past the diameter, where every pair is cut off; the empty
+    # graph has no pair at all
     p = safety_subgraph(build_product(complete_graph(2), "lazy"), 1)
     assert shortest_covering_walk(p) is None
     p = safety_subgraph(build_product(path_graph(3), "traditional"), 5)
     assert shortest_covering_walk(p) is None
+    assert shortest_covering_walk(build_product(Graph(0), "traditional")) is None
 
 
 def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
