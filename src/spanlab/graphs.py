@@ -26,7 +26,7 @@ _GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Undirected simple graph with ordered vertices and distinct labels."""
 
-    __slots__ = ("n", "labels", "adj", "_label_index", "_nbr", "_balls", "_scans")
+    __slots__ = ("n", "labels", "adj", "_label_index", "_nbr", "_balls", "_scans", "_cuts")
 
     def __init__(
         self,
@@ -59,6 +59,7 @@ class Graph:
         self._nbr: tuple[int, ...] | None = None
         self._balls: tuple[tuple[int, ...], ...] | None = None
         self._scans: dict | None = None     # rule -> spans.LevelScan
+        self._cuts = None                   # structure.minimal_cut_sets at the default cap
 
     @property
     def nbr(self) -> tuple[int, ...]:

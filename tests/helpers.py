@@ -274,6 +274,30 @@ def naive_minimal_cut_sets(g: Graph, cap: int) -> tuple[CutSet, ...]:
     return tuple(found)
 
 
+def naive_minimal_separator_count(g: Graph) -> int:
+    """Independent count of g's minimal separators, from the definition:
+    vertex sets S such that g - S has at least two full components, those
+    C in which every vertex of S has a neighbour.  Tries every subset, with
+    components found by a plain search over adjacency sets."""
+    adj = [set(a) for a in g.adj]
+    count = 0
+    for size in range(g.n - 1):
+        for s in map(set, combinations(range(g.n), size)):
+            left = set(range(g.n)) - s
+            full = 0
+            while left:
+                comp = set()
+                stack = [left.pop()]
+                while stack:
+                    v = stack.pop()
+                    comp.add(v)
+                    stack.extend(adj[v] & left)
+                    left -= adj[v]
+                full += all(adj[x] & comp for x in s)
+            count += full >= 2
+    return count
+
+
 def naive_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     """Independent least asteroidal triple, from the definition: three
     pairwise non-adjacent vertices, each two connected in networkx once the

@@ -10,14 +10,14 @@ import networkx as nx
 
 from helpers import (caterpillar, connected_atlas, graph_to_nx, naive_asteroidal_triple,
                      naive_chordless_cycle, naive_end_cliques, naive_minimal_cut_sets,
-                     nx_to_graph, random_graphs, spine_tree)
+                     naive_minimal_separator_count, nx_to_graph, random_graphs, spine_tree)
 from spanlab import (CapacityError, Graph, augment, complete_graph,
                      cycle_graph, end_cliques, find_asteroidal_triple, fixture,
                      induced_subgraph, interval_certificate, is_chordal,
                      is_connected, is_interval, maximal_cliques,
                      minimal_cut_sets, path_graph, random_connected_graph,
-                     random_interval_graph, s_lobes, star_graph, subdivided_star,
-                     to_graph6)
+                     parse_graph6, random_interval_graph, s_lobes, star_graph,
+                     subdivided_star, to_graph6)
 
 
 def brute_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
@@ -344,6 +344,52 @@ def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
     monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 19)
     with pytest.raises(CapacityError, match="generated 20 minimal separators"):
         minimal_cut_sets(cycle_graph(8), cap=1)
+
+
+def test_closure_visits_exactly_the_minimal_separators(monkeypatch):
+    # the budget counts distinct separators, so a call passes at a budget of
+    # the definitional count and stops one past the budget below it (each
+    # call gets a fresh graph object, which keeps no catalogue)
+    import spanlab.structure
+    for g in connected_atlas(7) + random_graphs(40, 3, 12, seed=67):
+        count = naive_minimal_separator_count(g)
+        monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", count)
+        minimal_cut_sets(Graph(g.n, g.edges()))
+        if count:
+            monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", count - 1)
+            with pytest.raises(CapacityError, match=f"generated {count} minimal separators"):
+                minimal_cut_sets(Graph(g.n, g.edges()))
+
+
+# the structure benchmark's 28-vertex random graph at seed 0
+RANDOM_28 = "[G@A?oC_O?gO???@BO????_?C@E????g??I?`@SH??G?G?SAOA?G??a?_C?QCPCQ"
+
+
+def test_closure_floods_blocks(monkeypatch):
+    # one flood per vertex, one of g - S - C per separator S found as C, and
+    # one per distinct block-minus-neighbourhood mask: 883 and 5,004 floods,
+    # against 1,175 and 4,575 whole-graph floods (2,680 and 20,629
+    # components) with one flood of g - (S + N(x)) per pair (S, x)
+    import spanlab.structure
+    floods, pieces = [], []
+
+    def counting_flood(nbr, left):
+        out = flood(nbr, left)
+        floods.append(left)
+        pieces.extend(out)
+        return out
+
+    flood = spanlab.structure.flood
+    monkeypatch.setattr(spanlab.structure, "flood", counting_flood)
+    for g, cuts, calls, comps in ((grid_graph(4, 5), 123, 883, 1065),
+                                  (parse_graph6(RANDOM_28), 19, 5004, 10540)):
+        floods.clear()
+        pieces.clear()
+        assert len(minimal_cut_sets(g).sets) == cuts
+        assert (len(floods), len(pieces)) == (calls, comps)
+        # the catalogue is kept on the graph: a second call floods nothing
+        minimal_cut_sets(g)
+        assert len(floods) == calls
 
 
 def test_theta_graph_exits_3_at_the_separator_budget(tmp_path, capsys):

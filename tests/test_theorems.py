@@ -231,6 +231,34 @@ def fan():
     return Graph(15, edges)
 
 
+def test_verify_builds_one_cut_catalogue_per_graph(monkeypatch):
+    # check_span1_structure and the cut-clique augmentation both ask for the
+    # cut sets of the one graph object that verify hands them; the second
+    # call reads the catalogue kept on the graph
+    import spanlab.structure
+    import spanlab.theorems
+    from spanlab.cli import main
+    asked, built = [], []
+    catalog, cut_sets = spanlab.structure.CutSetCatalog, spanlab.theorems.minimal_cut_sets
+
+    def counting_catalog(*args, **kwargs):
+        built.append(1)
+        return catalog(*args, **kwargs)
+
+    def asking(h):
+        asked.append(h)
+        return cut_sets(h)
+
+    monkeypatch.setattr(spanlab.structure, "CutSetCatalog", counting_catalog)
+    monkeypatch.setattr(spanlab.theorems, "minimal_cut_sets", asking)
+    for family in ("path:8", "interval:12:7"):
+        asked.clear()
+        built.clear()
+        assert main(["verify", "--family", family]) == 0
+        assert len(asked) == 2 and asked[0] is asked[1]
+        assert len(built) == 1
+
+
 @lru_cache(maxsize=None)
 def structure_graphs():
     return (tuple(connected_atlas(7)) + tuple(caterpillar(k) for k in range(1, 9))
