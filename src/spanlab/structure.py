@@ -4,35 +4,35 @@ end-cliques, minimal cut sets, lobes, and clique-coupled augmentation.
 Everything here is exact and desk-scale, and works on the neighbour bitmasks
 of ``graphs``: maximum cardinality search plus the Tarjan-Yannakakis
 follower test for chordality, component masks of G - N[z] for asteroidal
-triples, one memoised search over maximal-clique orderings for interval
-representations and end cliques, and minimal cut sets picked by a
-full-component test out of the minimal separators, which a closure (Berry,
-Bordat & Cogis 1999) generates by component floods.
+triples, one memoised search over maximal-clique orderings, which reads
+its next cliques off the last one placed, for interval representations
+and end cliques, and minimal cut sets picked by a full-component test out
+of the minimal separators, which a closure (Berry, Bordat & Cogis 1999)
+generates by component floods.
 
 The two exponential searches count their work and raise ``CapacityError``
 past a fixed budget: the clique-path search past ``CLIQUE_PATH_BUDGET``
-cliques scanned, the separator closure past ``SEPARATOR_BUDGET``
-separators.
+cliques offered, the separator closure past ``SEPARATOR_BUDGET`` separators.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import CapacityError
 from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, members
 
-# size caps: vertices for interval representations and end-clique searches,
-# and the largest cut set enumerated
+# size caps: vertices for interval representations (and for the interval
+# checkers' augmentation checks), and the largest cut set enumerated
 INTERVAL_CAP = 12
 CUT_CAP = 4
 
-# cliques the clique-path search may scan in one call, over all its starts:
-# a path on n vertices scans (n - 1)(n - 2) / 2 (603,351 at n = 1,100), and
-# the caterpillar a'-a-h-b-b' with 15 leaves on h, searched from a leaf,
-# passes it
+# cliques the clique-path search may offer in one call, over all its starts:
+# a path on n vertices offers n - 2 from an end, the caterpillar a'-a-h-b-b'
+# with k leaves on h, searched from a leaf, 655,497 at k = 16 (0.4 s on a
+# 2-vCPU Xeon VM, CPython 3.11) and passes it at k = 17
 CLIQUE_PATH_BUDGET = 1_000_000
 
 
@@ -170,9 +170,11 @@ def _clique_paths(cliques: list[tuple[int, ...]]) -> Callable[[int], tuple[int, 
     A vertex is open while it lies in a placed and in an unplaced clique.
     The next clique must hold every open vertex, or that vertex's run of
     cliques would break; and an order built by that rule keeps every run
-    unbroken.  In masks, with ``placed`` and ``rest`` the unions of the
-    placed and the unplaced cliques, clique c may come next iff ``placed &
-    rest & ~c`` is 0.  The moves thus depend only on the set of cliques
+    unbroken.  Every open vertex then lies in the clique placed last: one
+    open before that step lay in it by the rule, and one first placed at
+    that step came from it.  So with ``holds[v]`` the mask of v's cliques,
+    the next clique is an unplaced one in ``holds[v]`` for each open v of
+    the last clique.  The moves thus depend only on the set of cliques
     placed, and so does whether that set can be completed: the sets that
     fail go in one memo that every start shares.  Cliques are tried in
     ascending order and the memo cuts only sets that cannot be completed,
@@ -181,43 +183,44 @@ def _clique_paths(cliques: list[tuple[int, ...]]) -> Callable[[int], tuple[int, 
 
     The memo does not keep the search polynomial: from a clique that
     cannot head a path, it may try every subset of the cliques that hang
-    off one vertex.  Each entry scans the unplaced cliques, and past
-    ``CLIQUE_PATH_BUDGET`` cliques scanned, summed over every start, the
-    search raises ``CapacityError``.
+    off one vertex.  Past ``CLIQUE_PATH_BUDGET`` cliques offered, summed
+    over every start, the search raises ``CapacityError``.  There are at
+    most as many entries as cliques offered plus starts, and each costs
+    one pass over its clique.
     """
-    masks = [sum(1 << v for v in c) for c in cliques]
-    everything = (1 << len(masks)) - 1
+    holds: dict[int, int] = {}
+    for ci, c in enumerate(cliques):
+        for v in c:
+            holds[v] = holds.get(v, 0) | 1 << ci
+    everything = (1 << len(cliques)) - 1
     dead: set[int] = set()
-    scanned = 0
-
-    def entry(ci: int, done: int, placed: int) -> tuple[int, int, int, Iterator[int]]:
-        """The stack entry once clique ``ci`` is placed: ``ci``, the set
-        placed, its union, and the cliques that may come next, ascending."""
-        nonlocal scanned
-        todo = members(everything & ~done)
-        scanned += len(todo)
-        if scanned > CLIQUE_PATH_BUDGET:
-            raise CapacityError(
-                f"clique-path search on {len(masks)} maximal cliques scanned {scanned} "
-                f"cliques, over the budget of {CLIQUE_PATH_BUDGET}")
-        rest = 0
-        for cj in todo:
-            rest |= masks[cj]
-        return ci, done, placed, (cj for cj in todo if not placed & rest & ~masks[cj])
+    offered = 0
 
     def first(start: int) -> tuple[int, ...] | None:
-        # the root entry offers ``start`` alone; the empty set it leaves in
-        # ``dead`` is never looked up
-        stack = [(-1, 0, 0, iter((start,)))]
+        nonlocal offered
+        # an entry per clique placed: the clique, the set placed and the
+        # cliques offered next; the root entry offers ``start`` alone, and
+        # the empty set it leaves in ``dead`` is never looked up
+        stack = [(-1, 0, iter((start,)))]
         while stack:
-            _, done, placed, nexts = stack[-1]
+            _, done, nexts = stack[-1]
             ci = next(nexts, None)
             if ci is None:
                 dead.add(stack.pop()[1])
             elif done | 1 << ci == everything:
                 return (*(frame[0] for frame in stack[1:]), ci)
             elif done | 1 << ci not in dead:
-                stack.append(entry(ci, done | 1 << ci, placed | masks[ci]))
+                done |= 1 << ci
+                offer = everything & ~done
+                for v in cliques[ci]:
+                    if holds[v] & ~done:
+                        offer &= holds[v]
+                offered += offer.bit_count()
+                if offered > CLIQUE_PATH_BUDGET:
+                    raise CapacityError(
+                        f"clique-path search on {len(cliques)} maximal cliques offered "
+                        f"{offered} cliques, over the budget of {CLIQUE_PATH_BUDGET}")
+                stack.append((ci, done, iter(members(offer))))
         return None
 
     return first
@@ -310,9 +313,6 @@ def end_cliques(g: Graph) -> list[tuple[int, ...]]:
 
 def _end_cliques(g: Graph) -> list[tuple[int, ...]]:
     """``end_cliques`` of g, which the caller has recognised as interval."""
-    if g.n > INTERVAL_CAP:
-        raise CapacityError(
-            f"end-clique search is capped at n <= {INTERVAL_CAP}, got n={g.n}")
     cliques = maximal_cliques(g)
     first = _clique_paths(cliques)
     return [c for ci, c in enumerate(cliques) if first(ci) is not None]

@@ -313,20 +313,28 @@ def naive_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def naive_end_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """Independent end cliques, from the definition: the maximal cliques
-    (from networkx) that head some ordering of all of them in which each
-    vertex's cliques sit next to each other, trying every ordering.
-    Sorted, like ``end_cliques``."""
-    cliques = [tuple(sorted(c)) for c in nx.find_cliques(graph_to_nx(g))]
-    heads = set()
-    for order in permutations(cliques):
-        if order[0] in heads:
+def least_clique_paths(cliques: list[tuple[int, ...]]) -> list[tuple[int, ...] | None]:
+    """Independent clique paths, from the definition: per start index, the
+    first ordering of the clique indices in ``permutations`` order, so the
+    lexicographically least, that begins with it and in which each vertex's
+    cliques sit next to each other; None where no ordering does."""
+    vertices = set().union(*cliques)
+    first: list[tuple[int, ...] | None] = [None] * len(cliques)
+    for order in permutations(range(len(cliques))):
+        if first[order[0]] is not None:
             continue
-        spots = [[i for i, c in enumerate(order) if v in c] for v in range(g.n)]
+        spots = [[i for i, ci in enumerate(order) if v in cliques[ci]] for v in vertices]
         if all(s[-1] - s[0] == len(s) - 1 for s in spots):
-            heads.add(order[0])
-    return sorted(heads)
+            first[order[0]] = order
+    return first
+
+
+def naive_end_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """Independent end cliques: the maximal cliques (from networkx) that
+    head some clique path of ``least_clique_paths``.  Sorted, like
+    ``end_cliques``."""
+    cliques = [tuple(sorted(c)) for c in nx.find_cliques(graph_to_nx(g))]
+    return sorted(c for c, path in zip(cliques, least_clique_paths(cliques)) if path)
 
 
 def naive_chordless_cycle(g: Graph) -> tuple[int, ...]:

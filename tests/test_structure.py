@@ -8,9 +8,10 @@ import pytest
 
 import networkx as nx
 
-from helpers import (caterpillar, connected_atlas, graph_to_nx, naive_asteroidal_triple,
-                     naive_chordless_cycle, naive_end_cliques, naive_minimal_cut_sets,
-                     naive_minimal_separator_count, nx_to_graph, random_graphs, spine_tree)
+from helpers import (caterpillar, connected_atlas, graph_to_nx, least_clique_paths,
+                     naive_asteroidal_triple, naive_chordless_cycle, naive_end_cliques,
+                     naive_minimal_cut_sets, naive_minimal_separator_count, nx_to_graph,
+                     random_graphs, spine_tree)
 from spanlab import (CapacityError, Graph, augment, complete_graph,
                      cycle_graph, end_cliques, find_asteroidal_triple, fixture,
                      induced_subgraph, interval_certificate, is_chordal,
@@ -18,6 +19,7 @@ from spanlab import (CapacityError, Graph, augment, complete_graph,
                      minimal_cut_sets, path_graph, random_connected_graph,
                      parse_graph6, random_interval_graph, s_lobes, star_graph,
                      subdivided_star, to_graph6)
+from spanlab.structure import _clique_paths
 
 
 def brute_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
@@ -198,31 +200,49 @@ def test_interval_certificate_of_a_long_clique_path():
             assert (max(lu, ivs[v][0]) <= min(ru, ivs[v][1])) == (v == u + 1), (u, v)
 
 
-def test_clique_path_budget_counts_the_cliques_scanned(monkeypatch):
+def test_clique_path_budget_counts_the_cliques_offered(monkeypatch):
     # P30 has 29 cliques, and the path from clique 0 answers: placing
-    # clique i scans the 28 - i unplaced ones, until the last completes the
-    # path, so 28 + 27 + ... + 1 = 406 in all
+    # clique i < 28 offers clique i + 1 alone, and clique 28 completes the
+    # path, so 28 in all.  P3000 offers 2,998 the same way; a search that
+    # rescanned the unplaced cliques at each step would pass that budget.
     import spanlab.structure
-    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 406)
+    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 28)
     assert interval_certificate(path_graph(30), cap=30).is_interval
-    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 405)
-    with pytest.raises(CapacityError, match="scanned 406 cliques"):
+    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 27)
+    with pytest.raises(CapacityError, match="offered 28 cliques"):
         interval_certificate(path_graph(30), cap=30)
+    cliques = maximal_cliques(path_graph(3000))
+    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 2998)
+    assert _clique_paths(cliques)(0) == tuple(range(2999))
+    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 2997)
+    with pytest.raises(CapacityError, match="offered 2998 cliques"):
+        _clique_paths(cliques)(0)
+
+
+def leaf_caterpillar(k: int) -> Graph:
+    """The caterpillar a'-a-h-b-b' with k leaves on h, the leaves first."""
+    a_end, a, h, b, b_end = range(k, k + 5)
+    return Graph(k + 5, [(leaf, h) for leaf in range(k)]
+                 + [(a_end, a), (a, h), (h, b), (b, b_end)])
 
 
 def test_clique_path_search_stops_at_its_budget():
-    # the caterpillar a'-a-h-b-b' with 18 leaves on h, the leaves first: no
-    # clique path starts at a leaf's clique, and the search from there tries
-    # every subset of the leaf cliques (3 * 2^18 entries) unless stopped
-    k = 18
-    a_end, a, h, b, b_end = range(k, k + 5)
-    g = Graph(k + 5, [(leaf, h) for leaf in range(k)]
-              + [(a_end, a), (a, h), (h, b), (b, b_end)])
+    # no clique path starts at a leaf's clique, and the search from there
+    # tries every subset of the leaf cliques (3 * 2^18 entries) unless stopped
+    g = leaf_caterpillar(18)
     assert is_interval(g)
     start = time.perf_counter()
     with pytest.raises(CapacityError, match="clique-path search"):
         interval_certificate(g, cap=100)
     assert time.perf_counter() - start < 2
+
+
+def test_clique_paths_are_the_least_orderings_on_the_atlas():
+    for g in interval_atlas():
+        cliques = maximal_cliques(g)
+        first = _clique_paths(cliques)
+        assert [first(ci) for ci in range(len(cliques))] == least_clique_paths(cliques), \
+            to_graph6(g)
 
 
 def test_end_cliques_examples():
@@ -238,12 +258,14 @@ def test_end_cliques_match_every_ordering_on_the_atlas():
         assert end_cliques(g) == naive_end_cliques(g), to_graph6(g)
 
 
-def test_end_cliques_at_the_interval_cap():
-    # a path on INTERVAL_CAP vertices still answers; one more is refused
-    assert end_cliques(path_graph(12)) == [(0, 1), (10, 11)]
-    with pytest.raises(CapacityError) as exc:
-        end_cliques(path_graph(13))
-    assert "n <= 12, got n=13" in str(exc.value)
+def test_end_cliques_have_no_vertex_cap():
+    # only the work budget bounds the search: a long path answers, and the
+    # caterpillar whose search from a leaf runs away stops at the budget
+    assert end_cliques(path_graph(1100)) == [(0, 1), (1098, 1099)]
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="clique-path search"):
+        end_cliques(leaf_caterpillar(18))
+    assert time.perf_counter() - start < 2
 
 
 def test_end_cliques_require_interval_graph():
