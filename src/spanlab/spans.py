@@ -42,7 +42,13 @@ vertex span, testing the good components of each level in that order.  A
 component with rows R passes when every base edge u u2 carries one of its
 arcs that moves A from u to u2.  B's end of such an arc lies in R[u] if solo
 and in dilate(R[u]) if joint, and it must meet R[u2].  The test runs on the
-rows and again on their transpose.
+rows, and again on their transpose only if the component is not its own.
+Swapping the players, (u, v) -> (v, u), is an automorphism of the
+thresholded product under every rule: distance is symmetric, and solo and
+joint steps are symmetric in the two players.  So the swap maps a component
+C onto a component, which is C itself as soon as it meets C.  One bit
+decides it: whether (v, 0) is in C, for the least v of row 0.  Then the
+transpose has C's rows and the second test could only repeat the first.
 
 The floods live in one ``LevelScan`` per graph and rule, cached on the
 graph like its balls.  It floods each level's good components lazily, in
@@ -254,12 +260,19 @@ class LevelScan:
         return comp
 
     def covers_edges(self, comp: list[int]) -> bool:
-        """Whether the good component with rows ``comp`` is edge-good."""
+        """Whether the good component with rows ``comp`` is edge-good: the
+        A-test on its rows, and on the rows of its transpose unless it is
+        its own.  The swap (u, v) -> (v, u) maps the product onto itself, so
+        comp onto a component; if that meets comp at (v, 0), with v the
+        least bit of row 0, it is comp, and the second test repeats the
+        first."""
         solo, joint, step = self.rule.solo, self.rule.joint, self.step
-        # cols[v]: the u with (u, v) in comp; zip transposes the bit matrix
-        bits = (format(row, f"0{self.n}b")[::-1] for row in comp)     # bit 0 first
-        cols = [int("".join(col)[::-1], 2) for col in zip(*bits)]
-        for rows in (comp, cols):
+        passes = [comp]
+        if not comp[(comp[0] & -comp[0]).bit_length() - 1] & 1:
+            # cols[v]: the u with (u, v) in comp; zip transposes the bit matrix
+            bits = (format(row, f"0{self.n}b")[::-1] for row in comp)     # bit 0 first
+            passes.append([int("".join(col)[::-1], 2) for col in zip(*bits)])
+        for rows in passes:
             # B's end of an arc on which A moves from the row: stays or moves
             moved = [(r if solo else 0) | (step(r) if joint else 0) for r in rows]
             if not all(moved[u] & rows[w] for u, w in self.edges):

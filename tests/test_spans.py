@@ -98,6 +98,48 @@ def test_level_scan_matches_the_product_components():
                     assert got == expected, (to_graph6(g), rule, k)
 
 
+def test_edge_test_matches_the_reference_per_component(monkeypatch):
+    # every good component of every level 0 .. radius of every connected
+    # graph with 2-7 vertices: the edge test against the reference scan of
+    # the thresholded product, the one-bit test against full transposition,
+    # and the transposed pass (one zip per transposition) on exactly the
+    # components that are not their own transpose
+    import spanlab.spans
+    zips = []
+
+    def counting_zip(*args):
+        zips.append(args)
+        return zip(*args)
+
+    monkeypatch.setattr(spanlab.spans, "zip", counting_zip, raising=False)
+    good, transposed = [], []               # n of each; (graph6, n, rule, level)
+    for g in connected_atlas(7):
+        if g.n < 2:
+            continue
+        for rule in RULES:
+            base = build_product(g, rule)
+            scan = level_scan(g, rule)
+            for level in range(int(metrics(g).radius) + 1):
+                expected = edge_good_components(safety_subgraph(base, level))
+                for comp in scan.good(level):
+                    codes = pair_codes(comp)
+                    own = {v * g.n + u for u, v in (divmod(c, g.n) for c in codes)} == set(codes)
+                    least = (comp[0] & -comp[0]).bit_length() - 1
+                    assert bool(comp[least] & 1) == own
+                    del zips[:]
+                    assert scan.covers_edges(comp) == (codes in expected), (
+                        to_graph6(g), rule, level)
+                    assert len(zips) == (not own)
+                    good.append(g.n)
+                    if zips:
+                        transposed.append((to_graph6(g), g.n, rule, level))
+    assert len(good) == 7485 and len(transposed) == 14
+    assert {rule for _, _, rule, _ in transposed} == {Rule.ACTIVE}
+    assert len([n for n in good if n <= 6]) == 1013
+    assert len([n for _, n, _, _ in transposed if n <= 6]) == 4
+    assert transposed[0] == ("Dhc", 5, Rule.ACTIVE, 2)
+
+
 def test_level_scans_are_cached_per_graph_object(monkeypatch):
     # a second call on one graph floods nothing; an equal but distinct
     # graph has its own scans and floods again
