@@ -4,21 +4,19 @@ end-cliques, minimal cut sets, lobes, and clique-coupled augmentation.
 Everything here is exact and desk-scale, and works on the neighbour bitmasks
 of ``graphs``: maximum cardinality search plus the Tarjan-Yannakakis
 follower test for chordality, component masks of G - N[z] for asteroidal
-triples, one memoised search over maximal-clique orderings, which reads
-its next cliques off the last one placed, for interval representations
-and end cliques, and minimal cut sets picked by a full-component test out
-of the minimal separators, which a closure (Berry, Bordat & Cogis 1999)
+triples, a greedy clique path that tests each contested step for an
+asteroidal triple grown from one vertex, for interval representations and
+end cliques, and minimal cut sets picked by a full-component test out of
+the minimal separators, which a closure (Berry, Bordat & Cogis 1999)
 generates by component floods.
 
-The two exponential searches count their work and raise ``CapacityError``
-past a fixed budget: the clique-path search past ``CLIQUE_PATH_BUDGET``
-cliques offered, the separator closure past ``SEPARATOR_BUDGET`` separators.
+The one exponential search, the separator closure, counts its work and
+raises ``CapacityError`` past ``SEPARATOR_BUDGET`` separators.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import CapacityError
@@ -28,12 +26,6 @@ from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, 
 # checkers' augmentation checks), and the largest cut set enumerated
 INTERVAL_CAP = 12
 CUT_CAP = 4
-
-# cliques the clique-path search may offer in one call, over all its starts:
-# a path on n vertices offers n - 2 from an end, the caterpillar a'-a-h-b-b'
-# with k leaves on h, searched from a leaf, 655,497 at k = 16 (0.4 s on a
-# 2-vCPU Xeon VM, CPython 3.11) and passes it at k = 17
-CLIQUE_PATH_BUDGET = 1_000_000
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -161,69 +153,80 @@ def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def _clique_paths(cliques: list[tuple[int, ...]]) -> Callable[[int], tuple[int, ...] | None]:
-    """A search for clique paths: orders of the maximal cliques ``cliques``
-    in which each vertex's cliques sit next to each other.  It returns
-    ``first(start)``: the lexicographically least such order of clique
-    indices that begins with ``start``, or None if there is none.
+def _component(nbr: list[int], left: int, s: int) -> int:
+    """The component of s in G[left + s] as a mask, grown from s alone."""
+    comp = frontier = 1 << s
+    while frontier:
+        left &= ~frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & left
+        comp |= frontier
+    return comp
+
+
+def _heads(nbr: list[int], c: tuple[int, ...], w: int) -> bool:
+    """Whether the maximal clique C = ``c`` of interval G[w] heads a path.
+
+    If it does, some s in C has N[s] & w = C (see ``end_cliques``).  Join
+    x to C and y to x.  The cliques of a component fill one stretch of a
+    clique path, consecutive ones meeting, and {x, y} meets only C + x, so
+    C heads a path iff the new graph, which is chordal, has no asteroidal
+    triple.  Each triple holds y (G[w] has none; put y for x, and a path
+    through x can skip it), and (y, a, b) is one iff a, b lie outside C and
+    the component of a in G[w] - N[b] meets C, and vice versa.  s is
+    outside N[a] and adjacent to all of C, so that component meets C iff
+    it holds s: one growth from s per vertex a.
+    """
+    clique = sum(1 << v for v in c)
+    s = next((s for s in c if (nbr[s] | 1 << s) & w == clique), None)
+    if s is None:
+        return False
+    reach = {a: _component(nbr, w & ~(nbr[a] | 1 << a), s) for a in members(w & ~clique)}
+    return not any(reach[b] >> a & 1 for a, r in reach.items()
+                   for b in members((r & ~clique) >> (a + 1) << (a + 1)))
+
+
+def _clique_path(g: Graph, cliques: list[tuple[int, ...]], start: int) -> tuple[int, ...] | None:
+    """The least order of the indices of ``cliques`` (the maximal cliques of
+    interval g) from ``start`` with each vertex's cliques in a run, or None.
 
     A vertex is open while it lies in a placed and in an unplaced clique.
-    The next clique must hold every open vertex, or that vertex's run of
-    cliques would break; and an order built by that rule keeps every run
-    unbroken.  Every open vertex then lies in the clique placed last: one
-    open before that step lay in it by the rule, and one first placed at
-    that step came from it.  So with ``holds[v]`` the mask of v's cliques,
-    the next clique is an unplaced one in ``holds[v]`` for each open v of
-    the last clique.  The moves thus depend only on the set of cliques
-    placed, and so does whether that set can be completed: the sets that
-    fail go in one memo that every start shares.  Cliques are tried in
-    ascending order and the memo cuts only sets that cannot be completed,
-    so the first order found is the least.  The search keeps its own
-    stack, one entry per clique placed, so a path of any length fits.
-
-    The memo does not keep the search polynomial: from a clique that
-    cannot head a path, it may try every subset of the cliques that hang
-    off one vertex.  Past ``CLIQUE_PATH_BUDGET`` cliques offered, summed
-    over every start, the search raises ``CapacityError``.  There are at
-    most as many entries as cliques offered plus starts, and each costs
-    one pass over its clique.
+    The next clique must hold every open vertex, and every open vertex lies
+    in the clique placed last (one open before that step lay in it, and one
+    first placed at that step came from it), so the cliques offered are the
+    unplaced ones that hold each open vertex of the last.  With w the union
+    of the unplaced cliques, these are the maximal cliques of G[w], since a
+    clique inside a placed one holds only open vertices and so lies in any
+    offered one.  So an offered clique completes the prefix iff it heads a
+    clique path of G[w] (``_heads``); a prefix that can be completed offers
+    one, so the least that passes gives the least order, and the last one
+    offered needs no test.
     """
-    holds: dict[int, int] = {}
+    w = (1 << g.n) - 1
+    if not _heads(g.nbr, cliques[start], w):
+        return None
+    holds = [0] * g.n
     for ci, c in enumerate(cliques):
         for v in c:
-            holds[v] = holds.get(v, 0) | 1 << ci
-    everything = (1 << len(cliques)) - 1
-    dead: set[int] = set()
-    offered = 0
-
-    def first(start: int) -> tuple[int, ...] | None:
-        nonlocal offered
-        # an entry per clique placed: the clique, the set placed and the
-        # cliques offered next; the root entry offers ``start`` alone, and
-        # the empty set it leaves in ``dead`` is never looked up
-        stack = [(-1, 0, iter((start,)))]
-        while stack:
-            _, done, nexts = stack[-1]
-            ci = next(nexts, None)
-            if ci is None:
-                dead.add(stack.pop()[1])
-            elif done | 1 << ci == everything:
-                return (*(frame[0] for frame in stack[1:]), ci)
-            elif done | 1 << ci not in dead:
-                done |= 1 << ci
-                offer = everything & ~done
-                for v in cliques[ci]:
-                    if holds[v] & ~done:
-                        offer &= holds[v]
-                offered += offer.bit_count()
-                if offered > CLIQUE_PATH_BUDGET:
-                    raise CapacityError(
-                        f"clique-path search on {len(cliques)} maximal cliques offered "
-                        f"{offered} cliques, over the budget of {CLIQUE_PATH_BUDGET}")
-                stack.append((ci, done, iter(members(offer))))
-        return None
-
-    return first
+            holds[v] |= 1 << ci
+    path = [start]
+    unplaced = ((1 << len(cliques)) - 1) & ~(1 << start)
+    while unplaced:
+        offer = unplaced
+        for v in cliques[path[-1]]:
+            if holds[v] & unplaced:
+                offer &= holds[v]
+            else:
+                w &= ~(1 << v)
+        offer = members(offer)
+        ci = next((ci for ci in offer[:-1] if _heads(g.nbr, cliques[ci], w)), offer[-1])
+        path.append(ci)
+        unplaced &= ~(1 << ci)
+    return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -252,13 +255,12 @@ def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertifica
     A graph is interval iff it is chordal and has no asteroidal triple
     (Lekkerkerker & Boland 1962), so the negative witness is a chordless
     cycle of length >= 4 from ``is_chordal`` or the least asteroidal
-    triple.  The positive witness comes from the least clique path of
-    ``_clique_paths``, which exists iff g is interval (Gilmore & Hoffman
-    1964): vertex v gets the positions of its first and last clique,
-    spread to distinct integer endpoints.  Recognition has no cap; the
-    cap applies after it, so an interval graph with more than ``cap``
-    vertices raises ``CapacityError`` rather than being built, as does a
-    clique-path search past ``CLIQUE_PATH_BUDGET``.
+    triple.  The positive witness is the least clique path, which exists
+    iff g is interval (Gilmore & Hoffman 1964): ``_clique_path`` from the
+    least clique that heads one.  Vertex v gets the positions of its first
+    and last clique, spread to distinct integer endpoints.  Recognition
+    has no cap; the cap applies after it, so an interval graph with more
+    than ``cap`` vertices raises ``CapacityError`` rather than being built.
     """
     chord = is_chordal(g)
     if not chord.chordal:
@@ -272,7 +274,7 @@ def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertifica
             f"only built for n <= {cap}, got n={g.n}"
         )
     cliques = maximal_cliques(g)
-    path = next(filter(None, map(_clique_paths(cliques), range(len(cliques)))), ())
+    path = next(filter(None, (_clique_path(g, cliques, ci) for ci in range(len(cliques)))), ())
     if len(path) != len(cliques):
         raise AssertionError("chordal AT-free graph must admit a clique path")
     first = [len(path)] * g.n
@@ -296,15 +298,14 @@ def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertifica
 
 
 def end_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """Maximal cliques that can head a clique path (see ``_clique_paths``).
+    """Maximal cliques that can head a clique path (see ``_clique_path``).
 
     Placeable first and placeable last coincide (reverse the path), so
-    only one direction is searched.  Each such clique C owns a simplicial
-    vertex lying in no other maximal clique, so no separate test asks for
-    one: if C is the only clique, every v in C has N[v] = C.  Otherwise let
-    D follow C on the path and v lie in C but not in D; v's cliques are
-    consecutive from C on and miss D, so C is v's only clique, and since
-    each neighbour of v shares a maximal clique with it, N[v] = C.
+    only one direction is tested.  Each such clique C owns a vertex v with
+    N[v] = C, for ``_heads`` to grow from.  If C is the only clique, each v
+    in C will do.  Otherwise let D follow C on the path and v lie in C but
+    not in D: v's cliques run from C on and miss D, so C is v's only
+    clique, and N[v] = C since each neighbour shares a clique with v.
     """
     if not is_interval(g):
         raise ValueError("end-cliques are defined for interval graphs only")
@@ -313,9 +314,7 @@ def end_cliques(g: Graph) -> list[tuple[int, ...]]:
 
 def _end_cliques(g: Graph) -> list[tuple[int, ...]]:
     """``end_cliques`` of g, which the caller has recognised as interval."""
-    cliques = maximal_cliques(g)
-    first = _clique_paths(cliques)
-    return [c for ci, c in enumerate(cliques) if first(ci) is not None]
+    return [c for c in maximal_cliques(g) if _heads(g.nbr, c, (1 << g.n) - 1)]
 
 
 @dataclass(frozen=True)

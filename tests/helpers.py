@@ -11,6 +11,7 @@ import networkx as nx
 
 from spanlab import (VERTEX, Certificate, CutSet, Graph, Rule, induced_subgraph, metrics,
                      minimal_cut_sets, random_connected_graph, to_graph6, vertex_span)
+from spanlab.graphs import members
 from spanlab.products import ProductGraph, safety_subgraph
 from spanlab.spans import edge_good_components, good_components
 from spanlab.structure import CUT_CAP
@@ -326,6 +327,51 @@ def least_clique_paths(cliques: list[tuple[int, ...]]) -> list[tuple[int, ...] |
         spots = [[i for i, ci in enumerate(order) if v in cliques[ci]] for v in vertices]
         if all(s[-1] - s[0] == len(s) - 1 for s in spots):
             first[order[0]] = order
+    return first
+
+
+def clique_path_backtracking(cliques: list[tuple[int, ...]]):
+    """A reference search for clique paths that places cliques by the
+    open-vertex rule and backtracks, memoising the sets of cliques placed
+    that cannot be completed.  It returns ``first(start)``: the
+    lexicographically least clique path of clique indices that begins with
+    ``start``, or None.
+
+    A vertex is open while it lies in a placed and in an unplaced clique;
+    the next clique must hold every open vertex, and every open vertex lies
+    in the clique placed last, so the moves depend only on the set placed.
+    Cliques are tried in ascending order and the memo cuts only sets that
+    cannot be completed, so the first order found is the least.  The search
+    may try every subset of the cliques that hang off one vertex from a
+    clique that heads no path, so keep it to small graphs.
+    """
+    holds: dict[int, int] = {}
+    for ci, c in enumerate(cliques):
+        for v in c:
+            holds[v] = holds.get(v, 0) | 1 << ci
+    everything = (1 << len(cliques)) - 1
+    dead: set[int] = set()
+
+    def first(start: int) -> tuple[int, ...] | None:
+        # an entry per clique placed: the clique, the set placed and the
+        # cliques offered next; the root entry offers ``start`` alone
+        stack = [(-1, 0, iter((start,)))]
+        while stack:
+            _, done, nexts = stack[-1]
+            ci = next(nexts, None)
+            if ci is None:
+                dead.add(stack.pop()[1])
+            elif done | 1 << ci == everything:
+                return (*(frame[0] for frame in stack[1:]), ci)
+            elif done | 1 << ci not in dead:
+                done |= 1 << ci
+                offer = everything & ~done
+                for v in cliques[ci]:
+                    if holds[v] & ~done:
+                        offer &= holds[v]
+                stack.append((ci, done, iter(members(offer))))
+        return None
+
     return first
 
 

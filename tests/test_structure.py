@@ -8,10 +8,10 @@ import pytest
 
 import networkx as nx
 
-from helpers import (caterpillar, connected_atlas, graph_to_nx, least_clique_paths,
-                     naive_asteroidal_triple, naive_chordless_cycle, naive_end_cliques,
-                     naive_minimal_cut_sets, naive_minimal_separator_count, nx_to_graph,
-                     random_graphs, spine_tree)
+from helpers import (caterpillar, clique_path_backtracking, connected_atlas, graph_to_nx,
+                     least_clique_paths, naive_asteroidal_triple, naive_chordless_cycle,
+                     naive_end_cliques, naive_minimal_cut_sets,
+                     naive_minimal_separator_count, nx_to_graph, random_graphs, spine_tree)
 from spanlab import (CapacityError, Graph, augment, complete_graph,
                      cycle_graph, end_cliques, find_asteroidal_triple, fixture,
                      induced_subgraph, interval_certificate, is_chordal,
@@ -19,7 +19,8 @@ from spanlab import (CapacityError, Graph, augment, complete_graph,
                      minimal_cut_sets, path_graph, random_connected_graph,
                      parse_graph6, random_interval_graph, s_lobes, star_graph,
                      subdivided_star, to_graph6)
-from spanlab.structure import _clique_paths
+from spanlab.graphs import members
+from spanlab.structure import _clique_path
 
 
 def brute_maximal_cliques(g: Graph) -> set[tuple[int, ...]]:
@@ -152,6 +153,15 @@ def interval_atlas() -> list[Graph]:
     return [g for g in graphs if is_interval(g)]
 
 
+def realizes_adjacency(g: Graph, intervals) -> bool:
+    """Whether the intervals have distinct endpoints and meet exactly on
+    the edges of g."""
+    ends = [e for iv in intervals for e in iv]
+    return len(set(ends)) == len(ends) == 2 * g.n and all(
+        (max(intervals[u][0], intervals[v][0]) <= min(intervals[u][1], intervals[v][1]))
+        == g.has_edge(u, v) for u in range(g.n) for v in range(u + 1, g.n))
+
+
 def test_interval_certificate_realizes_adjacency():
     rng = random.Random(47)
     graphs = [random_interval_graph(rng.randint(2, 10), seed=rng.randint(0, 10**6))
@@ -159,14 +169,7 @@ def test_interval_certificate_realizes_adjacency():
     for g in graphs + interval_atlas():
         cert = interval_certificate(g)
         assert cert.is_interval
-        ends = [e for iv in cert.intervals for e in iv]
-        assert len(set(ends)) == len(ends)  # all endpoints distinct
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                lu, ru = cert.intervals[u]
-                lv, rv = cert.intervals[v]
-                overlap = max(lu, lv) <= min(ru, rv)
-                assert overlap == g.has_edge(u, v), (u, v)
+        assert realizes_adjacency(g, cert.intervals), to_graph6(g)
 
 
 def test_interval_certificate_negative_witnesses():
@@ -188,8 +191,8 @@ def test_interval_certificate_capacity():
 
 
 def test_interval_certificate_of_a_long_clique_path():
-    # 1,099 maximal cliques in one path: the clique-path search holds one
-    # stack entry per clique placed, not one Python frame
+    # 1,099 maximal cliques in one path: one head test for the start, then
+    # a lone clique offered at each step, placed in a loop, not by recursion
     g = path_graph(1100)
     cert = interval_certificate(g, cap=1100)
     assert cert.is_interval
@@ -200,25 +203,6 @@ def test_interval_certificate_of_a_long_clique_path():
             assert (max(lu, ivs[v][0]) <= min(ru, ivs[v][1])) == (v == u + 1), (u, v)
 
 
-def test_clique_path_budget_counts_the_cliques_offered(monkeypatch):
-    # P30 has 29 cliques, and the path from clique 0 answers: placing
-    # clique i < 28 offers clique i + 1 alone, and clique 28 completes the
-    # path, so 28 in all.  P3000 offers 2,998 the same way; a search that
-    # rescanned the unplaced cliques at each step would pass that budget.
-    import spanlab.structure
-    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 28)
-    assert interval_certificate(path_graph(30), cap=30).is_interval
-    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 27)
-    with pytest.raises(CapacityError, match="offered 28 cliques"):
-        interval_certificate(path_graph(30), cap=30)
-    cliques = maximal_cliques(path_graph(3000))
-    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 2998)
-    assert _clique_paths(cliques)(0) == tuple(range(2999))
-    monkeypatch.setattr(spanlab.structure, "CLIQUE_PATH_BUDGET", 2997)
-    with pytest.raises(CapacityError, match="offered 2998 cliques"):
-        _clique_paths(cliques)(0)
-
-
 def leaf_caterpillar(k: int) -> Graph:
     """The caterpillar a'-a-h-b-b' with k leaves on h, the leaves first."""
     a_end, a, h, b, b_end = range(k, k + 5)
@@ -226,23 +210,71 @@ def leaf_caterpillar(k: int) -> Graph:
                  + [(a_end, a), (a, h), (h, b), (b, b_end)])
 
 
-def test_clique_path_search_stops_at_its_budget():
-    # no clique path starts at a leaf's clique, and the search from there
-    # tries every subset of the leaf cliques (3 * 2^18 entries) unless stopped
-    g = leaf_caterpillar(18)
-    assert is_interval(g)
-    start = time.perf_counter()
-    with pytest.raises(CapacityError, match="clique-path search"):
-        interval_certificate(g, cap=100)
-    assert time.perf_counter() - start < 2
+def test_clique_path_tests_only_contested_steps(monkeypatch):
+    # the start gets one head test, with one growth per vertex outside its
+    # clique; after it, a step tests its offered cliques in order but the
+    # last, which must complete the path if none before it does
+    import spanlab.structure
+    heads, component = spanlab.structure._heads, spanlab.structure._component
+    tests, growths = [], []
+
+    def counting_heads(nbr, c, w):
+        tests.append((c, members(w), heads(nbr, c, w)))
+        return tests[-1][-1]
+
+    def counting_component(nbr, left, s):
+        growths.append(s)
+        return component(nbr, left, s)
+
+    monkeypatch.setattr(spanlab.structure, "_heads", counting_heads)
+    monkeypatch.setattr(spanlab.structure, "_component", counting_component)
+    # P30: clique (0, 1) heads the path from vertex 0, growing once for each
+    # of vertices 2-29, and every later step offers one clique
+    assert interval_certificate(path_graph(30), cap=30).is_interval
+    assert [c for c, _, _ in tests] == [(0, 1)] and growths == [0] * 28
+    # the caterpillar with two leaves 0, 1 on h = 4 and the ends 2-3-4-5-6:
+    # both leaf cliques fail on the whole graph, and after (2, 3) and (3, 4)
+    # each pass on what is left; (4, 5) and (5, 6) are then offered alone
+    tests.clear()
+    cert = interval_certificate(leaf_caterpillar(2))
+    assert cert.intervals == ((33, 40), (49, 56), (1, 8), (2, 24), (17, 72), (65, 88), (81, 89))
+    everything = tuple(range(7))
+    assert tests == [((0, 4), everything, False), ((1, 4), everything, False),
+                     ((2, 3), everything, True), ((0, 4), (0, 1, 4, 5, 6), True),
+                     ((1, 4), (1, 4, 5, 6), True)]
+    # a star's leaf cliques: each step past the first tests its least
+    # offered leaf clique, which passes, until one is left
+    tests.clear()
+    assert interval_certificate(star_graph(10)).is_interval
+    assert [c for c, _, _ in tests] == [(0, leaf) for leaf in range(1, 10)]
+
+
+def test_leaf_caterpillars_get_interval_certificates_quickly():
+    # from a leaf's clique the backtracking search tried every subset of the
+    # leaf cliques (3 * 2^18 entries at 18 leaves); each head test is polynomial
+    for k in (18, 40):
+        g = leaf_caterpillar(k)
+        start = time.perf_counter()
+        cert = interval_certificate(g, cap=100)
+        assert time.perf_counter() - start < 2
+        assert realizes_adjacency(g, cert.intervals)
 
 
 def test_clique_paths_are_the_least_orderings_on_the_atlas():
     for g in interval_atlas():
         cliques = maximal_cliques(g)
-        first = _clique_paths(cliques)
-        assert [first(ci) for ci in range(len(cliques))] == least_clique_paths(cliques), \
-            to_graph6(g)
+        assert [_clique_path(g, cliques, ci) for ci in range(len(cliques))] \
+            == least_clique_paths(cliques), to_graph6(g)
+
+
+def test_clique_paths_match_the_backtracking_search():
+    rng = random.Random(36)
+    for _ in range(200):
+        g = random_interval_graph(rng.randint(8, 40), seed=rng.randrange(10**6))
+        cliques = maximal_cliques(g)
+        first = clique_path_backtracking(cliques)
+        assert [_clique_path(g, cliques, ci) for ci in range(len(cliques))] \
+            == [first(ci) for ci in range(len(cliques))], to_graph6(g)
 
 
 def test_end_cliques_examples():
@@ -259,13 +291,24 @@ def test_end_cliques_match_every_ordering_on_the_atlas():
 
 
 def test_end_cliques_have_no_vertex_cap():
-    # only the work budget bounds the search: a long path answers, and the
-    # caterpillar whose search from a leaf runs away stops at the budget
+    # no vertex cap and no work budget: a long path, a 200-leaf star and the
+    # caterpillar whose backtracking search from a leaf ran away all answer
     assert end_cliques(path_graph(1100)) == [(0, 1), (1098, 1099)]
     start = time.perf_counter()
-    with pytest.raises(CapacityError, match="clique-path search"):
-        end_cliques(leaf_caterpillar(18))
+    assert end_cliques(star_graph(200)) == [(0, leaf) for leaf in range(1, 201)]
+    assert end_cliques(leaf_caterpillar(18)) == [(18, 19), (21, 22)]
     assert time.perf_counter() - start < 2
+
+
+def test_interval_structure_of_empty_single_and_disconnected_graphs():
+    cert = interval_certificate(Graph(0))
+    assert cert.is_interval and cert.intervals == ()
+    assert end_cliques(Graph(0)) == []
+    assert interval_certificate(Graph(1)).intervals == ((1, 2),)
+    assert end_cliques(Graph(1)) == [(0,)]
+    g = Graph(3, [(0, 1)])
+    assert interval_certificate(g).intervals == ((1, 4), (2, 5), (9, 12))
+    assert end_cliques(g) == [(0, 1), (2,)]
 
 
 def test_end_cliques_require_interval_graph():

@@ -532,7 +532,8 @@ def test_verify_builds_no_graph_for_lobe_unions_or_augmentations(monkeypatch, tm
 
 def test_verify_recognises_each_interval_graph_once(monkeypatch):
     # check_interval_theorems runs the asteroidal-triple test once per
-    # interval graph; its end-clique search does not recognise the graph again
+    # interval graph; its end-clique test grows components from one vertex
+    # of each clique and does not recognise the graph again
     import spanlab.structure
     from spanlab.cli import main
     calls = []
