@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from binascii import b2a_base64
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
 from operator import or_, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphParseError
 
@@ -100,20 +99,22 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Metrics:
+class _MetricsFields(NamedTuple):
+    graph: Graph
+    ecc: tuple[float, ...]
+    radius: float
+    diameter: float
+
+
+class Metrics(_MetricsFields):
     """Eccentricities, radius and diameter of ``graph``, read off its
-    distance balls, plus the girth, computed on first use.
+    distance balls, plus the girth, computed on first use; the subclass of
+    the fields gives an instance ``__dict__`` to keep it in.
 
     Unreachable pairs carry the infinity sentinel, so every eccentricity of
     a disconnected graph is infinite; ``girth`` is infinite for acyclic
     graphs.
     """
-
-    graph: Graph = field(repr=False)
-    ecc: tuple[float, ...]
-    radius: float
-    diameter: float
 
     @cached_property
     def girth(self) -> float:

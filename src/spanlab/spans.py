@@ -69,25 +69,26 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
+from typing import NamedTuple
 
 from .graphs import Graph, distance_balls, far_rows, is_connected, metrics, pair_codes
 from .products import EDGE, KINDS, VERTEX, ProductGraph, Rule, as_rule
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A witnessing component: re-running the component scan at ``threshold``
-    must find ``component`` (pair codes, built from ``rows`` on first read)
-    good, or edge-good for kind="edge".  On one graph the rows and the pair
-    codes determine each other, so equality compares the rows."""
-
+class _CertificateFields(NamedTuple):
     rule: Rule
     kind: str
     threshold: int
     rows: tuple[int, ...]
+
+
+class Certificate(_CertificateFields):
+    """A witnessing component: re-running the component scan at ``threshold``
+    must find ``component`` (pair codes, built from ``rows`` on first read)
+    good, or edge-good for kind="edge".  On one graph the rows and the pair
+    codes determine each other, so equality compares the rows."""
 
     @cached_property
     def component(self) -> tuple[int, ...]:

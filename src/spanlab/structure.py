@@ -17,7 +17,7 @@ raises ``CapacityError`` past ``SEPARATOR_BUDGET`` separators.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, members
@@ -48,8 +48,7 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class ChordalityResult:
+class ChordalityResult(NamedTuple):
     chordal: bool
     elimination_order: tuple[int, ...] | None
     chordless_cycle: tuple[int, ...] | None
@@ -229,8 +228,7 @@ def _clique_path(g: Graph, cliques: list[tuple[int, ...]], start: int) -> tuple[
     return tuple(path)
 
 
-@dataclass(frozen=True)
-class IntervalCertificate:
+class IntervalCertificate(NamedTuple):
     """Recognition flag plus a checkable witness.
 
     Positive: closed intervals with distinct integer endpoints, one per
@@ -317,15 +315,13 @@ def _end_cliques(g: Graph) -> list[tuple[int, ...]]:
     return [c for c in maximal_cliques(g) if _heads(g.nbr, c, (1 << g.n) - 1)]
 
 
-@dataclass(frozen=True)
-class CutSet:
+class CutSet(NamedTuple):
     vertices: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
     is_clique: bool
 
 
-@dataclass(frozen=True)
-class CutSetCatalog:
+class CutSetCatalog(NamedTuple):
     sets: tuple[CutSet, ...]
     size_cap: int
 

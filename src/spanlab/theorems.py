@@ -8,12 +8,12 @@ span-1 check (no span value) the cut and lobes, or clique and added graph.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import prod
+from typing import NamedTuple
 
 from .errors import CapacityError
-from .graphs import Graph, induced_masks, is_connected, members, metrics, to_graph6
+from .graphs import INFINITY, Graph, induced_masks, is_connected, members, metrics, to_graph6
 from .products import EDGE, RULES, VERTEX, Rule
 from .spans import LevelScan, level_scan, rule_spans
 from .structure import INTERVAL_CAP, _end_cliques, is_interval, minimal_cut_sets
@@ -34,15 +34,13 @@ LOBE_UNION_BUDGET = 1_000
 _KEYED_LOBE_SIZE = 4
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     status: str
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     graph_name: str
     graph6: str
     checks: tuple[Check, ...]
@@ -84,7 +82,7 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
             v - e <= 1,
             {"edge": e, "vertex": v},
         ))
-    if met.girth == float("inf"):
+    if met.girth == INFINITY:
         for rule in RULES:
             checks.append(Check(f"girth-bound[{rule.value}]", NOT_APPLICABLE))
     else:

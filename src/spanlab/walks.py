@@ -81,8 +81,8 @@ one arc, so that push's check passes the budget: the search would raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .graphs import Graph, ball_distance, distance_balls, flood, is_connected, pair_codes
@@ -104,8 +104,7 @@ WALK_BUDGET = 3_000_000
 COVER_TABLE_LIMIT = 1 << 18
 
 
-@dataclass(frozen=True)
-class WalkPair:
+class WalkPair(NamedTuple):
     """Two equal-length walks given by vertex labels, one per player."""
 
     alice: tuple[str, ...]
@@ -124,8 +123,7 @@ class WalkPair:
         }
 
 
-@dataclass(frozen=True)
-class WalkValidation:
+class WalkValidation(NamedTuple):
     """Outcome of checking a walk pair against a graph and a threshold."""
 
     illegal_steps: tuple[int, ...]
@@ -135,8 +133,7 @@ class WalkValidation:
     valid: bool             # no illegal step, nothing missing, and safety >= k
 
 
-@dataclass(frozen=True)
-class MinWalkResult:
+class MinWalkResult(NamedTuple):
     span: int
     moves: int
     pair: WalkPair

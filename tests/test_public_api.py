@@ -1,14 +1,23 @@
 """The package's public surface: what ``spanlab`` exports, the layer
-functions that stay on their own modules, and the README's quick start."""
+functions that stay on their own modules, the README's quick start, the
+result records, and what importing the CLI loads."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import spanlab
 import spanlab.graphs
 import spanlab.products
 import spanlab.spans
 import spanlab.walks
+from spanlab import (RULES, Certificate, Check, ChordalityResult, CutSet, CutSetCatalog, Graph,
+                     IntervalCertificate, Metrics, MinWalkResult, Rule, TheoremReport, WalkPair,
+                     WalkValidation, cycle_graph, fixture, metrics, min_steps, rule_spans)
 
 PUBLIC = [
     "CapacityError", "Certificate", "Check", "ChordalityResult", "CutSet",
@@ -61,3 +70,96 @@ def test_readme_quick_start_runs():
     section = readme.split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md quick start", "exec"), {})
+
+
+_PAIR = WalkPair(alice=("0", "1"), bob=("1", "0"), rule=Rule.TRADITIONAL, safety=1, moves=1)
+# each result record with its fields in order, and values for them
+RECORDS = [
+    (Metrics, {"graph": Graph(2, [(0, 1)]), "ecc": (1, 1), "radius": 1, "diameter": 1}),
+    (Certificate, {"rule": Rule.ACTIVE, "kind": "vertex", "threshold": 1, "rows": (2, 1)}),
+    (ChordalityResult, {"chordal": True, "elimination_order": (1, 0), "chordless_cycle": None}),
+    (IntervalCertificate, {"is_interval": False, "intervals": None,
+                           "chordless_cycle": (0, 1, 2, 3), "asteroidal_triple": None}),
+    (CutSet, {"vertices": (1,), "components": ((0,), (2,)), "is_clique": True}),
+    (CutSetCatalog, {"sets": (CutSet((1,), ((0,), (2,)), True),), "size_cap": 4}),
+    (Check, {"name": "gap[lazy]", "status": "holds", "witness": None}),
+    (TheoremReport, {"graph_name": "P3", "graph6": "Bg", "checks": (Check("gap[lazy]", "holds"),)}),
+    (WalkPair, {"alice": ("0", "1"), "bob": ("1", "0"), "rule": Rule.TRADITIONAL,
+                "safety": 1, "moves": 1}),
+    (WalkValidation, {"illegal_steps": (), "missing_alice": (), "missing_bob": ("2",),
+                      "safety": 1, "valid": False}),
+    (MinWalkResult, {"span": 1, "moves": 1, "pair": _PAIR, "product_walk": (1, 2),
+                     "distances": (1, 1)}),
+]
+
+
+def test_records_are_named_tuples_of_their_fields():
+    # built by position or keyword, equal and hashed by their fields (also
+    # to the plain tuple of them), unequal once any field differs, and no
+    # field can be assigned
+    for cls, fields in RECORDS:
+        values = tuple(fields.values())
+        rec = cls(*values)
+        assert cls._fields == tuple(fields), cls
+        assert rec == cls(**fields) == values, cls
+        assert hash(rec) == hash(cls(**fields)) == hash(values), cls
+        for i, name in enumerate(fields):
+            assert getattr(rec, name) is rec[i] is values[i], (cls, name)
+            assert cls(**{**fields, name: object()}) != rec, (cls, name)
+            with pytest.raises(AttributeError):
+                setattr(rec, name, values[i])
+
+
+def test_record_defaults_methods_and_properties():
+    assert Check("gap[lazy]", "holds").witness is None
+    assert Check("gap[lazy]", "holds") == Check("gap[lazy]", "holds", None)
+    assert _PAIR.as_dict() == {"alice": ["0", "1"], "bob": ["1", "0"], "rule": "traditional",
+                               "safety": 1, "moves": 1}
+    bad = Check("chain[lazy]", "violated", {"edge": 2, "vertex": 1, "radius": 1})
+    report = TheoremReport("P3", "Bg", (Check("gap[lazy]", "holds"), bad))
+    assert report.violations == (bad,) and not report.ok
+    assert TheoremReport("P3", "Bg", report.checks[:1]).ok
+
+
+@pytest.fixture
+def ring_scans(monkeypatch):
+    """The graphs the girth's ring scan runs on, in order."""
+    calls = []
+    rings = spanlab.graphs.distance_rings
+
+    def counting(g):
+        calls.append(g)
+        return rings(g)
+
+    monkeypatch.setattr(spanlab.graphs, "distance_rings", counting)
+    return calls
+
+
+def test_girth_is_computed_once_per_metrics_object(ring_scans):
+    g = cycle_graph(5)
+    met = metrics(g)
+    assert ring_scans == []
+    assert met.girth == 5 and ring_scans == [g]
+    assert met.girth == 5 and ring_scans == [g]
+    again = metrics(g)
+    assert again == met and again is not met
+    assert again.girth == 5 and ring_scans == [g, g]
+
+
+def test_spans_and_walks_never_compute_the_girth(ring_scans):
+    for g in (cycle_graph(5), fixture("figure1"), fixture("figure3")):
+        for rule in RULES:
+            rule_spans(g, rule)
+            min_steps(g, rule)
+    assert ring_scans == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a one-shot command pays for every module the CLI imports; the result
+    # records are named tuples, so neither of these is among them
+    src = str(Path(spanlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, spanlab.cli; "
+         "sys.exit(', '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))) or None)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
