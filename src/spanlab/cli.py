@@ -19,13 +19,16 @@ import sys
 from . import __version__
 from .errors import CapacityError, GraphParseError
 from .families import FAMILIES, FIXTURES, _seed_ignored, fixture, generate_family
-from .graphs import INFINITY, Graph, metrics, parse_edgelist, parse_graph6, to_graph6
+from .graphs import INFINITY, Graph, is_connected, metrics, parse_edgelist, parse_graph6, to_graph6
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
 from .structure import INTERVAL_CAP, interval_certificate, minimal_cut_sets
 from .theorems import (NOT_APPLICABLE, SKIPPED_BY_CAP, VIOLATED, check_interval_theorems,
                        check_span1_structure, check_span_inequalities)
 from .walks import min_steps
+
+CUT_CAP = 4    # the largest minimal cut set analyze lists
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -157,9 +160,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.cap <= 0:
         raise ValueError("--cap must be positive")
     name, g = load_graph(args)
+    if not is_connected(g):
+        raise ValueError("analyze is defined for connected graphs only")
     met = metrics(g)
     cert = interval_certificate(g, args.cap)
-    cuts = minimal_cut_sets(g)
+    size_cap = max(min(CUT_CAP, g.n - 2), 0)
     interval_doc: dict = {"is_interval": cert.is_interval}
     if cert.intervals is not None:
         interval_doc["intervals"] = {g.labels[v]: list(iv)
@@ -171,7 +176,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cuts_doc = [{"vertices": _label_all(g, c.vertices),
                  "is_clique": c.is_clique,
                  "components": [_label_all(g, comp) for comp in c.components]}
-                for c in cuts.sets]
+                for c in minimal_cut_sets(g).sets if len(c.vertices) <= size_cap]
     girth_text = "acyclic" if met.girth == INFINITY else str(int(met.girth))
     lines = [f"graph: {name}  n={g.n} m={g.m}",
              f"radius={_finite(met.radius)} diameter={_finite(met.diameter)} "
@@ -185,7 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         lines.append("interval: no  (asteroidal triple "
                      + ", ".join(interval_doc["asteroidal_triple"]) + ")")
-    lines.append(f"minimal cut sets (size <= {cuts.size_cap}): {len(cuts_doc)}")
+    lines.append(f"minimal cut sets (size <= {size_cap}): {len(cuts_doc)}")
     for c in cuts_doc:
         comps = " / ".join("{" + ",".join(comp) + "}" for comp in c["components"])
         flag = "clique" if c["is_clique"] else "not a clique"

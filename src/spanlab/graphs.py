@@ -58,7 +58,7 @@ class Graph:
         self._nbr: tuple[int, ...] | None = None
         self._balls: tuple[tuple[int, ...], ...] | None = None
         self._scans: dict | None = None     # rule -> spans.LevelScan
-        self._cuts = None                   # structure.minimal_cut_sets at the default cap
+        self._cuts = None                   # structure.minimal_cut_sets
 
     @property
     def nbr(self) -> tuple[int, ...]:

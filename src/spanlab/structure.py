@@ -10,8 +10,9 @@ end cliques, and minimal cut sets picked by a full-component test out of
 the minimal separators, which a closure (Berry, Bordat & Cogis 1999)
 generates by component floods.
 
-The one exponential search, the separator closure, counts its work and
-raises ``CapacityError`` past ``SEPARATOR_BUDGET`` separators.
+The one exponential search, the separator closure, has no size cap: it
+lists the cut sets of every size, counts its work, and raises
+``CapacityError`` past ``SEPARATOR_BUDGET`` separators.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from typing import NamedTuple
 from .errors import CapacityError
 from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, members
 
-# size caps: vertices for interval representations (and for the interval
-# checkers' augmentation checks), and the largest cut set enumerated
+# size cap: most vertices of an interval representation or augmentation check
 INTERVAL_CAP = 12
-CUT_CAP = 4
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -323,7 +322,6 @@ class CutSet(NamedTuple):
 
 class CutSetCatalog(NamedTuple):
     sets: tuple[CutSet, ...]
-    size_cap: int
 
 
 # distinct minimal separators minimal_cut_sets may generate in one call: on
@@ -333,10 +331,9 @@ class CutSetCatalog(NamedTuple):
 SEPARATOR_BUDGET = 20_000
 
 
-def minimal_cut_sets(g: Graph, cap: int = CUT_CAP) -> CutSetCatalog:
-    """All inclusion-minimal cut sets of size <= cap, in the order of
-    ``combinations`` by size, each with the components of g - S ordered by
-    least vertex.
+def minimal_cut_sets(g: Graph) -> CutSetCatalog:
+    """All inclusion-minimal cut sets, in the order of ``combinations`` by
+    size, each with the components of g - S ordered by least vertex.
 
     The candidates are the minimal separators, generated by the closure of
     Berry, Bordat & Cogis (1999, "Generating all the minimal separators of
@@ -351,9 +348,9 @@ def minimal_cut_sets(g: Graph, cap: int = CUT_CAP) -> CutSetCatalog:
     component C, then S - {s} still cuts C off; if every component is full,
     any vertex left in S - T joins all components, so no proper subset T
     disconnects g.  So every inclusion-minimal cut set is a minimal
-    separator, and the filter (size <= cap, every component full) keeps
-    exactly the inclusion-minimal cut sets.  Sorting by size, then by vertex
-    tuple, gives the order of ``combinations``.
+    separator, and the filter (every component full) keeps exactly the
+    inclusion-minimal cut sets.  Sorting by size, then by vertex tuple,
+    gives the order of ``combinations``.
 
     The closure floods blocks, not the whole graph.  Each separator S is
     queued with the component C it was found as, and C is a full component
@@ -378,20 +375,17 @@ def minimal_cut_sets(g: Graph, cap: int = CUT_CAP) -> CutSetCatalog:
     one flood of g - (S + N(x)) per pair (S, x).  The memo costs memory:
     on ``random:40:0.08:1`` it holds about 10 masks per separator.
 
-    The closure has to visit separators of every size, since large ones
-    lead to small ones; past ``SEPARATOR_BUDGET`` distinct separators the
-    call raises ``CapacityError``.  The catalogue at the default cap is kept
-    on g, so later calls on the same graph object return it without a
-    closure.
+    Past ``SEPARATOR_BUDGET`` distinct separators the call raises
+    ``CapacityError``.  The catalogue is kept on g, so later calls on the
+    same graph object return it without a closure.
     """
-    if cap == CUT_CAP and g._cuts is not None:
+    if g._cuts is not None:
         return g._cuts
     if not is_connected(g):
         raise ValueError("cut sets are catalogued for connected graphs only")
     n = g.n
     nbr = g.nbr
     everything = (1 << n) - 1
-    size_cap = max(min(cap, n - 2), 0)
 
     seen: set[int] = set()
     todo: list[tuple[int, int]] = []    # (separator, a full component of it)
@@ -422,17 +416,15 @@ def minimal_cut_sets(g: Graph, cap: int = CUT_CAP) -> CutSetCatalog:
                 if mask not in flooded:
                     flooded.add(mask)
                     record(flood(nbr, mask))
-        if len(blocks) == len(comps) and s_mask.bit_count() <= size_cap:
+        if len(blocks) == len(comps):
             vs = members(s_mask)
             clique = all((nbr[v] | 1 << v) & s_mask == s_mask for v in vs)
             blocks.sort(key=lambda d: d & -d)    # by least vertex
             found.append(CutSet(vertices=vs, components=tuple(map(members, blocks)),
                                 is_clique=clique))
     found.sort(key=lambda cut: (len(cut.vertices), cut.vertices))
-    catalog = CutSetCatalog(sets=tuple(found), size_cap=size_cap)
-    if cap == CUT_CAP:
-        g._cuts = catalog
-    return catalog
+    g._cuts = CutSetCatalog(sets=tuple(found))
+    return g._cuts
 
 
 def s_lobes(g: Graph, s: list[int] | tuple[int, ...]) -> list[Graph]:

@@ -146,11 +146,11 @@ def _lobe_classes(h: Graph, cut: tuple[int, ...],
 
 def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     """Structure forced on graphs with traditional vertex span 1 and no
-    universal vertex: minimal cut sets are cliques, every union of S-lobes
-    keeps span 1, and all but at most two lobes are full joins onto S.
-    The conditions are necessary, not sufficient: the net ``E@dW`` and
-    ``EyuG`` have no universal vertex and traditional vertex span 2, yet
-    meet all three on every minimal cut set.
+    universal vertex, on every minimal cut set S of any size: S is a
+    clique, every union of S-lobes keeps span 1, and all but at most two
+    lobes are full joins onto S.  The conditions are necessary, not
+    sufficient: the net ``E@dW`` and ``EyuG`` have no universal vertex and
+    traditional vertex span 2, yet meet all three on every minimal cut set.
 
     Lobes L1, L2 of S are interchangeable when an isomorphism of G[S + L1]
     onto G[S + L2] fixes S pointwise.  Lobes touch only S, so swapping them
@@ -262,9 +262,9 @@ def _augmentation_check(name: str, h: Graph, cliques: list[tuple[int, ...]]) -> 
 def check_interval_theorems(h: Graph, name: str = "graph") -> TheoremReport:
     """Interval graphs have traditional vertex span 1; trees have span 1 iff
     interval; augmenting an interval graph at an end-clique or at a clique
-    minimal cut set keeps span 1.  The two augmentation checks run on
-    interval graphs with at most ``INTERVAL_CAP`` vertices; on larger ones
-    their status is ``SKIPPED_BY_CAP``."""
+    minimal cut set, of any size, keeps span 1.  The two augmentation
+    checks run on interval graphs with at most ``INTERVAL_CAP`` vertices;
+    on larger ones their status is ``SKIPPED_BY_CAP``."""
     if not is_connected(h):
         raise ValueError("interval theorems apply to connected graphs only")
     iv = is_interval(h)

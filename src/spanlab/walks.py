@@ -327,7 +327,8 @@ def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:
 
     In a legal step each player stays or moves along an edge.  A step that
     moves exactly one player needs ``Rule.solo``; one that moves both, or
-    neither (the walks pause together), needs ``Rule.joint``.
+    neither (the walks pause together), needs ``Rule.joint``.  The pair's
+    rule may be a ``Rule`` or its name.
     """
     if len(pair.alice) != len(pair.bob):
         raise ValueError("walks must have equal length")
@@ -338,13 +339,13 @@ def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:
     ai = [h.index_of(x) for x in pair.alice]
     bi = [h.index_of(x) for x in pair.bob]
     balls = distance_balls(h)
-    solo, joint = pair.rule.solo, pair.rule.joint
+    rule = as_rule(pair.rule)
     illegal = []
     for t in range(len(ai) - 1):
         a_stay, b_stay = ai[t] == ai[t + 1], bi[t] == bi[t + 1]
         if not ((a_stay or h.has_edge(ai[t], ai[t + 1]))
                 and (b_stay or h.has_edge(bi[t], bi[t + 1]))
-                and (solo if a_stay != b_stay else joint)):
+                and (rule.solo if a_stay != b_stay else rule.joint)):
             illegal.append(t)
     seen_a, seen_b = set(ai), set(bi)
     missing_a = tuple(h.labels[v] for v in range(h.n) if v not in seen_a)

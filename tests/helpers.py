@@ -14,7 +14,6 @@ from spanlab import (VERTEX, Certificate, CutSet, Graph, Rule, induced_subgraph,
 from spanlab.graphs import members
 from spanlab.products import ProductGraph, safety_subgraph
 from spanlab.spans import edge_good_components, good_components
-from spanlab.structure import CUT_CAP
 from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check, TheoremReport
 
 
@@ -251,7 +250,8 @@ def naive_minimal_cut_sets(g: Graph, cap: int) -> tuple[CutSet, ...]:
     """Independent minimal cut sets of size <= cap, from the definition:
     S disconnects g and no proper non-empty subset of S does.  Tests
     connectivity and lists components with networkx for every subset
-    tried; same order and fields as ``minimal_cut_sets(g, cap).sets``."""
+    tried; same order and fields as the cuts of size <= cap in
+    ``minimal_cut_sets(g).sets``."""
     gx = graph_to_nx(g)
 
     def rest_of(vs):
@@ -413,16 +413,16 @@ def naive_chordless_cycle(g: Graph) -> tuple[int, ...]:
     raise AssertionError("no chordless cycle found in a non-chordal graph")
 
 
-def span1_conditions(h: Graph, cap: int = CUT_CAP) -> tuple[tuple[bool, bool, bool], dict]:
-    """The three conditions of the span-1 structure theorem on the minimal
-    cut sets of size <= cap, whatever h's span: every cut set is a clique,
-    every proper non-empty union of S-lobes (2^c - 2 per cut, one
-    traditional vertex span each) has span 1, and at most two lobes per cut
-    are not full joins onto S.  Returns whether each holds, and the first
-    witness of each that fails."""
+def span1_conditions(h: Graph) -> tuple[tuple[bool, bool, bool], dict]:
+    """The three conditions of the span-1 structure theorem on every minimal
+    cut set, whatever h's span: every cut set is a clique, every proper
+    non-empty union of S-lobes (2^c - 2 per cut, one traditional vertex span
+    each) has span 1, and at most two lobes per cut are not full joins onto
+    S.  Returns whether each holds, and the first witness of each that
+    fails."""
     clique_ok = lobes_ok = join_ok = True
     witness: dict = {}
-    for cut in minimal_cut_sets(h, cap).sets:
+    for cut in minimal_cut_sets(h).sets:
         if not cut.is_clique:
             clique_ok = False
             witness.setdefault("non_clique_cut", list(cut.vertices))

@@ -440,6 +440,16 @@ def test_exit_2_on_disconnected_input(tmp_path, capsys):
     assert run(capsys, "span", "--file", str(f))[0] == 2
 
 
+def test_analyze_rejects_a_disconnected_graph_first(tmp_path, capsys):
+    # two disjoint 10-vertex paths: over the interval cap of 12 vertices, but
+    # the graph is refused as disconnected before any certificate is built
+    f = tmp_path / "two-paths.edges"
+    f.write_text("".join(f"{v} {v + 1}\n" for v in (*range(9), *range(10, 19))))
+    code, out, err = run(capsys, "analyze", "--file", str(f))
+    assert (code, out) == (2, "")
+    assert err == "spanlab: error: analyze is defined for connected graphs only\n"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["span"])  # no input source

@@ -81,7 +81,7 @@ RECORDS = [
     (IntervalCertificate, {"is_interval": False, "intervals": None,
                            "chordless_cycle": (0, 1, 2, 3), "asteroidal_triple": None}),
     (CutSet, {"vertices": (1,), "components": ((0,), (2,)), "is_clique": True}),
-    (CutSetCatalog, {"sets": (CutSet((1,), ((0,), (2,)), True),), "size_cap": 4}),
+    (CutSetCatalog, {"sets": (CutSet((1,), ((0,), (2,)), True),)}),
     (Check, {"name": "gap[lazy]", "status": "holds", "witness": None}),
     (TheoremReport, {"graph_name": "P3", "graph6": "Bg", "checks": (Check("gap[lazy]", "holds"),)}),
     (WalkPair, {"alice": ("0", "1"), "bob": ("1", "0"), "rule": Rule.TRADITIONAL,

@@ -345,10 +345,12 @@ def test_minimal_cut_sets_are_minimal_and_cut():
 
 
 def test_minimal_cut_sets_match_the_definition():
-    graphs = (connected_atlas(7) + random_graphs(60, 3, 12, seed=59)
+    # every minimal cut set, of any size (the atlas up to 7 vertices is
+    # test_minimal_cut_sets_of_every_size)
+    graphs = (random_graphs(60, 3, 12, seed=59)
               + [random_interval_graph(n, seed=n) for n in range(4, 13)])
     for g in graphs:
-        assert minimal_cut_sets(g).sets == naive_minimal_cut_sets(g, 4), g.adj
+        assert minimal_cut_sets(g).sets == naive_minimal_cut_sets(g, g.n - 2), g.adj
 
 
 def test_minimal_cut_sets_rejects_disconnected():
@@ -365,24 +367,24 @@ def grid_graph(rows: int, cols: int) -> Graph:
 def test_minimal_cut_sets_match_the_definition_beyond_twelve_vertices():
     # the separator closure on larger graphs: long cycles (every cut has
     # size 2), grids (cuts of size 3 and 4 next to larger separators), trees
-    # and random graphs
+    # and random graphs; the reference lists the cuts of size <= 4, the
+    # catalogue's prefix in its (size, vertices) order
     graphs = ([cycle_graph(n) for n in range(8, 21)]
               + [grid_graph(rows, cols) for rows in (3, 4) for cols in range(3, 6)]
               + [grid_graph(3, 6), caterpillar(8), spine_tree(10, 3, 2)]
               + random_graphs(8, 13, 20, seed=61))
     for g in graphs:
-        assert minimal_cut_sets(g).sets == naive_minimal_cut_sets(g, 4), g.adj
+        expected = naive_minimal_cut_sets(g, 4)
+        cuts = minimal_cut_sets(g).sets
+        assert cuts[:len(expected)] == expected, g.adj
+        assert all(len(c.vertices) > 4 for c in cuts[len(expected):]), g.adj
 
 
-def test_minimal_cut_sets_size_filter():
-    # caps below 4 and up to n - 2: the closure visits separators of every
-    # size, and the filter keeps those within the cap
+def test_minimal_cut_sets_of_every_size():
+    # no size cap: the closure visits separators of every size, and the
+    # catalogue keeps every one whose components are all full
     for g in connected_atlas(7):
-        every = naive_minimal_cut_sets(g, g.n - 2)
-        for cap in {1, 2, 3, max(g.n - 2, 1)}:
-            cat = minimal_cut_sets(g, cap)
-            assert cat.sets == tuple(c for c in every if len(c.vertices) <= cap), (g.adj, cap)
-            assert cat.size_cap == max(min(cap, g.n - 2), 0)
+        assert minimal_cut_sets(g).sets == naive_minimal_cut_sets(g, g.n - 2), g.adj
 
 
 def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
@@ -402,13 +404,15 @@ def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
     for command in ("analyze", "verify"):
         assert main([command, "--family", "path:8"]) == 3
         assert "generated 6 minimal separators" in capsys.readouterr().err
-    # the budget counts separators of every size, not only cuts within the
-    # cap: C8 has 20 (its non-adjacent pairs) and no cut of size 1
+    # C8 has 20 minimal separators, its non-adjacent pairs, and each is a
+    # cut: at a budget of 20 the call lists them all, at 19 it stops
     monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 20)
-    assert minimal_cut_sets(cycle_graph(8), cap=1).sets == ()
+    cuts = minimal_cut_sets(cycle_graph(8)).sets
+    assert [c.vertices for c in cuts] == [(a, b) for a in range(8) for b in range(a + 2, 8)
+                                          if (a, b) != (0, 7)]
     monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 19)
     with pytest.raises(CapacityError, match="generated 20 minimal separators"):
-        minimal_cut_sets(cycle_graph(8), cap=1)
+        minimal_cut_sets(cycle_graph(8))
 
 
 def test_closure_visits_exactly_the_minimal_separators(monkeypatch):
@@ -446,8 +450,8 @@ def test_closure_floods_blocks(monkeypatch):
 
     flood = spanlab.structure.flood
     monkeypatch.setattr(spanlab.structure, "flood", counting_flood)
-    for g, cuts, calls, comps in ((grid_graph(4, 5), 123, 883, 1065),
-                                  (parse_graph6(RANDOM_28), 19, 5004, 10540)):
+    for g, cuts, calls, comps in ((grid_graph(4, 5), 233, 883, 1065),
+                                  (parse_graph6(RANDOM_28), 81, 5004, 10540)):
         floods.clear()
         pieces.clear()
         assert len(minimal_cut_sets(g).sets) == cuts

@@ -259,6 +259,50 @@ def test_verify_builds_one_cut_catalogue_per_graph(monkeypatch):
         assert len(built) == 1
 
 
+def path_power(n: int, k: int) -> Graph:
+    """The k-th power of the path P_n: i ~ j iff 0 < |i - j| <= k."""
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, min(i + k + 1, n))])
+
+
+def test_span1_structure_reads_every_minimal_cut_set(monkeypatch):
+    # P30^5 is a unit interval graph with span 1 and no universal vertex, and
+    # all 24 of its minimal cut sets have size 5; the 13 of interval:40:4
+    # have sizes 7 to 17.  The check keys the lobes of every one of them
+    import spanlab.theorems
+    keyed = []
+    lobe_classes = spanlab.theorems._lobe_classes
+
+    def counting(h, cut, parts):
+        keyed.append(cut)
+        return lobe_classes(h, cut, parts)
+
+    monkeypatch.setattr(spanlab.theorems, "_lobe_classes", counting)
+    for g, count, sizes in ((path_power(30, 5), 24, {5}),
+                            (generate_family("interval:40:4"), 13, set(range(7, 18)))):
+        keyed.clear()
+        report = check_span1_structure(g)
+        assert set(status_map(report).values()) == {HOLDS}
+        assert keyed == [cut.vertices for cut in minimal_cut_sets(g).sets]
+        assert len(keyed) == count and {len(cut) for cut in keyed} <= sizes
+
+
+def test_cut_clique_augmentation_at_every_clique_cut(monkeypatch):
+    # P12^5 is within INTERVAL_CAP, and its six minimal cut sets, the runs
+    # of five consecutive vertices with a vertex on each side, are cliques
+    import spanlab.theorems
+    augmented = {}
+    augmentation_check = spanlab.theorems._augmentation_check
+
+    def recording(name, h, cliques):
+        augmented[name] = list(cliques)
+        return augmentation_check(name, h, cliques)
+
+    monkeypatch.setattr(spanlab.theorems, "_augmentation_check", recording)
+    st = status_map(check_interval_theorems(path_power(12, 5)))
+    assert st["cut-clique-augmentation"] == st["end-clique-augmentation"] == HOLDS
+    assert augmented["cut-clique-augmentation"] == [tuple(range(i, i + 5)) for i in range(1, 7)]
+
+
 @lru_cache(maxsize=None)
 def structure_graphs():
     return (tuple(connected_atlas(7)) + tuple(caterpillar(k) for k in range(1, 9))
@@ -282,12 +326,12 @@ def test_span1_structure_conditions_are_necessary_not_sufficient():
         g = parse_graph6(g6)
         assert max(g.degree(v) for v in range(g.n)) < g.n - 1
         assert vertex_span(g, Rule.TRADITIONAL)[0] == 2
-        assert span1_conditions(g, cap=g.n) == ((True, True, True), {})
+        assert span1_conditions(g) == ((True, True, True), {})
         assert set(status_map(check_span1_structure(g)).values()) == {NOT_APPLICABLE}
     meet = {}
     for g in connected_atlas(7):
         if (g.n >= 3 and max(g.degree(v) for v in range(g.n)) < g.n - 1
-                and all(span1_conditions(g, cap=g.n)[0])
+                and all(span1_conditions(g)[0])
                 and vertex_span(g, Rule.TRADITIONAL)[0] != 1):
             meet.setdefault(g.n, []).append(to_graph6(g))
     assert {n: len(g6s) for n, g6s in meet.items()} == {6: 2, 7: 13}

@@ -318,6 +318,19 @@ def test_lazy_forbids_both_staying_and_both_moving():
     assert not validate_walk_pair(one_moves, g, 0).illegal_steps
 
 
+def test_validator_takes_a_rule_name():
+    # as rule_spans, min_steps and build_product do: "traditional" is
+    # Rule.TRADITIONAL
+    g = cycle_graph(4)
+    pair = min_steps(g, "traditional").pair
+    named = validate_walk_pair(pair._replace(rule="traditional"), g, 2)
+    assert named == validate_walk_pair(pair, g, 2)
+    assert named.valid
+    bad = pair._replace(rule="sideways")
+    with pytest.raises(ValueError, match="unknown movement rule"):
+        validate_walk_pair(bad, g, 2)
+
+
 def test_validator_reports_missing_vertices():
     g = path_graph(3)
     pair = WalkPair(alice=("0", "1"), bob=("2", "1"), rule=Rule.TRADITIONAL,
