@@ -326,8 +326,9 @@ class CutSetCatalog(NamedTuple):
 
 # distinct minimal separators minimal_cut_sets may generate in one call: on
 # a 2-vCPU Xeon VM (CPython 3.11) the closure on random:60:0.1:1 reaches it
-# in about 0.14 s, at a traced peak of 7.6 MiB, and analyze exits 3 after
-# about 0.37 s
+# in about 0.15 s, at a traced peak of 7.6 MiB, and analyze exits 3 after
+# about 0.32 s; on the 32-vertex theta graph (3^10 separators) analyze exits
+# 3 after about 0.76 s at 31 MiB peak RSS
 SEPARATOR_BUDGET = 20_000
 
 
@@ -365,15 +366,44 @@ def minimal_cut_sets(g: Graph) -> CutSetCatalog:
     - A non-full D gives only N(D) = T.  Its pieces D - N(x), for x in T,
       are not flooded here: D is a full component of T, so they are
       flooded when T is popped.
-    - For each full D and each x in S, D - N(x) is flooded, unless this
-      call has flooded that mask already.  The pieces of a mask and their
+    - Of the full components, only the one with the least vertex, B(S), is
+      expanded: for each x in S, B(S) - N(x) is flooded, unless this call
+      has flooded that mask already.  The pieces of a mask and their
       neighbourhoods depend on the mask alone, so the memo only drops
       repeats.
-    So every separator that the whole-graph closure generates is generated
-    here, and nothing else is: the separator set, and so the cuts, the
-    count at which the budget trips and its message, are the same as with
-    one flood of g - (S + N(x)) per pair (S, x).  The memo costs memory:
-    on ``random:40:0.08:1`` it holds about 10 masks per separator.
+
+    Every minimal separator T is still reached.  Let B be its full
+    component with the least vertex, A another full component, and a in A.
+    The seed of a gives S0 = N(C0), C0 the component of g - N[a] that holds
+    B.  Invariant: each S_i lies in A + T, its component C_i that holds B
+    is full, and it has a second full component that meets A (a's for
+    i = 0, x's from the step after that).
+    (1) If S_i is inside T, then S_i = T.  Otherwise some t in T - S_i is
+        adjacent to both A and B, so A lies in C_i, and the second full
+        component is C_i itself, a contradiction.
+    (2) If S_i != T, then C_i = B(S_i).  T - S_i is non-empty (else C_i = B
+        and N(B) = T != S_i) and lies in C_i, as does every full component
+        of T other than A.  So any other component of g - S_i avoids T: it
+        lies in A, or it is a component E of g - T with N(E) inside S_i.
+        Such an E is not full: N(E) = S_i would put S_i inside T, and then
+        S_i = T by (1).  So every other full component lies in A, and
+        min B < min A.
+    (3) Step.  By (1) some x in S_i lies outside T, so in A.  The closure
+        floods C_i - N(x), and B, which misses N(x), lies in one piece P,
+        so S_{i+1} = N(P) is generated.  It lies in S_i + (N(x) & C_i), so
+        in A + T; P is its component that holds B; x's component of
+        g - S_{i+1} is full (the lemma of Berry, Bordat & Cogis).
+        C_{i+1} = P is a proper subset of C_i, as x has a neighbour in C_i,
+        so the chain ends, and as the step applies while S_i != T, it ends
+        at T.
+    Nothing extra is generated: for a non-full component D of g - S, N(D)
+    has two full components, D and the component of g - N(D) that holds
+    S's full components.  So the separator set, and so the cuts, the count
+    at which the budget trips and its message, are the same as with one
+    flood of g - (S + N(x)) per pair (S, x); only the order in which the
+    separators are generated differs.  The memo costs memory: on
+    ``random:40:0.08:1`` it holds about 5.7 masks per separator (56,795
+    for 10,046 separators), for a traced peak of 5.1 MiB in the call.
 
     Past ``SEPARATOR_BUDGET`` distinct separators the call raises
     ``CapacityError``.  The catalogue is kept on g, so later calls on the
@@ -410,16 +440,16 @@ def minimal_cut_sets(g: Graph) -> CutSetCatalog:
         record(comps)
         comps.append((block, s_mask))
         blocks = [d for d, sep in comps if sep == s_mask]
+        blocks.sort(key=lambda d: d & -d)    # by least vertex
+        least = blocks[0]
         for x in members(s_mask):
-            for d in blocks:
-                mask = d & ~nbr[x]
-                if mask not in flooded:
-                    flooded.add(mask)
-                    record(flood(nbr, mask))
+            mask = least & ~nbr[x]
+            if mask not in flooded:
+                flooded.add(mask)
+                record(flood(nbr, mask))
         if len(blocks) == len(comps):
             vs = members(s_mask)
             clique = all((nbr[v] | 1 << v) & s_mask == s_mask for v in vs)
-            blocks.sort(key=lambda d: d & -d)    # by least vertex
             found.append(CutSet(vertices=vs, components=tuple(map(members, blocks)),
                                 is_clique=clique))
     found.sort(key=lambda cut: (len(cut.vertices), cut.vertices))

@@ -364,14 +364,25 @@ def grid_graph(rows: int, cols: int) -> Graph:
                  + [(v, v + cols) for v in range(n - cols)])
 
 
+def theta_graph(paths: int) -> Graph:
+    """Two poles, 0 and 1, joined by ``paths`` paths of 3 inner vertices;
+    among its minimal separators are the 3^paths sets of one inner vertex
+    per path."""
+    return Graph(2 + 3 * paths, [(u, v) for p in range(paths)
+                                 for u, v in ((0, 2 + 3 * p), (2 + 3 * p, 3 + 3 * p),
+                                              (3 + 3 * p, 4 + 3 * p), (4 + 3 * p, 1))])
+
+
 def test_minimal_cut_sets_match_the_definition_beyond_twelve_vertices():
     # the separator closure on larger graphs: long cycles (every cut has
-    # size 2), grids (cuts of size 3 and 4 next to larger separators), trees
-    # and random graphs; the reference lists the cuts of size <= 4, the
+    # size 2), grids (cuts of size 3 and 4 next to larger separators), trees,
+    # theta graphs (269 and 760 cuts, of which 26 and 31 have size <= 4) and
+    # random graphs; the reference lists the cuts of size <= 4, the
     # catalogue's prefix in its (size, vertices) order
     graphs = ([cycle_graph(n) for n in range(8, 21)]
               + [grid_graph(rows, cols) for rows in (3, 4) for cols in range(3, 6)]
               + [grid_graph(3, 6), caterpillar(8), spine_tree(10, 3, 2)]
+              + [theta_graph(5), theta_graph(6)]
               + random_graphs(8, 13, 20, seed=61))
     for g in graphs:
         expected = naive_minimal_cut_sets(g, 4)
@@ -418,9 +429,20 @@ def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
 def test_closure_visits_exactly_the_minimal_separators(monkeypatch):
     # the budget counts distinct separators, so a call passes at a budget of
     # the definitional count and stops one past the budget below it (each
-    # call gets a fresh graph object, which keeps no catalogue)
+    # call gets a fresh graph object, which keeps no catalogue); the random
+    # graphs come twice, the second time relabelled at random, so that the
+    # block the closure expands (the one with the least vertex) is not tied
+    # to vertex 0, and the theta graphs have 20, 43 and 102 separators
     import spanlab.structure
-    for g in connected_atlas(7) + random_graphs(40, 3, 12, seed=67):
+    rng = random.Random(67)
+    randoms = random_graphs(40, 3, 12, seed=67)
+    relabelled = []
+    for g in randoms:
+        perm = rng.sample(range(g.n), g.n)
+        relabelled.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    graphs = (connected_atlas(7) + randoms + relabelled
+              + [theta_graph(paths) for paths in (2, 3, 4)])
+    for g in graphs:
         count = naive_minimal_separator_count(g)
         monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", count)
         minimal_cut_sets(Graph(g.n, g.edges()))
@@ -436,9 +458,11 @@ RANDOM_28 = "[G@A?oC_O?gO???@BO????_?C@E????g??I?`@SH??G?G?SAOA?G??a?_C?QCPCQ"
 
 def test_closure_floods_blocks(monkeypatch):
     # one flood per vertex, one of g - S - C per separator S found as C, and
-    # one per distinct block-minus-neighbourhood mask: 883 and 5,004 floods,
-    # against 1,175 and 4,575 whole-graph floods (2,680 and 20,629
-    # components) with one flood of g - (S + N(x)) per pair (S, x)
+    # one per distinct mask B - N(x), B the full component of S with the
+    # least vertex: 638 and 3,284 floods (883 and 5,004, with 1,065 and
+    # 10,540 pieces, when every full component was flooded), against 1,175
+    # and 4,575 whole-graph floods (2,680 and 20,629 components) with one
+    # flood of g - (S + N(x)) per pair (S, x)
     import spanlab.structure
     floods, pieces = [], []
 
@@ -450,8 +474,8 @@ def test_closure_floods_blocks(monkeypatch):
 
     flood = spanlab.structure.flood
     monkeypatch.setattr(spanlab.structure, "flood", counting_flood)
-    for g, cuts, calls, comps in ((grid_graph(4, 5), 233, 883, 1065),
-                                  (parse_graph6(RANDOM_28), 81, 5004, 10540)):
+    for g, cuts, calls, comps in ((grid_graph(4, 5), 233, 638, 751),
+                                  (parse_graph6(RANDOM_28), 81, 3284, 6719)):
         floods.clear()
         pieces.clear()
         assert len(minimal_cut_sets(g).sets) == cuts
@@ -466,11 +490,8 @@ def test_theta_graph_exits_3_at_the_separator_budget(tmp_path, capsys):
     # size <= 4 (the poles) but 3^10 minimal separators, one inner vertex per
     # path, which the closure must visit; verify needs no cut sets here
     from spanlab.cli import main
-    edges = [(u, v) for p in range(10)
-             for u, v in ((0, 2 + 3 * p), (2 + 3 * p, 3 + 3 * p),
-                          (3 + 3 * p, 4 + 3 * p), (4 + 3 * p, 1))]
     path = tmp_path / "theta.g6"
-    path.write_text(to_graph6(Graph(32, edges)) + "\n")
+    path.write_text(to_graph6(theta_graph(10)) + "\n")
     assert main(["analyze", "--file", str(path)]) == 3
     assert "over the budget of 20000" in capsys.readouterr().err
     assert main(["verify", "--file", str(path)]) == 0
