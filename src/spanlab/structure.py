@@ -357,20 +357,13 @@ def minimal_cut_sets(g: Graph) -> CutSetCatalog:
     queued with the component C it was found as, and C is a full component
     of S: its neighbours outside it are exactly N(C).  When S is popped,
     one flood of g - S - C gives the other components D of g - S with
-    their N(D).  That flood serves the filter and the ordered components,
-    and it drives generation:
-    - The components of g - (S + N(x)) are the components of g - S that x
-      misses, plus the pieces of D - N(x) for each D that x touches.  A
-      component that x misses is non-full, so it gives N(D) once, and that
-      does not depend on x.
-    - A non-full D gives only N(D) = T.  Its pieces D - N(x), for x in T,
-      are not flooded here: D is a full component of T, so they are
-      flooded when T is popped.
-    - Of the full components, only the one with the least vertex, B(S), is
-      expanded: for each x in S, B(S) - N(x) is flooded, unless this call
-      has flooded that mask already.  The pieces of a mask and their
-      neighbourhoods depend on the mask alone, so the memo only drops
-      repeats.
+    their N(D), for the filter and the ordered components.  Generation
+    expands only the full component with the least vertex, B(S): for each
+    x in S, B(S) - N(x) is flooded, unless this call has flooded that mask
+    already.  Its pieces P are components of g - (S + N(x)), so each N(P)
+    is a minimal separator, and the pieces of a mask and their
+    neighbourhoods depend on the mask alone, so the memo only drops
+    repeats.
 
     Every minimal separator T is still reached.  Let B be its full
     component with the least vertex, A another full component, and a in A.
@@ -396,12 +389,10 @@ def minimal_cut_sets(g: Graph) -> CutSetCatalog:
         C_{i+1} = P is a proper subset of C_i, as x has a neighbour in C_i,
         so the chain ends, and as the step applies while S_i != T, it ends
         at T.
-    Nothing extra is generated: for a non-full component D of g - S, N(D)
-    has two full components, D and the component of g - N(D) that holds
-    S's full components.  So the separator set, and so the cuts, the count
-    at which the budget trips and its message, are the same as with one
-    flood of g - (S + N(x)) per pair (S, x); only the order in which the
-    separators are generated differs.  The memo costs memory: on
+    So the separator set, and so the cuts, the count at which the budget
+    trips and its message, are the same as with one flood of
+    g - (S + N(x)) per pair (S, x); only the order in which the separators
+    are generated differs.  The memo costs memory: on
     ``random:40:0.08:1`` it holds about 5.7 masks per separator (56,795
     for 10,046 separators), for a traced peak of 5.1 MiB in the call.
 
@@ -437,7 +428,6 @@ def minimal_cut_sets(g: Graph) -> CutSetCatalog:
     while todo:
         s_mask, block = todo.pop()
         comps = flood(nbr, everything & ~(s_mask | block))
-        record(comps)
         comps.append((block, s_mask))
         blocks = [d for d, sep in comps if sep == s_mask]
         blocks.sort(key=lambda d: d & -d)    # by least vertex

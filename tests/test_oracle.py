@@ -91,12 +91,13 @@ def test_agreement_with_solver_on_trees_with_8_and_9_vertices():
 
 
 def test_work_budget(monkeypatch):
-    # the budget counts successor arcs built and states visited over every
+    # the budget counts moves generated and states visited over every
     # threshold: each call below needs exactly that many units, answers at
-    # that budget and raises one unit short of it
-    cases = [(path_graph(7), "traditional", "vertex", 1976),
-             (path_graph(7), "traditional", "edge", 667),
-             (parse_graph6("FNz~o"), "active", "edge", 448_074)]
+    # that budget and raises one unit short of it (1,976, 667 and 448,074
+    # units when every threshold's whole move table was built up front)
+    cases = [(path_graph(7), "traditional", "vertex", 495),
+             (path_graph(7), "traditional", "edge", 495),
+             (parse_graph6("FNz~o"), "active", "edge", 446_853)]
     assert max(case[-1] for case in cases) <= spanlab.oracle.ORACLE_BUDGET
     for g, rule, kind, units in cases:
         monkeypatch.setattr(spanlab.oracle, "ORACLE_BUDGET", units)
@@ -104,6 +105,31 @@ def test_work_budget(monkeypatch):
         monkeypatch.setattr(spanlab.oracle, "ORACLE_BUDGET", units - 1)
         with pytest.raises(CapacityError, match="budget of"):
             brute_force_span(g, rule, kind)
+
+
+def charges(monkeypatch) -> list[int]:
+    """The units of each charge the oracle makes from now on."""
+    charged = []
+    charge = spanlab.oracle._charge
+
+    def recording(left, units):
+        charged.append(units)
+        charge(left, units)
+
+    monkeypatch.setattr(spanlab.oracle, "_charge", recording)
+    return charged
+
+
+def test_units_charged_over_the_atlas(monkeypatch):
+    # moves are generated per pair when a search first enters it, and the
+    # search pops the states that add a mark first: 354,702 units when each
+    # threshold's whole move table was built up front
+    charged = charges(monkeypatch)
+    for g in connected_atlas(6):
+        for rule in ("traditional", "active", "lazy"):
+            for kind in ("vertex", "edge"):
+                brute_force_span(g, rule, kind)
+    assert sum(charged) == 213_227
 
 
 def test_over_budget_searches_stop():
@@ -114,19 +140,14 @@ def test_over_budget_searches_stop():
 
 
 def test_over_budget_successor_tables_stop(monkeypatch):
-    # K80's threshold-1 table has about 40M arcs: the budget stops it while
-    # it is still being built
-    built = []
-    successors = spanlab.oracle._successors
-
-    def recording(*args):
-        built.append(successors(*args))
-        return built[-1]
-
-    monkeypatch.setattr(spanlab.oracle, "_successors", recording)
+    # K80's threshold-1 moves number about 40M arcs, 6,319 per pair.  A
+    # search generates a pair's moves when it first enters the pair and
+    # checks the live count once per popped state, so the call stops at most
+    # one pair's moves and the states they mark past the budget
+    charged = charges(monkeypatch)
     with pytest.raises(CapacityError):
         brute_force_span(complete_graph(80), "traditional", "vertex")
-    assert not built
+    assert sum(charged) <= spanlab.oracle.ORACLE_BUDGET + 2 * (80 * 79 - 1)
 
 
 def test_input_validation():
