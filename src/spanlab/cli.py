@@ -53,11 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="output format (default text)")
         p[name].add_argument("--seed", type=int,
                              help="seed for a --family spec that reads one (default 0)")
-    p["span"].add_argument("--rule", choices=("traditional", "active", "lazy", "all"),
-                           default="all", help="movement rule (default all)")
-    p["span"].add_argument("--kind", choices=("vertex", "edge", "both"), default="both",
+    rules = tuple(rule.value for rule in RULES)
+    p["span"].add_argument("--rule", choices=(*rules, "all"), default="all",
+                           help="movement rule (default all)")
+    p["span"].add_argument("--kind", choices=(*KINDS, "both"), default="both",
                            help="cover kind (default both)")
-    p["minwalk"].add_argument("--rule", choices=("traditional", "active", "lazy"),
+    p["minwalk"].add_argument("--rule", choices=rules,
                               default="traditional", help="movement rule (default traditional)")
     p["analyze"].add_argument("--cap", type=int, default=INTERVAL_CAP,
                               help="most vertices an interval representation is built "

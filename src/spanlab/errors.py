@@ -26,4 +26,12 @@ class GraphParseError(SpanlabError):
 
 
 class CapacityError(SpanlabError):
-    """An exact search would exceed a size cap or a work budget."""
+    """An exact search stopped at a size cap or a work budget: the name of
+    that module constant, its value in force, what the stop counted in its
+    unit (for a refusal before any work, the least the work would need), and
+    the facts the stop proved."""
+
+    def __init__(self, budget: str, limit: int, spent: int, **proven):
+        facts = "".join(f"; proven {key}={value}" for key, value in proven.items())
+        super().__init__(f"{budget} = {limit} stops at {spent}{facts}")
+        self.budget, self.limit, self.spent, self.proven = budget, limit, spent, proven

@@ -60,8 +60,17 @@ SAMPLE_BUDGET = 1_000_000
 MAX_DRAWS = 50_000
 
 
-def _draws(per_draw: int) -> int:
-    return max(1, min(MAX_DRAWS, SAMPLE_BUDGET // max(per_draw, 1)))
+def _connected_sample(draw, per_draw: int) -> Graph:
+    """The first connected graph ``draw()`` makes from ``per_draw`` random numbers."""
+    draws = max(1, min(MAX_DRAWS, SAMPLE_BUDGET // max(per_draw, 1)))
+    for _ in range(draws):
+        g = draw()
+        if is_connected(g):
+            return g
+    # the limit that set the draw count, and the draws' cost in its unit
+    stop = (("SAMPLE_BUDGET", SAMPLE_BUDGET, draws * per_draw) if draws < MAX_DRAWS
+            else ("MAX_DRAWS", MAX_DRAWS, draws))
+    raise CapacityError(*stop, disconnected_draws=draws)
 
 
 def random_connected_graph(n: int, p: float = 0.5, seed: int = 0) -> Graph:
@@ -71,14 +80,9 @@ def random_connected_graph(n: int, p: float = 0.5, seed: int = 0) -> Graph:
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
-    draws = _draws(n * (n - 1) // 2)
-    for _ in range(draws):
-        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-        g = Graph(n, edges)
-        if is_connected(g):
-            return g
-    raise CapacityError(f"no connected sample for n={n}, p={p} in {draws} draws "
-                        f"(budget {SAMPLE_BUDGET} random numbers)")
+    return _connected_sample(
+        lambda: Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]),
+        n * (n - 1) // 2)
 
 
 def random_interval_graph(n: int, seed: int = 0) -> Graph:
@@ -87,17 +91,14 @@ def random_interval_graph(n: int, seed: int = 0) -> Graph:
     if n < 1:
         raise ValueError("need at least one vertex")
     rng = random.Random(seed)
-    draws = _draws(2 * n)
-    for _ in range(draws):
+
+    def draw() -> Graph:
         points = rng.sample(range(8 * n), 2 * n)
         ivs = [tuple(sorted(points[2 * i:2 * i + 2])) for i in range(n)]
-        edges = [(a, b) for a, b in combinations(range(n), 2)
-                 if ivs[a][0] <= ivs[b][1] and ivs[b][0] <= ivs[a][1]]
-        g = Graph(n, edges)
-        if is_connected(g):
-            return g
-    raise CapacityError(f"no connected interval sample for n={n} in {draws} draws "
-                        f"(budget {SAMPLE_BUDGET} sampled endpoints)")
+        return Graph(n, [(a, b) for a, b in combinations(range(n), 2)
+                         if ivs[a][0] <= ivs[b][1] and ivs[b][0] <= ivs[a][1]])
+
+    return _connected_sample(draw, 2 * n)
 
 
 def _figure1() -> Graph:

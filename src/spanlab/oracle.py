@@ -61,8 +61,7 @@ def _charge(left: list[int], units: int) -> None:
     """Take ``units`` from the one-item count of units a call has ``left``."""
     left[0] -= units
     if left[0] < 0:
-        raise CapacityError(f"brute-force oracle passed its budget of {ORACLE_BUDGET} "
-                            "(moves generated)")
+        raise CapacityError("ORACLE_BUDGET", ORACLE_BUDGET, ORACLE_BUDGET - left[0])
 
 
 def _feasible(h: Graph, rule: Rule, k: int, kind: str, left: list[int]) -> bool:

@@ -266,10 +266,7 @@ def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertifica
     if at is not None:
         return IntervalCertificate(False, None, None, at)
     if g.n > cap:
-        raise CapacityError(
-            f"graph is interval (is_interval=True) but a representation is "
-            f"only built for n <= {cap}, got n={g.n}"
-        )
+        raise CapacityError("INTERVAL_CAP", cap, g.n, is_interval=True)
     cliques = maximal_cliques(g)
     path = next(filter(None, (_clique_path(g, cliques, ci) for ci in range(len(cliques)))), ())
     if len(path) != len(cliques):
@@ -417,9 +414,7 @@ def minimal_cut_sets(g: Graph) -> CutSetCatalog:
             if sep not in seen:
                 seen.add(sep)
                 if len(seen) > SEPARATOR_BUDGET:
-                    raise CapacityError(
-                        f"minimal cut sets on n={n} generated {len(seen)} minimal "
-                        f"separators, over the budget of {SEPARATOR_BUDGET}")
+                    raise CapacityError("SEPARATOR_BUDGET", SEPARATOR_BUDGET, len(seen))
                 todo.append((sep, comp))
 
     for v in range(n):

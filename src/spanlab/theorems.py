@@ -181,8 +181,7 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     classes = [_lobe_classes(h, cut.vertices, cut.components) for cut in catalog.sets]
     unions = sum(prod(len(c) + 1 for c in cls) - 2 for cls in classes)
     if unions > LOBE_UNION_BUDGET:
-        raise CapacityError(f"span-1 structure check needs {unions} lobe unions, "
-                            f"over the budget of {LOBE_UNION_BUDGET}")
+        raise CapacityError("LOBE_UNION_BUDGET", LOBE_UNION_BUDGET, unions)
     scan, nbr = level_scan(h, Rule.TRADITIONAL), h.nbr
     # a lobe union's relabelled neighbour masks -> span 1?
     union_ok: dict[tuple[int, ...], bool] = {}

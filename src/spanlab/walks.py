@@ -117,7 +117,7 @@ class WalkPair(NamedTuple):
         return {
             "alice": list(self.alice),
             "bob": list(self.bob),
-            "rule": self.rule.value,
+            "rule": as_rule(self.rule).value,
             "safety": self.safety,
             "moves": self.moves,
         }
@@ -278,10 +278,8 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
                         continue
                     work += len(adj[b])
                     if work + cost * len(bounds) > WALK_BUDGET:
-                        raise CapacityError(
-                            f"covering-walk search passed its budget of {WALK_BUDGET} "
-                            f"(arcs of the cover states entered, 1 per cover-table "
-                            f"entry or n per memoised bound) on n={n} at depth {depth}")
+                        raise CapacityError("WALK_BUDGET", WALK_BUDGET,
+                                            work + cost * len(bounds), moves_at_least=depth)
                     path.append((b, na, nb, iter(adj[b])))
                     break
                 else:
@@ -305,9 +303,7 @@ def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
         raise ValueError("minimum-step search is defined for connected graphs only")
     n = h.n
     if n >= 3 and n * (n - 1) >= WALK_BUDGET:
-        raise CapacityError(
-            f"covering-walk search on n={n} reads at least n(n - 1) = {n * (n - 1)} "
-            f"units of bounds, over its budget of {WALK_BUDGET}")
+        raise CapacityError("WALK_BUDGET", WALK_BUDGET, n * (n - 1))
     k, _ = rule_spans(h, rule, (VERTEX,))[VERTEX]
     codes = shortest_covering_walk(build_product(h, rule, k))
     if codes is None:

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import spanlab
-from spanlab import (complete_graph, cycle_graph, fixture, generate_family, parse_graph6,
-                     path_graph, random_connected_graph, random_interval_graph, star_graph,
-                     subdivided_star)
+from spanlab import (CapacityError, complete_graph, cycle_graph, fixture, generate_family,
+                     parse_graph6, path_graph, random_connected_graph, random_interval_graph,
+                     star_graph, subdivided_star)
 from spanlab.cli import main
 from spanlab.families import _seed_ignored
 from spanlab.theorems import VIOLATED, Check, TheoremReport
@@ -470,24 +470,29 @@ def test_cap_only_on_commands_that_read_it(capsys):
     assert run(capsys, "analyze", "--fixture", "figure1", "--cap", "6")[0] == 0
 
 
+def stopped(budget, limit, spent, **proven) -> str:
+    """The stderr of an exit 3 at these fields."""
+    return f"spanlab: capacity: {CapacityError(budget, limit, spent, **proven)}\n"
+
+
 def test_exit_3_on_capacity(capsys, monkeypatch):
     monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 50)
     code, out, err = run(capsys, "minwalk", "--family", "path:6")
     assert (code, out) == (3, "")
-    assert "spanlab: capacity:" in err and "budget of 50" in err
+    assert err == stopped("WALK_BUDGET", 50, 395, moves_at_least=5)
     monkeypatch.undo()
     # the search on interval:200:1 (630M arcs at threshold 0) ends at the
     # work budget, having generated the moves of the pairs it entered only
     start = time.perf_counter()
     code, out, err = run(capsys, "minwalk", "--family", "interval:200:1")
     assert (code, out) == (3, "")
-    assert "search passed its budget of 3000000" in err
+    assert err == stopped("WALK_BUDGET", 3_000_000, 3_002_251, moves_at_least=199)
     assert time.perf_counter() - start < 10
     # at n = 2,000, n(n - 1) passes the budget: refused before the span
     start = time.perf_counter()
     code, out, err = run(capsys, "minwalk", "--family", "path:2000")
     assert (code, out) == (3, "")
-    assert "budget of 3000000" in err
+    assert err == stopped("WALK_BUDGET", 3_000_000, 2000 * 1999)
     assert time.perf_counter() - start < 1
 
 
@@ -497,7 +502,8 @@ def test_hopeless_random_family_fails_fast_with_exit_3(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "generate", "--family", "random:60:0.01")
     assert code == 3
-    assert "no connected sample" in err
+    # 564 draws of 1,770 random numbers each
+    assert err == stopped("SAMPLE_BUDGET", 1_000_000, 564 * 1770, disconnected_draws=564)
     assert time.perf_counter() - start < 20
 
 

@@ -114,8 +114,9 @@ def test_work_budget(monkeypatch):
         monkeypatch.setattr(spanlab.oracle, "ORACLE_BUDGET", units)
         assert brute_force_span(g, rule, kind) == 1
         monkeypatch.setattr(spanlab.oracle, "ORACLE_BUDGET", units - 1)
-        with pytest.raises(CapacityError, match="budget of"):
+        with pytest.raises(CapacityError) as exc:
             brute_force_span(g, rule, kind)
+        assert (exc.value.budget, exc.value.limit) == ("ORACLE_BUDGET", units - 1)
 
 
 def charges(monkeypatch) -> list[int]:

@@ -10,14 +10,23 @@ from pathlib import Path
 
 import pytest
 
+from helpers import caterpillar
+
 import spanlab
+import spanlab.families
 import spanlab.graphs
+import spanlab.oracle
 import spanlab.products
 import spanlab.spans
+import spanlab.structure
+import spanlab.theorems
 import spanlab.walks
-from spanlab import (RULES, Certificate, Check, ChordalityResult, CutSet, CutSetCatalog, Graph,
-                     IntervalCertificate, Metrics, MinWalkResult, Rule, TheoremReport, WalkPair,
-                     WalkValidation, cycle_graph, fixture, metrics, min_steps, rule_spans)
+from spanlab import (RULES, CapacityError, Certificate, Check, ChordalityResult, CutSet,
+                     CutSetCatalog, Graph, IntervalCertificate, Metrics, MinWalkResult, Rule,
+                     TheoremReport, WalkPair, WalkValidation, brute_force_span,
+                     check_span1_structure, complete_graph, cycle_graph, fixture,
+                     generate_family, interval_certificate, metrics, min_steps,
+                     minimal_cut_sets, path_graph, random_interval_graph, rule_spans)
 
 PUBLIC = [
     "CapacityError", "Certificate", "Check", "ChordalityResult", "CutSet",
@@ -163,3 +172,45 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
          "sys.exit(', '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))) or None)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# every raise site of CapacityError, each tripped at a small patched limit:
+# (module, constant, value in force, the call, spent, proven)
+CAPACITY_STOPS = [
+    # the walk search on path:6 at depth 5: its 384 cover-table entries
+    # plus the arcs of the states entered
+    (spanlab.walks, "WALK_BUDGET", 50,
+     lambda: min_steps(path_graph(6), "traditional"), 395, {"moves_at_least": 5}),
+    # K5 refused before the span: n(n - 1) = 20 units of bounds
+    (spanlab.walks, "WALK_BUDGET", 20,
+     lambda: min_steps(complete_graph(5), "traditional"), 20, {}),
+    # P7's traditional vertex span needs exactly 460 moves generated
+    (spanlab.oracle, "ORACLE_BUDGET", 459,
+     lambda: brute_force_span(path_graph(7), "traditional", "vertex"), 460, {}),
+    # P8 has 6 minimal separators
+    (spanlab.structure, "SEPARATOR_BUDGET", 5, lambda: minimal_cut_sets(path_graph(8)), 6, {}),
+    # the default cap, which interval_certificate reads where it is defined
+    (spanlab.structure, "INTERVAL_CAP", 12,
+     lambda: interval_certificate(path_graph(15)), 15, {"is_interval": True}),
+    # 2 cuts x (9 x 2 - 2) lobe unions
+    (spanlab.theorems, "LOBE_UNION_BUDGET", 10,
+     lambda: check_span1_structure(caterpillar(8)), 32, {}),
+    # one draw of 1,770 random numbers, or of 8 sampled endpoints
+    (spanlab.families, "SAMPLE_BUDGET", 0,
+     lambda: generate_family("random:60:0.01"), 1770, {"disconnected_draws": 1}),
+    (spanlab.families, "SAMPLE_BUDGET", 0,
+     lambda: random_interval_graph(4, 0), 8, {"disconnected_draws": 1}),
+    (spanlab.families, "MAX_DRAWS", 3,
+     lambda: generate_family("random:60:0.01"), 3, {"disconnected_draws": 3}),
+]
+
+
+@pytest.mark.parametrize("module, budget, limit, call, spent, proven", CAPACITY_STOPS)
+def test_every_capacity_stop_reports_its_fields(monkeypatch, module, budget, limit, call,
+                                                 spent, proven):
+    monkeypatch.setattr(module, budget, limit)
+    with pytest.raises(CapacityError) as exc:
+        call()
+    stop = exc.value
+    assert (stop.budget, stop.limit, stop.spent, stop.proven) == (budget, limit, spent, proven)
+    assert str(stop) == str(CapacityError(budget, limit, spent, **proven))

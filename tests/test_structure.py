@@ -185,7 +185,7 @@ def test_interval_certificate_capacity():
     g = path_graph(15)
     with pytest.raises(CapacityError) as exc:
         interval_certificate(g)
-    assert "is_interval=True" in str(exc.value)
+    assert exc.value.proven == {"is_interval": True}
     # recognition itself has no cap
     assert is_interval(g)
 
@@ -410,11 +410,12 @@ def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
     monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 6)
     assert len(minimal_cut_sets(path_graph(8)).sets) == 6
     monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 5)
-    with pytest.raises(CapacityError, match="generated 6 minimal separators"):
+    with pytest.raises(CapacityError) as exc:
         minimal_cut_sets(path_graph(8))
+    assert (exc.value.budget, exc.value.spent) == ("SEPARATOR_BUDGET", 6)
     for command in ("analyze", "verify"):
         assert main([command, "--family", "path:8"]) == 3
-        assert "generated 6 minimal separators" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"spanlab: capacity: {exc.value}\n"
     # C8 has 20 minimal separators, its non-adjacent pairs, and each is a
     # cut: at a budget of 20 the call lists them all, at 19 it stops
     monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 20)
@@ -422,8 +423,9 @@ def test_minimal_cut_sets_separator_budget(monkeypatch, capsys):
     assert [c.vertices for c in cuts] == [(a, b) for a in range(8) for b in range(a + 2, 8)
                                           if (a, b) != (0, 7)]
     monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", 19)
-    with pytest.raises(CapacityError, match="generated 20 minimal separators"):
+    with pytest.raises(CapacityError) as exc:
         minimal_cut_sets(cycle_graph(8))
+    assert (exc.value.budget, exc.value.spent) == ("SEPARATOR_BUDGET", 20)
 
 
 def test_closure_visits_exactly_the_minimal_separators(monkeypatch):
@@ -448,8 +450,9 @@ def test_closure_visits_exactly_the_minimal_separators(monkeypatch):
         minimal_cut_sets(Graph(g.n, g.edges()))
         if count:
             monkeypatch.setattr(spanlab.structure, "SEPARATOR_BUDGET", count - 1)
-            with pytest.raises(CapacityError, match=f"generated {count} minimal separators"):
+            with pytest.raises(CapacityError) as exc:
                 minimal_cut_sets(Graph(g.n, g.edges()))
+            assert (exc.value.budget, exc.value.spent) == ("SEPARATOR_BUDGET", count)
 
 
 # the structure benchmark's 28-vertex random graph at seed 0
@@ -493,7 +496,8 @@ def test_theta_graph_exits_3_at_the_separator_budget(tmp_path, capsys):
     path = tmp_path / "theta.g6"
     path.write_text(to_graph6(theta_graph(10)) + "\n")
     assert main(["analyze", "--file", str(path)]) == 3
-    assert "over the budget of 20000" in capsys.readouterr().err
+    stop = CapacityError("SEPARATOR_BUDGET", 20_000, 20_001)
+    assert capsys.readouterr().err == f"spanlab: capacity: {stop}\n"
     assert main(["verify", "--file", str(path)]) == 0
 
 

@@ -120,7 +120,7 @@ def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
     monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 50)
     with pytest.raises(CapacityError) as exc:
         min_steps(star_graph(10), "traditional")
-    assert "budget of 50" in str(exc.value)
+    assert (exc.value.budget, exc.value.limit) == ("WALK_BUDGET", 50)
     # the arcs of each cover state entered plus one per cover-table entry
     # (11 << 11 = 22,528 of them): this search needs exactly 23,069 units
     monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 23069)
@@ -150,12 +150,16 @@ def test_refusal_before_the_span_at_n_times_n_minus_1(monkeypatch):
 
     monkeypatch.setattr(spanlab.walks, "rule_spans", counting_spans)
     monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 20)
-    with pytest.raises(CapacityError, match="budget of 20"):
+    with pytest.raises(CapacityError) as exc:
         min_steps(complete_graph(5), "traditional")
+    assert (exc.value.budget, exc.value.limit, exc.value.spent) == ("WALK_BUDGET", 20, 20)
     assert not spans
     monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 21)
-    with pytest.raises(CapacityError, match="search passed its budget of 21"):
+    with pytest.raises(CapacityError) as exc:
         min_steps(complete_graph(5), "traditional")
+    # only the search itself proves a depth
+    assert (exc.value.budget, exc.value.limit) == ("WALK_BUDGET", 21)
+    assert "moves_at_least" in exc.value.proven
     assert spans == [Rule.TRADITIONAL]
 
 
@@ -390,3 +394,6 @@ def test_walk_as_dict_round_trip():
     assert d["alice"] == list(pair.alice)
     assert d["rule"] == "traditional"
     assert d["moves"] == pair.moves
+    # a pair whose rule is a name, as validate_walk_pair accepts
+    named = WalkPair(("0", "1"), ("1", "0"), "active", 1, 1).as_dict()
+    assert named["rule"] == "active"
