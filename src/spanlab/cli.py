@@ -16,13 +16,13 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, structure
 from .errors import CapacityError, GraphParseError
 from .families import FAMILIES, FIXTURES, _seed_ignored, fixture, generate_family
 from .graphs import INFINITY, Graph, is_connected, metrics, parse_edgelist, parse_graph6, to_graph6
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
-from .structure import INTERVAL_CAP, interval_certificate, minimal_cut_sets
+from .structure import interval_certificate, minimal_cut_sets
 from .theorems import (NOT_APPLICABLE, SKIPPED_BY_CAP, VIOLATED, check_interval_theorems,
                        check_span1_structure, check_span_inequalities)
 from .walks import min_steps
@@ -60,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="cover kind (default both)")
     p["minwalk"].add_argument("--rule", choices=rules,
                               default="traditional", help="movement rule (default traditional)")
-    p["analyze"].add_argument("--cap", type=int, default=INTERVAL_CAP,
+    p["analyze"].add_argument("--cap", type=int,
                               help="most vertices an interval representation is built "
-                                   f"for (default {INTERVAL_CAP})")
+                                   f"for (default {structure.INTERVAL_CAP})")
     p["verify"].add_argument("--seeds", type=int, default=1,
                              help="check this many seeded instances of a --family spec")
     return ap
@@ -158,7 +158,7 @@ def _label_all(g: Graph, vs) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.cap <= 0:
+    if args.cap is not None and args.cap <= 0:
         raise ValueError("--cap must be positive")
     name, g = load_graph(args)
     if not is_connected(g):

@@ -246,7 +246,7 @@ def is_interval(g: Graph) -> bool:
     return is_chordal(g).chordal and find_asteroidal_triple(g) is None
 
 
-def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertificate:
+def interval_certificate(g: Graph, cap: int | None = None) -> IntervalCertificate:
     """Whether g is an interval graph, with a witness either way.
 
     A graph is interval iff it is chordal and has no asteroidal triple
@@ -257,7 +257,8 @@ def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertifica
     least clique that heads one.  Vertex v gets the positions of its first
     and last clique, spread to distinct integer endpoints.  Recognition
     has no cap; the cap applies after it, so an interval graph with more
-    than ``cap`` vertices raises ``CapacityError`` rather than being built.
+    than ``cap`` vertices (default ``INTERVAL_CAP``, read at call time)
+    raises ``CapacityError`` rather than being built.
     """
     chord = is_chordal(g)
     if not chord.chordal:
@@ -265,6 +266,8 @@ def interval_certificate(g: Graph, cap: int = INTERVAL_CAP) -> IntervalCertifica
     at = find_asteroidal_triple(g)
     if at is not None:
         return IntervalCertificate(False, None, None, at)
+    if cap is None:
+        cap = INTERVAL_CAP
     if g.n > cap:
         raise CapacityError("INTERVAL_CAP", cap, g.n, is_interval=True)
     cliques = maximal_cliques(g)

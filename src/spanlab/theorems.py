@@ -12,11 +12,12 @@ from itertools import combinations, permutations, product
 from math import prod
 from typing import NamedTuple
 
+from . import structure
 from .errors import CapacityError
 from .graphs import INFINITY, Graph, induced_masks, is_connected, members, metrics, to_graph6
 from .products import EDGE, RULES, VERTEX, Rule
 from .spans import LevelScan, level_scan, rule_spans
-from .structure import INTERVAL_CAP, _end_cliques, is_interval, minimal_cut_sets
+from .structure import _end_cliques, is_interval, minimal_cut_sets
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -268,6 +269,7 @@ def check_interval_theorems(h: Graph, name: str = "graph") -> TheoremReport:
         raise ValueError("interval theorems apply to connected graphs only")
     iv = is_interval(h)
     tree = h.m == h.n - 1
+    cap = structure.INTERVAL_CAP
     # one span-1 probe serves both of the next two checks
     span_1 = _span_is_1(h) if h.n >= 2 and (iv or tree) else None
     checks = []
@@ -281,13 +283,13 @@ def check_interval_theorems(h: Graph, name: str = "graph") -> TheoremReport:
     else:
         checks.append(Check("tree-characterization", NOT_APPLICABLE))
 
-    if iv and 2 <= h.n <= INTERVAL_CAP:
+    if iv and 2 <= h.n <= cap:
         checks.append(_augmentation_check("end-clique-augmentation", h, _end_cliques(h)))
         checks.append(_augmentation_check(
             "cut-clique-augmentation", h,
             [cut.vertices for cut in minimal_cut_sets(h).sets if cut.is_clique]))
     else:
-        status = SKIPPED_BY_CAP if iv and h.n > INTERVAL_CAP else NOT_APPLICABLE
+        status = SKIPPED_BY_CAP if iv and h.n > cap else NOT_APPLICABLE
         checks.append(Check("end-clique-augmentation", status))
         checks.append(Check("cut-clique-augmentation", status))
     return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks))

@@ -14,14 +14,15 @@ adds constraints, so that count is admissible for the pair (a pattern
 database; Culberson & Schaeffer 1998).  The pair needs the max of the two
 players' counts when a step may move both players (``Rule.joint``), else
 their sum, since then each step moves one player.  Each count is read at
-``pos << n | visited``.  While n << n is at most ``COVER_TABLE_LIMIT``
-(n <= 14), they come from ``cover_table``, which holds the exact count of
-every state and is filled once per search by a breadth-first search
-backwards from the fully visited states, each level a few big-integer
-operations per vertex over all visited sets at once (one byte lane per
-set).  Past the limit, they come from ``PlayerBound``, which computes the
-per-player bound below on first read and keeps it: at most n * 2^n entries
-per player.
+``pos << n | visited``.  When the n << n entries of ``cover_table`` fit in
+``WALK_BUDGET`` (n <= 17 at its default), they come from that table, which
+holds the exact count of every state and is filled once per search by a
+breadth-first search backwards from the fully visited states, each level a
+few big-integer operations per vertex over all visited sets at once (one
+byte lane per set).  Otherwise they come from ``PlayerBound``, which
+computes the per-player bound below on first read and keeps it: at most
+n * 2^n entries per player.  Both are admissible, so the choice changes how
+much the search prunes, never the walk it returns.
 
 The per-player bound.  A player at ``pos`` who has still to visit the set U
 (pos not in U) needs at least
@@ -71,12 +72,13 @@ generates a pair's moves when the search first enters it, so the count
 bounds the product's memory too.
 
 For n >= 3, ``min_steps`` refuses a graph with n(n - 1) >= ``WALK_BUDGET``
-before the span, and loses no answer.  Each move adds at most one vertex
-to a player's visited set, so an answer takes at least two moves, and by
-the last push the search has read A's bound at n - 1 distinct visited
-sets.  Past ``COVER_TABLE_LIMIT`` each of these bounds costs n units;
-below it, the table charges n * 2^n >= n(n - 1).  The root charged at least
-one arc, so that push's check passes the budget: the search would raise.
+before the span, and loses no answer.  Since 2^n > n - 1, such a graph has
+n << n > ``WALK_BUDGET`` entries, so the search would read ``PlayerBound``.
+Each move adds at most one vertex to a player's visited set, so an answer
+takes at least two moves, and by the last push the search has read A's
+bound at n - 1 distinct visited sets, each costing n units.  The root
+charged at least one arc, so that push's check passes the budget: the
+search would raise.
 """
 
 from __future__ import annotations
@@ -91,17 +93,14 @@ from .spans import level_scan, rule_spans
 
 # Work limit of one covering-walk search: the arcs of each cover state
 # entered, plus one per cover-table entry or n per per-player bound
-# memoised; graphs with n <= 1,732 reach the search.  On a 2-vCPU Xeon VM,
-# searches stopped at it took 1.1-3.5 s at 29-92 MiB peak RSS for n = 14-300,
-# and 2.2-11.5 s at 95-1,110 MiB for n = 1,000-1,732 (path:1500: 10.2 s at
-# 780 MiB, 2.8 s and 469 MiB of it the span); star:1700 took 50 s, 2.6 GiB.
+# memoised; graphs with n <= 1,732 reach the search.  The search fills the
+# cover table when its n << n entries fit, so n <= 17 here: on a 2-vCPU
+# Xeon VM the fill took 0.05-0.08 s at n = 17 and raised an easy search's
+# peak RSS from 15 to 30 MiB.  On that VM, searches stopped at the budget
+# took 1.1-3.5 s at 29-92 MiB peak RSS for n = 14-300, and 2.2-11.5 s at
+# 95-1,110 MiB for n = 1,000-1,732 (path:1500: 10.2 s at 780 MiB, 2.8 s and
+# 469 MiB of it the span); star:1700 took 50 s, 2.6 GiB.
 WALK_BUDGET = 3_000_000
-# Entry limit of the exact cover table (``cover_table``, n << n bytes), so
-# n <= 14; past it the search reads ``PlayerBound`` instead.  On the
-# same VM the fill took 3-6 ms at n = 14 (path, cycle, star, random p = 0.3
-# and complete graphs), 8-11 ms at n = 15 and 19-23 ms at n = 16 (star,
-# path, random p = 0.3), where it raised peak RSS from 16 to 22 MiB.
-COVER_TABLE_LIMIT = 1 << 18
 
 
 class WalkPair(NamedTuple):
@@ -186,9 +185,9 @@ def cover_table(g: Graph) -> bytearray:
 class PlayerBound(dict):
     """``pos << n | visited`` -> a lower bound on the moves one player at
     pos in connected ``g`` needs to visit every vertex outside ``visited``
-    (pos in visited), computed on first read: the walk search's bounds past
-    ``COVER_TABLE_LIMIT``, read like ``cover_table``.  The module docstring
-    proves the bound."""
+    (pos in visited), computed on first read: the walk search's bounds when
+    ``cover_table`` does not fit in ``WALK_BUDGET``, read like it.  The
+    module docstring proves the bound."""
 
     def __init__(self, g: Graph):
         super().__init__()
@@ -247,9 +246,9 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
     for code in codes:
         if bit_a[code] & bit_b[code] == full:
             return (code,)
-    # pos << n | visited -> one player's bound; each entry is charged to the
-    # work: 1 per table entry, n per memoised per-player bound
-    if n << n <= COVER_TABLE_LIMIT:
+    # pos << n | visited -> one player's bound: the table when its entries
+    # fit in the budget, charged 1 each, else n per memoised per-player bound
+    if n << n <= WALK_BUDGET:
         bounds, cost = cover_table(p.base), 1
     else:
         bounds, cost = PlayerBound(p.base), n

@@ -145,11 +145,17 @@ def test_analyze_interval_representation(capsys):
     assert "girth=acyclic" in out
 
 
-def test_analyze_cap_limits_the_interval_representation(capsys):
+def test_analyze_cap_limits_the_interval_representation(capsys, monkeypatch):
     # path:15 is interval, but over the default cap of 12 vertices
     code, out, err = run(capsys, "analyze", "--family", "path:15")
     assert (code, out) == (3, "")
-    assert "is_interval=True" in err
+    assert err == stopped("INTERVAL_CAP", 12, 15, is_interval=True)
+    # without --cap, analyze reads the cap in force when it runs
+    monkeypatch.setattr(spanlab.structure, "INTERVAL_CAP", 5)
+    code, out, err = run(capsys, "analyze", "--family", "path:6")
+    assert (code, out) == (3, "")
+    assert err == stopped("INTERVAL_CAP", 5, 6, is_interval=True)
+    monkeypatch.undo()
     code, out, _ = run(capsys, "analyze", "--family", "path:15", "--cap", "15",
                        "--format", "json")
     assert code == 0
@@ -476,10 +482,11 @@ def stopped(budget, limit, spent, **proven) -> str:
 
 
 def test_exit_3_on_capacity(capsys, monkeypatch):
-    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 50)
+    # path:6 fills its 384-entry cover table at this budget, then stops
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 384)
     code, out, err = run(capsys, "minwalk", "--family", "path:6")
     assert (code, out) == (3, "")
-    assert err == stopped("WALK_BUDGET", 50, 395, moves_at_least=5)
+    assert err == stopped("WALK_BUDGET", 384, 395, moves_at_least=5)
     monkeypatch.undo()
     # the search on interval:200:1 (630M arcs at threshold 0) ends at the
     # work budget, having generated the moves of the pairs it entered only

@@ -177,9 +177,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 # every raise site of CapacityError, each tripped at a small patched limit:
 # (module, constant, value in force, the call, spent, proven)
 CAPACITY_STOPS = [
-    # the walk search on path:6 at depth 5: its 384 cover-table entries
-    # plus the arcs of the states entered
+    # the walk search on path:6 at depth 5: below its 6 << 6 = 384 table
+    # entries, n = 6 units per PlayerBound entry read plus the arcs of the
+    # states entered; from 384 on, the table's entries plus those arcs
     (spanlab.walks, "WALK_BUDGET", 50,
+     lambda: min_steps(path_graph(6), "traditional"), 59, {"moves_at_least": 5}),
+    (spanlab.walks, "WALK_BUDGET", 384,
      lambda: min_steps(path_graph(6), "traditional"), 395, {"moves_at_least": 5}),
     # K5 refused before the span: n(n - 1) = 20 units of bounds
     (spanlab.walks, "WALK_BUDGET", 20,
@@ -189,9 +192,11 @@ CAPACITY_STOPS = [
      lambda: brute_force_span(path_graph(7), "traditional", "vertex"), 460, {}),
     # P8 has 6 minimal separators
     (spanlab.structure, "SEPARATOR_BUDGET", 5, lambda: minimal_cut_sets(path_graph(8)), 6, {}),
-    # the default cap, which interval_certificate reads where it is defined
+    # interval_certificate reads the cap in force when it is called
     (spanlab.structure, "INTERVAL_CAP", 12,
      lambda: interval_certificate(path_graph(15)), 15, {"is_interval": True}),
+    (spanlab.structure, "INTERVAL_CAP", 5,
+     lambda: interval_certificate(path_graph(6)), 6, {"is_interval": True}),
     # 2 cuts x (9 x 2 - 2) lobe unions
     (spanlab.theorems, "LOBE_UNION_BUDGET", 10,
      lambda: check_span1_structure(caterpillar(8)), 32, {}),

@@ -138,6 +138,29 @@ def test_edge_test_matches_the_reference_per_component(monkeypatch):
     assert len([n for n in good if n <= 6]) == 1013
     assert len([n for _, n, _, _ in transposed if n <= 6]) == 4
     assert transposed[0] == ("Dhc", 5, Rule.ACTIVE, 2)
+    # at n = 10 a good component's rows and its transpose's rows can cover
+    # different edge sets (none of the atlas's do): under the active rule at
+    # level 3, each of these graphs has two such components, transposes of
+    # each other, whose players cover 11 edges each, two different sets
+    uneven = []
+    for g6 in ("Ihe@?cH@?", "IhCKL?GDO"):
+        g = parse_graph6(g6)
+        for rule in RULES:
+            base = build_product(g, rule)
+            scan = level_scan(g, rule)
+            for level in range(int(metrics(g).radius) + 1):
+                p = safety_subgraph(base, level)
+                expected = edge_good_components(p)
+                for comp in scan.good(level):
+                    codes = pair_codes(comp)
+                    assert scan.covers_edges(comp) == (codes in expected), (g6, rule, level)
+                    arcs = [(divmod(a, g.n), divmod(b, g.n)) for a in codes for b in p.adj[a]]
+                    covered = [{frozenset((x[i], y[i])) for x, y in arcs if x[i] != y[i]}
+                               for i in (0, 1)]
+                    if covered[0] != covered[1]:
+                        uneven.append((g6, rule, level, len(covered[0]), len(covered[1])))
+    assert uneven == [(g6, Rule.ACTIVE, 3, 11, 11)
+                      for g6 in ("Ihe@?cH@?", "IhCKL?GDO") for _ in range(2)]
 
 
 def test_level_scans_are_cached_per_graph_object(monkeypatch):

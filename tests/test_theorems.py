@@ -88,13 +88,25 @@ def test_interval_theorems_on_non_interval_tree():
     assert st["end-clique-augmentation"] == NOT_APPLICABLE
 
 
-def test_interval_theorems_skipped_by_the_size_cap():
+def test_interval_theorems_skipped_by_the_size_cap(monkeypatch):
     # an interval graph over INTERVAL_CAP meets the hypothesis of both
     # augmentation checks, which the cap skips
-    st = status_map(check_interval_theorems(generate_family("interval:14")))
+    g = generate_family("interval:14")
+    st = status_map(check_interval_theorems(g))
     assert st["interval-implies-span-1"] == HOLDS
     assert st["end-clique-augmentation"] == SKIPPED_BY_CAP
     assert st["cut-clique-augmentation"] == SKIPPED_BY_CAP
+    # the checker reads the cap in force when it is called: raised to 14
+    # the augmentation checks run, and lowered to 4 they skip the
+    # 5-vertex path
+    import spanlab.structure
+    monkeypatch.setattr(spanlab.structure, "INTERVAL_CAP", 14)
+    st = status_map(check_interval_theorems(g))
+    assert st["end-clique-augmentation"] == st["cut-clique-augmentation"] == HOLDS
+    monkeypatch.setattr(spanlab.structure, "INTERVAL_CAP", 4)
+    st = status_map(check_interval_theorems(path_graph(5)))
+    assert st["interval-implies-span-1"] == HOLDS
+    assert st["end-clique-augmentation"] == st["cut-clique-augmentation"] == SKIPPED_BY_CAP
 
 
 def test_interval_theorems_on_figure3():

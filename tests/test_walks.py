@@ -11,7 +11,7 @@ from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, complete_graph
                      vertex_span)
 from spanlab.products import build_product, safety_subgraph
 from spanlab.spans import rule_spans
-from spanlab.walks import COVER_TABLE_LIMIT, PlayerBound, cover_table, shortest_covering_walk
+from spanlab.walks import PlayerBound, cover_table, shortest_covering_walk
 
 # the published example pair on the figure3 graph: swap walks that keep the
 # players at distance exactly 2 the whole time
@@ -164,12 +164,14 @@ def test_refusal_before_the_span_at_n_times_n_minus_1(monkeypatch):
 
 
 def test_refusal_loses_no_answer(monkeypatch):
-    # past the cover-table limit, the least budget with which the search
-    # itself (no refusal in front of it) answers lies above n(n - 1), as the
-    # module docstring proves
-    for g in (star_graph(15), path_graph(16)):
+    # where the cover table does not fit in the default budget, the least
+    # budget with which the search itself (no refusal in front of it)
+    # answers lies above n(n - 1) = 306, as the module docstring proves:
+    # 4,999 for star:17 and 1,567 for path:18
+    default = spanlab.walks.WALK_BUDGET
+    for g, least in ((star_graph(17), 4999), (path_graph(18), 1567)):
         n = g.n
-        assert n << n > COVER_TABLE_LIMIT
+        assert n << n > default
         p = build_product(g, "traditional", vertex_span(g, "traditional")[0])
 
         def answers(budget):
@@ -180,7 +182,7 @@ def test_refusal_loses_no_answer(monkeypatch):
                 return False
             return True
 
-        lo, hi = 1, 3_000_000
+        lo, hi = 1, default
         assert answers(hi)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -188,7 +190,7 @@ def test_refusal_loses_no_answer(monkeypatch):
                 hi = mid
             else:
                 lo = mid + 1
-        assert lo > n * (n - 1), (g.adj, lo)
+        assert lo == least > n * (n - 1), (g.adj, lo)
 
 
 def test_search_generates_only_the_moves_it_enters(monkeypatch):
@@ -234,6 +236,8 @@ def test_cover_table_is_exact():
 
 
 def test_search_past_the_table_limit_memoises_player_bound(monkeypatch):
+    # the search fills the cover table exactly when its n << n entries fit
+    # in the work budget, read at call time: n <= 17 at the default
     calls = []
 
     class CountingBound(PlayerBound):
@@ -246,17 +250,51 @@ def test_search_past_the_table_limit_memoises_player_bound(monkeypatch):
 
     monkeypatch.setattr(spanlab.walks, "PlayerBound", CountingBound)
     monkeypatch.setattr(spanlab.walks, "cover_table", no_table)
+    budget = spanlab.walks.WALK_BUDGET
     g = star_graph(20)
-    assert g.n << g.n > COVER_TABLE_LIMIT
+    assert g.n << g.n > budget
     assert min_steps(g, "traditional").moves == 39
     assert min_steps(g, "lazy").moves == 76
-    assert calls == [21, 21]
-    # at the limit the search reads the table, and no PlayerBound is built
-    monkeypatch.setattr(spanlab.walks, "cover_table", cover_table)
-    g = star_graph(13)
-    assert g.n << g.n <= COVER_TABLE_LIMIT
-    assert min_steps(g, "traditional").moves == 25
-    assert calls == [21, 21]
+    # n = 18, the least past the default budget
+    g = star_graph(17)
+    assert g.n << g.n > budget
+    assert min_steps(g, "traditional").moves == 33
+    assert calls == [21, 21, 18]
+    # n = 17 fits, and the search reads the table: no PlayerBound is built
+    filled = []
+
+    def counting_table(g):
+        filled.append(g.n)
+        return cover_table(g)
+
+    monkeypatch.setattr(spanlab.walks, "cover_table", counting_table)
+    g = star_graph(16)
+    assert g.n << g.n <= budget
+    assert min_steps(g, "traditional").moves == 31
+    assert (calls, filled) == ([21, 21, 18], [17])
+    # a budget patched below the table's 17 << 17 entries builds a
+    # PlayerBound for the same graph instead
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", (17 << 17) - 1)
+    assert min_steps(g, "traditional").moves == 31
+    assert (calls, filled) == ([21, 21, 18, 17], [17])
+
+
+def test_least_walk_does_not_depend_on_the_bound(monkeypatch):
+    # the table and PlayerBound are both admissible and the failure memo
+    # keeps only proven failures, so either bound finds the same least
+    # optimal walk; these n = 15-16 inputs fit the table at the default
+    # budget, and PlayerBound, swapped in at the table's one unit per
+    # entry, answers them too
+    specs = ("random:15:0.4:2", "random:16:0.3:0", "random:16:0.25:3", "random:16:0.25:5",
+             "star:14", "path:15", "cycle:16")
+    graphs = [generate_family(spec) for spec in specs]
+    for g in graphs:
+        assert g.n << g.n <= spanlab.walks.WALK_BUDGET
+    want = [min_steps(g, rule) for g in graphs for rule in RULES]
+    monkeypatch.setattr(spanlab.walks, "cover_table", PlayerBound)
+    got = [min_steps(g, rule) for g in graphs for rule in RULES]
+    for a, b in zip(want, got):
+        assert (a.moves, a.pair) == (b.moves, b.pair), a.pair
 
 
 def test_least_optimal_walks_beyond_five_vertices():
