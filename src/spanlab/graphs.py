@@ -426,12 +426,19 @@ def fresh_labels(taken: Iterable[str], wanted: Sequence[str]) -> list[str]:
     return out
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on the given indices, keeping g's order and labels."""
+def vertex_set(g: Graph, vertices: Iterable[int]) -> list[int]:
+    """The distinct vertices, ascending; ValueError names the least one
+    outside g."""
     vs = sorted(set(vertices))
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
+    return vs
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced on the given indices, keeping g's order and labels."""
+    vs = vertex_set(g, vertices)
     back = {v: i for i, v in enumerate(vs)}
     edges = [(back[u], back[v]) for u, v in g.edges() if u in back and v in back]
     return Graph(len(vs), edges, [g.labels[v] for v in vs])

@@ -58,17 +58,19 @@ def as_rule(rule: Rule | str) -> Rule:
         raise ValueError(f"unknown movement rule {rule!r}") from None
 
 
-class _Moves(dict):
-    """Pair code -> its moves as ascending codes, generated on first read: A
-    stays or moves to a2 in N(a), in ascending order, and B's choices are a
-    bitmask ANDed with row a2.  A code not in the product raises KeyError."""
+class ProductGraph(dict):
+    """A distance-thresholded self-product of a base graph, held as the
+    bitset rows of ``graphs.far_rows``: pair code -> its moves as ascending
+    codes, generated on first read.  A stays or moves to a2 in N(a), in
+    ascending order, and B's choices are a bitmask ANDed with row a2.  A
+    code not in the product raises KeyError."""
 
-    def __init__(self, h: Graph, rule: Rule, rows: list[int]):
+    def __init__(self, base: Graph, rule: Rule, threshold: int, rows: list[int]):
         super().__init__()
-        self.h, self.rule, self.rows = h, rule, rows
+        self.base, self.rule, self.threshold, self.rows = base, rule, threshold, rows
 
     def __missing__(self, code: int) -> tuple[int, ...]:
-        h, rule, rows, n = self.h, self.rule, self.rows, self.h.n
+        h, rule, rows, n = self.base, self.rule, self.rows, self.base.n
         if not (0 <= code < n * n and rows[code // n] >> code % n & 1):
             raise KeyError(code)
         a, b = divmod(code, n)
@@ -85,21 +87,15 @@ class _Moves(dict):
         moves = self[code] = tuple(out)
         return moves
 
-
-class ProductGraph:
-    """A distance-thresholded self-product of a base graph, held as the
-    bitset rows of ``graphs.far_rows``."""
-
-    def __init__(self, base: Graph, rule: Rule, threshold: int, rows: list[int]):
-        self.base = base
-        self.rule = rule
-        self.threshold = threshold
-        self.adj = _Moves(base, rule, rows)     # code -> ascending neighbour codes
+    @property
+    def adj(self) -> ProductGraph:
+        """The product itself; ``bench/tracing.py`` reads ``result.adj``."""
+        return self
 
     @cached_property
     def codes(self) -> tuple[int, ...]:
         """The surviving pair codes, ascending."""
-        return pair_codes(self.adj.rows)
+        return pair_codes(self.rows)
 
 
 def build_product(h: Graph, rule: Rule | str, k: int = 0) -> ProductGraph:

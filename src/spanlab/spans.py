@@ -107,7 +107,7 @@ def product_components(p: ProductGraph) -> list[tuple[int, ...]]:
         queue = deque([start])
         while queue:
             a = queue.popleft()
-            for b in p.adj[a]:
+            for b in p[a]:
                 if b not in seen:
                     seen.add(b)
                     comp.append(b)
@@ -142,7 +142,7 @@ def edge_good_components(p: ProductGraph) -> list[tuple[int, ...]]:
         cov2: set[tuple[int, int]] = set()
         for a in comp:
             u, v = divmod(a, n)
-            for b in p.adj[a]:
+            for b in p[a]:
                 if b <= a:
                     continue
                 u2, v2 = divmod(b, n)

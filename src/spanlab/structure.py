@@ -21,7 +21,8 @@ from collections import Counter, deque
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .graphs import Graph, flood, fresh_labels, induced_subgraph, is_connected, members
+from .graphs import (Graph, flood, fresh_labels, induced_subgraph, is_connected, members,
+                     vertex_set)
 
 # size cap: most vertices of an interval representation or augmentation check
 INTERVAL_CAP = 12
@@ -450,11 +451,7 @@ def s_lobes(g: Graph, s: list[int] | tuple[int, ...]) -> list[Graph]:
 
     When S is not a cut set there is exactly one lobe: the graph itself.
     """
-    s_mask = 0
-    for v in set(s):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        s_mask |= 1 << v
+    s_mask = sum(1 << v for v in vertex_set(g, s))
     comps = flood(g.nbr, ((1 << g.n) - 1) & ~s_mask)
     if len(comps) <= 1:
         return [g]
@@ -465,10 +462,7 @@ def augment(g: Graph, s: list[int] | tuple[int, ...], h: Graph) -> Graph:
     """Disjoint union of g and h plus all edges between S and V(h)."""
     if h.n == 0:
         raise ValueError("augmentation needs a non-empty graph")
-    s_set = sorted(set(s))
-    for v in s_set:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    s_set = vertex_set(g, s)
     labels = list(g.labels) + fresh_labels(g.labels, h.labels)
     off = g.n
     edges = list(g.edges())

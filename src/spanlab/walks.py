@@ -224,18 +224,19 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
     ``p`` is ``build_product(h, rule, k)`` at some k, as in ``min_steps``
     at the span: the roots are the good components of h's level
     scan at level k, which the span search there has just flooded, and the
-    moves follow ``p.adj``.  Returns None when there is none, i.e. no single
-    walk can cover all base vertices in both projections.  Iterative
-    deepening under an admissible bound, as the module docstring explains;
-    raises ``CapacityError`` once the work passes ``WALK_BUDGET``.
+    moves of pair code c are ``p[c]``.  Returns None when there is none,
+    i.e. no single walk can cover all base vertices in both projections.
+    Iterative deepening under an admissible bound, as the module docstring
+    explains; raises ``CapacityError`` once the work passes ``WALK_BUDGET``.
     """
     comps = list(level_scan(p.base, p.rule).good(p.threshold))
     if not comps:
         return None
     n = p.base.n
+    if n == 1:      # only K1 has a pair that already covers both players
+        return (0,)
     full = (1 << n) - 1
     shift = 2 * n
-    adj = p.adj
     # per pair code: each player's bit, and its position shifted to index
     # the bounds, looked up on every arc instead of dividing the code (n
     # shared ints per table)
@@ -243,9 +244,6 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
     bit_a, at_a = ([x for x in row for _ in range(n)] for row in (bits, at))
     bit_b, at_b = bits * n, at * n
     codes = sorted(c for comp in comps for c in pair_codes(comp))
-    for code in codes:
-        if bit_a[code] & bit_b[code] == full:
-            return (code,)
     # pos << n | visited -> one player's bound: the table when its entries
     # fit in the budget, charged 1 each, else n per memoised per-player bound
     if n << n <= WALK_BUDGET:
@@ -263,8 +261,8 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
         for bound, code, ma, mb in roots:
             if bound > depth:
                 continue
-            work += len(adj[code])
-            path = [(code, ma, mb, iter(adj[code]))]
+            work += len(p[code])
+            path = [(code, ma, mb, iter(p[code]))]
             while path:
                 code, ma, mb, nbrs = path[-1]
                 left = depth - len(path)        # moves left after the next one
@@ -275,11 +273,11 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
                     if (combine(bounds[at_a[b] | na], bounds[at_b[b] | nb]) > left
                             or failed.get(b << shift | na << n | nb, -1) >= left):
                         continue
-                    work += len(adj[b])
+                    work += len(p[b])
                     if work + cost * len(bounds) > WALK_BUDGET:
                         raise CapacityError("WALK_BUDGET", WALK_BUDGET,
                                             work + cost * len(bounds), moves_at_least=depth)
-                    path.append((b, na, nb, iter(adj[b])))
+                    path.append((b, na, nb, iter(p[b])))
                     break
                 else:
                     path.pop()

@@ -152,7 +152,7 @@ def test_over_budget_searches_stop():
         brute_force_span(complete_graph(40), "traditional", "edge")
 
 
-def test_over_budget_successor_tables_stop(monkeypatch):
+def test_over_budget_call_stops_one_pair_past_the_budget(monkeypatch):
     # K80's threshold-1 moves number about 40M arcs, 6,319 per pair.  The
     # pass generates a pair's moves when it first pops the pair and charges
     # them at once, so the call stops at most one pair's moves past the

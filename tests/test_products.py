@@ -51,6 +51,16 @@ def test_product_moves_match_the_independent_generator():
                     assert p.adj[c] == expect, (g.adj, rule, k, a, b)
 
 
+def test_the_product_is_its_move_table():
+    # one object: a pair's moves are generated on first read and kept in the
+    # product itself, which p.adj returns
+    p = build_product(cycle_graph(5), "traditional", 2)
+    assert isinstance(p, dict) and p.adj is p and len(p) == 0
+    moves = p[p.codes[0]]
+    assert list(p.items()) == [(p.codes[0], moves)]
+    assert p[p.codes[0]] is moves
+
+
 def test_k2_products_by_hand():
     k2 = complete_graph(2)
     # codes: 0=(0,0) 1=(0,1) 2=(1,0) 3=(1,1)

@@ -7,9 +7,9 @@ from helpers import (connected_atlas, floyd_warshall, least_covering_walk, naive
                      random_graphs, single_cover_moves)
 from spanlab import (RULES, CapacityError, Graph, Rule, WalkPair, complete_graph, cycle_graph,
                      fixture, generate_family, min_steps, parse_graph6, path_graph,
-                     random_connected_graph, reroot_walk_pair, star_graph, validate_walk_pair,
-                     vertex_span)
-from spanlab.products import build_product, safety_subgraph
+                     random_connected_graph, reroot_walk_pair, star_graph, subdivided_star,
+                     validate_walk_pair, vertex_span)
+from spanlab.products import VERTEX, build_product, safety_subgraph
 from spanlab.spans import rule_spans
 from spanlab.walks import PlayerBound, cover_table, shortest_covering_walk
 
@@ -314,6 +314,37 @@ def test_least_optimal_walks_beyond_five_vertices():
             assert r.product_walk == least_covering_walk(g, rule.value, r.span, moves), (
                 g.adj, rule)
     assert span_one >= 10
+
+
+# (family, graph on n vertices, the n tried, (span, moves) under the
+# traditional and active rules, the same under the lazy rule); star:2 is P3,
+# so the star starts at n = 4, and the subdivided star has n = 2 * rays + 1
+CLOSED_FORMS = [
+    ("path", path_graph, range(3, 41),
+     lambda n: (1, 2 * ((n + 1) // 2) - 1), lambda n: (0, 2 * (n - 1))),
+    ("cycle", cycle_graph, range(3, 41),
+     lambda n: (n // 2, n - 1), lambda n: ((n - 1) // 2, 2 * (n - 1))),
+    ("complete", complete_graph, range(3, 31),
+     lambda n: (1, n - 1), lambda n: (1, 2 * (n - 1))),
+    ("star", lambda n: star_graph(n - 1), range(4, 31),
+     lambda n: (1, 2 * n - 3), lambda n: (1, 4 * (n - 2))),
+    ("subdivided star", lambda n: subdivided_star(n // 2), range(7, 42, 2),
+     lambda n: (2, 2 * n - 4), lambda n: (2, 4 * (n - 3))),
+]
+
+
+def test_spans_and_moves_match_the_closed_forms_of_five_families():
+    # the vertex span and the optimal moves on five families, past the
+    # n <= 7 reach of the brute-force references; from n = 18 the search
+    # reads PlayerBound, not the cover table
+    for family, make, sizes, joint, lazy in CLOSED_FORMS:
+        for n in sizes:
+            g = make(n)
+            assert g.n == n
+            for rule in RULES:
+                want = (lazy if rule is Rule.LAZY else joint)(n)
+                span, _ = rule_spans(g, rule, (VERTEX,))[VERTEX]
+                assert (span, min_steps(g, rule).moves) == want, (family, n, rule)
 
 
 def test_published_walks_on_figure3():
