@@ -26,10 +26,10 @@ class GraphParseError(SpanlabError):
 
 
 class CapacityError(SpanlabError):
-    """An exact search stopped at a size cap or a work budget: the name of
-    that module constant, its value in force, what the stop counted in its
-    unit (for a refusal before any work, the least the work would need), and
-    the facts the stop proved."""
+    """An exact search stopped at a work budget: the name of that module
+    constant, its value in force, what the stop counted in its unit (for a
+    refusal before any work, the least the work would need), and the facts
+    the stop proved."""
 
     def __init__(self, budget: str, limit: int, spent: int, **proven):
         facts = "".join(f"; proven {key}={value}" for key, value in proven.items())

@@ -24,9 +24,6 @@ from .errors import CapacityError
 from .graphs import (Graph, flood, fresh_labels, induced_subgraph, is_connected, members,
                      vertex_set)
 
-# size cap: most vertices of an interval representation or augmentation check
-INTERVAL_CAP = 12
-
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques (Bron-Kerbosch with pivoting), sorted."""
@@ -243,11 +240,11 @@ class IntervalCertificate(NamedTuple):
 
 
 def is_interval(g: Graph) -> bool:
-    """Interval recognition without building a representation (no cap)."""
+    """Interval recognition without building a representation."""
     return is_chordal(g).chordal and find_asteroidal_triple(g) is None
 
 
-def interval_certificate(g: Graph, cap: int | None = None) -> IntervalCertificate:
+def interval_certificate(g: Graph) -> IntervalCertificate:
     """Whether g is an interval graph, with a witness either way.
 
     A graph is interval iff it is chordal and has no asteroidal triple
@@ -256,10 +253,8 @@ def interval_certificate(g: Graph, cap: int | None = None) -> IntervalCertificat
     triple.  The positive witness is the least clique path, which exists
     iff g is interval (Gilmore & Hoffman 1964): ``_clique_path`` from the
     least clique that heads one.  Vertex v gets the positions of its first
-    and last clique, spread to distinct integer endpoints.  Recognition
-    has no cap; the cap applies after it, so an interval graph with more
-    than ``cap`` vertices (default ``INTERVAL_CAP``, read at call time)
-    raises ``CapacityError`` rather than being built.
+    and last clique, spread to distinct integer endpoints.  Every step is
+    polynomial, so no graph is refused.
     """
     chord = is_chordal(g)
     if not chord.chordal:
@@ -267,10 +262,6 @@ def interval_certificate(g: Graph, cap: int | None = None) -> IntervalCertificat
     at = find_asteroidal_triple(g)
     if at is not None:
         return IntervalCertificate(False, None, None, at)
-    if cap is None:
-        cap = INTERVAL_CAP
-    if g.n > cap:
-        raise CapacityError("INTERVAL_CAP", cap, g.n, is_interval=True)
     cliques = maximal_cliques(g)
     path = next(filter(None, (_clique_path(g, cliques, ci) for ci in range(len(cliques)))), ())
     if len(path) != len(cliques):

@@ -134,10 +134,14 @@ class WalkValidation(NamedTuple):
 
 class MinWalkResult(NamedTuple):
     span: int
-    moves: int
     pair: WalkPair
     product_walk: tuple[int, ...]
     distances: tuple[int, ...]      # the players' distance at each step
+
+    @property
+    def moves(self) -> int:
+        """The pair's move count, ``pair.moves``."""
+        return self.pair.moves
 
 
 def cover_table(g: Graph) -> bytearray:
@@ -311,8 +315,7 @@ def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
     pair = WalkPair(alice=tuple(h.labels[a] for a, _ in steps),
                     bob=tuple(h.labels[b] for _, b in steps),
                     rule=rule, safety=min(distances), moves=len(codes) - 1)
-    return MinWalkResult(span=k, moves=pair.moves, pair=pair, product_walk=codes,
-                         distances=distances)
+    return MinWalkResult(span=k, pair=pair, product_walk=codes, distances=distances)
 
 
 def validate_walk_pair(pair: WalkPair, h: Graph, k: int) -> WalkValidation:

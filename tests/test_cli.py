@@ -145,29 +145,22 @@ def test_analyze_interval_representation(capsys):
     assert "girth=acyclic" in out
 
 
-def test_analyze_cap_limits_the_interval_representation(capsys, monkeypatch):
-    # path:15 is interval, but over the default cap of 12 vertices
+def test_analyze_cap_limits_the_interval_representation(capsys):
+    # no vertex cap limits the representation: path:15 answers with all 15
+    # intervals, and --cap, still parsed for old callers, is hidden and
+    # changes nothing, whatever its value
     code, out, err = run(capsys, "analyze", "--family", "path:15")
-    assert (code, out) == (3, "")
-    assert err == stopped("INTERVAL_CAP", 12, 15, is_interval=True)
-    # without --cap, analyze reads the cap in force when it runs
-    monkeypatch.setattr(spanlab.structure, "INTERVAL_CAP", 5)
-    code, out, err = run(capsys, "analyze", "--family", "path:6")
-    assert (code, out) == (3, "")
-    assert err == stopped("INTERVAL_CAP", 5, 6, is_interval=True)
-    monkeypatch.undo()
-    code, out, _ = run(capsys, "analyze", "--family", "path:15", "--cap", "15",
-                       "--format", "json")
+    assert (code, err) == (0, "")
+    assert "interval: yes" in out
+    code, doc, _ = run(capsys, "analyze", "--family", "path:15", "--format", "json")
     assert code == 0
-    assert len(json.loads(out)["results"]["interval"]["intervals"]) == 15
-    for cap in ("0", "-2"):
-        code, out, err = run(capsys, "analyze", "--family", "path:15", "--cap", cap)
-        assert (code, out) == (2, "")
-        assert err == "spanlab: error: --cap must be positive\n"
-    # the flag is checked before the graph is built: this spec finds no
-    # connected sample and would exit 3
-    code, out, err = run(capsys, "analyze", "--family", "random:60:0.01", "--cap", "0")
-    assert (code, out, err) == (2, "", "spanlab: error: --cap must be positive\n")
+    assert len(json.loads(doc)["results"]["interval"]["intervals"]) == 15
+    for cap in ("5", "0", "15"):
+        assert run(capsys, "analyze", "--family", "path:15", "--cap", cap) == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--cap" not in capsys.readouterr().out
 
 
 def test_verify_single_fixture(capsys):
@@ -466,8 +459,8 @@ def test_usage_errors_exit_2():
 
 
 def test_cap_only_on_commands_that_read_it(capsys):
-    # only analyze has a size cap to override; minwalk's search has a work
-    # budget instead
+    # only analyze still parses --cap, which it ignores; every search has a
+    # work budget instead
     for command in ("span", "minwalk", "verify", "generate"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--fixture", "figure1", "--cap", "3"])

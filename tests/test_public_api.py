@@ -25,8 +25,8 @@ from spanlab import (RULES, CapacityError, Certificate, Check, ChordalityResult,
                      CutSetCatalog, Graph, IntervalCertificate, Metrics, MinWalkResult, Rule,
                      TheoremReport, WalkPair, WalkValidation, brute_force_span,
                      check_span1_structure, complete_graph, cycle_graph, fixture,
-                     generate_family, interval_certificate, metrics, min_steps,
-                     minimal_cut_sets, path_graph, random_interval_graph, rule_spans)
+                     generate_family, metrics, min_steps, minimal_cut_sets, path_graph,
+                     random_interval_graph, rule_spans)
 
 PUBLIC = [
     "CapacityError", "Certificate", "Check", "ChordalityResult", "CutSet",
@@ -97,8 +97,7 @@ RECORDS = [
                 "safety": 1, "moves": 1}),
     (WalkValidation, {"illegal_steps": (), "missing_alice": (), "missing_bob": ("2",),
                       "safety": 1, "valid": False}),
-    (MinWalkResult, {"span": 1, "moves": 1, "pair": _PAIR, "product_walk": (1, 2),
-                     "distances": (1, 1)}),
+    (MinWalkResult, {"span": 1, "pair": _PAIR, "product_walk": (1, 2), "distances": (1, 1)}),
 ]
 
 
@@ -122,6 +121,8 @@ def test_records_are_named_tuples_of_their_fields():
 def test_record_defaults_methods_and_properties():
     assert Check("gap[lazy]", "holds").witness is None
     assert Check("gap[lazy]", "holds") == Check("gap[lazy]", "holds", None)
+    # the walk answer keeps its move count once, on its pair
+    assert MinWalkResult(1, _PAIR, (1, 2), (1, 1)).moves == _PAIR.moves == 1
     assert _PAIR.as_dict() == {"alice": ["0", "1"], "bob": ["1", "0"], "rule": "traditional",
                                "safety": 1, "moves": 1}
     bad = Check("chain[lazy]", "violated", {"edge": 2, "vertex": 1, "radius": 1})
@@ -192,11 +193,6 @@ CAPACITY_STOPS = [
      lambda: brute_force_span(path_graph(7), "traditional", "vertex"), 460, {}),
     # P8 has 6 minimal separators
     (spanlab.structure, "SEPARATOR_BUDGET", 5, lambda: minimal_cut_sets(path_graph(8)), 6, {}),
-    # interval_certificate reads the cap in force when it is called
-    (spanlab.structure, "INTERVAL_CAP", 12,
-     lambda: interval_certificate(path_graph(15)), 15, {"is_interval": True}),
-    (spanlab.structure, "INTERVAL_CAP", 5,
-     lambda: interval_certificate(path_graph(6)), 6, {"is_interval": True}),
     # 2 cuts x (9 x 2 - 2) lobe unions
     (spanlab.theorems, "LOBE_UNION_BUDGET", 10,
      lambda: check_span1_structure(caterpillar(8)), 32, {}),

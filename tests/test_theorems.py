@@ -99,11 +99,11 @@ def test_interval_theorems_skipped_by_the_size_cap(monkeypatch):
     # the checker reads the cap in force when it is called: raised to 14
     # the augmentation checks run, and lowered to 4 they skip the
     # 5-vertex path
-    import spanlab.structure
-    monkeypatch.setattr(spanlab.structure, "INTERVAL_CAP", 14)
+    import spanlab.theorems
+    monkeypatch.setattr(spanlab.theorems, "INTERVAL_CAP", 14)
     st = status_map(check_interval_theorems(g))
     assert st["end-clique-augmentation"] == st["cut-clique-augmentation"] == HOLDS
-    monkeypatch.setattr(spanlab.structure, "INTERVAL_CAP", 4)
+    monkeypatch.setattr(spanlab.theorems, "INTERVAL_CAP", 4)
     st = status_map(check_interval_theorems(path_graph(5)))
     assert st["interval-implies-span-1"] == HOLDS
     assert st["end-clique-augmentation"] == st["cut-clique-augmentation"] == SKIPPED_BY_CAP
