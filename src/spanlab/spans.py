@@ -15,14 +15,14 @@ L - 1 around u.  Pair code u * n + v stands for player A at u and
 player B at v.  The balls come from ``graphs.distance_balls``, grown once
 per graph and cached on it; the radius, from ``graphs.metrics``, is read off
 the same balls.
-A component is flooded a frontier of rows at a time.  Dilating the frontier
-F of row u by the open neighbourhoods N(v) gives D, the positions B can
-step to.  A solo step (``Rule.solo``) sends D into row u (B moves, A stays)
-and F into the rows of N(u) (A moves, B stays).  A joint step
-(``Rule.joint``) sends D into the rows of N(u).  Each row update is a few
-big-integer operations (a dilation costs one table lookup per byte of the
-row), so a level's work follows the row updates, not the product's arcs:
-about (deg u + 1)(deg v + 1) per pair under the traditional rule.
+A component is flooded a frontier of rows at a time.  A pop dilates row u's
+frontier F by the open neighbourhoods N(v) to D, the positions B can step
+to, at one lookup per byte of the row in tables the scan holds (one if F is
+one bit).  A solo step (``Rule.solo``) sends D into row u (B moves, A stays)
+and F into the rows of N(u) (A moves, B stays); a joint step (``Rule.joint``)
+sends D into the rows of N(u).  So a pop updates row u and then each row of
+N(u) with one mask; a level's work follows these updates, not the product's
+arcs: about (deg u + 1)(deg v + 1) per pair under the traditional rule.
 
 Lowering the threshold only adds pairs, so a good component at level L lies
 inside a good component at level L - 1, and an edge-good one inside an
@@ -68,7 +68,7 @@ does not call them, and the tests use them as the per-threshold reference.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property, reduce
 from operator import or_
 from typing import NamedTuple
@@ -155,44 +155,36 @@ def edge_good_components(p: ProductGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def _dilation(masks: Sequence[int]) -> Callable[[int], int]:
-    """The map from a bitset to the union of ``masks[v]`` over its members
-    v, at one table lookup per byte: table k holds the union for every
-    subset of bits 8k .. 8k + 7."""
+def _dilation(masks: Sequence[int]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Byte tables and single-bit images mapping a bitset to the union of
+    ``masks[v]`` over its members v: table k holds the union for every subset
+    of bits 8k .. 8k + 7, and ``one[v + 1]`` is the image of bit v alone."""
     tables = []
     for k in range(0, len(masks), 8):
         table = [0]
         for mask in masks[k:k + 8]:
             table += [t | mask for t in table]
         tables.append(table)
-    nbytes = len(tables)
-    one = (0, *masks)                   # one[v + 1]: the image of bit v alone
-
-    def dilate(bits: int) -> int:
-        if bits & (bits - 1):
-            return reduce(or_, map(list.__getitem__, tables, bits.to_bytes(nbytes, "little")))
-        return one[bits.bit_length()]
-
-    return dilate
+    return tables, (0, *masks)
 
 
 class LevelScan:
     """The good components of one graph's thresholded products under one
     rule, each level flooded on demand and kept (module docstring).  It is
     built from the graph's adjacency lists ``adj`` and holds no reference to
-    the graph, which reference counting still frees.  ``step`` is B's moves
-    from a set of vertices, built from ``adj`` unless given.  ``balls``, the
-    graph's distance balls, serve ``good``; a scan without them floods only
-    the rows handed to ``good_in``."""
+    the graph, which reference counting still frees.  ``tables`` and ``one``
+    (``_dilation``) give B's moves from a set of vertices, built from ``adj``
+    unless given.  ``balls``, the graph's distance balls, serve ``good``; a
+    scan without them floods only the rows handed to ``good_in``."""
 
-    __slots__ = ("n", "adj", "balls", "edges", "rule", "step", "levels", "span")
+    __slots__ = ("n", "adj", "balls", "edges", "rule", "tables", "one", "levels", "span")
 
     def __init__(self, adj: Sequence[Sequence[int]], rule: Rule,
-                 step: Callable[[int], int] | None = None,
+                 dilation: tuple | None = None,
                  balls: Sequence[Sequence[int]] = ()):
         self.n, self.adj, self.rule, self.balls = len(adj), adj, rule, balls
         self.edges = [(u, w) for u, ws in enumerate(adj) for w in ws if u < w]
-        self.step = step or _dilation([sum(1 << w for w in ws) for ws in adj])
+        self.tables, self.one = dilation or _dilation([sum(1 << w for w in ws) for ws in adj])
         # level -> (its good components flooded so far, the codes not yet flooded)
         self.levels: dict[int, tuple[list[list[int]], list[int]]] = {}
         self.span: int | None = None        # the vertex span, once found
@@ -233,8 +225,8 @@ class LevelScan:
 
     def _flood(self, avail: list[int], start: int) -> list[int]:
         """Rows of the component of pair code ``start``, taken out of ``avail``."""
-        n, adj, step = self.n, self.adj, self.step
-        solo, joint = self.rule.solo, self.rule.joint
+        n, adj, tables, one, get = self.n, self.adj, self.tables, self.one, list.__getitem__
+        solo, joint, nbytes = self.rule.solo, self.rule.joint, len(tables)
         comp = [0] * n
         pending = [0] * n
         u, v = divmod(start, n)
@@ -245,19 +237,25 @@ class LevelScan:
             u = stack.pop()
             front = pending[u]
             pending[u] = 0
-            # B moves alone into row u; A moves into the rows of N(u), alone
-            # (B's front stays put) or jointly (B moves too)
-            d = step(front)
-            for reach, rows in ((d if solo else 0, (u,)),
-                                ((front if solo else 0) | (d if joint else 0), adj[u])):
-                for w in rows:
-                    new = reach & avail[w]
-                    if new:
-                        avail[w] ^= new
-                        comp[w] |= new
-                        if not pending[w]:
-                            stack.append(w)
-                        pending[w] |= new
+            d = (reduce(or_, map(get, tables, front.to_bytes(nbytes, "little")))
+                 if front & (front - 1) else one[front.bit_length()])
+            new = d & avail[u] if solo else 0       # B moves alone into row u
+            if new:
+                avail[u] ^= new
+                comp[u] |= new
+                pending[u] = new
+                stack.append(u)
+            # A moves into the rows of N(u): alone, B's front staying put (solo),
+            # or jointly, B moving too; every rule allows one of the two
+            reach = (front | d if joint else front) if solo else d
+            for w in adj[u]:
+                new = reach & avail[w]
+                if new:
+                    avail[w] ^= new
+                    comp[w] |= new
+                    if not pending[w]:
+                        stack.append(w)
+                    pending[w] |= new
         return comp
 
     def covers_edges(self, comp: list[int]) -> bool:
@@ -267,15 +265,17 @@ class LevelScan:
         comp onto a component; if that meets comp at (v, 0), with v the
         least bit of row 0, it is comp, and the second test repeats the
         first."""
-        solo, joint, step = self.rule.solo, self.rule.joint, self.step
+        solo, joint, tables = self.rule.solo, self.rule.joint, self.tables
+        nbytes, get = len(tables), list.__getitem__
         passes = [comp]
         if not comp[(comp[0] & -comp[0]).bit_length() - 1] & 1:
             # cols[v]: the u with (u, v) in comp; zip transposes the bit matrix
             bits = (format(row, f"0{self.n}b")[::-1] for row in comp)     # bit 0 first
             passes.append([int("".join(col)[::-1], 2) for col in zip(*bits)])
         for rows in passes:
-            # B's end of an arc on which A moves from the row: stays or moves
-            moved = [(r if solo else 0) | (step(r) if joint else 0) for r in rows]
+            # B's end of an arc on which A moves from the row: stays (solo) or moves (joint)
+            moved = [reduce(or_, map(get, tables, r.to_bytes(nbytes, "little")), r if solo else 0)
+                     if joint else r for r in rows]
             if not all(moved[u] & rows[w] for u, w in self.edges):
                 return False
         return True
@@ -287,8 +287,8 @@ def level_scan(h: Graph, rule: Rule) -> LevelScan:
     only, so the scans of all rules share one set of its tables."""
     scans = h._scans = h._scans or {}
     if rule not in scans:
-        step = next(iter(scans.values())).step if scans else _dilation(h.nbr)
-        scans[rule] = LevelScan(h.adj, rule, step, distance_balls(h))
+        dilation = next(((s.tables, s.one) for s in scans.values()), None) or _dilation(h.nbr)
+        scans[rule] = LevelScan(h.adj, rule, dilation, distance_balls(h))
     return scans[rule]
 
 

@@ -7,7 +7,8 @@ import pytest
 from helpers import connected_atlas, descending_span, random_graphs, spine_tree
 from spanlab import (EDGE, KINDS, RULES, VERTEX, Certificate, Graph, Rule, complete_graph,
                      cycle_graph, edge_span, fixture, generate_family, metrics, parse_graph6,
-                     path_graph, random_interval_graph, rule_spans, to_graph6, vertex_span)
+                     path_graph, random_connected_graph, random_interval_graph, rule_spans,
+                     to_graph6, vertex_span)
 from spanlab.products import build_product, safety_subgraph
 from spanlab.spans import (edge_good_components, good_components, level_scan, pair_codes,
                            product_components)
@@ -163,6 +164,39 @@ def test_edge_test_matches_the_reference_per_component(monkeypatch):
                       for g6 in ("Ihe@?cH@?", "IhCKL?GDO") for _ in range(2)]
 
 
+def test_level_scan_matches_the_reference_past_one_byte_table():
+    # rows of 2 and 3 bytes (n = 9-24), so a multi-bit front is dilated
+    # through several tables: dense and sparse random graphs, a path and a
+    # caterpillar, every rule and every level 0 .. radius + 1.  The good
+    # components flooded fresh, resumed after the first and replayed, and
+    # the edge test on each, against the reference scan of the product
+    graphs = (random_graphs(12, 9, 24, 46)
+              + [random_connected_graph(n, 0.15, seed=n) for n in range(9, 25, 2)]
+              + [path_graph(17), spine_tree(13, 5, 1)])
+    assert {(g.n + 7) // 8 for g in graphs} == {2, 3}
+    good = edge_good = 0
+    for g in graphs:
+        for rule in RULES:
+            base = build_product(g, rule)
+            scan = level_scan(g, rule)
+            for k in range(int(metrics(g).radius) + 2):
+                p = safety_subgraph(base, k)
+                expected = good_components(p)
+                first = next(scan.good(k), None)
+                assert first is None or pair_codes(first) == expected[0]
+                for _ in range(2):
+                    comps = list(scan.good(k))
+                    assert [pair_codes(comp) for comp in comps] == expected, (
+                        to_graph6(g), rule, k)
+                edges = edge_good_components(p)
+                for comp in comps:
+                    assert scan.covers_edges(comp) == (pair_codes(comp) in edges), (
+                        to_graph6(g), rule, k)
+                good += len(comps)
+                edge_good += len(edges)
+    assert (good, edge_good) == (201, 188)
+
+
 def test_level_scans_are_cached_per_graph_object(monkeypatch):
     # a second call on one graph floods nothing; an equal but distinct
     # graph has its own scans and floods again
@@ -184,7 +218,8 @@ def test_level_scans_are_cached_per_graph_object(monkeypatch):
     assert six_spans(twin) == first and len(floods) == 2 * once
     assert {id(scan) for scan in floods[:once]}.isdisjoint(map(id, floods[once:]))
     # the three rules' scans of one graph share one set of dilation tables
-    ours, theirs = ({id(level_scan(h, rule).step) for rule in RULES} for h in (g, twin))
+    ours, theirs = ({(id(scan.tables), id(scan.one)) for scan in map(level_scan, [h] * 3, RULES)}
+                    for h in (g, twin))
     assert len(ours) == len(theirs) == 1 and ours != theirs
 
 
