@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from binascii import b2a_base64
+from bisect import bisect_left
 from functools import cached_property
 from itertools import compress, repeat
 from operator import or_, xor
@@ -237,7 +238,8 @@ def metrics(g: Graph) -> Metrics:
     (``distance_balls``) holds every vertex, and infinite if none does.
     """
     full = (1 << g.n) - 1
-    ecc = tuple(col.index(full) if col[-1] == full else INFINITY
+    # the balls are nested, so each column is non-decreasing as integers
+    ecc = tuple(bisect_left(col, full) if col[-1] == full else INFINITY
                 for col in zip(*distance_balls(g)))
     return Metrics(graph=g, ecc=ecc, radius=min(ecc, default=0),
                    diameter=max(ecc, default=0))

@@ -15,14 +15,12 @@ database; Culberson & Schaeffer 1998).  The pair needs the max of the two
 players' counts when a step may move both players (``Rule.joint``), else
 their sum, since then each step moves one player.  Each count is read at
 ``pos << n | visited``.  When the n << n entries of ``cover_table`` fit in
-``WALK_BUDGET`` (n <= 17 at its default), they come from that table, which
-holds the exact count of every state and is filled once per search by a
-breadth-first search backwards from the fully visited states, each level a
-few big-integer operations per vertex over all visited sets at once (one
-byte lane per set).  Otherwise they come from ``PlayerBound``, which
-computes the per-player bound below on first read and keeps it: at most
-n * 2^n entries per player.  Both are admissible, so the choice changes how
-much the search prunes, never the walk it returns.
+``WALK_BUDGET`` (n <= 17 at its default), they come from that table of
+the exact count of every state, filled once per search.  Otherwise they
+come from ``PlayerBound``, which computes the per-player bound below on
+first read and keeps it: at most n * 2^n entries per player.  Both are
+admissible, so the choice changes how much the search prunes, never the
+walk it returns.
 
 The per-player bound.  A player at ``pos`` who has still to visit the set U
 (pos not in U) needs at least
@@ -58,27 +56,40 @@ Seeds and neighbours are tried in ascending pair code, so the search meets
 walks in lexicographic order and the first covering walk it finds is the
 lexicographically least optimal walk: a smaller one would differ first at
 some move tried earlier, whose branch was not pruned and so would have
-returned a walk first.  ``shortest_covering_walk`` returns that walk as
-pair codes, and ``min_steps`` alone decodes it: into the two players'
-labels, their distance at each step, and the safety.
+returned a walk first.  ``shortest_covering_walk`` returns it as pair
+codes, and ``min_steps`` alone decodes them.
 
 The search counts its work and raises ``CapacityError`` once that passes
 ``WALK_BUDGET``.  Entering a cover state (a root, or a push) charges its
 arcs, since each is then tried against the bound and the memo whether or
-not it is followed.  The cover table charges its n << n entries once, and
-each ``PlayerBound`` entry charges n, since it scans up to n vertices.
-So the count bounds the time, and not only the states.  The product
-generates a pair's moves when the search first enters it, so the count
-bounds the product's memory too.
+not it is followed, and each ``PlayerBound`` entry charges n, since it
+scans up to n vertices.  So the count bounds the time, and the memory of
+the product, which generates a pair's moves when the search first enters
+it.  The cover table is charged nothing: it is filled only when its
+entries fit the budget.
+
+A larger budget loses no answer.  On each side of n << n the search is
+one computation the budget only stops.  Across it, an answer at
+B < n << n (on ``PlayerBound``) implies one at every B' >= n << n: the
+table search enters only states the other enters.  Call a state s with m
+moves left shut when its bound exceeds m or the memo has s failing at m
+or more; it is not entered and holds no covering walk within m moves.
+The table's pair bound is at least ``PlayerBound``'s and consistent (each
+player's exact count drops at most one per move, and one player moves
+where counts add), so in the table search each successor of a shut
+(s, m) is shut at m - 1, by consistency or as s failed only after trying
+them all.  Both searches try moves in one order, so by induction what
+the ``PlayerBound`` search shuts the table search shuts too (by closure
+inside a subtree it skipped).
 
 For n >= 3, ``min_steps`` refuses a graph with n(n - 1) >= ``WALK_BUDGET``
-before the span, and loses no answer.  Since 2^n > n - 1, such a graph has
-n << n > ``WALK_BUDGET`` entries, so the search would read ``PlayerBound``.
-Each move adds at most one vertex to a player's visited set, so an answer
-takes at least two moves, and by the last push the search has read A's
-bound at n - 1 distinct visited sets, each costing n units.  The root
-charged at least one arc, so that push's check passes the budget: the
-search would raise.
+before the span, and loses no answer; the table's charge plays no part.
+Since 2^n > n - 1, such a graph has n << n > ``WALK_BUDGET`` entries, so
+the search would read ``PlayerBound``.  Each move adds at most one vertex
+to a player's visited set, so an answer takes at least two moves, and by
+the last push the search has read A's bound at n - 1 distinct visited
+sets, each costing n units.  The root charged at least one arc, so that
+push's check passes the budget: the search would raise.
 """
 
 from __future__ import annotations
@@ -92,14 +103,11 @@ from .products import VERTEX, ProductGraph, Rule, as_rule, build_product
 from .spans import level_scan, rule_spans
 
 # Work limit of one covering-walk search: the arcs of each cover state
-# entered, plus one per cover-table entry or n per per-player bound
-# memoised; graphs with n <= 1,732 reach the search.  The search fills the
-# cover table when its n << n entries fit, so n <= 17 here: on a 2-vCPU
-# Xeon VM the fill took 0.05-0.08 s at n = 17 and raised an easy search's
-# peak RSS from 15 to 30 MiB.  On that VM, searches stopped at the budget
-# took 1.1-3.5 s at 29-92 MiB peak RSS for n = 14-300, and 2.2-11.5 s at
-# 95-1,110 MiB for n = 1,000-1,732 (path:1500: 10.2 s at 780 MiB, 2.8 s and
-# 469 MiB of it the span); star:1700 took 50 s, 2.6 GiB.
+# entered, plus n per per-player bound memoised; graphs with n <= 1,732
+# reach the search, and the cover table fits for n <= 17.  On a 2-vCPU Xeon
+# VM its fill took 0.05-0.08 s at n = 17 (peak RSS 15 -> 30 MiB), and
+# searches stopped at the budget took 1.1-3.5 s at 29-92 MiB for n = 14-300,
+# 2.2-11.5 s at 95-1,110 MiB for n = 1,000-1,732; star:1700 took 50 s, 2.6 GiB.
 WALK_BUDGET = 3_000_000
 
 
@@ -222,16 +230,12 @@ class PlayerBound(dict):
 
 
 def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
-    """The lexicographically least optimal product walk, as pair codes; its
-    moves are its length minus one, and ``min_steps`` decodes it.
+    """The lexicographically least optimal product walk, as pair codes, or
+    None when no walk covers every base vertex in both projections.
 
-    ``p`` is ``build_product(h, rule, k)`` at some k, as in ``min_steps``
-    at the span: the roots are the good components of h's level
-    scan at level k, which the span search there has just flooded, and the
-    moves of pair code c are ``p[c]``.  Returns None when there is none,
-    i.e. no single walk can cover all base vertices in both projections.
-    Iterative deepening under an admissible bound, as the module docstring
-    explains; raises ``CapacityError`` once the work passes ``WALK_BUDGET``.
+    ``p`` is ``build_product(h, rule, k)``, as in ``min_steps`` at the span;
+    the roots are the good components of h's level scan at level k.  Raises
+    ``CapacityError`` once the work passes ``WALK_BUDGET`` (module docstring).
     """
     comps = list(level_scan(p.base, p.rule).good(p.threshold))
     if not comps:
@@ -241,19 +245,14 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
         return (0,)
     full = (1 << n) - 1
     shift = 2 * n
-    # per pair code: each player's bit, and its position shifted to index
-    # the bounds, looked up on every arc instead of dividing the code (n
-    # shared ints per table)
+    # per pair code: each player's bit and its position shifted to index the
+    # bounds (n shared ints per table), so no arc divides the code
     bits, at = [1 << v for v in range(n)], [v << n for v in range(n)]
     bit_a, at_a = ([x for x in row for _ in range(n)] for row in (bits, at))
     bit_b, at_b = bits * n, at * n
     codes = sorted(c for comp in comps for c in pair_codes(comp))
-    # pos << n | visited -> one player's bound: the table when its entries
-    # fit in the budget, charged 1 each, else n per memoised per-player bound
-    if n << n <= WALK_BUDGET:
-        bounds, cost = cover_table(p.base), 1
-    else:
-        bounds, cost = PlayerBound(p.base), n
+    # pos << n | visited -> one player's bound, and the work charged per entry
+    bounds, cost = (cover_table(p.base), 0) if n << n <= WALK_BUDGET else (PlayerBound(p.base), n)
     combine = max if p.rule.joint else add
     # per root, in ascending code: its pair bound and its cover state
     roots = [(combine(bounds[at_a[c] | bit_a[c]], bounds[at_b[c] | bit_b[c]]),
@@ -278,9 +277,8 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
                             or failed.get(b << shift | na << n | nb, -1) >= left):
                         continue
                     work += len(p[b])
-                    if work + cost * len(bounds) > WALK_BUDGET:
-                        raise CapacityError("WALK_BUDGET", WALK_BUDGET,
-                                            work + cost * len(bounds), moves_at_least=depth)
+                    if (spent := work + cost * len(bounds)) > WALK_BUDGET:
+                        raise CapacityError("WALK_BUDGET", WALK_BUDGET, spent, moves_at_least=depth)
                     path.append((b, na, nb, iter(p[b])))
                     break
                 else:
@@ -292,12 +290,10 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
 def min_steps(h: Graph, rule: Rule | str) -> MinWalkResult:
     """Span plus the shortest covering walk pair that attains it.
 
-    The product is built once, at the span, and the pair codes of
-    ``shortest_covering_walk`` are decoded here, once: into the pair, the
-    players' distance at each step (``distances``) and the safety.  The
-    search stops with ``CapacityError`` once its work passes
-    ``WALK_BUDGET``, and a graph on which it must (module docstring) is
-    refused before the span.
+    The product is built once, at the span, and the walk's pair codes are
+    decoded once: into the pair, the players' distance at each step
+    (``distances``) and the safety.  Raises ``CapacityError`` at
+    ``WALK_BUDGET``, before the span where the search must (module docstring).
     """
     rule = as_rule(rule)
     if not is_connected(h):

@@ -475,11 +475,12 @@ def stopped(budget, limit, spent, **proven) -> str:
 
 
 def test_exit_3_on_capacity(capsys, monkeypatch):
-    # path:6 fills its 384-entry cover table at this budget, then stops
-    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 384)
-    code, out, err = run(capsys, "minwalk", "--family", "path:6")
+    # figure3 (n = 8) reads its 2,048-entry cover table at this budget and
+    # stops one move short of its 9
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 2048)
+    code, out, err = run(capsys, "minwalk", "--fixture", "figure3")
     assert (code, out) == (3, "")
-    assert err == stopped("WALK_BUDGET", 384, 395, moves_at_least=5)
+    assert err == stopped("WALK_BUDGET", 2048, 2053, moves_at_least=8)
     monkeypatch.undo()
     # the search on interval:200:1 (630M arcs at threshold 0) ends at the
     # work budget, having generated the moves of the pairs it entered only

@@ -25,8 +25,8 @@ from spanlab import (RULES, CapacityError, Certificate, Check, ChordalityResult,
                      CutSetCatalog, Graph, IntervalCertificate, Metrics, MinWalkResult, Rule,
                      TheoremReport, WalkPair, WalkValidation, brute_force_span,
                      check_span1_structure, complete_graph, cycle_graph, fixture,
-                     generate_family, metrics, min_steps, minimal_cut_sets, path_graph,
-                     random_interval_graph, rule_spans)
+                     generate_family, metrics, min_steps, minimal_cut_sets, parse_graph6,
+                     path_graph, random_interval_graph, rule_spans)
 
 PUBLIC = [
     "CapacityError", "Certificate", "Check", "ChordalityResult", "CutSet",
@@ -178,13 +178,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 # every raise site of CapacityError, each tripped at a small patched limit:
 # (module, constant, value in force, the call, spent, proven)
 CAPACITY_STOPS = [
-    # the walk search on path:6 at depth 5: below its 6 << 6 = 384 table
-    # entries, n = 6 units per PlayerBound entry read plus the arcs of the
-    # states entered; from 384 on, the table's entries plus those arcs
+    # the walk search: below the n << n cover-table entries, the arcs of
+    # the states entered plus n units per PlayerBound entry read (path:6 at
+    # depth 5); from n << n on, those arcs alone, the table charged nothing
+    # (the net, a triangle with a pendant vertex at each corner, n = 6: 9
+    # moves, at depth 8)
     (spanlab.walks, "WALK_BUDGET", 50,
      lambda: min_steps(path_graph(6), "traditional"), 59, {"moves_at_least": 5}),
     (spanlab.walks, "WALK_BUDGET", 384,
-     lambda: min_steps(path_graph(6), "traditional"), 395, {"moves_at_least": 5}),
+     lambda: min_steps(parse_graph6("E@dW"), "traditional"), 389, {"moves_at_least": 8}),
     # K5 refused before the span: n(n - 1) = 20 units of bounds
     (spanlab.walks, "WALK_BUDGET", 20,
      lambda: min_steps(complete_graph(5), "traditional"), 20, {}),

@@ -121,13 +121,17 @@ def test_work_budget_replaces_the_default_vertex_cap(monkeypatch):
     with pytest.raises(CapacityError) as exc:
         min_steps(star_graph(10), "traditional")
     assert (exc.value.budget, exc.value.limit) == ("WALK_BUDGET", 50)
-    # the arcs of each cover state entered plus one per cover-table entry
-    # (11 << 11 = 22,528 of them): this search needs exactly 23,069 units
-    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 23069)
+    # below its 11 << 11 = 22,528 cover-table entries the search reads
+    # PlayerBound, at the arcs of each cover state entered plus n = 11 per
+    # bound memoised: it needs exactly 1,366 units
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 1366)
     assert min_steps(star_graph(10), "traditional").moves == 19
-    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 23068)
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 1365)
     with pytest.raises(CapacityError):
         min_steps(star_graph(10), "traditional")
+    # the table is charged nothing, so the least budget that fills it answers
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 22528)
+    assert min_steps(star_graph(10), "traditional").moves == 19
 
 
 def test_cover_table_search_stays_small_where_the_players_block_each_other(monkeypatch):
@@ -279,16 +283,42 @@ def test_search_past_the_table_limit_memoises_player_bound(monkeypatch):
     assert (calls, filled) == ([21, 21, 18, 17], [17])
 
 
+def test_a_larger_budget_never_loses_an_answer(monkeypatch):
+    # the budget where the search switches from PlayerBound to the cover
+    # table (n << n): an answer one unit below it is the same answer at it,
+    # as the module docstring proves
+    cases = 0
+    for g in connected_atlas(7):
+        if g.n < 3:
+            continue
+        for rule in RULES:
+            monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", (g.n << g.n) - 1)
+            try:
+                below = min_steps(g, rule)
+            except CapacityError:
+                continue
+            monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", g.n << g.n)
+            assert min_steps(g, rule).pair == below.pair, (g.adj, rule)
+            cases += 1
+    assert cases == 1510
+    # path:6 under the traditional rule: PlayerBound answers from 151 units,
+    # the table (6 << 6 = 384 entries) from 384 on, in 5 moves
+    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 150)
+    with pytest.raises(CapacityError) as exc:
+        min_steps(path_graph(6), "traditional")
+    assert exc.value.proven == {"moves_at_least": 5}
+    for budget in (151, 383, 384, 415):
+        monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", budget)
+        assert min_steps(path_graph(6), "traditional").moves == 5
+
+
 def test_least_walk_does_not_depend_on_the_bound(monkeypatch):
     # the table and PlayerBound are both admissible and the failure memo
     # keeps only proven failures, so either bound finds the same least
     # optimal walk; these n = 15-16 inputs fit the table at the default
-    # budget.  PlayerBound, swapped in at the table's one unit per entry,
-    # answers them too, under a budget raised well above what it spends
-    # (random:16:0.3:0 under the lazy rule takes 2.6M units, close to the
-    # default 3M), so that a little more search work cannot stop the
-    # comparison; n << n still fits the raised budget, so the table is
-    # still the bound chosen and swapped
+    # budget, and PlayerBound, swapped in for it, is charged nothing like
+    # the table, so the default budget counts the arcs of its search alone
+    # (2.6M units on random:16:0.3:0 under the lazy rule, the most here)
     specs = ("random:15:0.4:2", "random:16:0.3:0", "random:16:0.25:3", "random:16:0.25:5",
              "star:14", "path:15", "cycle:16")
     graphs = [generate_family(spec) for spec in specs]
@@ -296,7 +326,6 @@ def test_least_walk_does_not_depend_on_the_bound(monkeypatch):
         assert g.n << g.n <= spanlab.walks.WALK_BUDGET
     want = [min_steps(g, rule) for g in graphs for rule in RULES]
     monkeypatch.setattr(spanlab.walks, "cover_table", PlayerBound)
-    monkeypatch.setattr(spanlab.walks, "WALK_BUDGET", 10_000_000)
     got = [min_steps(g, rule) for g in graphs for rule in RULES]
     for a, b in zip(want, got):
         assert (a.moves, a.pair) == (b.moves, b.pair), a.pair
