@@ -26,7 +26,7 @@ _GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Undirected simple graph with ordered vertices and distinct labels."""
 
-    __slots__ = ("n", "labels", "adj", "_label_index", "_nbr", "_balls", "_scans", "_cuts")
+    __slots__ = ("n", "labels", "adj", "_label_index", "nbr", "_balls", "_scans", "_cuts")
 
     def __init__(
         self,
@@ -56,17 +56,10 @@ class Graph:
         self.labels = labels
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self._label_index = {lab: i for i, lab in enumerate(labels)}
-        self._nbr: tuple[int, ...] | None = None
+        self.nbr = tuple(sum(1 << w for w in a) for a in self.adj)     # w in nbr[v] iff v ~ w
         self._balls: tuple[tuple[int, ...], ...] | None = None
         self._scans: dict | None = None     # rule -> spans.LevelScan
         self._cuts = None                   # structure.minimal_cut_sets
-
-    @property
-    def nbr(self) -> tuple[int, ...]:
-        """Neighbour bitmasks, built on first use: w in ``nbr[v]`` iff v ~ w."""
-        if self._nbr is None:
-            self._nbr = tuple(sum(1 << w for w in a) for a in self.adj)
-        return self._nbr
 
     @property
     def m(self) -> int:

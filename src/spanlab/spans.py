@@ -51,8 +51,8 @@ decides it: whether (v, 0) is in C, for the least v of row 0.  Then the
 transpose has C's rows and the second test could only repeat the first.
 
 The floods live in one ``LevelScan`` per graph and rule, cached on the
-graph like its balls.  It floods each level's good components lazily, in
-that order, and replays them to later calls: the span search, the span-1
+graph like its balls.  It floods a level whole on first use and keeps the
+list of its good components, in that order: the span search, the span-1
 checks and the covering-walk search's roots share it, so no level of a
 graph is flooded twice.  A certificate keeps its component's rows and
 builds the pair codes on first read.  ``LevelScan.good_in`` runs the same
@@ -170,12 +170,13 @@ def _dilation(masks: Sequence[int]) -> tuple[list[list[int]], tuple[int, ...]]:
 
 class LevelScan:
     """The good components of one graph's thresholded products under one
-    rule, each level flooded on demand and kept (module docstring).  It is
-    built from the graph's adjacency lists ``adj`` and holds no reference to
-    the graph, which reference counting still frees.  ``tables`` and ``one``
-    (``_dilation``) give B's moves from a set of vertices, built from ``adj``
-    unless given.  ``balls``, the graph's distance balls, serve ``good``; a
-    scan without them floods only the rows handed to ``good_in``."""
+    rule, each level flooded whole on first use and its list kept in
+    ``levels`` (module docstring).  It is built from the graph's adjacency
+    lists ``adj`` and holds no reference to the graph, which reference
+    counting still frees.  ``tables`` and ``one`` (``_dilation``) give B's
+    moves from a set of vertices, built from ``adj`` unless given.
+    ``balls``, the graph's distance balls, serve ``good``; a scan without
+    them floods only the rows handed to ``good_in``."""
 
     __slots__ = ("n", "adj", "balls", "edges", "rule", "tables", "one", "levels", "span")
 
@@ -185,27 +186,16 @@ class LevelScan:
         self.n, self.adj, self.rule, self.balls = len(adj), adj, rule, balls
         self.edges = [(u, w) for u, ws in enumerate(adj) for w in ws if u < w]
         self.tables, self.one = dilation or _dilation([sum(1 << w for w in ws) for ws in adj])
-        # level -> (its good components flooded so far, the codes not yet flooded)
-        self.levels: dict[int, tuple[list[list[int]], list[int]]] = {}
+        self.levels: dict[int, list[list[int]]] = {}      # level -> good(level)
         self.span: int | None = None        # the vertex span, once found
 
-    def good(self, level: int) -> Iterator[list[int]]:
+    def good(self, level: int) -> list[list[int]]:
         """Rows of the good components at ``level`` in ascending order of
-        least pair code (module docstring): those flooded before, then new
-        floods (``good_in``)."""
+        least pair code (module docstring), the level flooded whole
+        (``good_in``) on the first call and the list kept for later ones."""
         if level not in self.levels:
-            self.levels[level] = [], far_rows(self.balls, level)
-        comps, avail = self.levels[level]
-        floods = self.good_in(avail, (1 << self.n) - 1)
-        i = 0
-        while True:
-            if i == len(comps):
-                comp = next(floods, None)
-                if comp is None:
-                    return
-                comps.append(comp)
-            yield comps[i]
-            i += 1
+            self.levels[level] = list(self.good_in(far_rows(self.balls, level), (1 << self.n) - 1))
+        return self.levels[level]
 
     def good_in(self, avail: list[int], vertices: int) -> Iterator[list[int]]:
         """Rows of the good components, taken out of ``avail``, of the
@@ -320,23 +310,19 @@ def rule_spans(h: Graph, rule: Rule | str,
     lo, hi = 0, min([int(metrics(h).radius), *caps])
     mid = hi                            # the top level first
     while lo < hi:
-        if next(scan.good(mid), None) is None:
+        if not scan.good(mid):
             hi = mid - 1
         else:
             lo = mid
         mid = (lo + hi + 1) // 2
     scan.span = lo
-    # (level, rows) of each kind's certificate: the first good component at
-    # the vertex span, and the first edge-good one descending from it
-    firsts = {VERTEX: ((lo, comp) for comp in scan.good(lo)),
-              EDGE: ((level, comp) for level in range(lo, -1, -1)
-                     for comp in filter(scan.covers_edges, scan.good(level)))}
     out = {}
     for kind in kinds:
-        level, comp = next(firsts[kind], (0, None))
-        if comp is None:
-            raise AssertionError(f"threshold 0 always admits a good component of kind "
-                                 f"{kind} for a connected graph")
+        # the first good component at the vertex span, or the first edge-good
+        # one descending from it; level 0 has both for a connected graph
+        level, comp = (lo, scan.good(lo)[0]) if kind == VERTEX else next(
+            (level, comp) for level in range(lo, -1, -1)
+            for comp in scan.good(level) if scan.covers_edges(comp))
         out[kind] = level, Certificate(rule=rule, kind=kind, threshold=level, rows=tuple(comp))
     return out
 

@@ -113,7 +113,7 @@ def _span_is_1(h: Graph) -> bool:
     """Whether connected h with n >= 2 has traditional vertex span 1: the
     span is >= 1 and the levels with a good component are 0 .. span, so it
     is 1 iff level 2 has none (past the radius a centre's row is empty)."""
-    return next(level_scan(h, Rule.TRADITIONAL).good(2), None) is None
+    return not level_scan(h, Rule.TRADITIONAL).good(2)
 
 
 def _induced_span_is_1(scan: LevelScan, nbr: Sequence[int], vertices: int) -> bool:
@@ -216,10 +216,7 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
                 lobes_ok = False
                 witness.setdefault("bad_lobe_union",
                                    {"cut": list(cut.vertices), "lobes": chosen})
-        bad = 0
-        for comp in cut.components:
-            if any(not h.has_edge(s, v) for s in cut.vertices for v in comp):
-                bad += 1
+        bad = sum(any(nbr[v] & cut_mask != cut_mask for v in comp) for comp in cut.components)
         if bad > 2:
             join_ok = False
             witness.setdefault("non_join_lobes", {"cut": list(cut.vertices), "count": bad})

@@ -237,7 +237,7 @@ def shortest_covering_walk(p: ProductGraph) -> tuple[int, ...] | None:
     the roots are the good components of h's level scan at level k.  Raises
     ``CapacityError`` once the work passes ``WALK_BUDGET`` (module docstring).
     """
-    comps = list(level_scan(p.base, p.rule).good(p.threshold))
+    comps = level_scan(p.base, p.rule).good(p.threshold)
     if not comps:
         return None
     n = p.base.n

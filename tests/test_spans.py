@@ -84,16 +84,13 @@ def test_good_components_require_both_projections():
 
 def test_level_scan_matches_the_product_components():
     # the scan's good components at level k are those of the k-thresholded
-    # product, in the same order, whether flooded in one pass, resumed after
-    # the first, or replayed
+    # product, in the same order, whether flooded or replayed
     for g in connected_atlas(6):
         for rule in RULES:
             base = build_product(g, rule)
             scan = level_scan(g, rule)
             for k in range(int(metrics(g).radius) + 2):
                 expected = good_components(safety_subgraph(base, k))
-                first = next(scan.good(k), None)
-                assert first is None or pair_codes(first) == expected[0]
                 for _ in range(2):
                     got = [pair_codes(comp) for comp in scan.good(k)]
                     assert got == expected, (to_graph6(g), rule, k)
@@ -168,8 +165,8 @@ def test_level_scan_matches_the_reference_past_one_byte_table():
     # rows of 2 and 3 bytes (n = 9-24), so a multi-bit front is dilated
     # through several tables: dense and sparse random graphs, a path and a
     # caterpillar, every rule and every level 0 .. radius + 1.  The good
-    # components flooded fresh, resumed after the first and replayed, and
-    # the edge test on each, against the reference scan of the product
+    # components flooded fresh and replayed, and the edge test on each,
+    # against the reference scan of the product
     graphs = (random_graphs(12, 9, 24, 46)
               + [random_connected_graph(n, 0.15, seed=n) for n in range(9, 25, 2)]
               + [path_graph(17), spine_tree(13, 5, 1)])
@@ -182,10 +179,8 @@ def test_level_scan_matches_the_reference_past_one_byte_table():
             for k in range(int(metrics(g).radius) + 2):
                 p = safety_subgraph(base, k)
                 expected = good_components(p)
-                first = next(scan.good(k), None)
-                assert first is None or pair_codes(first) == expected[0]
                 for _ in range(2):
-                    comps = list(scan.good(k))
+                    comps = scan.good(k)
                     assert [pair_codes(comp) for comp in comps] == expected, (
                         to_graph6(g), rule, k)
                 edges = edge_good_components(p)
@@ -195,6 +190,26 @@ def test_level_scan_matches_the_reference_past_one_byte_table():
                 good += len(comps)
                 edge_good += len(edges)
     assert (good, edge_good) == (201, 188)
+
+
+def test_a_level_is_flooded_once_whole(monkeypatch):
+    # path:60 under the active rule has one good component at level 1; the
+    # first good(1) floods on past it, through the rest of row 0, and keeps
+    # the list, which a second call returns with no flood
+    from spanlab.spans import LevelScan
+    floods = []
+    flood = LevelScan._flood
+
+    def counting(self, avail, start):
+        floods.append(start)
+        return flood(self, avail, start)
+
+    monkeypatch.setattr(LevelScan, "_flood", counting)
+    scan = level_scan(path_graph(60), Rule.ACTIVE)
+    comps = scan.good(1)
+    assert isinstance(comps, list) and len(comps) == 1 and len(floods) == 2
+    assert scan.good(1) is comps and scan.levels == {1: comps}
+    assert len(floods) == 2
 
 
 def test_level_scans_are_cached_per_graph_object(monkeypatch):
