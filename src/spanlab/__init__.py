@@ -14,7 +14,7 @@ from .errors import CapacityError, GraphParseError, SpanlabError
 from .families import (FIXTURES, complete_graph, cycle_graph, fixture,
                        generate_family, path_graph, random_connected_graph,
                        random_interval_graph, star_graph, subdivided_star)
-from .graphs import (INFINITY, Graph, Metrics, components, fresh_labels,
+from .graphs import (INFINITY, Graph, Metrics, components, fresh_labels, girth,
                      induced_subgraph, is_connected, metrics, parse_edgelist,
                      parse_graph6, to_graph6)
 from .oracle import brute_force_span
@@ -41,7 +41,7 @@ __all__ = [
     "check_interval_theorems", "check_span1_structure",
     "check_span_inequalities", "complete_graph", "components", "cycle_graph",
     "edge_span", "end_cliques", "find_asteroidal_triple", "fixture",
-    "fresh_labels", "generate_family", "induced_subgraph",
+    "fresh_labels", "generate_family", "girth", "induced_subgraph",
     "interval_certificate", "is_chordal", "is_connected", "is_interval",
     "maximal_cliques", "metrics", "min_steps", "minimal_cut_sets",
     "parse_edgelist", "parse_graph6", "path_graph", "random_connected_graph",

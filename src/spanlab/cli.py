@@ -19,7 +19,8 @@ import sys
 from . import __version__
 from .errors import CapacityError, GraphParseError
 from .families import FAMILIES, FIXTURES, _seed_ignored, fixture, generate_family
-from .graphs import INFINITY, Graph, is_connected, metrics, parse_edgelist, parse_graph6, to_graph6
+from .graphs import (INFINITY, Graph, girth, is_connected, metrics, parse_edgelist, parse_graph6,
+                     to_graph6)
 from .products import KINDS, RULES, as_rule
 from .spans import rule_spans
 from .structure import interval_certificate, minimal_cut_sets
@@ -175,7 +176,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                  "is_clique": c.is_clique,
                  "components": [_label_all(g, comp) for comp in c.components]}
                 for c in minimal_cut_sets(g).sets if len(c.vertices) <= size_cap]
-    girth_text = "acyclic" if met.girth == INFINITY else str(int(met.girth))
+    shortest_cycle = girth(g)
+    girth_text = "acyclic" if shortest_cycle == INFINITY else str(int(shortest_cycle))
     lines = [f"graph: {name}  n={g.n} m={g.m}",
              f"radius={_finite(met.radius)} diameter={_finite(met.diameter)} "
              f"girth={girth_text}"]
@@ -195,7 +197,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append("  {" + ",".join(c["vertices"]) + "}  " + flag + "  components: " + comps)
     emit(args, describe(name, g),
          {"metrics": {"radius": _finite(met.radius), "diameter": _finite(met.diameter),
-                      "girth": _finite(met.girth)},
+                      "girth": _finite(shortest_cycle)},
           "interval": interval_doc, "cut_sets": cuts_doc}, lines)
     return 0
 

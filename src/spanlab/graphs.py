@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from binascii import b2a_base64
 from bisect import bisect_left
-from functools import cached_property
 from itertools import compress, repeat
 from operator import or_, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -93,50 +92,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class _MetricsFields(NamedTuple):
-    graph: Graph
+class Metrics(NamedTuple):
+    """Eccentricities, radius and diameter, read off the distance balls.
+
+    Unreachable pairs carry the infinity sentinel, so every eccentricity of
+    a disconnected graph is infinite.
+    """
     ecc: tuple[float, ...]
     radius: float
     diameter: float
-
-
-class Metrics(_MetricsFields):
-    """Eccentricities, radius and diameter of ``graph``, read off its
-    distance balls, plus the girth, computed on first use; the subclass of
-    the fields gives an instance ``__dict__`` to keep it in.
-
-    Unreachable pairs carry the infinity sentinel, so every eccentricity of
-    a disconnected graph is infinite; ``girth`` is infinite for acyclic
-    graphs.
-    """
-
-    @cached_property
-    def girth(self) -> float:
-        """Girth from distance rings (Itai & Rodeh 1978, "Finding a minimum
-        circuit in a graph"): from a source s, an edge inside ring d, or a
-        vertex of ring d with two neighbours in ring d - 1, closes a walk
-        of length 2d + 1, or 2d, that holds a cycle.  A shortest cycle C is
-        isometric (a shorter chord path would close a shorter cycle), so
-        from any s on C the edge or vertex opposite s is such a witness of
-        |C|.  A source stops at the first ring d with 2d at least the best
-        so far.
-        """
-        g = self.graph
-        nbr = g.nbr
-        girth: float = INFINITY
-        # a forest (m = n - #components) has no cycle: skip its n^2 ring scan
-        cyclic = g.m + len(flood(nbr, (1 << g.n) - 1)) > g.n
-        for rings in distance_rings(g) if cyclic else ():
-            for d in range(1, len(rings)):
-                if 2 * d >= girth or not rings[d]:
-                    break
-                for v in members(rings[d]):
-                    if (nbr[v] & rings[d - 1]).bit_count() > 1:
-                        girth = 2 * d
-                        break
-                    if nbr[v] & rings[d]:
-                        girth = min(girth, 2 * d + 1)
-        return girth
 
 
 def distance_balls(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -225,7 +189,7 @@ def distance_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
 
 
 def metrics(g: Graph) -> Metrics:
-    """Eccentricities, radius and diameter; girth on demand.
+    """Eccentricities, radius and diameter.
 
     The eccentricity of u is the first level at which u's distance ball
     (``distance_balls``) holds every vertex, and infinite if none does.
@@ -234,8 +198,34 @@ def metrics(g: Graph) -> Metrics:
     # the balls are nested, so each column is non-decreasing as integers
     ecc = tuple(bisect_left(col, full) if col[-1] == full else INFINITY
                 for col in zip(*distance_balls(g)))
-    return Metrics(graph=g, ecc=ecc, radius=min(ecc, default=0),
-                   diameter=max(ecc, default=0))
+    return Metrics(ecc=ecc, radius=min(ecc, default=0), diameter=max(ecc, default=0))
+
+
+def girth(g: Graph) -> float:
+    """Girth from distance rings (Itai & Rodeh 1978, "Finding a minimum
+    circuit in a graph"), infinite for acyclic graphs: from a source s, an
+    edge inside ring d, or a vertex of ring d with two neighbours in ring
+    d - 1, closes a walk of length 2d + 1, or 2d, that holds a cycle.  A
+    shortest cycle C is isometric (a shorter chord path would close a
+    shorter cycle), so from any s on C the edge or vertex opposite s is
+    such a witness of |C|.  A source stops at the first ring d with 2d at
+    least the best so far.
+    """
+    nbr = g.nbr
+    best: float = INFINITY
+    # a forest (m = n - #components) has no cycle: skip its n^2 ring scan
+    cyclic = g.m + len(flood(nbr, (1 << g.n) - 1)) > g.n
+    for rings in distance_rings(g) if cyclic else ():
+        for d in range(1, len(rings)):
+            if 2 * d >= best or not rings[d]:
+                break
+            for v in members(rings[d]):
+                if (nbr[v] & rings[d - 1]).bit_count() > 1:
+                    best = 2 * d
+                    break
+                if nbr[v] & rings[d]:
+                    best = min(best, 2 * d + 1)
+    return best
 
 
 def flood(nbr: Sequence[int], left: int) -> list[tuple[int, int]]:
@@ -259,6 +249,22 @@ def flood(nbr: Sequence[int], left: int) -> list[tuple[int, int]]:
             comp |= frontier
         out.append((comp, touched & ~comp))
     return out
+
+
+def grow(nbr: Sequence[int], left: int, s: int) -> int:
+    """The component of s in G[left + s] as a mask, grown from s alone."""
+    comp = frontier = 1 << s
+    left &= ~frontier
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & left
+        left ^= frontier
+        comp |= frontier
+    return comp
 
 
 def induced_masks(g: Graph, vertices: int) -> tuple[int, ...]:
@@ -289,7 +295,10 @@ def components(g: Graph) -> list[tuple[int, ...]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(flood(g.nbr, (1 << g.n) - 1)) <= 1
+    """Whether g has at most one component: the growth from vertex 0
+    reaches every vertex."""
+    full = (1 << g.n) - 1
+    return not g.n or grow(g.nbr, full, 0) == full
 
 
 # --- text formats -----------------------------------------------------------
@@ -369,10 +378,11 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """One edge per line as two whitespace-separated vertex indices."""
+    """One edge per line as two whitespace-separated vertex indices.  An
+    edge list cannot name a vertex on no edge, so the indices named must be
+    0 .. n - 1 with none skipped; a gap raises, naming the least one."""
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    top = -1
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -393,8 +403,11 @@ def parse_edgelist(text: str) -> Graph:
             raise GraphParseError(f"duplicate edge {key} rejected", line=lineno)
         seen.add(key)
         edges.append((u, v))
-        top = max(top, u, v)
-    return Graph(top + 1, edges)
+    named = sorted({v for key in seen for v in key})
+    gap = next((i for i, v in enumerate(named) if v != i), None)
+    if gap is not None:
+        raise GraphParseError(f"vertex {gap} lies on no edge")
+    return Graph(len(named), edges)
 
 
 # --- constructions ----------------------------------------------------------

@@ -21,8 +21,8 @@ from collections import Counter, deque
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .graphs import (Graph, flood, fresh_labels, induced_subgraph, is_connected, members,
-                     vertex_set)
+from .graphs import (Graph, flood, fresh_labels, grow, induced_subgraph, is_connected,
+                     members, vertex_set)
 
 
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
@@ -149,21 +149,6 @@ def find_asteroidal_triple(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def _component(nbr: list[int], left: int, s: int) -> int:
-    """The component of s in G[left + s] as a mask, grown from s alone."""
-    comp = frontier = 1 << s
-    while frontier:
-        left &= ~frontier
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= nbr[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & left
-        comp |= frontier
-    return comp
-
-
 def _heads(nbr: list[int], c: tuple[int, ...], w: int) -> bool:
     """Whether the maximal clique C = ``c`` of interval G[w] heads a path.
 
@@ -181,7 +166,7 @@ def _heads(nbr: list[int], c: tuple[int, ...], w: int) -> bool:
     s = next((s for s in c if (nbr[s] | 1 << s) & w == clique), None)
     if s is None:
         return False
-    reach = {a: _component(nbr, w & ~(nbr[a] | 1 << a), s) for a in members(w & ~clique)}
+    reach = {a: grow(nbr, w & ~(nbr[a] | 1 << a), s) for a in members(w & ~clique)}
     return not any(reach[b] >> a & 1 for a, r in reach.items()
                    for b in members((r & ~clique) >> (a + 1) << (a + 1)))
 

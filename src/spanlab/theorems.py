@@ -13,7 +13,8 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .graphs import INFINITY, Graph, induced_masks, is_connected, members, metrics, to_graph6
+from .graphs import (INFINITY, Graph, girth, induced_masks, is_connected, members, metrics,
+                     to_graph6)
 from .products import EDGE, RULES, VERTEX, Rule
 from .spans import LevelScan, level_scan, rule_spans
 from .structure import _end_cliques, is_interval, minimal_cut_sets
@@ -69,8 +70,7 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
     """Chain 0 <= edge <= vertex <= radius, gap <= 1, and girth bounds."""
     if not is_connected(h):
         raise ValueError("span inequalities apply to connected graphs only")
-    met = metrics(h)
-    rad = int(met.radius)
+    rad = int(metrics(h).radius)
     checks = []
     spans = {}
     for rule in RULES:
@@ -87,18 +87,19 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
             v - e <= 1,
             {"edge": e, "vertex": v},
         ))
-    if met.girth == INFINITY:
+    shortest_cycle = girth(h)
+    if shortest_cycle == INFINITY:
         for rule in RULES:
             checks.append(Check(f"girth-bound[{rule.value}]", NOT_APPLICABLE))
     else:
-        half = int(met.girth) // 2
+        half = int(shortest_cycle) // 2
         bounds = {Rule.TRADITIONAL: half, Rule.ACTIVE: half - 1, Rule.LAZY: half - 1}
         for rule in RULES:
             bound = max(bounds[rule], 0)
             checks.append(_check(
                 f"girth-bound[{rule.value}]",
                 spans[rule][0] >= bound,
-                {"vertex": spans[rule][0], "bound": bound, "girth": int(met.girth)},
+                {"vertex": spans[rule][0], "bound": bound, "girth": int(shortest_cycle)},
             ))
     if h.n >= 2:
         checks.append(_check(
@@ -190,13 +191,9 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     scan, nbr = level_scan(h, Rule.TRADITIONAL), h.nbr
     # a lobe union's relabelled neighbour masks -> span 1?
     union_ok: dict[tuple[int, ...], bool] = {}
-    clique_ok = True
-    lobes_ok = True
-    join_ok = True
     witness: dict = {}
     for cut, cls in zip(catalog.sets, classes):
         if not cut.is_clique:
-            clique_ok = False
             witness.setdefault("non_clique_cut", list(cut.vertices))
         cut_mask = sum(1 << v for v in cut.vertices)
         lobe_masks = [sum(1 << v for v in lobe) for lobe in cut.components]
@@ -213,19 +210,14 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
             if key not in union_ok:
                 union_ok[key] = _induced_span_is_1(scan, nbr, vs)
             if not union_ok[key]:
-                lobes_ok = False
                 witness.setdefault("bad_lobe_union",
                                    {"cut": list(cut.vertices), "lobes": chosen})
         bad = sum(any(nbr[v] & cut_mask != cut_mask for v in comp) for comp in cut.components)
         if bad > 2:
-            join_ok = False
             witness.setdefault("non_join_lobes", {"cut": list(cut.vertices), "count": bad})
     base = {"graph6": g6}
-    checks = (
-        _check(_SPAN1_CHECKS[0], clique_ok, base | witness),
-        _check(_SPAN1_CHECKS[1], lobes_ok, base | witness),
-        _check(_SPAN1_CHECKS[2], join_ok, base | witness),
-    )
+    checks = tuple(_check(check, key not in witness, base | witness) for check, key in
+                   zip(_SPAN1_CHECKS, ("non_clique_cut", "bad_lobe_union", "non_join_lobes")))
     return TheoremReport(graph_name=name, graph6=g6, checks=checks)
 
 

@@ -3,6 +3,7 @@ seeded random generators."""
 
 import math
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import networkx as nx
@@ -14,7 +15,7 @@ from helpers import (all_trees, connected_atlas, floyd_warshall, graph_to_nx,
                      nx_to_graph)
 import spanlab.families
 from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
-                     components, cycle_graph, fresh_labels,
+                     components, cycle_graph, fresh_labels, girth,
                      induced_subgraph, is_connected, metrics,
                      parse_edgelist, parse_graph6, path_graph,
                      random_connected_graph, random_interval_graph, to_graph6)
@@ -130,6 +131,14 @@ def test_edgelist_errors_carry_line_numbers():
         parse_edgelist("-1 2")
     with pytest.raises(GraphParseError):
         parse_edgelist("3 3")
+    with pytest.raises(GraphParseError) as exc:
+        parse_edgelist("0 1\n1 0\n")
+    assert exc.value.line == 2
+    # every vertex lies on an edge: an index gap names the least vertex on
+    # none, and builds no graph of the largest index's size
+    for text, gap in (("0 2\n", 1), ("1 2\n", 0), ("0 1\n3 4\n0 100000000\n", 2)):
+        with pytest.raises(GraphParseError, match=f"^vertex {gap} lies on no edge$"):
+            parse_edgelist(text)
 
 
 def _rings_by_definition(dist, n):
@@ -143,13 +152,14 @@ def _rings_by_definition(dist, n):
     return rings
 
 
-def _assert_eccentricities(met, dist):
-    """metrics' eccentricities, radius and diameter, read off the balls,
-    against those of a distance table."""
+def _assert_eccentricities(g, dist):
+    """metrics' eccentricities, radius and diameter of g, read off the
+    balls, against those of a distance table."""
+    met = metrics(g)
     ecc = tuple(max(row) for row in dist)
-    assert met.ecc == ecc, met.graph.adj
+    assert met.ecc == ecc, g.adj
     assert (met.radius, met.diameter) == (min(ecc, default=0), max(ecc, default=0))
-    assert distance_matrix(met.graph) == distance_matrix(met.graph)
+    assert distance_matrix(g) == distance_matrix(g)
 
 
 def test_distance_matrix_against_floyd_warshall():
@@ -168,7 +178,7 @@ def test_distance_matrix_against_floyd_warshall():
         ref = floyd_warshall(g)
         assert [list(row) for row in distance_matrix(g)] == ref, g.adj
         assert list(distance_rings(g)) == _rings_by_definition(ref, g.n), g.adj
-        _assert_eccentricities(metrics(g), ref)
+        _assert_eccentricities(g, ref)
     assert distance_balls(Graph(0)) == ((),)
     assert distance_matrix(Graph(0)) == ()
     assert distance_balls(Graph(1)) == ((1,),)
@@ -186,7 +196,7 @@ def test_distance_kernel_on_long_paths_and_cycles():
             ref = [[dist(i, j) for j in range(n)] for i in range(n)]
             assert [list(row) for row in distance_matrix(g)] == ref, g
             assert list(distance_rings(g)) == _rings_by_definition(ref, n), g
-            _assert_eccentricities(metrics(g), ref)
+            _assert_eccentricities(g, ref)
 
 
 def test_far_rows_and_ball_distance_against_distance_matrix():
@@ -211,10 +221,11 @@ def test_far_rows_and_ball_distance_against_distance_matrix():
 
 
 def test_metrics_path4():
-    met = metrics(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    met = metrics(g)
     assert met.radius == 2
     assert met.diameter == 3
-    assert met.girth == INFINITY
+    assert girth(g) == INFINITY
 
 
 def test_metrics_petersen():
@@ -222,7 +233,7 @@ def test_metrics_petersen():
     met = metrics(g)
     assert met.radius == 2
     assert met.diameter == 2
-    assert met.girth == 5
+    assert girth(g) == 5
 
 
 def test_girth_matches_networkx():
@@ -236,7 +247,7 @@ def test_girth_matches_networkx():
     for gx in graphs:
         g = nx_to_graph(gx)
         expected = nx.girth(gx)
-        ours = metrics(g).girth
+        ours = girth(g)
         if expected == math.inf:
             assert ours == INFINITY
         else:
@@ -248,7 +259,21 @@ def test_components_and_connectivity():
     comps = components(g)
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3], [4]]
     assert not is_connected(g)
-    assert is_connected(Graph(1))
+    assert is_connected(Graph(0)) and is_connected(Graph(1))
+
+
+def test_is_connected_grows_only_the_first_component():
+    # a 20,000-vertex perfect matching: one growth from vertex 0 answers,
+    # not a flood of all 10,000 components with their neighbourhoods
+    g = Graph(20_000, [(2 * i, 2 * i + 1) for i in range(10_000)])
+    tracemalloc.start()
+    try:
+        assert not is_connected(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert is_connected(path_graph(2_000))
 
 
 def _first_connected(draw, seed):

@@ -22,10 +22,10 @@ import spanlab.structure
 import spanlab.theorems
 import spanlab.walks
 from spanlab import (RULES, CapacityError, Certificate, Check, ChordalityResult, CutSet,
-                     CutSetCatalog, Graph, IntervalCertificate, Metrics, MinWalkResult, Rule,
+                     CutSetCatalog, IntervalCertificate, Metrics, MinWalkResult, Rule,
                      TheoremReport, WalkPair, WalkValidation, brute_force_span,
                      check_span1_structure, complete_graph, cycle_graph, fixture,
-                     generate_family, metrics, min_steps, minimal_cut_sets, parse_graph6,
+                     generate_family, girth, metrics, min_steps, minimal_cut_sets, parse_graph6,
                      path_graph, random_interval_graph, rule_spans)
 
 PUBLIC = [
@@ -37,7 +37,7 @@ PUBLIC = [
     "check_interval_theorems", "check_span1_structure",
     "check_span_inequalities", "complete_graph", "components", "cycle_graph",
     "edge_span", "end_cliques", "find_asteroidal_triple", "fixture",
-    "fresh_labels", "generate_family", "induced_subgraph",
+    "fresh_labels", "generate_family", "girth", "induced_subgraph",
     "interval_certificate", "is_chordal", "is_connected", "is_interval",
     "maximal_cliques", "metrics", "min_steps", "minimal_cut_sets",
     "parse_edgelist", "parse_graph6", "path_graph", "random_connected_graph",
@@ -84,7 +84,7 @@ def test_readme_quick_start_runs():
 _PAIR = WalkPair(alice=("0", "1"), bob=("1", "0"), rule=Rule.TRADITIONAL, safety=1, moves=1)
 # each result record with its fields in order, and values for them
 RECORDS = [
-    (Metrics, {"graph": Graph(2, [(0, 1)]), "ecc": (1, 1), "radius": 1, "diameter": 1}),
+    (Metrics, {"ecc": (1, 1), "radius": 1, "diameter": 1}),
     (Certificate, {"rule": Rule.ACTIVE, "kind": "vertex", "threshold": 1, "rows": (2, 1)}),
     (ChordalityResult, {"chordal": True, "elimination_order": (1, 0), "chordless_cycle": None}),
     (IntervalCertificate, {"is_interval": False, "intervals": None,
@@ -145,15 +145,12 @@ def ring_scans(monkeypatch):
     return calls
 
 
-def test_girth_is_computed_once_per_metrics_object(ring_scans):
+def test_metrics_runs_no_ring_scan_and_each_girth_call_runs_one(ring_scans):
     g = cycle_graph(5)
     met = metrics(g)
-    assert ring_scans == []
-    assert met.girth == 5 and ring_scans == [g]
-    assert met.girth == 5 and ring_scans == [g]
-    again = metrics(g)
-    assert again == met and again is not met
-    assert again.girth == 5 and ring_scans == [g, g]
+    assert ring_scans == [] and not hasattr(met, "girth") and not hasattr(met, "graph")
+    assert girth(g) == 5 and ring_scans == [g]
+    assert girth(g) == 5 and ring_scans == [g, g]
 
 
 def test_spans_and_walks_never_compute_the_girth(ring_scans):

@@ -213,19 +213,19 @@ def test_clique_path_tests_only_contested_steps(monkeypatch):
     # clique; after it, a step tests its offered cliques in order but the
     # last, which must complete the path if none before it does
     import spanlab.structure
-    heads, component = spanlab.structure._heads, spanlab.structure._component
+    heads, grow = spanlab.structure._heads, spanlab.structure.grow
     tests, growths = [], []
 
     def counting_heads(nbr, c, w):
         tests.append((c, members(w), heads(nbr, c, w)))
         return tests[-1][-1]
 
-    def counting_component(nbr, left, s):
+    def counting_grow(nbr, left, s):
         growths.append(s)
-        return component(nbr, left, s)
+        return grow(nbr, left, s)
 
     monkeypatch.setattr(spanlab.structure, "_heads", counting_heads)
-    monkeypatch.setattr(spanlab.structure, "_component", counting_component)
+    monkeypatch.setattr(spanlab.structure, "grow", counting_grow)
     # P30: clique (0, 1) heads the path from vertex 0, growing once for each
     # of vertices 2-29, and every later step offers one clique
     assert interval_certificate(path_graph(30)).is_interval
