@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .errors import CapacityError, GraphParseError
-from .families import FAMILIES, FIXTURES, _seed_ignored, fixture, generate_family
+from .families import FAMILIES, FIXTURES, fixture, generate_family, seed_ignored
 from .graphs import (INFINITY, Graph, girth, is_connected, metrics, parse_edgelist, parse_graph6,
                      to_graph6)
 from .products import KINDS, RULES, as_rule
@@ -83,7 +83,7 @@ def _check_seeded(args: argparse.Namespace, flag: str) -> None:
     the seed: elsewhere the flag would name the same graph."""
     if args.family is None:
         raise ValueError(f"{flag} needs --family")
-    if why := _seed_ignored(args.family):
+    if why := seed_ignored(args.family):
         raise ValueError(f"{flag} needs a family spec that reads the seed: {why}")
 
 

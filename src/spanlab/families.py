@@ -53,9 +53,10 @@ def subdivided_star(n: int) -> Graph:
     return Graph(2 * n + 1, edges)
 
 
-# Resampling until connected stops after SAMPLE_BUDGET random numbers
-# (rng.random() calls or sampled interval endpoints) or MAX_DRAWS samples,
-# whichever comes first, and raises CapacityError: about a second of work.
+# Resampling until connected makes at most MAX_DRAWS samples and no more than
+# fit in SAMPLE_BUDGET random numbers (rng.random() calls or sampled interval
+# endpoints), then raises CapacityError.  The first sample is made whatever its
+# size (random:2000:0.005 needs 2M numbers); the rest cost about a second at most.
 SAMPLE_BUDGET = 1_000_000
 MAX_DRAWS = 50_000
 
@@ -175,7 +176,7 @@ def _split(spec: str) -> tuple[str, list[str]]:
     return name, args
 
 
-def _seed_ignored(spec: str) -> str | None:
+def seed_ignored(spec: str) -> str | None:
     """Why a family spec names the same graph whatever the ``seed``
     argument of ``generate_family``, or None if the spec reads it."""
     name, args = _split(spec)

@@ -267,18 +267,6 @@ def grow(nbr: Sequence[int], left: int, s: int) -> int:
     return comp
 
 
-def induced_masks(g: Graph, vertices: int) -> tuple[int, ...]:
-    """Neighbour masks of the subgraph of g induced on the vertex mask
-    ``vertices``, relabelled 0 .. |vertices| - 1 in index order, as
-    ``induced_subgraph`` numbers them: two vertex sets give equal masks
-    exactly when their induced subgraphs have the same graph6."""
-    n = g.n
-    pos = list(compress(range(n), format(vertices, f"0{n}b")[::-1].encode().translate(_SELECT)))
-    bit = dict(zip(pos, map((1).__lshift__, range(len(pos)))))    # v -> its new bit
-    zeros = repeat(0)
-    return tuple(sum(map(bit.get, g.adj[v], zeros)) for v in pos)
-
-
 def members(mask: int) -> tuple[int, ...]:
     """The vertices of a bitmask, ascending."""
     out = []

@@ -13,8 +13,7 @@ from math import prod
 from typing import NamedTuple
 
 from .errors import CapacityError
-from .graphs import (INFINITY, Graph, girth, induced_masks, is_connected, members, metrics,
-                     to_graph6)
+from .graphs import INFINITY, Graph, girth, is_connected, members, metrics, to_graph6
 from .products import EDGE, RULES, VERTEX, Rule
 from .spans import LevelScan, level_scan, rule_spans
 from .structure import _end_cliques, is_interval, minimal_cut_sets
@@ -31,10 +30,10 @@ SKIPPED_BY_CAP = "skipped-by-cap"
 INTERVAL_CAP = 12
 
 # lobe unions the span-1 structure check may probe, over all cuts.  On a
-# 2-vCPU Xeon VM (CPython 3.11) the probes take about 0.07 s for the 528
+# 2-vCPU Xeon VM (CPython 3.11) the check takes about 0.03 s for the 528
 # unions of a 47-vertex interval graph (cliques K1..K8 and a 10-vertex path
-# hung at one vertex), and about 1.6 s for the 996 unions of path:500, 498
-# of them distinct, of up to 499 vertices
+# hung at one vertex), and about 1.1-1.3 s for the 996 unions of path:500,
+# of up to 499 vertices, 498 of them probed: one per length
 LOBE_UNION_BUDGET = 1_000
 # lobes of at most this many vertices get a key; it tries every ordering
 _KEYED_LOBE_SIZE = 4
@@ -127,6 +126,16 @@ def _induced_span_is_1(scan: LevelScan, nbr: Sequence[int], vertices: int) -> bo
     return next(scan.good_in(rows, vertices), None) is None
 
 
+def _union_key(nbr: Sequence[int], vertices: int) -> tuple:
+    """The mask ``vertices`` and its members' neighbour masks inside it,
+    shifted down to put its least vertex at bit 0.  Masks with equal keys
+    differ by a shift v -> v + d that maps each member's neighbours inside
+    one onto its image's inside the other: an isomorphism of the induced
+    subgraphs, so both have the same span."""
+    d = (vertices & -vertices).bit_length() - 1
+    return vertices >> d, tuple((nbr[v] & vertices) >> d for v in members(vertices))
+
+
 _SPAN1_CHECKS = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
 
 
@@ -138,13 +147,13 @@ def _lobe_classes(h: Graph, cut: tuple[int, ...],
     exactly when an S-fixing isomorphism exists: it maps an ordering of L1
     to one of L2 with the same data, and equal data define one."""
     classes: dict = {}
+    nbr, cut_mask = h.nbr, sum(1 << s for s in cut)
     for i, lobe in enumerate(parts):
         if len(lobe) > _KEYED_LOBE_SIZE:
             key = i
         else:
-            into_cut = {v: tuple(s for s in cut if h.has_edge(v, s)) for v in lobe}
-            key = min((tuple(into_cut[v] for v in order),
-                       tuple(h.has_edge(a, b) for a, b in combinations(order, 2)))
+            key = min((tuple(nbr[v] & cut_mask for v in order),
+                       tuple(nbr[a] >> b & 1 for a, b in combinations(order, 2)))
                       for order in permutations(lobe))
         classes.setdefault(key, []).append(i)
     return list(classes.values())
@@ -168,8 +177,9 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     in S and its inner edges by position; a larger lobe is its own class.
     A union is probed on h's neighbour masks and h's traditional level scan
     (``_induced_span_is_1``), with no graph built.  Unions of different cuts
-    whose neighbour masks, relabelled in index order (``induced_masks``),
-    are equal are the same labelled graph and share one probe.  Past
+    that one shift of the indices maps onto each other are isomorphic and
+    share one probe (``_union_key``): on a path or a band, such as a power
+    of a path, every union is a run of consecutive indices.  Past
     ``LOBE_UNION_BUDGET`` unions over all cuts the check raises
     ``CapacityError`` before any probe.  h's own probe reads its cached level
     scan, with no flood when ``check_span_inequalities`` has already flooded
@@ -189,8 +199,8 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     if unions > LOBE_UNION_BUDGET:
         raise CapacityError("LOBE_UNION_BUDGET", LOBE_UNION_BUDGET, unions)
     scan, nbr = level_scan(h, Rule.TRADITIONAL), h.nbr
-    # a lobe union's relabelled neighbour masks -> span 1?
-    union_ok: dict[tuple[int, ...], bool] = {}
+    # a lobe union's shifted masks -> span 1?
+    union_ok: dict[tuple, bool] = {}
     witness: dict = {}
     for cut, cls in zip(catalog.sets, classes):
         if not cut.is_clique:
@@ -206,7 +216,7 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
             vs = cut_mask
             for i in chosen:
                 vs |= lobe_masks[i]
-            key = induced_masks(h, vs)
+            key = _union_key(nbr, vs)
             if key not in union_ok:
                 union_ok[key] = _induced_span_is_1(scan, nbr, vs)
             if not union_ok[key]:

@@ -14,7 +14,7 @@ from spanlab import (CapacityError, complete_graph, cycle_graph, fixture, genera
                      parse_graph6, path_graph, random_connected_graph, random_interval_graph,
                      star_graph, subdivided_star)
 from spanlab.cli import main
-from spanlab.families import _seed_ignored
+from spanlab.families import seed_ignored
 from spanlab.theorems import VIOLATED, Check, TheoremReport
 
 
@@ -418,7 +418,7 @@ def test_seed_ignored_exactly_when_the_seed_is_not_read():
     for spec, _ in FAMILY_SPECS:
         reads_seed = any(generate_family(spec, seed=s) != generate_family(spec, seed=0)
                          for s in range(1, 4))
-        assert (_seed_ignored(spec) is None) == reads_seed, spec
+        assert (seed_ignored(spec) is None) == reads_seed, spec
 
 
 def test_exit_2_on_malformed_file(tmp_path, capsys):

@@ -4,7 +4,7 @@ seeded random generators."""
 import math
 import random
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -19,8 +19,7 @@ from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
                      induced_subgraph, is_connected, metrics,
                      parse_edgelist, parse_graph6, path_graph,
                      random_connected_graph, random_interval_graph, to_graph6)
-from spanlab.graphs import (ball_distance, distance_balls, distance_matrix, distance_rings,
-                            far_rows, induced_masks, members)
+from spanlab.graphs import ball_distance, distance_balls, distance_matrix, distance_rings, far_rows
 
 
 def test_basic_construction():
@@ -349,29 +348,6 @@ def test_induced_subgraph_of_cycle_is_path():
     p = induced_subgraph(c5, [0, 1, 2, 3])
     assert p.edges() == [(0, 1), (1, 2), (2, 3)]
     assert p.labels == ("0", "1", "2", "3")
-
-
-def test_induced_masks_key_the_induced_subgraph():
-    # the key lets lobe unions of different cuts share one span-1 probe:
-    # on random graphs with 1-14 vertices and random vertex masks it is the
-    # neighbour masks of the induced subgraph, and two keys are equal
-    # exactly when the induced subgraphs have the same graph6
-    rng = random.Random(7)
-    pairs = shared = 0                  # shared: equal keys of different masks
-    for _ in range(200):
-        n = rng.randint(1, 14)
-        g = Graph(*_gnp(n, rng.choice((0.2, 0.5, 0.8)))(rng))
-        keyed = []
-        for _ in range(12):
-            vs = rng.getrandbits(n)
-            sub = induced_subgraph(g, members(vs))
-            keyed.append((vs, induced_masks(g, vs), to_graph6(sub)))
-            assert keyed[-1][1] == sub.nbr
-        for (vs1, k1, g61), (vs2, k2, g62) in product(keyed, repeat=2):
-            assert (k1 == k2) == (g61 == g62)
-            pairs += 1
-            shared += k1 == k2 and vs1 != vs2
-    assert (pairs, shared) == (28800, 996)
 
 
 def test_induced_subgraph_range_check():

@@ -1,7 +1,9 @@
 """Theorem harness: applicability gating, check outcomes, report shape."""
 
+import random
 import sys
 from functools import lru_cache
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -16,7 +18,8 @@ from spanlab import (EDGE, FIXTURES, KINDS, VERTEX, CapacityError, Graph, Rule,
 from spanlab.graphs import distance_balls, far_rows, members
 from spanlab.spans import LevelScan
 from spanlab.theorems import (_KEYED_LOBE_SIZE, HOLDS, NOT_APPLICABLE,
-                              SKIPPED_BY_CAP, VIOLATED, Check, TheoremReport, _lobe_classes)
+                              SKIPPED_BY_CAP, VIOLATED, Check, TheoremReport, _lobe_classes,
+                              _union_key)
 
 
 def status_map(report):
@@ -407,8 +410,9 @@ def test_lobe_union_budget(monkeypatch, tmp_path):
 def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
     # caterpillar k = 10 (n = 22): at each hub, k interchangeable leaves and one
     # larger lobe, so (k + 1) x 2 - 2 = 2k unions per cut; 2^(k+1) - 2 by subsets.
-    # A hub with j < k of its own leaves is the same labelled star at both
-    # cuts, so the second cut adds only its k unions with the other hub's lobe.
+    # A hub with 1 <= j <= k of its own leaves is a star at both cuts, but no
+    # shift of the indices maps the one at hub 0 (leaves from 2) onto the one
+    # at hub 1 (leaves from k + 2), so the cuts share no probe: 2 x 2k = 40.
     # Each union gets one span-1 probe, which floods level 2 of the union only:
     # the rows of the union's own level-2 product, at its vertices in g
     import spanlab.theorems
@@ -434,7 +438,7 @@ def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
     path = tmp_path / "caterpillar.g6"
     path.write_text(to_graph6(g) + "\n")
     assert main(["verify", "--file", str(path), "--format", "json"]) == 0
-    assert len(probes) == 30 and len({vertices for vertices, _ in probes}) == 30
+    assert len(probes) == 40 and len({vertices for vertices, _ in probes}) == 40
     for vertices, calls in probes:
         union = members(vertices)
         level2 = far_rows(distance_balls(induced_subgraph(g, union)), 2)
@@ -442,6 +446,40 @@ def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
         for v, row in zip(union, level2):
             expected[v] = sum(1 << union[i] for i in members(row))
         assert calls == [(vertices, expected)]
+
+
+def test_union_key_shares_only_shifted_copies():
+    # lobe unions of different cuts share one span-1 probe when their keys
+    # are equal. On random graphs with 1-14 vertices and random nonempty
+    # vertex masks, equal keys give the same graph6 for the two induced
+    # subgraphs: the shift keeps the index order that numbers them
+    rng = random.Random(7)
+    shared = 0                          # equal keys of different masks
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        keyed = []
+        for _ in range(12):
+            vs = rng.getrandbits(n)
+            if vs:
+                sub = induced_subgraph(g, members(vs))
+                keyed.append((vs, _union_key(g.nbr, vs), to_graph6(sub)))
+        for (vs1, k1, g61), (vs2, k2, g62) in combinations(keyed, 2):
+            if k1 == k2:
+                assert g61 == g62
+                shared += vs1 != vs2
+    assert shared == 235
+    # on a path every two runs of consecutive indices of one length share a
+    # key, and runs of different lengths do not
+    path = path_graph(12)
+    runs = [(length, _union_key(path.nbr, (1 << length) - 1 << start))
+            for length in range(1, 13) for start in range(13 - length)]
+    pairs = 0
+    for (len1, k1), (len2, k2) in combinations(runs, 2):
+        assert (k1 == k2) == (len1 == len2)
+        pairs += k1 == k2
+    assert (len(runs), pairs) == (78, 286)
 
 
 def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
