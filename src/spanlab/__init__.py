@@ -25,8 +25,8 @@ from .structure import (ChordalityResult, CutSet, CutSetCatalog,
                         find_asteroidal_triple, interval_certificate,
                         is_chordal, is_interval, maximal_cliques,
                         minimal_cut_sets, s_lobes)
-from .theorems import (Check, TheoremReport, check_interval_theorems,
-                       check_span1_structure, check_span_inequalities)
+from .theorems import (Check, check_interval_theorems, check_span1_structure,
+                       check_span_inequalities)
 from .walks import (MinWalkResult, WalkPair, WalkValidation, min_steps,
                     reroot_walk_pair, validate_walk_pair)
 
@@ -36,16 +36,15 @@ __all__ = [
     "CapacityError", "Certificate", "Check", "ChordalityResult", "CutSet",
     "CutSetCatalog", "EDGE", "FIXTURES", "Graph", "GraphParseError",
     "INFINITY", "IntervalCertificate", "KINDS", "Metrics", "MinWalkResult",
-    "RULES", "Rule", "SpanlabError", "TheoremReport", "VERTEX", "WalkPair",
-    "WalkValidation", "as_rule", "augment", "brute_force_span",
-    "check_interval_theorems", "check_span1_structure",
-    "check_span_inequalities", "complete_graph", "components", "cycle_graph",
-    "edge_span", "end_cliques", "find_asteroidal_triple", "fixture",
-    "fresh_labels", "generate_family", "girth", "induced_subgraph",
-    "interval_certificate", "is_chordal", "is_connected", "is_interval",
-    "maximal_cliques", "metrics", "min_steps", "minimal_cut_sets",
-    "parse_edgelist", "parse_graph6", "path_graph", "random_connected_graph",
-    "random_interval_graph", "reroot_walk_pair", "rule_spans", "s_lobes",
-    "star_graph", "subdivided_star", "to_graph6", "validate_walk_pair",
-    "vertex_span",
+    "RULES", "Rule", "SpanlabError", "VERTEX", "WalkPair", "WalkValidation",
+    "as_rule", "augment", "brute_force_span", "check_interval_theorems",
+    "check_span1_structure", "check_span_inequalities", "complete_graph",
+    "components", "cycle_graph", "edge_span", "end_cliques",
+    "find_asteroidal_triple", "fixture", "fresh_labels", "generate_family",
+    "girth", "induced_subgraph", "interval_certificate", "is_chordal",
+    "is_connected", "is_interval", "maximal_cliques", "metrics", "min_steps",
+    "minimal_cut_sets", "parse_edgelist", "parse_graph6", "path_graph",
+    "random_connected_graph", "random_interval_graph", "reroot_walk_pair",
+    "rule_spans", "s_lobes", "star_graph", "subdivided_star", "to_graph6",
+    "validate_walk_pair", "vertex_span",
 ]

@@ -219,16 +219,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checkers = (check_span_inequalities, check_span1_structure, check_interval_theorems)
     for name, g in runs:
         # one graph object for all three checkers: they share its level scans
-        for report in (checker(g, name) for checker in checkers):
-            for check in report.checks:
+        for checker in checkers:
+            for check in checker(g):
                 if check.status in (NOT_APPLICABLE, SKIPPED_BY_CAP):
                     skipped += 1
                     capped += check.status == SKIPPED_BY_CAP
                     continue
                 checks_run += 1
                 if check.status == VIOLATED:
-                    violations.append({"graph": report.graph_name,
-                                       "graph6": report.graph6,
+                    violations.append({"graph": name, "graph6": to_graph6(g),
                                        "check": check.name,
                                        "witness": check.witness or {}})
     first_name, first_graph = runs[0]

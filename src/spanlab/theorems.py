@@ -1,8 +1,9 @@
 """Theorem harness: span inequalities, span-1 structure, interval theorems.
 
-Each checker returns a TheoremReport whose violations carry enough data
-to replay the case by hand: graph6 plus the offending values, and for a
-span-1 check (no span value) the cut and lobes, or clique and added graph.
+Each checker takes a connected graph and returns its checks, one ``Check``
+per named statement.  A violated check's witness carries the offending
+values: spans and bounds, or for a span-1 check (no span value) the cut
+and lobes with the graph's graph6, or the clique and added graph.
 """
 
 from __future__ import annotations
@@ -45,27 +46,13 @@ class Check(NamedTuple):
     witness: dict | None = None
 
 
-class TheoremReport(NamedTuple):
-    graph_name: str
-    graph6: str
-    checks: tuple[Check, ...]
-
-    @property
-    def violations(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if c.status == VIOLATED)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _check(name: str, holds: bool, witness: dict) -> Check:
     if holds:
         return Check(name, HOLDS)
     return Check(name, VIOLATED, witness)
 
 
-def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
+def check_span_inequalities(h: Graph) -> tuple[Check, ...]:
     """Chain 0 <= edge <= vertex <= radius, gap <= 1, and girth bounds."""
     if not is_connected(h):
         raise ValueError("span inequalities apply to connected graphs only")
@@ -106,7 +93,7 @@ def check_span_inequalities(h: Graph, name: str = "graph") -> TheoremReport:
             spans[Rule.TRADITIONAL][0] >= 1,
             {"vertex": spans[Rule.TRADITIONAL][0]},
         ))
-    return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks))
+    return tuple(checks)
 
 
 def _span_is_1(h: Graph) -> bool:
@@ -159,7 +146,7 @@ def _lobe_classes(h: Graph, cut: tuple[int, ...],
     return list(classes.values())
 
 
-def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
+def check_span1_structure(h: Graph) -> tuple[Check, ...]:
     """Structure forced on graphs with traditional vertex span 1 and no
     universal vertex, on every minimal cut set S of any size: S is a
     clique, every union of S-lobes keeps span 1, and all but at most two
@@ -186,12 +173,10 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
     level 2 of the same graph object."""
     if not is_connected(h):
         raise ValueError("span-1 structure applies to connected graphs only")
-    g6 = to_graph6(h)
     applicable = (h.n >= 2 and max(h.degree(v) for v in range(h.n)) < h.n - 1
                   and _span_is_1(h))
     if not applicable:
-        checks = tuple(Check(c, NOT_APPLICABLE) for c in _SPAN1_CHECKS)
-        return TheoremReport(graph_name=name, graph6=g6, checks=checks)
+        return tuple(Check(c, NOT_APPLICABLE) for c in _SPAN1_CHECKS)
 
     catalog = minimal_cut_sets(h)
     classes = [_lobe_classes(h, cut.vertices, cut.components) for cut in catalog.sets]
@@ -225,10 +210,10 @@ def check_span1_structure(h: Graph, name: str = "graph") -> TheoremReport:
         bad = sum(any(nbr[v] & cut_mask != cut_mask for v in comp) for comp in cut.components)
         if bad > 2:
             witness.setdefault("non_join_lobes", {"cut": list(cut.vertices), "count": bad})
-    base = {"graph6": g6}
-    checks = tuple(_check(check, key not in witness, base | witness) for check, key in
-                   zip(_SPAN1_CHECKS, ("non_clique_cut", "bad_lobe_union", "non_join_lobes")))
-    return TheoremReport(graph_name=name, graph6=g6, checks=checks)
+    # h's graph6 replays a witness; it is encoded only when one exists
+    base = {"graph6": to_graph6(h)} if witness else {}
+    return tuple(_check(check, key not in witness, base | witness) for check, key in
+                 zip(_SPAN1_CHECKS, ("non_clique_cut", "bad_lobe_union", "non_join_lobes")))
 
 
 # the graphs an augmentation adds, by name and neighbour masks: K1, K2, the
@@ -262,7 +247,7 @@ def _augmentation_check(name: str, h: Graph, cliques: list[tuple[int, ...]]) -> 
     return _check(name, not witness, witness)
 
 
-def check_interval_theorems(h: Graph, name: str = "graph") -> TheoremReport:
+def check_interval_theorems(h: Graph) -> tuple[Check, ...]:
     """Interval graphs have traditional vertex span 1; trees have span 1 iff
     interval; augmenting an interval graph at an end-clique or at a clique
     minimal cut set, of any size, keeps span 1.  The two augmentation
@@ -294,4 +279,4 @@ def check_interval_theorems(h: Graph, name: str = "graph") -> TheoremReport:
         status = SKIPPED_BY_CAP if iv and h.n > INTERVAL_CAP else NOT_APPLICABLE
         checks.append(Check("end-clique-augmentation", status))
         checks.append(Check("cut-clique-augmentation", status))
-    return TheoremReport(graph_name=name, graph6=to_graph6(h), checks=tuple(checks))
+    return tuple(checks)

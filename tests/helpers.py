@@ -14,7 +14,7 @@ from spanlab import (VERTEX, Certificate, CutSet, Graph, Rule, induced_subgraph,
 from spanlab.graphs import members
 from spanlab.products import ProductGraph, safety_subgraph
 from spanlab.spans import edge_good_components, good_components
-from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check, TheoremReport
+from spanlab.theorems import HOLDS, NOT_APPLICABLE, VIOLATED, Check
 
 
 def nx_to_graph(gx) -> Graph:
@@ -442,17 +442,20 @@ def span1_conditions(h: Graph) -> tuple[tuple[bool, bool, bool], dict]:
     return (clique_ok, lobes_ok, join_ok), witness
 
 
-def naive_span1_structure(h: Graph) -> TheoremReport:
-    """Independent span-1 structure report: the same three checks as
+def naive_span1_structure(h: Graph) -> tuple[Check, ...]:
+    """Independent span-1 structure checks: the same three checks as
     ``check_span1_structure``, gated the same way, from ``span1_conditions``
     (one traditional vertex span for every proper non-empty union of S-lobes
     instead of one per count vector of interchangeable lobes)."""
     names = ("cut-sets-are-cliques", "lobe-unions-span-1", "join-all-but-two")
-    g6 = to_graph6(h)
     if (h.n < 2 or max(h.degree(v) for v in range(h.n)) == h.n - 1
             or vertex_span(h, Rule.TRADITIONAL)[0] != 1):
-        return TheoremReport("graph", g6, tuple(Check(c, NOT_APPLICABLE) for c in names))
+        return tuple(Check(c, NOT_APPLICABLE) for c in names)
     holds, witness = span1_conditions(h)
-    checks = tuple(Check(c, HOLDS) if ok else Check(c, VIOLATED, {"graph6": g6} | witness)
-                   for c, ok in zip(names, holds))
-    return TheoremReport("graph", g6, checks)
+    return tuple(Check(c, HOLDS) if ok else Check(c, VIOLATED, {"graph6": to_graph6(h)} | witness)
+                 for c, ok in zip(names, holds))
+
+
+def violations(checks) -> list[Check]:
+    """The violated checks among a checker's ``checks``."""
+    return [c for c in checks if c.status == VIOLATED]

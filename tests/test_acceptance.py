@@ -10,13 +10,13 @@ import time
 from contextlib import contextmanager
 
 from helpers import (all_trees, connected_atlas, least_covering_walk, naive_min_moves,
-                     random_graphs)
+                     random_graphs, violations)
 from spanlab import (Graph, Rule, WalkPair, augment, brute_force_span,
                      check_span1_structure, check_span_inequalities,
                      complete_graph, cycle_graph, edge_span, end_cliques,
                      fixture, induced_subgraph, is_chordal, is_interval,
                      min_steps, minimal_cut_sets, random_connected_graph,
-                     random_interval_graph, validate_walk_pair, vertex_span)
+                     random_interval_graph, to_graph6, validate_walk_pair, vertex_span)
 
 
 @contextmanager
@@ -82,10 +82,9 @@ def test_criterion_4_oracle_equivalence_exhaustive():
 def test_criterion_5_inequality_fuzz():
     with criterion(5, 600.0, "span inequality chain on 500 random graphs n<=8"):
         bad = []
-        for i, g in enumerate(random_graphs(500, 2, 8, seed=1005)):
-            report = check_span_inequalities(g, f"fuzz-{i}")
-            if not report.ok:
-                bad.append((report.graph6, report.violations))
+        for g in random_graphs(500, 2, 8, seed=1005):
+            if found := violations(check_span_inequalities(g)):
+                bad.append((to_graph6(g), found))
         assert not bad, bad[:5]
 
 
@@ -178,14 +177,13 @@ def test_criterion_9_span1_structure_fuzz():
     with criterion(9, 600.0, "span-1 structure checks on qualifying graphs n<=8"):
         applicable = 0
         bad = []
-        for i, g in enumerate(random_graphs(300, 4, 8, seed=909)):
+        for g in random_graphs(300, 4, 8, seed=909):
             if max(g.degree(v) for v in range(g.n)) >= g.n - 1:
                 continue
             if vertex_span(g, "traditional")[0] != 1:
                 continue
             applicable += 1
-            report = check_span1_structure(g, f"fuzz-{i}")
-            if not report.ok:
-                bad.append((report.graph6, report.violations))
+            if found := violations(check_span1_structure(g)):
+                bad.append((to_graph6(g), found))
         assert not bad, bad[:5]
         assert applicable >= 25, f"only {applicable} qualifying graphs fuzzed"

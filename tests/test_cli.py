@@ -12,10 +12,10 @@ import pytest
 import spanlab
 from spanlab import (CapacityError, complete_graph, cycle_graph, fixture, generate_family,
                      parse_graph6, path_graph, random_connected_graph, random_interval_graph,
-                     star_graph, subdivided_star)
+                     star_graph, subdivided_star, to_graph6)
 from spanlab.cli import main
 from spanlab.families import seed_ignored
-from spanlab.theorems import VIOLATED, Check, TheoremReport
+from spanlab.theorems import VIOLATED, Check
 
 
 @pytest.fixture
@@ -246,15 +246,29 @@ def test_verify_counts_checks_skipped_by_a_size_cap(capsys):
 def test_verify_reports_violations_with_exit_1(capsys, monkeypatch):
     # the published theorems hold on real graphs, so a violation has to be
     # injected to exercise the failure path
-    def fake_check(g, name="graph"):
-        return TheoremReport(graph_name=name, graph6="A_", checks=(
-            Check("chain[fake]", VIOLATED, {"edge": 9}),))
+    def fake_check(g):
+        return (Check("chain[fake]", VIOLATED, {"edge": 9}),)
 
     monkeypatch.setattr("spanlab.cli.check_span_inequalities", fake_check)
     code, out, _ = run(capsys, "verify", "--fixture", "figure1")
     assert code == 1
     assert "violations: 1" in out
     assert "chain[fake]" in out
+    # verify names and encodes the violating graph itself
+    code, out, _ = run(capsys, "verify", "--fixture", "figure1", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["results"]["violations"] == [
+        {"graph": "figure1", "graph6": to_graph6(fixture("figure1")), "check": "chain[fake]",
+         "witness": {"edge": 9}}]
+    code, out, _ = run(capsys, "verify", "--family", "random:6", "--seeds", "2",
+                       "--format", "json")
+    assert code == 1
+    first, second = json.loads(out)["results"]["violations"]
+    assert first == {"graph": "random:6 seed=0",
+                     "graph6": to_graph6(generate_family("random:6", seed=0)),
+                     "check": "chain[fake]", "witness": {"edge": 9}}
+    assert second["graph"] == "random:6 seed=1"
+    assert second["graph6"] == to_graph6(generate_family("random:6", seed=1))
 
 
 def test_generate_round_trip(capsys):
@@ -447,6 +461,21 @@ def test_analyze_rejects_a_disconnected_graph_first(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--file", str(f))
     assert (code, out) == (2, "")
     assert err == "spanlab: error: analyze is defined for connected graphs only\n"
+
+
+def test_out_of_range_family_specs_exit_2(capsys):
+    for spec, why in (("path:0", "path needs at least one vertex"),
+                      ("cycle:2", "cycle needs at least three vertices"),
+                      ("complete:0", "complete graph needs at least one vertex"),
+                      ("star:-1", "leaf count must be non-negative"),
+                      ("subdivided-star:-1", "ray count must be non-negative"),
+                      ("random:0", "need at least one vertex"),
+                      ("random:5:1.5", "edge probability must lie in [0, 1]"),
+                      ("interval:0", "need at least one vertex")):
+        code, out, err = run(capsys, "generate", "--family", spec)
+        assert (code, out, err) == (2, "", f"spanlab: error: {why}\n"), spec
+    code, out, err = run(capsys, "verify", "--family", "random:8", "--seeds", "0")
+    assert (code, out, err) == (2, "", "spanlab: error: --seeds must be at least 1\n")
 
 
 def test_usage_errors_exit_2():

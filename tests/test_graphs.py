@@ -48,6 +48,11 @@ def test_edge_out_of_range_rejected():
         Graph(2, [(0, 2)])
 
 
+def test_negative_vertex_count_rejected():
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Graph(-1)
+
+
 def test_labels_must_be_distinct_and_match_n():
     with pytest.raises(ValueError):
         Graph(2, [], labels=["a", "a"])
@@ -79,6 +84,20 @@ def test_graph6_bad_character_reports_offset():
 def test_graph6_truncated():
     with pytest.raises(GraphParseError):
         parse_graph6("D")  # n=5 needs 10 bits of adjacency data
+
+
+def test_graph6_malformed_inputs():
+    for text, message, offset in (
+            ("", "empty graph6 input (line 1)", None),
+            (">>graph6<<", "empty graph6 input (line 1)", None),
+            ("A_\nA_", "graph6 input must be a single line (line 2)", None),
+            ("A\x7f", "invalid graph6 character '\\x7f' (line 1, offset 1)", 1),
+            ("~", "truncated graph6 size field (line 1, offset 0)", 0),
+            ("~~?????", "truncated graph6 size field (line 1, offset 0)", 0)):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph6(text)
+        assert str(exc.value) == message, text
+        assert exc.value.offset == offset, text
 
 
 def test_graph6_round_trip_against_networkx():

@@ -23,27 +23,26 @@ import spanlab.theorems
 import spanlab.walks
 from spanlab import (RULES, CapacityError, Certificate, Check, ChordalityResult, CutSet,
                      CutSetCatalog, IntervalCertificate, Metrics, MinWalkResult, Rule,
-                     TheoremReport, WalkPair, WalkValidation, brute_force_span,
-                     check_span1_structure, complete_graph, cycle_graph, fixture,
-                     generate_family, girth, metrics, min_steps, minimal_cut_sets, parse_graph6,
-                     path_graph, random_interval_graph, rule_spans)
+                     WalkPair, WalkValidation, brute_force_span, check_span1_structure,
+                     complete_graph, cycle_graph, fixture, generate_family, girth, metrics,
+                     min_steps, minimal_cut_sets, parse_graph6, path_graph,
+                     random_interval_graph, rule_spans)
 
 PUBLIC = [
     "CapacityError", "Certificate", "Check", "ChordalityResult", "CutSet",
     "CutSetCatalog", "EDGE", "FIXTURES", "Graph", "GraphParseError",
     "INFINITY", "IntervalCertificate", "KINDS", "Metrics", "MinWalkResult",
-    "RULES", "Rule", "SpanlabError", "TheoremReport", "VERTEX", "WalkPair",
-    "WalkValidation", "as_rule", "augment", "brute_force_span",
-    "check_interval_theorems", "check_span1_structure",
-    "check_span_inequalities", "complete_graph", "components", "cycle_graph",
-    "edge_span", "end_cliques", "find_asteroidal_triple", "fixture",
-    "fresh_labels", "generate_family", "girth", "induced_subgraph",
-    "interval_certificate", "is_chordal", "is_connected", "is_interval",
-    "maximal_cliques", "metrics", "min_steps", "minimal_cut_sets",
-    "parse_edgelist", "parse_graph6", "path_graph", "random_connected_graph",
-    "random_interval_graph", "reroot_walk_pair", "rule_spans", "s_lobes",
-    "star_graph", "subdivided_star", "to_graph6", "validate_walk_pair",
-    "vertex_span",
+    "RULES", "Rule", "SpanlabError", "VERTEX", "WalkPair", "WalkValidation",
+    "as_rule", "augment", "brute_force_span", "check_interval_theorems",
+    "check_span1_structure", "check_span_inequalities", "complete_graph",
+    "components", "cycle_graph", "edge_span", "end_cliques",
+    "find_asteroidal_triple", "fixture", "fresh_labels", "generate_family",
+    "girth", "induced_subgraph", "interval_certificate", "is_chordal",
+    "is_connected", "is_interval", "maximal_cliques", "metrics", "min_steps",
+    "minimal_cut_sets", "parse_edgelist", "parse_graph6", "path_graph",
+    "random_connected_graph", "random_interval_graph", "reroot_walk_pair",
+    "rule_spans", "s_lobes", "star_graph", "subdivided_star", "to_graph6",
+    "validate_walk_pair", "vertex_span",
 ]
 
 # the per-threshold reference layer: not exported by the package, but kept
@@ -92,7 +91,6 @@ RECORDS = [
     (CutSet, {"vertices": (1,), "components": ((0,), (2,)), "is_clique": True}),
     (CutSetCatalog, {"sets": (CutSet((1,), ((0,), (2,)), True),)}),
     (Check, {"name": "gap[lazy]", "status": "holds", "witness": None}),
-    (TheoremReport, {"graph_name": "P3", "graph6": "Bg", "checks": (Check("gap[lazy]", "holds"),)}),
     (WalkPair, {"alice": ("0", "1"), "bob": ("1", "0"), "rule": Rule.TRADITIONAL,
                 "safety": 1, "moves": 1}),
     (WalkValidation, {"illegal_steps": (), "missing_alice": (), "missing_bob": ("2",),
@@ -125,10 +123,6 @@ def test_record_defaults_methods_and_properties():
     assert MinWalkResult(1, _PAIR, (1, 2), (1, 1)).moves == _PAIR.moves == 1
     assert _PAIR.as_dict() == {"alice": ["0", "1"], "bob": ["1", "0"], "rule": "traditional",
                                "safety": 1, "moves": 1}
-    bad = Check("chain[lazy]", "violated", {"edge": 2, "vertex": 1, "radius": 1})
-    report = TheoremReport("P3", "Bg", (Check("gap[lazy]", "holds"), bad))
-    assert report.violations == (bad,) and not report.ok
-    assert TheoremReport("P3", "Bg", report.checks[:1]).ok
 
 
 @pytest.fixture

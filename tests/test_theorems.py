@@ -1,4 +1,4 @@
-"""Theorem harness: applicability gating, check outcomes, report shape."""
+"""Theorem harness: applicability gating and check outcomes."""
 
 import random
 import sys
@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 
 from helpers import (caterpillar, connected_atlas, naive_span1_structure, random_graphs,
-                     span1_conditions)
+                     span1_conditions, violations)
 from spanlab import (EDGE, FIXTURES, KINDS, VERTEX, CapacityError, Graph, Rule,
                      check_interval_theorems, check_span1_structure,
                      check_span_inequalities, complete_graph, cycle_graph, end_cliques,
@@ -18,12 +18,11 @@ from spanlab import (EDGE, FIXTURES, KINDS, VERTEX, CapacityError, Graph, Rule,
 from spanlab.graphs import distance_balls, far_rows, members
 from spanlab.spans import LevelScan
 from spanlab.theorems import (_KEYED_LOBE_SIZE, HOLDS, NOT_APPLICABLE,
-                              SKIPPED_BY_CAP, VIOLATED, Check, TheoremReport, _lobe_classes,
-                              _union_key)
+                              SKIPPED_BY_CAP, VIOLATED, _lobe_classes, _union_key)
 
 
-def status_map(report):
-    return {c.name: c.status for c in report.checks}
+def status_map(checks):
+    return {c.name: c.status for c in checks}
 
 
 def test_span_inequalities_hold_on_fixtures_and_families():
@@ -31,14 +30,12 @@ def test_span_inequalities_hold_on_fixtures_and_families():
               path_graph(5), cycle_graph(6), complete_graph(4),
               subdivided_star(3)]
     for g in graphs:
-        report = check_span_inequalities(g)
-        assert report.ok, report.violations
-        assert parse_graph6(report.graph6).adj == g.adj
+        checks = check_span_inequalities(g)
+        assert not violations(checks), violations(checks)
 
 
 def test_girth_bounds_not_applicable_on_trees():
-    report = check_span_inequalities(path_graph(4))
-    st = status_map(report)
+    st = status_map(check_span_inequalities(path_graph(4)))
     for rule in ("traditional", "active", "lazy"):
         assert st[f"girth-bound[{rule}]"] == NOT_APPLICABLE
 
@@ -63,13 +60,11 @@ def test_span1_structure_gating():
     assert set(st.values()) == {NOT_APPLICABLE}
     # P5 qualifies (span 1, no universal vertex) and all checks hold
     assert vertex_span(path_graph(5), "traditional")[0] == 1
-    report = check_span1_structure(path_graph(5))
-    assert set(status_map(report).values()) == {HOLDS}
+    assert set(status_map(check_span1_structure(path_graph(5))).values()) == {HOLDS}
 
 
 def test_span1_structure_on_figure2():
-    report = check_span1_structure(fixture("figure2"))
-    assert set(status_map(report).values()) == {HOLDS}
+    assert set(status_map(check_span1_structure(fixture("figure2"))).values()) == {HOLDS}
 
 
 def test_interval_theorems_on_interval_graph():
@@ -113,8 +108,7 @@ def test_interval_theorems_skipped_by_the_size_cap(monkeypatch):
 
 
 def test_interval_theorems_on_figure3():
-    report = check_interval_theorems(fixture("figure3"))
-    assert report.ok
+    assert not violations(check_interval_theorems(fixture("figure3")))
 
 
 def test_checkers_reject_disconnected_graphs():
@@ -127,26 +121,15 @@ def test_checkers_reject_disconnected_graphs():
 
 def test_fuzz_random_graphs_have_no_violations():
     for i, g in enumerate(random_graphs(15, 2, 7, seed=71)):
-        name = f"fuzz-{i}"
         for checker in (check_span_inequalities, check_span1_structure,
                         check_interval_theorems):
-            report = checker(g, name)
-            assert report.ok, (name, report.violations)
-            assert report.graph_name == name
+            checks = checker(g)
+            assert not violations(checks), (i, violations(checks))
         # the calls above cached g's level scans, as in verify: an equal
-        # graph with none cached floods afresh and gets the same reports
+        # graph with none cached floods afresh and gets the same checks
         fresh = Graph(g.n, g.edges())
         for checker in (check_span1_structure, check_interval_theorems):
-            assert checker(g, name) == checker(fresh, name)
-
-
-def test_report_shape():
-    report = TheoremReport(graph_name="x", graph6="A_", checks=(
-        Check("a", HOLDS), Check("b", VIOLATED, {"why": 1}),
-        Check("c", NOT_APPLICABLE)))
-    assert not report.ok
-    assert [c.name for c in report.violations] == ["b"]
-    assert report.violations[0].witness == {"why": 1}
+            assert checker(g) == checker(fresh)
 
 
 def test_verify_computes_the_traditional_span_once(monkeypatch):
@@ -197,9 +180,9 @@ def test_verify_calls_the_public_checkers(monkeypatch):
     calls = []
 
     def counting(checker):
-        def wrapper(h, name="graph"):
+        def wrapper(h):
             calls.append((checker.__name__, h))
-            return checker(h, name)
+            return checker(h)
         return wrapper
 
     for checker in (check_span_inequalities, check_span1_structure,
@@ -295,8 +278,7 @@ def test_span1_structure_reads_every_minimal_cut_set(monkeypatch):
     for g, count, sizes in ((path_power(30, 5), 24, {5}),
                             (generate_family("interval:40:4"), 13, set(range(7, 18)))):
         keyed.clear()
-        report = check_span1_structure(g)
-        assert set(status_map(report).values()) == {HOLDS}
+        assert set(status_map(check_span1_structure(g)).values()) == {HOLDS}
         assert keyed == [cut.vertices for cut in minimal_cut_sets(g).sets]
         assert len(keyed) == count and {len(cut) for cut in keyed} <= sizes
 
@@ -327,9 +309,9 @@ def structure_graphs():
 def test_span1_structure_matches_the_subset_reference():
     applicable = 0
     for g in structure_graphs():
-        report = check_span1_structure(g)
-        assert status_map(report) == status_map(naive_span1_structure(g)), to_graph6(g)
-        applicable += set(status_map(report).values()) != {NOT_APPLICABLE}
+        st = status_map(check_span1_structure(g))
+        assert st == status_map(naive_span1_structure(g)), to_graph6(g)
+        applicable += set(st.values()) != {NOT_APPLICABLE}
     assert applicable >= 200
 
 
@@ -503,8 +485,7 @@ def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
     monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", counting_induced_probe)
     for n in (10, 60):
         calls.clear()
-        report = check_span1_structure(path_graph(n))
-        assert report.ok
+        assert not violations(check_span1_structure(path_graph(n)))
         assert sorted(calls) == [*range(2, n), n]
 
 
@@ -517,7 +498,7 @@ def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):
         return vertices.bit_count() >= g.n and probe(scan, nbr, vertices)
 
     monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", broken_probe)
-    check = {c.name: c for c in check_span1_structure(g).checks}
+    check = {c.name: c for c in check_span1_structure(g)}
     assert check["cut-sets-are-cliques"].status == HOLDS
     assert check["join-all-but-two"].status == HOLDS
     bad = check["lobe-unions-span-1"]
@@ -543,7 +524,7 @@ def test_interval_theorems_report_a_bad_augmentation(monkeypatch):
         return vertices.bit_count() != g.n + 2 and probe(scan, nbr, vertices)
 
     monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", broken_probe)
-    check = {c.name: c for c in check_interval_theorems(g).checks}
+    check = {c.name: c for c in check_interval_theorems(g)}
     assert check["interval-implies-span-1"].status == HOLDS
     assert check["tree-characterization"].status == HOLDS
     firsts = {"end-clique-augmentation": end_cliques(g)[0],
@@ -581,7 +562,7 @@ def test_span_1_probe_matches_vertex_span(monkeypatch):
     monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", recording_probe)
     for g in graphs:
         if is_interval(g):
-            assert check_interval_theorems(g).ok
+            assert not violations(check_interval_theorems(g))
     assert len(augmented) > 6000
     answers = ([spanlab.theorems._span_is_1(Graph(g.n, g.edges())) for g in graphs]
                + [out for _, out in augmented])

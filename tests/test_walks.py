@@ -102,6 +102,12 @@ def test_min_steps_builds_the_product_once(monkeypatch):
             assert r.span == vertex_span(g, rule)[0]
 
 
+def test_min_steps_refuses_disconnected_graphs():
+    with pytest.raises(ValueError,
+                       match="^minimum-step search is defined for connected graphs only$"):
+        min_steps(Graph(3, [(0, 1)]), "traditional")
+
+
 def test_shortest_covering_walk_none_without_good_component():
     # K2 lazy at threshold 1 has no good component, and no rule has one at
     # a threshold past the diameter, where every pair is cut off; the empty
