@@ -12,7 +12,7 @@ import math
 from binascii import b2a_base64
 from bisect import bisect_left
 from itertools import compress, repeat
-from operator import or_, xor
+from operator import xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphParseError
@@ -112,25 +112,19 @@ def distance_balls(g: Graph) -> tuple[tuple[int, ...], ...]:
     ball, where every ball is its vertex's component, so a disconnected
     graph needs no special case.  The cache holds n (ecc + 1) bitmasks.
 
-    A level is a few ``map(or_)`` passes, one per neighbour slot j, over
-    the vertices in descending degree order: those with a j-th neighbour
-    are a prefix of it, so a level costs about 2m + 3n big-integer
-    operations, none of them in a Python-level loop.
+    A level is one pass over the edge list: 2m big-integer ORs into a copy
+    of the level below.  The only set-up is that edge list, built once.
     """
     if g._balls is None:
-        adj = g.adj
-        order = sorted(range(g.n), key=lambda u: -len(adj[u]))
-        back = sorted(range(g.n), key=order.__getitem__)    # u's place in order
-        # slots[j][i]: the j-th neighbour of order[i], for each i that has one
-        slots = [[adj[u][j] for u in order if len(adj[u]) > j]
-                 for j in range(max(map(len, adj), default=0))]
+        edges = g.edges()
         ball = tuple(1 << u for u in range(g.n))
         balls = [ball]
         while True:
-            grown = list(map(ball.__getitem__, order))
-            for slot in slots:
-                grown[:len(slot)] = map(or_, grown, map(ball.__getitem__, slot))
-            ball = tuple(map(grown.__getitem__, back))
+            grown = list(ball)
+            for u, v in edges:
+                grown[u] |= ball[v]
+                grown[v] |= ball[u]
+            ball = tuple(grown)
             if ball == balls[-1]:
                 break
             balls.append(ball)

@@ -37,12 +37,13 @@ which are not nested.)  A good component covers vertex 0 in coordinate A, so
 its least pair code lies in row 0: floods started from the least unvisited
 code of row 0 meet the good components in ascending order of least code,
 which is the order of ``good_components``, and the certificate is the first
-one.  Edge-good components are good, so the edge span descends from the
-vertex span, testing the good components of each level in that order.  A
-component with rows R passes when every base edge u u2 carries one of its
-arcs that moves A from u to u2.  B's end of such an arc lies in R[u] if solo
-and in dilate(R[u]) if joint, and it must meet R[u2].  The test runs on the
-rows, and again on their transpose only if the component is not its own.
+one.  Edge-good components are good, and by the paper's theorem the edge
+span is the vertex span or one less, so only those two levels are tested,
+each on its good components in that order.  A component with rows R passes
+when every base edge u u2 carries one of its arcs that moves A from u to
+u2.  B's end of such an arc lies in R[u] if solo and in dilate(R[u]) if
+joint, and it must meet R[u2].  The test runs on the rows, and again on
+their transpose only if the component is not its own.
 Swapping the players, (u, v) -> (v, u), is an automorphism of the
 thresholded product under every rule: distance is symmetric, and solo and
 joint steps are symmetric in the two players.  So the swap maps a component
@@ -293,21 +294,29 @@ def rule_spans(h: Graph, rule: Rule | str,
     the top level first, the radius capped by the span of a scan cached on
     h under a rule with all of this rule's steps, then a binary search
     below it.  Its certificate is the good component with the least pair
-    code at that level.  The edge span descends from the vertex span; its
-    certificate is the first edge-good component, in the same order, at the
-    first level that has one.  Pair codes are built on the first read of
-    ``component``.
+    code at that level.  The edge span is the vertex span or one less (the
+    paper's theorem); its certificate is the first edge-good component, in
+    the same order, at the first of those levels that has one, and
+    ``AssertionError`` names the theorem if neither has.  Pair codes are
+    built on the first read of ``component``.  A kind not in ``KINDS``
+    raises ``ValueError`` before any flood.
     """
+    for kind in kinds:
+        if kind not in KINDS:
+            raise ValueError(f"unknown span kind {kind!r}: expected one of {KINDS}")
     if not is_connected(h):
         raise ValueError("span is defined for connected graphs only")
     if h.n == 0:
         raise ValueError("span needs at least one vertex")
     rule = as_rule(rule)
     scan = level_scan(h, rule)
-    # the span of a cached scan under a rule with all of this rule's steps
+    # the span of a cached scan under a rule with all of this rule's steps;
+    # a span never exceeds the radius, so the balls are read for it only
+    # when no such scan caps the top level
     caps = [other.span for r, other in h._scans.items() if other.span is not None
             and r.solo >= rule.solo and r.joint >= rule.joint]
-    lo, hi = 0, min([int(metrics(h).radius), *caps])
+    lo = 0
+    hi = min(caps) if caps else int(metrics(h).radius)
     mid = hi                            # the top level first
     while lo < hi:
         if not scan.good(mid):
@@ -318,11 +327,19 @@ def rule_spans(h: Graph, rule: Rule | str,
     scan.span = lo
     out = {}
     for kind in kinds:
-        # the first good component at the vertex span, or the first edge-good
-        # one descending from it; level 0 has both for a connected graph
-        level, comp = (lo, scan.good(lo)[0]) if kind == VERTEX else next(
-            (level, comp) for level in range(lo, -1, -1)
-            for comp in scan.good(level) if scan.covers_edges(comp))
+        if kind == VERTEX:
+            level, comp = lo, scan.good(lo)[0]
+        else:
+            # by the paper's theorem the edge span is the vertex span or one
+            # less (level 0 has an edge-good component for a connected graph)
+            level, comp = next(((level, comp) for level in range(lo, max(lo - 2, -1), -1)
+                                for comp in scan.good(level) if scan.covers_edges(comp)),
+                               (lo, None))
+            if comp is None:
+                raise AssertionError(
+                    f"vertex and edge span differ by at most 1, but under the {rule} rule "
+                    f"the vertex span is {lo} and neither level {lo} nor {lo - 1} has "
+                    "an edge-good component")
         out[kind] = level, Certificate(rule=rule, kind=kind, threshold=level, rows=tuple(comp))
     return out
 

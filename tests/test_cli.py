@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import spanlab
-from spanlab import (CapacityError, complete_graph, cycle_graph, fixture, generate_family,
-                     parse_graph6, path_graph, random_connected_graph, random_interval_graph,
-                     star_graph, subdivided_star, to_graph6)
+from spanlab import (RULES, CapacityError, complete_graph, cycle_graph, fixture,
+                     generate_family, parse_graph6, path_graph, random_connected_graph,
+                     random_interval_graph, rule_spans, star_graph, subdivided_star, to_graph6)
 from spanlab.cli import main
 from spanlab.families import seed_ignored
 from spanlab.theorems import VIOLATED, Check
@@ -49,6 +49,29 @@ def test_span_all_rules_json(capsys):
     spans = doc["results"]["spans"]
     assert spans["traditional"] == {"vertex": 2, "edge": 1}
     assert set(spans) == {"traditional", "active", "lazy"}
+
+
+def test_span_reads_metrics_once_per_graph(capsys, monkeypatch):
+    # the first rule's search reads the radius; the other two are capped by
+    # its span. The six spans equal those of one rule at a time, each on a
+    # fresh graph object with no cached scan to cap it
+    import spanlab.spans
+    calls = []
+    metrics = spanlab.spans.metrics
+
+    def counting(g):
+        calls.append(g)
+        return metrics(g)
+
+    monkeypatch.setattr(spanlab.spans, "metrics", counting)
+    for spec in ("path:60", "cycle:9", "star:50", "random:60:0.1:1", "interval:35:1"):
+        code, out, _ = run(capsys, "span", "--family", spec, "--format", "json")
+        assert code == 0 and len(calls) == 1, spec
+        expected = {rule.value: {kind: k for kind, (k, _) in
+                                 rule_spans(generate_family(spec), rule).items()}
+                    for rule in RULES}
+        assert json.loads(out)["results"]["spans"] == expected, spec
+        calls.clear()
 
 
 def test_span_kind_filter(capsys):

@@ -4,7 +4,9 @@ seeded random generators."""
 import math
 import random
 import tracemalloc
-from itertools import combinations
+from collections import deque
+from itertools import accumulate, combinations
+from operator import or_
 
 import networkx as nx
 import pytest
@@ -15,10 +17,11 @@ from helpers import (all_trees, connected_atlas, floyd_warshall, graph_to_nx,
                      nx_to_graph)
 import spanlab.families
 from spanlab import (INFINITY, CapacityError, Graph, GraphParseError, augment,
-                     components, cycle_graph, fresh_labels, girth,
+                     complete_graph, components, cycle_graph, fresh_labels, girth,
                      induced_subgraph, is_connected, metrics,
                      parse_edgelist, parse_graph6, path_graph,
-                     random_connected_graph, random_interval_graph, to_graph6)
+                     random_connected_graph, random_interval_graph, star_graph,
+                     to_graph6)
 from spanlab.graphs import ball_distance, distance_balls, distance_matrix, distance_rings, far_rows
 
 
@@ -215,6 +218,63 @@ def test_distance_kernel_on_long_paths_and_cycles():
             assert [list(row) for row in distance_matrix(g)] == ref, g
             assert list(distance_rings(g)) == _rings_by_definition(ref, n), g
             _assert_eccentricities(g, ref)
+
+
+def _bfs_distances(g, s):
+    """Hop distances from s by breadth-first search, INFINITY if unreachable."""
+    dist = [INFINITY] * g.n
+    dist[s] = 0
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v in g.adj[u]:
+            if dist[v] == INFINITY:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def _assert_kernel(g, dist_from):
+    """distance_balls, distance_rings and metrics of g against
+    ``dist_from(s)``, the distances from s, one source at a time."""
+    balls = distance_balls(g)
+    eccs, top = [], 0
+    for s, rings in zip(range(g.n), distance_rings(g), strict=True):
+        row = dist_from(s)
+        want = [0] * len(balls)
+        for v, d in enumerate(row):
+            if d != INFINITY:
+                want[d] |= 1 << v
+                top = max(top, d)
+        assert rings == want, (g, s)
+        assert [ball[s] for ball in balls] == list(accumulate(want, or_)), (g, s)
+        eccs.append(max(row))
+    assert len(balls) == top + 1, g
+    assert metrics(g) == (tuple(eccs), min(eccs, default=0), max(eccs, default=0)), g
+
+
+def test_distance_kernel_on_high_degree_and_disconnected_graphs():
+    # stars K(1, k) up to k = 2,000, complete graphs up to K150 and complete
+    # bipartite graphs against closed forms; a star with a long pendant path
+    # and a star + path + isolated vertex union against breadth-first search
+    for k in (1, 2, 3, 10, 2000):
+        _assert_kernel(star_graph(k), lambda s: [0 if v == s else 1 if 0 in (s, v) else 2
+                                                 for v in range(k + 1)])
+    for n in (2, 3, 17, 150):
+        _assert_kernel(complete_graph(n), lambda s: [int(v != s) for v in range(n)])
+    for a, b in ((1, 1), (2, 5), (7, 9), (30, 40)):
+        g = Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+        _assert_kernel(g, lambda s: [0 if v == s else 1 if (v < a) != (s < a) else 2
+                                     for v in range(a + b)])
+    k, length = 40, 150                     # pendant path from leaf k
+    pendant = Graph(k + 1 + length, [(0, i) for i in range(1, k + 1)]
+                    + [(i, i + 1) for i in range(k, k + length)])
+    union = Graph(10 + 20 + 1, [(0, i) for i in range(1, 10)]
+                  + [(i, i + 1) for i in range(10, 29)])     # vertex 30 is isolated
+    for g in (pendant, union):
+        _assert_kernel(g, lambda s: _bfs_distances(g, s))
+    assert int(metrics(pendant).diameter) == length + 2
+    assert metrics(union).radius == INFINITY
 
 
 def test_far_rows_and_ball_distance_against_distance_matrix():

@@ -458,6 +458,25 @@ def test_rule_spans_match_the_reference_at_the_search_limits():
                 assert k == (1 if rule is Rule.LAZY else 2)
 
 
+def test_edge_span_checks_the_theorem_at_two_levels(monkeypatch):
+    # with every edge test failing, the edge search on C9 (vertex span 4)
+    # floods levels 4 and 3 only, then names the paper's theorem
+    from spanlab.spans import LevelScan
+    monkeypatch.setattr(LevelScan, "covers_edges", lambda self, comp: False)
+    g = cycle_graph(9)
+    with pytest.raises(AssertionError, match="vertex and edge span differ by at most 1"):
+        rule_spans(g, "traditional")
+    assert sorted(level_scan(g, Rule.TRADITIONAL).levels) == [3, 4]
+
+
+def test_unknown_span_kind_rejected_before_any_flood():
+    for kinds in (("vrtex",), (VERTEX, "edges")):
+        g = path_graph(4)
+        with pytest.raises(ValueError, match=f"'{kinds[-1]}'.*'vertex', 'edge'"):
+            rule_spans(g, "traditional", kinds)
+        assert g._scans is None
+
+
 def test_empty_graph_rejected():
     with pytest.raises(ValueError, match="^span needs at least one vertex$"):
         rule_spans(Graph(0), "traditional")
