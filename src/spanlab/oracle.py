@@ -9,7 +9,7 @@ bitmasks.  The kind picks the mark a move adds to a player: the vertex
 entered (vertex kind, n bits, the start vertex marked too) or the edge moved
 along (edge kind, m bits, 0 when the player stays).
 
-At threshold k the pair codes c = u n + v with u and v at distance >= k,
+At threshold k the pairs (u, v) with u and v at distance >= k,
 and the rule's moves between them, form a graph whose arcs come in both
 directions: a move's reverse is a legal move of the same rule, and the
 distance test reads only its ends.  The oracle rests on one lemma:
@@ -28,8 +28,8 @@ its arcs come in both directions) and take the arc.  Marks only
 accumulate, so at the end each player holds its start mark and every
 arc's mark.
 
-So the oracle needs no search over (pair code, mask) states: one depth-first
-pass over the pair codes of each component ORs A's and B's mark of every arc
+So the oracle needs no search over (pair, mask) states: one depth-first
+pass over the pairs of each component ORs A's and B's mark of every arc
 into two integers, seeded with the root's start marks, and threshold k is
 feasible iff some component ends with both full.  A pair's moves are
 generated when the pass first pops it, so each move is built once per
@@ -50,8 +50,8 @@ from .products import EDGE, VERTEX, Rule, as_rule
 # Work limit of one oracle call: moves generated, over every threshold.
 # The dearest connected graph with n <= 7 costs 1,722 units (the traditional
 # vertex span of K7).  On a 2-vCPU Xeon VM, the traditional edge span of
-# complete:40 stops at this limit after 1,000,878 units in 0.6 s, and the
-# traditional vertex span of complete:80 after 1,004,721 units in 0.4 s,
+# complete:40 stops at this limit after 1,000,878 units in 0.2 s, and the
+# traditional vertex span of complete:80 after 1,004,721 units in 0.2 s,
 # having generated the moves of 159 of its 6,320 pairs; both at 15 MiB peak
 # RSS.
 ORACLE_BUDGET = 1_000_000
@@ -71,7 +71,9 @@ def _feasible(h: Graph, rule: Rule, k: int, kind: str, left: list[int]) -> bool:
     # both positions at distance >= k: v is far from u iff it lies outside ball k - 1 of u
     far = [everyone & ~ball for ball in distance_balls(h)[k - 1]] if k else [everyone] * n
     adj = h.adj
-    # the other player's options when one moves: stay or move, move, stay
+    # B's steps while A stays (none if active), and B's options when A steps:
+    # stay or move, move, stay
+    solo = [()] * n if rule is Rule.ACTIVE else adj
     other = ([(*a, u) for u, a in enumerate(adj)] if rule is Rule.TRADITIONAL
              else adj if rule is Rule.ACTIVE else [(u,) for u in range(n)])
     # gain[x][y]: the mark of a player moving from x to y (y == x: staying)
@@ -81,30 +83,40 @@ def _feasible(h: Graph, rule: Rule, k: int, kind: str, left: list[int]) -> bool:
         full, gain = (1 << h.m) - 1, [[0] * n for _ in range(n)]
         for i, (x, y) in enumerate(h.edges()):
             gain[x][y] = gain[y][x] = 1 << i
-    seen = bytearray(n * n)
-    for root in range(n * n):
-        u, v = divmod(root, n)
-        if seen[root] or not far[u] >> v & 1:
-            continue
-        seen[root] = 1
-        marks_a, marks_b = gain[u][u], gain[v][v]
-        stack = [root]
-        while stack:
-            u, v = divmod(stack.pop(), n)
-            # the pair's moves: v's alone (a solo step), then u's with v's options
-            bs = [] if rule is Rule.ACTIVE else [u * n + v2 for v2 in adj[v] if far[u] >> v2 & 1]
-            bs += [u2 * n + v2 for u2 in adj[u] for v2 in other[v] if far[u2] >> v2 & 1]
-            _charge(left, len(bs))
-            row_a, row_b = gain[u], gain[v]
-            for b in bs:
-                u2, v2 = divmod(b, n)
-                marks_a |= row_a[u2]
-                marks_b |= row_b[v2]
-                if not seen[b]:
-                    seen[b] = 1
-                    stack.append(b)
-        if marks_a == full and marks_b == full:
-            return True
+    seen = [bytearray(n) for _ in range(n)]
+    for u0 in range(n):
+        for v0 in range(n):
+            if seen[u0][v0] or not far[u0] >> v0 & 1:
+                continue
+            seen[u0][v0] = 1
+            marks_a, marks_b = gain[u0][u0], gain[v0][v0]
+            stack = [(u0, v0)]
+            while stack:
+                u, v = stack.pop()
+                # A's mark while it stays, gain[u][u], is in marks_a already
+                row_a, row_b, moves = gain[u], gain[v], 0
+                far_u, seen_u = far[u], seen[u]
+                for v2 in solo[v]:
+                    if far_u >> v2 & 1:
+                        moves += 1
+                        marks_b |= row_b[v2]
+                        if not seen_u[v2]:
+                            seen_u[v2] = 1
+                            stack.append((u, v2))
+                for u2 in adj[u]:
+                    far_u2, seen_u2, before = far[u2], seen[u2], moves
+                    for v2 in other[v]:
+                        if far_u2 >> v2 & 1:
+                            moves += 1
+                            marks_b |= row_b[v2]
+                            if not seen_u2[v2]:
+                                seen_u2[v2] = 1
+                                stack.append((u2, v2))
+                    if moves > before:
+                        marks_a |= row_a[u2]
+                _charge(left, moves)
+            if marks_a == full and marks_b == full:
+                return True
     return False
 
 

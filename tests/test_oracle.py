@@ -20,9 +20,9 @@ import spanlab.oracle
 import spanlab.products
 import spanlab.spans
 import spanlab.walks
-from helpers import (all_trees, connected_atlas, naive_edge_cover, naive_min_moves,
-                     random_graphs)
-from spanlab import (CapacityError, Graph, brute_force_span, complete_graph,
+from helpers import (all_trees, connected_atlas, floyd_warshall, naive_edge_cover,
+                     naive_min_moves, pair_moves, random_graphs)
+from spanlab import (CapacityError, Graph, as_rule, brute_force_span, complete_graph,
                      cycle_graph, edge_span, generate_family, metrics, parse_graph6,
                      path_graph, star_graph, vertex_span)
 
@@ -143,6 +143,26 @@ def test_units_charged_over_the_atlas(monkeypatch):
     assert sum(charged) == 141_472
 
 
+def test_each_pair_charged_its_own_moves(monkeypatch):
+    # at an infeasible threshold the pass pops every far pair once, and
+    # charges it exactly its moves: the multiset of charges equals the move
+    # counts of the base-graph enumeration, pair by pair, not just in sum
+    charged = charges(monkeypatch)
+    thresholds = 0
+    for g in connected_atlas(6):
+        dist, radius = floyd_warshall(g), int(metrics(g).radius)
+        for rule in ("traditional", "active", "lazy"):
+            for kind in ("vertex", "edge"):
+                for k in range(brute_force_span(g, rule, kind) + 1, radius + 1):
+                    charged.clear()
+                    assert not spanlab.oracle._feasible(g, as_rule(rule), k, kind, [10**9])
+                    expected = [len(pair_moves(g, rule, dist, k, a, b)) for a in range(g.n)
+                                for b in range(g.n) if dist[a][b] >= k]
+                    assert sorted(charged) == sorted(expected), (g.adj, rule, kind, k)
+                    thresholds += 1
+    assert thresholds == 341
+
+
 def test_over_budget_searches_stop():
     # the budget counts moves generated: a 9-vertex graph answers at once,
     # while K40's traditional edge span passes it at threshold 1
@@ -189,6 +209,9 @@ def test_oracle_shares_no_code_with_the_solver():
     modules = set(imported) | imported.get("", set())
     assert not {"spans", "walks", "spanlab", "spanlab.spans", "spanlab.walks"} & modules
     assert imported["products"] == {"Rule", "as_rule", "VERTEX", "EDGE"}
+    # from graphs only the graph, its balls, connectivity and metrics: the
+    # row masks, floods and pair codes there serve the solver
+    assert imported["graphs"] == {"Graph", "distance_balls", "is_connected", "metrics"}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for solver in (spanlab.spans, spanlab.walks):
         assert not defined_names(solver) & used, solver.__name__
