@@ -218,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     violations = []
     checkers = (check_span_inequalities, check_span1_structure, check_interval_theorems)
     for name, g in runs:
-        # one graph object for all three checkers: they share its level scans
+        # one graph object for all three checkers: they share its level scan
         for checker in checkers:
             for check in checker(g):
                 if check.status in (NOT_APPLICABLE, SKIPPED_BY_CAP):

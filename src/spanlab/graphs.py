@@ -25,7 +25,7 @@ _GRAPH6_HEADER = ">>graph6<<"
 class Graph:
     """Undirected simple graph with ordered vertices and distinct labels."""
 
-    __slots__ = ("n", "labels", "adj", "_label_index", "nbr", "_balls", "_scans", "_cuts")
+    __slots__ = ("n", "labels", "adj", "_label_index", "nbr", "_balls", "_scan", "_cuts")
 
     def __init__(
         self,
@@ -57,7 +57,7 @@ class Graph:
         self._label_index = {lab: i for i, lab in enumerate(labels)}
         self.nbr = tuple(sum(1 << w for w in a) for a in self.adj)     # w in nbr[v] iff v ~ w
         self._balls: tuple[tuple[int, ...], ...] | None = None
-        self._scans: dict | None = None     # rule -> spans.LevelScan
+        self._scan = None                   # spans.LevelScan, for every rule
         self._cuts = None                   # structure.minimal_cut_sets
 
     @property

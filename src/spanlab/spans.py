@@ -29,7 +29,7 @@ inside a good component at level L - 1, and an edge-good one inside an
 edge-good one.  The levels with a good component are therefore 0 .. the
 vertex span.  The search probes the top level first, whose rows are the
 smallest, and binary-searches below it only if that fails.  The top level is
-the radius, capped by the vertex span of any cached scan of the graph under
+the radius, capped by the vertex span already found on the graph's scan under
 a rule with all of this rule's steps: its arcs include this rule's on the
 same pairs, so each good or edge-good component here lies inside a good or
 edge-good one there.  (Traditional has the steps of active and of lazy,
@@ -51,16 +51,17 @@ C onto a component, which is C itself as soon as it meets C.  One bit
 decides it: whether (v, 0) is in C, for the least v of row 0.  Then the
 transpose has C's rows and the second test could only repeat the first.
 
-The floods live in one ``LevelScan`` per graph and rule, cached on the
-graph like its balls.  It floods a level whole on first use and keeps the
-list of its good components, in that order: the span search, the span-1
-checks and the covering-walk search's roots share it, so no level of a
-graph is flooded twice.  A certificate keeps its component's rows and
-builds the pair codes on first read.  ``LevelScan.good_in`` runs the same
-floods on rows handed to it, of the subgraph induced on a vertex mask: the
-span-1 checks probe level 2 of each lobe union on the graph's own scan, and
-of each augmentation on one scan of neighbour masks per clique, with no
-graph or distance balls built for either.
+The floods live in one ``LevelScan`` per graph, cached on the graph like its
+balls; its tables serve every rule, which each flood takes as an argument.
+It floods a (rule, level) whole on first use and keeps the list of its good
+components, in that order: the span search, the span-1 checks and the
+covering-walk search's roots share it, so no level is flooded twice under
+one rule.  A certificate keeps its component's rows and builds the pair
+codes on first read.  ``LevelScan.good_in`` runs the same floods on rows
+handed to it, of the subgraph induced on a vertex mask: the span-1 checks
+probe level 2 of each lobe union on the graph's own scan, and of each
+augmentation on one scan of neighbour masks per clique, with no graph or
+distance balls built for either.
 
 The component functions below rescan one built product; production code
 does not call them, and the tests use them as the per-threshold reference.
@@ -74,7 +75,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .graphs import Graph, distance_balls, far_rows, is_connected, metrics, pair_codes
+from .graphs import Graph, distance_balls, far_rows, is_connected, members, metrics, pair_codes
 from .products import EDGE, KINDS, VERTEX, ProductGraph, Rule, as_rule
 
 
@@ -170,54 +171,55 @@ def _dilation(masks: Sequence[int]) -> tuple[list[list[int]], tuple[int, ...]]:
 
 
 class LevelScan:
-    """The good components of one graph's thresholded products under one
-    rule, each level flooded whole on first use and its list kept in
-    ``levels`` (module docstring).  It is built from the graph's adjacency
-    lists ``adj`` and holds no reference to the graph, which reference
+    """The good components of one graph's thresholded products under every
+    rule, each (rule, level) flooded whole on first use and its list kept in
+    ``levels`` (module docstring).  It is built from the graph's neighbour
+    masks ``nbr`` and holds no reference to the graph, which reference
     counting still frees.  ``tables`` and ``one`` (``_dilation``) give B's
-    moves from a set of vertices, built from ``adj`` unless given.
-    ``balls``, the graph's distance balls, serve ``good``; a scan without
-    them floods only the rows handed to ``good_in``."""
+    moves from a set of vertices under any rule.  ``balls``, the graph's
+    distance balls, serve ``good``; a scan without them floods only the rows
+    handed to ``good_in``.  ``spans``: rule -> vertex span, once found."""
 
-    __slots__ = ("n", "adj", "balls", "edges", "rule", "tables", "one", "levels", "span")
+    __slots__ = ("n", "nbr", "adj", "balls", "edges", "tables", "one", "levels", "spans")
 
-    def __init__(self, adj: Sequence[Sequence[int]], rule: Rule,
-                 dilation: tuple | None = None,
-                 balls: Sequence[Sequence[int]] = ()):
-        self.n, self.adj, self.rule, self.balls = len(adj), adj, rule, balls
-        self.edges = [(u, w) for u, ws in enumerate(adj) for w in ws if u < w]
-        self.tables, self.one = dilation or _dilation([sum(1 << w for w in ws) for ws in adj])
-        self.levels: dict[int, list[list[int]]] = {}      # level -> good(level)
-        self.span: int | None = None        # the vertex span, once found
+    def __init__(self, nbr: Sequence[int], balls: Sequence[Sequence[int]] = ()):
+        self.n, self.nbr, self.balls, self.adj = len(nbr), nbr, balls, tuple(map(members, nbr))
+        self.edges = [(u, w) for u, ws in enumerate(self.adj) for w in ws if u < w]
+        self.tables, self.one = _dilation(nbr)
+        self.levels: dict[tuple[Rule, int], list[list[int]]] = {}
+        self.spans: dict[Rule, int] = {}
 
-    def good(self, level: int) -> list[list[int]]:
-        """Rows of the good components at ``level`` in ascending order of
-        least pair code (module docstring), the level flooded whole
+    def good(self, level: int, rule: Rule) -> list[list[int]]:
+        """Rows of the good components at ``level`` under ``rule`` in ascending
+        order of least pair code (module docstring), the level flooded whole
         (``good_in``) on the first call and the list kept for later ones."""
-        if level not in self.levels:
-            self.levels[level] = list(self.good_in(far_rows(self.balls, level), (1 << self.n) - 1))
-        return self.levels[level]
+        key = rule, level
+        if key not in self.levels:
+            rows = far_rows(self.balls, level)
+            self.levels[key] = list(self.good_in(rows, (1 << self.n) - 1, rule))
+        return self.levels[key]
 
-    def good_in(self, avail: list[int], vertices: int) -> Iterator[list[int]]:
+    def good_in(self, avail: list[int], vertices: int, rule: Rule) -> Iterator[list[int]]:
         """Rows of the good components, taken out of ``avail``, of the
-        product of the subgraph induced on the vertex mask ``vertices`` whose
-        pairs are the rows ``avail`` (0 outside ``vertices``).  A good
-        component covers the least vertex r of ``vertices`` in coordinate A,
-        so floods start from the least unvisited code of row r, in ascending
-        order of least pair code.  Each of the other rows is 0 in every
-        component, and an empty vertex set has none."""
+        product under ``rule`` of the subgraph induced on the vertex mask
+        ``vertices`` whose pairs are the rows ``avail`` (0 outside
+        ``vertices``).  A good component covers the least vertex r of
+        ``vertices`` in coordinate A, so floods start from the least
+        unvisited code of row r, in ascending order of least pair code.
+        Each of the other rows is 0 in every component, and an empty vertex
+        set has none."""
         n = self.n
         r = (vertices & -vertices).bit_length() - 1
         outside = n - vertices.bit_count()
         while vertices and avail[r]:
-            comp = self._flood(avail, r * n + (avail[r] & -avail[r]).bit_length() - 1)
+            comp = self._flood(avail, r * n + (avail[r] & -avail[r]).bit_length() - 1, rule)
             if comp.count(0) == outside and reduce(or_, comp) == vertices:
                 yield comp
 
-    def _flood(self, avail: list[int], start: int) -> list[int]:
-        """Rows of the component of pair code ``start``, taken out of ``avail``."""
+    def _flood(self, avail: list[int], start: int, rule: Rule) -> list[int]:
+        """Rows of the component of code ``start``, taken out of ``avail``."""
         n, adj, tables, one, get = self.n, self.adj, self.tables, self.one, list.__getitem__
-        solo, joint, nbytes = self.rule.solo, self.rule.joint, len(tables)
+        solo, joint, nbytes = rule.solo, rule.joint, len(tables)
         comp = [0] * n
         pending = [0] * n
         u, v = divmod(start, n)
@@ -249,14 +251,14 @@ class LevelScan:
                     pending[w] |= new
         return comp
 
-    def covers_edges(self, comp: list[int]) -> bool:
-        """Whether the good component with rows ``comp`` is edge-good: the
-        A-test on its rows, and on the rows of its transpose unless it is
-        its own.  The swap (u, v) -> (v, u) maps the product onto itself, so
-        comp onto a component; if that meets comp at (v, 0), with v the
-        least bit of row 0, it is comp, and the second test repeats the
-        first."""
-        solo, joint, tables = self.rule.solo, self.rule.joint, self.tables
+    def covers_edges(self, comp: list[int], rule: Rule) -> bool:
+        """Whether the good component with rows ``comp`` is edge-good under
+        ``rule``: the A-test on its rows, and on the rows of its transpose
+        unless it is its own.  The swap (u, v) -> (v, u) maps the product
+        onto itself, so comp onto a component; if that meets comp at (v, 0),
+        with v the least bit of row 0, it is comp, and the second test
+        repeats the first."""
+        solo, joint, tables = rule.solo, rule.joint, self.tables
         nbytes, get = len(tables), list.__getitem__
         passes = [comp]
         if not comp[(comp[0] & -comp[0]).bit_length() - 1] & 1:
@@ -272,15 +274,12 @@ class LevelScan:
         return True
 
 
-def level_scan(h: Graph, rule: Rule) -> LevelScan:
-    """The level scan of h under ``rule``, built on first use and cached on
-    h; an equal but distinct graph gets its own.  The dilation depends on h
-    only, so the scans of all rules share one set of its tables."""
-    scans = h._scans = h._scans or {}
-    if rule not in scans:
-        dilation = next(((s.tables, s.one) for s in scans.values()), None) or _dilation(h.nbr)
-        scans[rule] = LevelScan(h.adj, rule, dilation, distance_balls(h))
-    return scans[rule]
+def level_scan(h: Graph) -> LevelScan:
+    """The level scan of h, built on first use and cached on h for every
+    rule; an equal but distinct graph gets its own."""
+    if h._scan is None:
+        h._scan = LevelScan(h.nbr, distance_balls(h))
+    return h._scan
 
 
 def rule_spans(h: Graph, rule: Rule | str,
@@ -291,8 +290,8 @@ def rule_spans(h: Graph, rule: Rule | str,
     six spans, call it once per rule in ``RULES``.
 
     The vertex span is the last level of 0 .. radius with a good component:
-    the top level first, the radius capped by the span of a scan cached on
-    h under a rule with all of this rule's steps, then a binary search
+    the top level first, the radius capped by the span already found on h's
+    scan under a rule with all of this rule's steps, then a binary search
     below it.  Its certificate is the good component with the least pair
     code at that level.  The edge span is the vertex span or one less (the
     paper's theorem); its certificate is the first edge-good component, in
@@ -309,31 +308,32 @@ def rule_spans(h: Graph, rule: Rule | str,
     if h.n == 0:
         raise ValueError("span needs at least one vertex")
     rule = as_rule(rule)
-    scan = level_scan(h, rule)
-    # the span of a cached scan under a rule with all of this rule's steps;
-    # a span never exceeds the radius, so the balls are read for it only
-    # when no such scan caps the top level
-    caps = [other.span for r, other in h._scans.items() if other.span is not None
-            and r.solo >= rule.solo and r.joint >= rule.joint]
+    scan = level_scan(h)
+    # the span found under a rule with all of this rule's steps; a span
+    # never exceeds the radius, so the radius is read only when no such
+    # span caps the top level
+    caps = [span for r, span in scan.spans.items()
+            if r.solo >= rule.solo and r.joint >= rule.joint]
     lo = 0
     hi = min(caps) if caps else int(metrics(h).radius)
     mid = hi                            # the top level first
     while lo < hi:
-        if not scan.good(mid):
+        if not scan.good(mid, rule):
             hi = mid - 1
         else:
             lo = mid
         mid = (lo + hi + 1) // 2
-    scan.span = lo
+    scan.spans[rule] = lo
     out = {}
     for kind in kinds:
         if kind == VERTEX:
-            level, comp = lo, scan.good(lo)[0]
+            level, comp = lo, scan.good(lo, rule)[0]
         else:
             # by the paper's theorem the edge span is the vertex span or one
             # less (level 0 has an edge-good component for a connected graph)
             level, comp = next(((level, comp) for level in range(lo, max(lo - 2, -1), -1)
-                                for comp in scan.good(level) if scan.covers_edges(comp)),
+                                for comp in scan.good(level, rule)
+                                if scan.covers_edges(comp, rule)),
                                (lo, None))
             if comp is None:
                 raise AssertionError(

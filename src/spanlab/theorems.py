@@ -100,17 +100,17 @@ def _span_is_1(h: Graph) -> bool:
     """Whether connected h with n >= 2 has traditional vertex span 1: the
     span is >= 1 and the levels with a good component are 0 .. span, so it
     is 1 iff level 2 has none (past the radius a centre's row is empty)."""
-    return not level_scan(h, Rule.TRADITIONAL).good(2)
+    return not level_scan(h).good(2, Rule.TRADITIONAL)
 
 
-def _induced_span_is_1(scan: LevelScan, nbr: Sequence[int], vertices: int) -> bool:
+def _induced_span_is_1(scan: LevelScan, vertices: int) -> bool:
     """``_span_is_1`` of the connected subgraph, with at least two vertices,
-    induced on the vertex mask ``vertices`` of the graph with neighbour
-    masks ``nbr``, whose traditional ``scan`` floods it.  Two vertices of
-    the subgraph are at distance >= 2 in it iff they are distinct and not
-    adjacent, so row v of its level 2 is ``vertices`` minus N[v]."""
-    rows = [vertices & ~(m | 1 << v) if vertices >> v & 1 else 0 for v, m in enumerate(nbr)]
-    return next(scan.good_in(rows, vertices), None) is None
+    induced on the vertex mask ``vertices`` of the graph whose neighbour
+    masks ``scan`` was built from.  Two vertices of the subgraph are at
+    distance >= 2 in it iff they are distinct and not adjacent, so row v
+    of its level 2 is ``vertices`` minus N[v]."""
+    rows = [vertices & ~(m | 1 << v) if vertices >> v & 1 else 0 for v, m in enumerate(scan.nbr)]
+    return next(scan.good_in(rows, vertices, Rule.TRADITIONAL), None) is None
 
 
 def _union_key(nbr: Sequence[int], vertices: int) -> tuple:
@@ -162,7 +162,7 @@ def check_span1_structure(h: Graph) -> tuple[Check, ...]:
     lobes of each class.  A lobe of at most ``_KEYED_LOBE_SIZE`` vertices is
     keyed by the least, over orderings of its vertices, of their neighbours
     in S and its inner edges by position; a larger lobe is its own class.
-    A union is probed on h's neighbour masks and h's traditional level scan
+    A union is probed on h's level scan, built from h's neighbour masks
     (``_induced_span_is_1``), with no graph built.  Unions of different cuts
     that one shift of the indices maps onto each other are isomorphic and
     share one probe (``_union_key``): on a path or a band, such as a power
@@ -183,7 +183,7 @@ def check_span1_structure(h: Graph) -> tuple[Check, ...]:
     unions = sum(prod(len(c) + 1 for c in cls) - 2 for cls in classes)
     if unions > LOBE_UNION_BUDGET:
         raise CapacityError("LOBE_UNION_BUDGET", LOBE_UNION_BUDGET, unions)
-    scan, nbr = level_scan(h, Rule.TRADITIONAL), h.nbr
+    scan, nbr = level_scan(h), h.nbr
     # a lobe union's shifted masks -> span 1?
     union_ok: dict[tuple, bool] = {}
     witness: dict = {}
@@ -203,7 +203,7 @@ def check_span1_structure(h: Graph) -> tuple[Check, ...]:
                 vs |= lobe_masks[i]
             key = _union_key(nbr, vs)
             if key not in union_ok:
-                union_ok[key] = _induced_span_is_1(scan, nbr, vs)
+                union_ok[key] = _induced_span_is_1(scan, vs)
             if not union_ok[key]:
                 witness.setdefault("bad_lobe_union",
                                    {"cut": list(cut.vertices), "lobes": chosen})
@@ -240,9 +240,9 @@ def _augmentation_check(name: str, h: Graph, cliques: list[tuple[int, ...]]) -> 
             off = len(nbr)
             parts.append((hname, ((1 << len(masks)) - 1) << off))
             nbr += [m << off | k for m in masks]
-        scan = LevelScan(tuple(map(members, nbr)), Rule.TRADITIONAL)
+        scan = LevelScan(nbr)
         for hname, part in parts:
-            if not _induced_span_is_1(scan, nbr, (1 << h.n) - 1 | part):
+            if not _induced_span_is_1(scan, (1 << h.n) - 1 | part):
                 witness.setdefault("case", {"clique": list(K), "added": hname})
     return _check(name, not witness, witness)
 

@@ -34,6 +34,10 @@ def test_basic_construction():
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
     assert g.degree(1) == 2
+    assert repr(g) == "Graph(n=3, m=2)"
+    twin = Graph(3, [(2, 1), (1, 0)])
+    assert g == twin and g is not twin and hash(g) == hash(twin)
+    assert g != "x" and g != Graph(3, [(0, 1), (1, 2)], labels="abc")
 
 
 def test_duplicate_edges_collapse():
@@ -96,6 +100,8 @@ def test_graph6_malformed_inputs():
             ("A_\nA_", "graph6 input must be a single line (line 2)", None),
             ("A\x7f", "invalid graph6 character '\\x7f' (line 1, offset 1)", 1),
             ("~", "truncated graph6 size field (line 1, offset 0)", 0),
+            ("~~", "truncated graph6 size field (line 1, offset 0)", 0),
+            ("~~???", "truncated graph6 size field (line 1, offset 0)", 0),
             ("~~?????", "truncated graph6 size field (line 1, offset 0)", 0)):
         with pytest.raises(GraphParseError) as exc:
             parse_graph6(text)
@@ -125,6 +131,10 @@ def test_graph6_large_n_size_form():
     # n = 70 exercises the 4-byte size encoding
     g = Graph(70, [(i, i + 1) for i in range(69)])
     assert parse_graph6(to_graph6(g)).adj == g.adj
+    # and "~~" with six 6-bit digits the 8-byte one, which graph6 writes for
+    # n >= 258,048: here n = 5 spelled that way, then P5's body, and n = 0
+    assert parse_graph6("~~" + chr(63) * 5 + chr(68) + "hC") == path_graph(5)
+    assert parse_graph6("~~" + chr(63) * 6) == Graph(0)
 
 
 def test_graph6_padding_must_be_zero():

@@ -6,9 +6,9 @@ import pytest
 
 from helpers import connected_atlas, descending_span, random_graphs, spine_tree
 from spanlab import (EDGE, KINDS, RULES, VERTEX, Certificate, Graph, Rule, complete_graph,
-                     cycle_graph, edge_span, fixture, generate_family, metrics, parse_graph6,
-                     path_graph, random_connected_graph, random_interval_graph, rule_spans,
-                     to_graph6, vertex_span)
+                     cycle_graph, edge_span, end_cliques, fixture, generate_family, metrics,
+                     minimal_cut_sets, parse_graph6, path_graph, random_connected_graph,
+                     random_interval_graph, rule_spans, to_graph6, vertex_span)
 from spanlab.products import build_product, safety_subgraph
 from spanlab.spans import (edge_good_components, good_components, level_scan, pair_codes,
                            product_components)
@@ -88,11 +88,11 @@ def test_level_scan_matches_the_product_components():
     for g in connected_atlas(6):
         for rule in RULES:
             base = build_product(g, rule)
-            scan = level_scan(g, rule)
+            scan = level_scan(g)
             for k in range(int(metrics(g).radius) + 2):
                 expected = good_components(safety_subgraph(base, k))
                 for _ in range(2):
-                    got = [pair_codes(comp) for comp in scan.good(k)]
+                    got = [pair_codes(comp) for comp in scan.good(k, rule)]
                     assert got == expected, (to_graph6(g), rule, k)
 
 
@@ -116,16 +116,16 @@ def test_edge_test_matches_the_reference_per_component(monkeypatch):
             continue
         for rule in RULES:
             base = build_product(g, rule)
-            scan = level_scan(g, rule)
+            scan = level_scan(g)
             for level in range(int(metrics(g).radius) + 1):
                 expected = edge_good_components(safety_subgraph(base, level))
-                for comp in scan.good(level):
+                for comp in scan.good(level, rule):
                     codes = pair_codes(comp)
                     own = {v * g.n + u for u, v in (divmod(c, g.n) for c in codes)} == set(codes)
                     least = (comp[0] & -comp[0]).bit_length() - 1
                     assert bool(comp[least] & 1) == own
                     del zips[:]
-                    assert scan.covers_edges(comp) == (codes in expected), (
+                    assert scan.covers_edges(comp, rule) == (codes in expected), (
                         to_graph6(g), rule, level)
                     assert len(zips) == (not own)
                     good.append(g.n)
@@ -145,13 +145,14 @@ def test_edge_test_matches_the_reference_per_component(monkeypatch):
         g = parse_graph6(g6)
         for rule in RULES:
             base = build_product(g, rule)
-            scan = level_scan(g, rule)
+            scan = level_scan(g)
             for level in range(int(metrics(g).radius) + 1):
                 p = safety_subgraph(base, level)
                 expected = edge_good_components(p)
-                for comp in scan.good(level):
+                for comp in scan.good(level, rule):
                     codes = pair_codes(comp)
-                    assert scan.covers_edges(comp) == (codes in expected), (g6, rule, level)
+                    assert scan.covers_edges(comp, rule) == (codes in expected), (
+                        g6, rule, level)
                     arcs = [(divmod(a, g.n), divmod(b, g.n)) for a in codes for b in p.adj[a]]
                     covered = [{frozenset((x[i], y[i])) for x, y in arcs if x[i] != y[i]}
                                for i in (0, 1)]
@@ -175,17 +176,17 @@ def test_level_scan_matches_the_reference_past_one_byte_table():
     for g in graphs:
         for rule in RULES:
             base = build_product(g, rule)
-            scan = level_scan(g, rule)
+            scan = level_scan(g)
             for k in range(int(metrics(g).radius) + 2):
                 p = safety_subgraph(base, k)
                 expected = good_components(p)
                 for _ in range(2):
-                    comps = scan.good(k)
+                    comps = scan.good(k, rule)
                     assert [pair_codes(comp) for comp in comps] == expected, (
                         to_graph6(g), rule, k)
                 edges = edge_good_components(p)
                 for comp in comps:
-                    assert scan.covers_edges(comp) == (pair_codes(comp) in edges), (
+                    assert scan.covers_edges(comp, rule) == (pair_codes(comp) in edges), (
                         to_graph6(g), rule, k)
                 good += len(comps)
                 edge_good += len(edges)
@@ -200,30 +201,38 @@ def test_a_level_is_flooded_once_whole(monkeypatch):
     floods = []
     flood = LevelScan._flood
 
-    def counting(self, avail, start):
+    def counting(self, avail, start, rule):
         floods.append(start)
-        return flood(self, avail, start)
+        return flood(self, avail, start, rule)
 
     monkeypatch.setattr(LevelScan, "_flood", counting)
-    scan = level_scan(path_graph(60), Rule.ACTIVE)
-    comps = scan.good(1)
+    scan = level_scan(path_graph(60))
+    comps = scan.good(1, Rule.ACTIVE)
     assert isinstance(comps, list) and len(comps) == 1 and len(floods) == 2
-    assert scan.good(1) is comps and scan.levels == {1: comps}
+    assert scan.good(1, Rule.ACTIVE) is comps and scan.levels == {(Rule.ACTIVE, 1): comps}
     assert len(floods) == 2
 
 
 def test_level_scans_are_cached_per_graph_object(monkeypatch):
     # a second call on one graph floods nothing; an equal but distinct
-    # graph has its own scans and floods again
+    # graph has its own scan and floods again
+    import spanlab.spans
     from spanlab.spans import LevelScan
     floods = []
     flood = LevelScan._flood
+    dilations = []
+    dilation = spanlab.spans._dilation
 
-    def counting_flood(scan, avail, start):
+    def counting_flood(scan, avail, start, rule):
         floods.append(scan)
-        return flood(scan, avail, start)
+        return flood(scan, avail, start, rule)
+
+    def counting_dilation(masks):
+        dilations.append(tuple(masks))
+        return dilation(masks)
 
     monkeypatch.setattr(LevelScan, "_flood", counting_flood)
+    monkeypatch.setattr(spanlab.spans, "_dilation", counting_dilation)
     g, twin = fixture("figure1"), fixture("figure1")
     assert g == twin and g is not twin
     first = six_spans(g)
@@ -232,10 +241,26 @@ def test_level_scans_are_cached_per_graph_object(monkeypatch):
     assert six_spans(g) == first and len(floods) == once
     assert six_spans(twin) == first and len(floods) == 2 * once
     assert {id(scan) for scan in floods[:once]}.isdisjoint(map(id, floods[once:]))
-    # the three rules' scans of one graph share one set of dilation tables
-    ours, theirs = ({(id(scan.tables), id(scan.one)) for scan in map(level_scan, [h] * 3, RULES)}
-                    for h in (g, twin))
-    assert len(ours) == len(theirs) == 1 and ours != theirs
+    # the dilation tables are built once per graph object, whatever the rule
+    assert dilations == [g.nbr, twin.nbr]
+    # on one graph object: the spans under all three rules, the walk search
+    # under each and the three checkers build its tables once, and each
+    # augmentation scan (one per clique per check) builds its own
+    from spanlab.theorems import (check_interval_theorems, check_span1_structure,
+                                  check_span_inequalities)
+    from spanlab.walks import min_steps
+    h = path_graph(6)
+    dilations.clear()
+    for rule in RULES:
+        rule_spans(h, rule)
+        min_steps(h, rule)
+    for checker in (check_span_inequalities, check_span1_structure, check_interval_theorems):
+        checker(h)
+    augmentations = len(end_cliques(h)) + sum(cut.is_clique for cut in minimal_cut_sets(h).sets)
+    assert augmentations == 6
+    assert dilations[0] == h.nbr and h.nbr not in dilations[1:]
+    assert len(dilations) == 1 + augmentations
+    assert all(len(masks) == h.n + 9 for masks in dilations[1:])
 
 
 def fresh(g: Graph) -> Graph:
@@ -246,6 +271,12 @@ def fresh(g: Graph) -> Graph:
 def six_spans(g: Graph) -> dict:
     """rule -> kind -> (span, certificate), the rules asked in ``RULES`` order."""
     return {rule: rule_spans(g, rule) for rule in RULES}
+
+
+def flooded_levels(g: Graph) -> dict:
+    """rule -> the levels flooded on g's cached level scan, ascending."""
+    levels = level_scan(g).levels
+    return {rule: sorted(level for r, level in levels if r is rule) for rule in RULES}
 
 
 def test_active_and_lazy_spans_are_at_most_traditional():
@@ -283,23 +314,23 @@ def test_six_spans_flood_no_level_above_a_dominating_span():
     path = path_graph(60)
     spans = six_spans(path)
     assert spans[Rule.TRADITIONAL][VERTEX][0] == 1
-    levels = {rule: sorted(level_scan(path, rule).levels) for rule in RULES}
+    levels = flooded_levels(path)
     assert levels[Rule.TRADITIONAL][-1] == 30                   # the radius
     assert levels[Rule.ACTIVE] == [1] and levels[Rule.LAZY] == [0, 1]
     # a repeat, with every scan's span cached, answers the same and floods
     # no new level
     assert six_spans(path) == spans
-    assert {rule: sorted(level_scan(path, rule).levels) for rule in RULES} == levels
+    assert flooded_levels(path) == levels
     net = parse_graph6("E@dW")                                  # lazy 2 > active 1
     spans = six_spans(net)
     assert [spans[rule][VERTEX][0] for rule in RULES] == [2, 1, 2]
-    assert {rule: sorted(level_scan(net, rule).levels) for rule in RULES} == {
+    assert flooded_levels(net) == {
         Rule.TRADITIONAL: [2], Rule.ACTIVE: [1, 2], Rule.LAZY: [2]}
     g = generate_family("random:60:0.1:1")
     radius = int(metrics(g).radius)
     for rule in RULES:
         assert vertex_span(g, rule)[0] == radius
-        assert list(level_scan(g, rule).levels) == [radius], rule
+        assert [level for r, level in level_scan(g).levels if r is rule] == [radius], rule
 
 
 def test_certificate_codes_are_built_on_first_read(monkeypatch):
@@ -462,11 +493,11 @@ def test_edge_span_checks_the_theorem_at_two_levels(monkeypatch):
     # with every edge test failing, the edge search on C9 (vertex span 4)
     # floods levels 4 and 3 only, then names the paper's theorem
     from spanlab.spans import LevelScan
-    monkeypatch.setattr(LevelScan, "covers_edges", lambda self, comp: False)
+    monkeypatch.setattr(LevelScan, "covers_edges", lambda self, comp, rule: False)
     g = cycle_graph(9)
     with pytest.raises(AssertionError, match="vertex and edge span differ by at most 1"):
         rule_spans(g, "traditional")
-    assert sorted(level_scan(g, Rule.TRADITIONAL).levels) == [3, 4]
+    assert sorted(level_scan(g).levels) == [(Rule.TRADITIONAL, 3), (Rule.TRADITIONAL, 4)]
 
 
 def test_unknown_span_kind_rejected_before_any_flood():
@@ -474,7 +505,7 @@ def test_unknown_span_kind_rejected_before_any_flood():
         g = path_graph(4)
         with pytest.raises(ValueError, match=f"'{kinds[-1]}'.*'vertex', 'edge'"):
             rule_spans(g, "traditional", kinds)
-        assert g._scans is None
+        assert g._scan is None
 
 
 def test_empty_graph_rejected():

@@ -1,5 +1,6 @@
 """Theorem harness: applicability gating and check outcomes."""
 
+import json
 import random
 import sys
 from functools import lru_cache
@@ -158,9 +159,9 @@ def test_verify_computes_the_traditional_span_once(monkeypatch):
         probes.append((h.adj, len(floods) - before, out))
         return out
 
-    def counting_flood(scan, avail, start):
+    def counting_flood(scan, avail, start, rule):
         floods.append(scan)
-        return flood(scan, avail, start)
+        return flood(scan, avail, start, rule)
 
     # every call, from the theorems, through vertex_span or through spanlab.rule_spans
     for mod in [m for name, m in sys.modules.items() if name.startswith("spanlab")]:
@@ -203,10 +204,10 @@ def test_verify_floods_each_level_once(monkeypatch, tmp_path):
     flooded = []
     good = LevelScan.good
 
-    def counting(scan, level):
-        if level not in scan.levels:
-            flooded.append((scan.adj, scan.rule, level))
-        return good(scan, level)
+    def counting(scan, level, rule):
+        if (rule, level) not in scan.levels:
+            flooded.append((tuple(scan.nbr), rule, level))
+        return good(scan, level, rule)
 
     monkeypatch.setattr(LevelScan, "good", counting)
     path = tmp_path / "caterpillar.g6"
@@ -405,15 +406,15 @@ def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
     probe = spanlab.theorems._induced_span_is_1
     good_in = LevelScan.good_in
 
-    def counting_probe(scan, nbr, vertices):
+    def counting_probe(scan, vertices):
         before = len(floods)
-        out = probe(scan, nbr, vertices)
+        out = probe(scan, vertices)
         probes.append((vertices, floods[before:]))
         return out
 
-    def recording_good_in(scan, avail, vertices):
-        floods.append((vertices, list(avail)))
-        return good_in(scan, avail, vertices)
+    def recording_good_in(scan, avail, vertices, rule):
+        floods.append((vertices, list(avail), rule))
+        return good_in(scan, avail, vertices, rule)
 
     monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", counting_probe)
     monkeypatch.setattr(LevelScan, "good_in", recording_good_in)
@@ -427,7 +428,7 @@ def test_verify_makes_one_span_per_lobe_count_vector(monkeypatch, tmp_path):
         expected = [0] * g.n
         for v, row in zip(union, level2):
             expected[v] = sum(1 << union[i] for i in members(row))
-        assert calls == [(vertices, expected)]
+        assert calls == [(vertices, expected, Rule.TRADITIONAL)]
 
 
 def test_union_key_shares_only_shifted_copies():
@@ -477,9 +478,9 @@ def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
         calls.append(h.n)
         return probe(h)
 
-    def counting_induced_probe(scan, nbr, vertices):
+    def counting_induced_probe(scan, vertices):
         calls.append(vertices.bit_count())
-        return induced_probe(scan, nbr, vertices)
+        return induced_probe(scan, vertices)
 
     monkeypatch.setattr(spanlab.theorems, "_span_is_1", counting_probe)
     monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", counting_induced_probe)
@@ -489,13 +490,36 @@ def test_span1_structure_shares_lobe_union_spans_across_cuts(monkeypatch):
         assert sorted(calls) == [*range(2, n), n]
 
 
+def test_span1_structure_names_a_non_clique_cut_and_non_join_lobes(monkeypatch, capsys):
+    # with the span-1 probe forced to answer yes, C4 (span 2) has the
+    # minimal cut set {0, 2}, which is no clique, and the subdivided star
+    # with three legs (span 2) has three lobes of its centre 0 that are not
+    # joined onto it; verify exits 1 and names the violation and its graph
+    import spanlab.theorems
+    from spanlab.cli import main
+    from spanlab.theorems import Check
+    monkeypatch.setattr(spanlab.theorems, "_span_is_1", lambda h: True)
+    non_clique = {"graph6": "Cl", "non_clique_cut": [0, 2]}
+    assert check_span1_structure(cycle_graph(4)) == (
+        Check("cut-sets-are-cliques", VIOLATED, non_clique),
+        Check("lobe-unions-span-1", HOLDS), Check("join-all-but-two", HOLDS))
+    assert check_span1_structure(subdivided_star(3)) == (
+        Check("cut-sets-are-cliques", HOLDS), Check("lobe-unions-span-1", HOLDS),
+        Check("join-all-but-two", VIOLATED,
+              {"graph6": "FkE?G", "non_join_lobes": {"cut": [0], "count": 3}}))
+    assert main(["verify", "--family", "cycle:4", "--format", "json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["violations"] == [{"check": "cut-sets-are-cliques", "graph": "cycle:4",
+                                      "graph6": "Cl", "witness": non_clique}]
+
+
 def test_span1_structure_reports_a_bad_lobe_union(monkeypatch):
     import spanlab.theorems
     g = fan()
     probe = spanlab.theorems._induced_span_is_1
 
-    def broken_probe(scan, nbr, vertices):
-        return vertices.bit_count() >= g.n and probe(scan, nbr, vertices)
+    def broken_probe(scan, vertices):
+        return vertices.bit_count() >= g.n and probe(scan, vertices)
 
     monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", broken_probe)
     check = {c.name: c for c in check_span1_structure(g)}
@@ -520,8 +544,8 @@ def test_interval_theorems_report_a_bad_augmentation(monkeypatch):
     g = path_graph(5)
     probe = spanlab.theorems._induced_span_is_1
 
-    def broken_probe(scan, nbr, vertices):
-        return vertices.bit_count() != g.n + 2 and probe(scan, nbr, vertices)
+    def broken_probe(scan, vertices):
+        return vertices.bit_count() != g.n + 2 and probe(scan, vertices)
 
     monkeypatch.setattr(spanlab.theorems, "_induced_span_is_1", broken_probe)
     check = {c.name: c for c in check_interval_theorems(g)}
@@ -553,9 +577,9 @@ def test_span_1_probe_matches_vertex_span(monkeypatch):
     probe = spanlab.theorems._induced_span_is_1
     augmented = []
 
-    def recording_probe(scan, nbr, vertices):
-        out = probe(scan, nbr, vertices)
-        augmented.append((masks_graph(nbr, vertices), out))
+    def recording_probe(scan, vertices):
+        out = probe(scan, vertices)
+        augmented.append((masks_graph(scan.nbr, vertices), out))
         return out
 
     graphs = [g for g in connected_atlas(7) if g.n >= 2]
